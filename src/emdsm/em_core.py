@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import specfun
 from .errors import DimensionMismatchError, DomainError, GeometryError, SingularityError
 
 _TWO_PI = 2.0 * np.pi
@@ -178,6 +177,23 @@ def _distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.linalg.norm(x - y, axis=-1)
 
 
+def hankel1_012(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """H_0^(1), H_1^(1), H_2^(1) at x > 0 from the cephes J_0, Y_0, J_1, Y_1.
+
+    H_2 follows from the upward recurrence (2/x) H_1 - H_0, which is stable
+    for Y and so for H.  scipy.special is imported here, not at module level,
+    so that 3D runs never load it.
+    """
+    from scipy import special
+
+    x = np.asarray(x, dtype=np.float64)
+    if np.any(x <= 0.0):
+        raise DomainError("Hankel functions need a strictly positive argument")
+    h0 = special.j0(x) + 1j * special.y0(x)
+    h1 = special.j1(x) + 1j * special.y1(x)
+    return h0, h1, (2.0 / x) * h1 - h0
+
+
 def green_scalar_from_distance(ctx: WaveContext, r) -> np.ndarray:
     """Scalar free-space kernel as a function of separation r > 0."""
     r = np.asarray(r, dtype=np.float64)
@@ -185,7 +201,9 @@ def green_scalar_from_distance(ctx: WaveContext, r) -> np.ndarray:
         raise SingularityError("scalar kernel requires strictly positive separation")
     kr = ctx.wavenumber * r
     if ctx.dimension == 2:
-        return 0.25j * specfun.hankel1(0, kr)
+        from scipy import special
+
+        return 0.25j * (special.j0(kr) + 1j * special.y0(kr))
     return np.exp(1j * kr) / (4.0 * np.pi * r)
 
 
@@ -220,7 +238,7 @@ def green_tensor_from_diff(ctx: WaveContext, diff) -> np.ndarray:
     outer = rhat[:, :, np.newaxis] * rhat[:, np.newaxis, :]
     eye = np.eye(d)
     if d == 2:
-        h0, h1, h2 = specfun.hankel1_runs(k * r)
+        h0, h1, h2 = hankel1_012(k * r)
         out = 0.25j * k * k * (
             (h0 - h1 / (k * r))[:, np.newaxis, np.newaxis] * eye
             + h2[:, np.newaxis, np.newaxis] * outer
@@ -264,9 +282,13 @@ def im_green_tensor_from_diff(ctx: WaveContext, diff) -> np.ndarray:
         outer = rhat[:, :, np.newaxis] * rhat[:, np.newaxis, :]
         kr = k * rr
         if d == 2:
-            j0 = specfun.bessel_j(0, kr)
-            j1 = specfun.bessel_j(1, kr)
-            j2 = specfun.bessel_j(2, kr)
+            # jv(2, .) rather than the recurrence, which loses J_2's
+            # relative accuracy for kr <= 2
+            from scipy import special
+
+            j0 = special.j0(kr)
+            j1 = special.j1(kr)
+            j2 = special.jv(2, kr)
             out[regular] = 0.25 * k * k * (
                 (j0 - j1 / kr)[:, np.newaxis, np.newaxis] * eye
                 + j2[:, np.newaxis, np.newaxis] * outer
@@ -299,7 +321,9 @@ def im_trace_green_tensor(ctx: WaveContext, r) -> np.ndarray:
     if ctx.dimension == 2:
         if np.any(r < 0.0):
             raise DomainError("separation must be nonnegative")
-        return 0.25 * k * k * specfun.bessel_j(0, k * r)
+        from scipy import special
+
+        return 0.25 * k * k * special.j0(k * r)
     if np.any(r <= 0.0):
         raise DomainError("separation must be positive in 3D")
     return 2.0 * k * k * np.sin(k * r) / (4.0 * np.pi * r)

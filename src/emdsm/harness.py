@@ -169,8 +169,11 @@ def config_from_dict(raw: dict, name: str = "custom") -> ExperimentConfig:
     except Exception as exc:
         raise ConfigError(f"invalid 'wave': {exc}") from exc
 
+    raw_incidents = _need(raw, "incidents", "")
+    if not isinstance(raw_incidents, list) or not raw_incidents:
+        raise ConfigError("key 'incidents' must list at least one incident field")
     incidents = []
-    for idx, entry in enumerate(_need(raw, "incidents", "")):
+    for idx, entry in enumerate(raw_incidents):
         ctxt = f"incidents[{idx}]."
         try:
             incidents.append(IncidentPlaneWave(
@@ -183,8 +186,6 @@ def config_from_dict(raw: dict, name: str = "custom") -> ExperimentConfig:
             raise ConfigError(f"invalid incident at 'incidents[{idx}]': {exc}") from exc
         if incidents[-1].dimension != dimension:
             raise ConfigError(f"key 'incidents[{idx}]': vector length does not match 'wave.dimension'")
-    if not incidents:
-        raise ConfigError("key 'incidents' must list at least one incident field")
 
     diagnostic = None
     diagnostic_point: tuple[float, ...] = ()
@@ -430,12 +431,15 @@ def _run_diagnostic(config: ExperimentConfig, report: LocalizationReport, outdir
     pts = grid.points
     off_peak = np.linalg.norm(pts - x_q, axis=1) > 0.5 * ctx.wavelength
     maps = dsm.cross_product_maps(ctx, surface, x_q, grid, [sel for _, sel in selectors])
+    report.stage_seconds["sweep"] = time.perf_counter() - started
+
+    started = time.perf_counter()
     for (name, _), index in zip(selectors, maps):
         entry = _index_entry(index)
         entry["off_peak_ratio"] = float(index.values[off_peak].max() / index.values.max())
         report.indices.append(entry)
         _export_index(index, outdir / f"map_{name}", config.output_formats, report)
-    report.stage_seconds["sweep"] = time.perf_counter() - started
+    report.stage_seconds["export"] = time.perf_counter() - started
 
 
 def run_experiment(config: ExperimentConfig) -> LocalizationReport:
@@ -494,10 +498,12 @@ def run_experiment(config: ExperimentConfig) -> LocalizationReport:
             raise StageError("sweep", str(exc)) from exc
         report.stage_seconds["sweep"] = time.perf_counter() - started
 
+        started = time.perf_counter()
         for index in grids:
             report.indices.append(_index_entry(index))
             stem = outdir / f"index_{index.label.replace(':', '_')}"
             _export_index(index, stem, config.output_formats, report)
+        report.stage_seconds["export"] = time.perf_counter() - started
 
     path = outdir / "report.json"
     path.write_text(json.dumps(report.to_dict(), indent=2))
@@ -535,14 +541,20 @@ def _verify_lemma() -> list[dict]:
     ctx = WaveContext.from_wavelength(2, 1.0)
     p = np.array([1.0, -1.0]) / _SQRT2
     q = np.array([1.0, 1.0]) / _SQRT2
-    errs = []
-    for count in (128, 256, 512):
-        surface = circle_surface(5.0, count)
-        errs.append(dsm.verify_boundary_lemma(ctx, surface, [-0.25, 0.0], [0.4, 0.1], p, q).rel_err)
-    checks = [_check("lemma_rel_err_512", errs[2], 1e-3)]
-    decreasing = errs[0] > errs[1] > errs[2]
-    checks.append({"name": "lemma_err_decreasing_128_256_512", "value": errs,
-                   "threshold": "strictly decreasing", "passed": bool(decreasing)})
+    # 512 points sit at the finite-difference floor (~4e-12), which the
+    # trapezoid rule reaches by 24 points; the convergence trend is taken
+    # where quadrature error still dominates
+    errs = {
+        count: dsm.verify_boundary_lemma(
+            ctx, circle_surface(5.0, count), [-0.25, 0.0], [0.4, 0.1], p, q
+        ).rel_err
+        for count in (8, 12, 16, 512)
+    }
+    trend = [errs[8], errs[12], errs[16]]
+    checks = [_check("lemma_rel_err_512", errs[512], 1e-10)]
+    checks.append({"name": "lemma_err_decreasing_8_12_16", "value": trend,
+                   "threshold": "strictly decreasing",
+                   "passed": bool(trend[0] > trend[1] > trend[2])})
     return checks
 
 

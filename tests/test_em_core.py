@@ -1,7 +1,13 @@
 """Wave context, incident fields, contrast, and Green-function identities."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.special as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -294,6 +300,20 @@ class TestImParts:
         assert root == pytest.approx(2.404825557695773, rel=1e-10)
         assert abs(em.im_trace_green_tensor(CTX2, root / CTX2.wavenumber)) < 1e-10
 
+    def test_im_tensor_small_kr_against_jv(self):
+        # J_2 at small kr, where the upward recurrence from J_0, J_1 would
+        # lose its relative accuracy
+        k = CTX2.wavenumber
+        for r in (1e-6, 1e-3, 0.05, 0.3):
+            kr = k * r
+            rhat = np.array([0.6, 0.8])
+            expected = 0.25 * k * k * (
+                (sp.jv(0, kr) - sp.jv(1, kr) / kr) * np.eye(2) + sp.jv(2, kr) * np.outer(rhat, rhat)
+            )
+            got = em.im_green_tensor_from_diff(CTX2, r * rhat)
+            # elementwise: the off-diagonal entries are J_2 alone
+            np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)
+
     def test_im_trace_max_at_zero_separation(self):
         r = np.linspace(1e-6, 3.0, 400)
         assert em.im_trace_green_tensor(CTX2, 0.0) > em.im_trace_green_tensor(CTX2, r).max()
@@ -313,3 +333,18 @@ def test_trace_identity_property(dim, coords):
     phi = em.green_tensor(ctx, x, y)
     g = em.green_scalar(ctx, x, y)
     assert abs(np.trace(phi) - (dim - 1) * ctx.wavenumber**2 * g) <= 1e-11 * abs(ctx.wavenumber**2 * g)
+
+
+def test_3d_kernels_do_not_load_scipy_special():
+    # scipy.special is imported inside the 2D branches only
+    code = (
+        "import sys, emdsm\n"
+        "from emdsm import em_core as em\n"
+        "ctx = em.WaveContext.from_wavelength(3, 1.0)\n"
+        "em.green_tensor(ctx, [0.0, 0.0, 0.0], [0.3, 0.1, -0.2])\n"
+        "em.im_green_tensor(ctx, [0.0, 0.0, 0.0], [0.3, 0.1, -0.2])\n"
+        "assert 'scipy.special' not in sys.modules, 'scipy.special loaded'\n"
+    )
+    src = str(Path(em.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

@@ -55,6 +55,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             harness.config_from_dict(raw)
 
+    def test_non_list_incidents_named(self):
+        raw = small_config_dict(incidents=5)
+        with pytest.raises(ConfigError, match="'incidents'"):
+            harness.config_from_dict(raw)
+
     def test_unknown_solver_named(self):
         raw = small_config_dict(forward={"h": 0.05, "solver": "cg"})
         with pytest.raises(ConfigError, match="forward.solver"):
@@ -170,7 +175,7 @@ class TestRunExperiment:
         _, report, _ = small_run
         labels = [entry["label"] for entry in report.indices]
         assert labels == ["single_polarization:0", "single_polarization:1", "combined"]
-        assert set(report.stage_seconds) == {"forward", "synthesis", "sweep"}
+        assert set(report.stage_seconds) == {"forward", "synthesis", "sweep", "export"}
         assert len(report.solver_info) == 2
 
     def test_outputs_written(self, small_run):

@@ -1,4 +1,6 @@
-"""Bessel/Hankel evaluation against independent series oracles and identities."""
+"""The cylindrical Bessel and Hankel values behind the 2D kernels (the
+scipy-backed em_core.hankel1_012 and the J_n in Im Phi) against independent
+series oracles, published tables and identities."""
 
 import math
 from fractions import Fraction
@@ -9,8 +11,12 @@ import scipy.special as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emdsm import specfun
-from emdsm.errors import DomainError
+from emdsm import dsm
+from emdsm import em_core as em
+from emdsm import measurement as ms
+from emdsm.errors import DomainError, SingularityError
+
+CTX2 = em.WaveContext.from_wavelength(2, 1.0)
 
 EULER_GAMMA = 0.57721566490153286060651209
 
@@ -69,6 +75,12 @@ def y1_series_oracle(x: float, terms: int = 40) -> float:
     return (2.0 / math.pi) * math.log(x / 2.0) * j1 - 2.0 / (math.pi * x) - x / (2.0 * math.pi) * series
 
 
+def jy(order: int, x):
+    """(J_n(x), Y_n(x)) as the 2D kernels see them."""
+    h = em.hankel1_012(x)[order]
+    return h.real, h.imag
+
+
 def test_oracles_match_published_tables():
     assert j_series_oracle(0, 1.0) == pytest.approx(TABLE[("j", 0, 1.0)], rel=1e-14)
     assert j_series_oracle(1, 1.0) == pytest.approx(TABLE[("j", 1, 1.0)], rel=1e-14)
@@ -77,63 +89,69 @@ def test_oracles_match_published_tables():
 
 
 def test_j_at_zero():
-    assert specfun.bessel_j(0, 0.0) == 1.0
-    assert specfun.bessel_j(1, 0.0) == 0.0
-    assert specfun.bessel_j(2, 0.0) == 0.0
+    # J_0(0) = 1, J_1(x)/x -> 1/2, J_2(0) = 0: Im Phi's regular branch meets
+    # the coincident-point value k^2/8 I, and the trace peaks at k^2/4
+    k = CTX2.wavenumber
+    near = em.im_green_tensor_from_diff(CTX2, [1e-200, 0.0])
+    np.testing.assert_array_equal(near, (k * k / 8.0) * np.eye(2))
+    assert em.im_trace_green_tensor(CTX2, 0.0) == 0.25 * k * k
 
 
 def test_j_against_series_oracle():
     for order in (0, 1, 2):
         for x in (0.05, 0.7, 1.0, 3.3, 7.9, 11.5):
-            assert specfun.bessel_j(order, x) == pytest.approx(
-                j_series_oracle(order, x, 60), rel=1e-10
-            )
+            assert jy(order, x)[0] == pytest.approx(j_series_oracle(order, x, 60), rel=1e-10)
 
 
 def test_y_against_series_oracle():
     for x in (0.02, 0.4, 1.0, 2.9, 8.1):
-        assert specfun.bessel_y(0, x) == pytest.approx(y0_series_oracle(x, 60), rel=1e-10)
-        assert specfun.bessel_y(1, x) == pytest.approx(y1_series_oracle(x, 60), rel=1e-10)
+        assert jy(0, x)[1] == pytest.approx(y0_series_oracle(x, 60), rel=1e-10)
+        assert jy(1, x)[1] == pytest.approx(y1_series_oracle(x, 60), rel=1e-10)
 
 
 def test_y0_log_blowup_near_zero():
-    assert specfun.bessel_y(0, 1e-9) < -10.0
+    assert jy(0, 1e-9)[1] < -10.0
 
 
 def test_hankel_is_j_plus_iy_exactly():
-    for order in (0, 1, 2):
-        x = np.linspace(0.3, 150.0, 500)
-        h = specfun.hankel1(order, x)
-        np.testing.assert_array_equal(h.real, specfun.bessel_j(order, x))
-        np.testing.assert_array_equal(h.imag, specfun.bessel_y(order, x))
+    # orders 0 and 1 are the cephes values untouched
+    x = np.linspace(0.3, 150.0, 500)
+    h0, h1, _ = em.hankel1_012(x)
+    np.testing.assert_array_equal(h0.real, sp.j0(x))
+    np.testing.assert_array_equal(h0.imag, sp.y0(x))
+    np.testing.assert_array_equal(h1.real, sp.j1(x))
+    np.testing.assert_array_equal(h1.imag, sp.y1(x))
 
 
 def test_hankel_recurrence_pins_order_two():
     x = 3.7
-    lhs = specfun.hankel1(2, x)
-    rhs = 2.0 * specfun.hankel1(1, x) / x - specfun.hankel1(0, x)
-    assert lhs == pytest.approx(rhs, rel=1e-12)
+    h0, h1, h2 = em.hankel1_012(x)
+    assert h2 == pytest.approx(2.0 * h1 / x - h0, rel=1e-12)
+    assert h2 == pytest.approx(sp.hankel1(2, x), rel=1e-13)
 
 
 def test_large_argument_amplitude():
     # |H_0(x)| sqrt(x) -> sqrt(2/pi)
     x = 100.0
-    amp = abs(specfun.hankel1(0, x)) * math.sqrt(x)
-    assert amp == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-5)
+    h0 = em.hankel1_012(x)[0]
+    assert abs(h0) * math.sqrt(x) == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-5)
     # phase against the leading asymptotic form
     ref = math.sqrt(2.0 / (math.pi * x)) * np.exp(1j * (x - math.pi / 4.0))
-    assert specfun.hankel1(0, x) == pytest.approx(ref, rel=2e-3)
+    assert h0 == pytest.approx(ref, rel=2e-3)
 
 
 def test_domain_errors():
+    # y0(0) is -inf: the helper must refuse rather than return it
     with pytest.raises(DomainError):
-        specfun.bessel_j(0, -1.0)
+        em.hankel1_012(0.0)
     with pytest.raises(DomainError):
-        specfun.bessel_y(0, 0.0)
+        em.hankel1_012(np.array([1.0, -2.0]))
+    with pytest.raises(SingularityError):
+        em.green_scalar_from_distance(CTX2, 0.0)
+    with pytest.raises(SingularityError):
+        em.green_tensor_from_diff(CTX2, [0.0, 0.0])
     with pytest.raises(DomainError):
-        specfun.hankel1(1, -2.0)
-    with pytest.raises(DomainError):
-        specfun.bessel_j(3, 1.0)
+        em.im_trace_green_tensor(CTX2, -1.0)
 
 
 def test_wronskian_on_random_sample():
@@ -141,67 +159,68 @@ def test_wronskian_on_random_sample():
     rng = np.random.default_rng(7)
     x = rng.uniform(0.01, 100.0, 200)
     for order in (0, 1, 2):
-        j = specfun.bessel_j(order, x)
-        y = specfun.bessel_y(order, x)
+        j, y = jy(order, x)
         if order == 0:
-            jp = -specfun.bessel_j(1, x)
-            yp = -specfun.bessel_y(1, x)
+            jp, yp = (-v for v in jy(1, x))
         else:
-            jp = specfun.bessel_j(order - 1, x) - order * j / x
-            yp = specfun.bessel_y(order - 1, x) - order * y / x
+            j_lo, y_lo = jy(order - 1, x)
+            jp = j_lo - order * j / x
+            yp = y_lo - order * y / x
         w = j * yp - jp * y
         ref = 2.0 / (np.pi * x)
         assert np.max(np.abs(w - ref) / ref) < 1e-9
 
 
 def test_recurrence_closure_on_random_sample():
+    # one more upward step from the helper's H_1, H_2 must land on AMOS H_3
     rng = np.random.default_rng(11)
     x = rng.uniform(0.01, 100.0, 200)
-    h0 = specfun.hankel1(0, x)
-    h1 = specfun.hankel1(1, x)
-    h2 = specfun.hankel1(2, x)
-    lhs = 2.0 * h1 / x
-    rhs = h0 + h2
-    assert np.max(np.abs(lhs - rhs) / np.abs(lhs)) < 1e-10
+    _, h1, h2 = em.hankel1_012(x)
+    h3 = 4.0 * h2 / x - h1
+    ref = sp.hankel1(3, x)
+    assert np.max(np.abs(h3 - ref) / np.abs(ref)) < 1e-10
 
 
 def test_derivative_identity_vs_finite_differences():
     # d/dx H_0 = -H_1, checked against 4th-order central differences
     h = 1e-5
+
+    def h0(v):
+        return em.hankel1_012(v)[0]
+
     for x in (0.5, 1.7, 6.3, 20.0, 80.0):
-        fd = (
-            -specfun.hankel1(0, x + 2 * h)
-            + 8.0 * specfun.hankel1(0, x + h)
-            - 8.0 * specfun.hankel1(0, x - h)
-            + specfun.hankel1(0, x - 2 * h)
-        ) / (12.0 * h)
-        assert abs(fd - (-specfun.hankel1(1, x))) < 1e-7
+        fd = (-h0(x + 2 * h) + 8.0 * h0(x + h) - 8.0 * h0(x - h) + h0(x - 2 * h)) / (12.0 * h)
+        assert abs(fd - (-em.hankel1_012(x)[1])) < 1e-7
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     order=st.integers(min_value=0, max_value=2),
-    x=st.floats(min_value=1e-3, max_value=200.0, allow_nan=False),
+    x=st.floats(min_value=1e-6, max_value=200.0, allow_nan=False),
 )
 def test_matches_scipy_within_contract(order, x):
-    envelope = math.sqrt(2.0 / (math.pi * x))
-    ref_j = sp.jv(order, x)
-    ref_y = sp.yv(order, x)
-    assert abs(specfun.bessel_j(order, x) - ref_j) <= 1e-10 * max(abs(ref_j), envelope)
-    assert abs(specfun.bessel_y(order, x) - ref_y) <= 1e-10 * max(abs(ref_y), envelope)
+    # the helper against AMOS hankel1(n, x) on [1e-6, 200]
+    ref = sp.hankel1(order, x)
+    assert abs(em.hankel1_012(x)[order] - ref) <= 1e-13 * abs(ref)
 
 
 def test_vectorized_matches_scalar():
     x = np.array([0.2, 1.0, 11.9, 12.1, 60.0])
+    vec = em.hankel1_012(x)
     for order in (0, 1, 2):
-        vec = specfun.hankel1(order, x)
-        scal = np.array([specfun.hankel1(order, v) for v in x])
-        np.testing.assert_array_equal(vec, scal)
+        scal = np.array([em.hankel1_012(v)[order] for v in x])
+        np.testing.assert_array_equal(vec[order], scal)
 
 
 def test_hankel_runs_fast_path_matches_public_api():
-    x = np.linspace(0.05, 90.0, 1000)
-    h0, h1, h2 = specfun.hankel1_runs(x)
-    np.testing.assert_allclose(h0, specfun.hankel1(0, x), rtol=0, atol=0)
-    np.testing.assert_allclose(h1, specfun.hankel1(1, x), rtol=0, atol=0)
-    np.testing.assert_allclose(h2, specfun.hankel1(2, x), rtol=0, atol=0)
+    # the sweep's kernel pieces against the public closed-form kernel
+    surface = ms.circle_surface(5.0, 30)
+    pts = np.array([[-0.25, 0.0], [0.4, 0.1], [1.3, -1.7]])
+    parts = dsm._KernelParts(CTX2, surface, pts)
+    phi = em.green_tensor_from_diff(CTX2, surface.points[np.newaxis, :, :] - pts[:, np.newaxis, :])
+    for i in range(2):
+        for j in range(2):
+            np.testing.assert_allclose(parts.component(i, j), phi[..., i, j], rtol=1e-12)
+    r = np.linalg.norm(surface.points - pts[0], axis=1)
+    h0 = em.hankel1_012(CTX2.wavenumber * r)[0]
+    np.testing.assert_array_equal(em.green_scalar_from_distance(CTX2, r), 0.25j * h0)
