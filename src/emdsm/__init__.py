@@ -42,11 +42,9 @@ from .dsm import (
     SamplingGrid,
     component,
     compute_index_grid,
-    cross_product_map,
+    cross_product_maps,
     diagonal_sum,
     find_local_maxima,
-    index_combined,
-    index_psi,
     polarization,
     polarization_sum,
     probe_field,

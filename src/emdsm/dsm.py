@@ -17,11 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .em_core import WaveContext, green_tensor_from_diff, hankel1_012, im_green_tensor
-from .errors import DomainError, GeometryError
+from .errors import DimensionMismatchError, DomainError, GeometryError
 from .measurement import FieldSamples, MeasurementSurface, circle_surface, l2_inner_product, l2_norm
 
-_CHUNK_TARGET = 3_000_000  # probe entries held in memory at once
+_CHUNK_TARGET = 3_000_000  # (sampling point, surface point, axis) triples per chunk
 _CSV_BLOCK_ROWS = 1_024  # index rows per write; larger blocks add memory, not speed
+_TIE_RTOL = 1e-12  # index values this close, relative to the peak, are tied
 
 
 @dataclass(frozen=True)
@@ -104,16 +105,18 @@ def _grid_inside(surface: MeasurementSurface, grid: SamplingGrid) -> None:
 
 
 class _KernelParts:
-    """Separation-dependent pieces of Phi between surface points and a chunk
-    of sampling points, shared across polarizations and component selectors.
+    """Phi between the surface points and a chunk of sampling points, held as
+    its two separation-dependent coefficients,
 
-    Distances come from the |x|^2 + |y|^2 - 2 x.y expansion (one GEMM) and
-    separation components are broadcast on demand, so no (C, M, d) array is
-    ever materialized beyond the probe output itself.
+        Phi_ij(x_m, x_c) = a delta_ij + (b / r^2) diff_i diff_j,   diff = x_m - x_c,
+
+    with a = diag and b = outer.  Distances come from the |x|^2 + |y|^2 - 2 x.y
+    expansion (one GEMM) and separation components are broadcast one at a
+    time, so no (C, M, d) array is ever materialized.
     """
 
     def __init__(self, ctx: WaveContext, surface: MeasurementSurface, pts: np.ndarray):
-        self.ctx = ctx
+        self.dimension = ctx.dimension
         self.surface_points = surface.points
         self.pts = pts
         k = ctx.wavenumber
@@ -136,23 +139,45 @@ class _KernelParts:
     def _diff_component(self, i: int) -> np.ndarray:
         return self.surface_points[np.newaxis, :, i] - self.pts[:, np.newaxis, i]
 
-    def probe(self, q: np.ndarray) -> np.ndarray:
-        """Phi(x_m, x_p) q as an array of shape (C, M, d)."""
-        d = self.ctx.dimension
-        dot = self.surface_points @ q
-        sr = dot[np.newaxis, :] - (self.pts @ q)[:, np.newaxis]  # (diff . q)
-        coef = self.outer * sr * self.inv_r2
-        out = np.empty(self.diag.shape + (d,), dtype=np.complex128)
+    def contract(self, ref: np.ndarray) -> np.ndarray:
+        """T[c, i, j, k] = sum_m Phi_ij(x_m, x_c) ref[m, i, k] for ref of shape
+        (M, d, K); returns shape (C, d, d, K).
+
+        Phi is symmetric, so each component i <= j is built once and meets the
+        reference columns of both i and j in one GEMM.
+        """
+        d = self.dimension
+        n_ref = ref.shape[2]
+        out = np.empty((len(self.pts), d, d, n_ref), dtype=np.complex128)
+        outer_r2 = self.outer * self.inv_r2
         for i in range(d):
-            out[..., i] = self.diag * q[i] + coef * self._diff_component(i)
+            scaled = outer_r2 * self._diff_component(i)
+            for j in range(i, d):
+                phi_ij = scaled * self._diff_component(j)
+                if i == j:
+                    phi_ij += self.diag
+                    out[:, i, i] = phi_ij @ ref[:, i]
+                else:
+                    both = phi_ij @ np.concatenate([ref[:, i], ref[:, j]], axis=1)
+                    out[:, i, j] = both[:, :n_ref]
+                    out[:, j, i] = both[:, n_ref:]
         return out
 
-    def component(self, i: int, j: int) -> np.ndarray:
-        """Phi_ij(x_m, x_p) as an array of shape (C, M)."""
-        out = self.outer * self.inv_r2 * self._diff_component(i) * self._diff_component(j)
-        if i == j:
-            out = out + self.diag
-        return out
+    def probe_norms(self, qs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """||Phi(., x_c) q|| in the weighted L2 product for every chunk point
+        and every column q of qs (shape (d, L)); returns shape (C, L).
+
+        Data-free closed form: |Phi q|^2 = |a|^2 |q|^2
+        + (2 Re(conj(a) b) + |b|^2) (diff.q)^2 / r^2 for real q.
+        """
+        a, b = self.diag, self.outer
+        abs_a2 = a.real**2 + a.imag**2
+        radial = (2.0 * (a.real * b.real + a.imag * b.imag) + b.real**2 + b.imag**2) * self.inv_r2
+        out = np.empty((len(self.pts), qs.shape[1]))
+        for l, q in enumerate(qs.T):
+            along = (self.surface_points @ q)[np.newaxis, :] - (self.pts @ q)[:, np.newaxis]
+            out[:, l] = (abs_a2 * (q @ q) + radial * along * along) @ weights
+        return np.sqrt(out)
 
 
 def _chunk_ranges(n_points: int, per_chunk: int):
@@ -189,197 +214,152 @@ def probe_field(ctx: WaveContext, surface: MeasurementSurface, x_p, q) -> FieldS
     x_p = np.asarray(x_p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     _check_inside(surface, x_p, "probe point")
-    parts = _KernelParts(ctx, surface, x_p[np.newaxis, :])
-    return FieldSamples(surface, parts.probe(q)[0])
+    return FieldSamples(surface, green_tensor_from_diff(ctx, surface.points - x_p) @ q)
 
 
-def index_psi(ctx: WaveContext, data: FieldSamples, x_p, q) -> float:
-    """Normalized correlation of the data with the probe at x_p; in [0, 1]."""
-    data_norm = l2_norm(data)
-    if data_norm == 0.0:
-        raise DomainError("index is undefined for identically zero data")
-    probe = probe_field(ctx, data.surface, x_p, q)
-    num = abs(l2_inner_product(data, probe))
-    return float(num / (data_norm * l2_norm(probe)))
-
-
-def index_combined(ctx: WaveContext, datasets):
-    """Mean of per-polarization indices; returns a per-point callable."""
-    datasets = list(datasets)
-    if not datasets:
-        raise DomainError("combined index needs at least one dataset")
-    surfaces = [data.surface for data, _ in datasets]
-    for other in surfaces[1:]:
-        if other is not surfaces[0] and not np.array_equal(other.points, surfaces[0].points):
-            raise GeometryError("all datasets must share one measurement surface")
-
-    def evaluate(x_p) -> float:
-        return float(np.mean([index_psi(ctx, data, x_p, q) for data, q in datasets]))
-
-    return evaluate
-
-
-def compute_index_grid(ctx: WaveContext, datasets, grid: SamplingGrid,
-                       mode: str = "combined") -> list[IndexGrid]:
+def compute_index_grid(ctx: WaveContext, datasets, grid: SamplingGrid) -> list[IndexGrid]:
     """Index values over every sampling point, one sweep for all datasets.
 
-    mode "per_polarization" returns one grid per dataset; "combined" returns
-    the single averaged grid; "both" returns the per-polarization grids
-    followed by the combined one.
+    datasets is a sequence of (FieldSamples, polarization q) pairs on one
+    measurement surface.  Returns one grid per dataset
+    (single_polarization:<l>) followed by their mean (combined).  The
+    numerators <E_l, Phi(., x_c) q_l> come from one kernel contraction
+    against the weighted data; the probe norms are data-free and taken in
+    closed form.
     """
-    if mode not in ("per_polarization", "combined", "both"):
-        raise DomainError(f"unknown mode {mode!r}")
     datasets = list(datasets)
     if not datasets:
         raise DomainError("index sweep needs at least one dataset")
     surface = datasets[0][0].surface
+    if not all(surface.same_samples(data.surface) for data, _ in datasets[1:]):
+        raise GeometryError("all datasets must share one measurement surface")
     _grid_inside(surface, grid)
-    qs = [np.asarray(q, dtype=np.float64) for _, q in datasets]
-    data_norms = [l2_norm(data) for data, _ in datasets]
-    if any(n == 0.0 for n in data_norms):
+    qs = np.array([np.asarray(q, dtype=np.float64) for _, q in datasets]).T  # (d, L)
+    data_norms = np.array([l2_norm(data) for data, _ in datasets])
+    if np.any(data_norms == 0.0):
         raise DomainError("index is undefined for identically zero data")
-    weights = surface.weights
-    # fold the quadrature weights into the data once; the chunk work then
-    # reduces to BLAS matrix-vector products
-    weighted_conj = [
-        (weights[:, np.newaxis] * data.values).conj().reshape(-1) for data, _ in datasets
-    ]
-    weight_flat = np.repeat(weights, ctx.dimension)
+    # conj(w E_l): the contraction then gives conj(<E_l, Phi q_l>), whose
+    # magnitude is the numerator
+    ref = np.stack([data.values for data, _ in datasets], axis=-1)
+    ref = (surface.weights[:, np.newaxis, np.newaxis] * ref).conj()
 
     def per_chunk(parts: _KernelParts):
-        out = []
-        for wdata, norm, q in zip(weighted_conj, data_norms, qs):
-            probe = parts.probe(q).reshape(len(parts.diag), -1)
-            num = np.abs(probe @ wdata)
-            den = np.sqrt((probe.real**2 + probe.imag**2) @ weight_flat)
-            out.append(num / (norm * den))
-        return out
+        num = np.abs(np.einsum("cijl,jl->cl", parts.contract(ref), qs))
+        return (num / (data_norms * parts.probe_norms(qs, surface.weights))).T
 
     per_pol = _sweep(ctx, surface, grid, per_chunk, len(datasets))
     grids = [
         IndexGrid(grid, vals, f"single_polarization:{i}")
         for i, vals in enumerate(per_pol)
     ]
-    if mode == "per_polarization":
-        return grids
-    combined = IndexGrid(grid, np.mean(per_pol, axis=0), "combined")
-    if mode == "combined":
-        return [combined]
-    return grids + [combined]
+    return grids + [IndexGrid(grid, np.mean(per_pol, axis=0), "combined")]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CrossSelector:
-    kind: str  # component | diagonal_sum | polarization | polarization_sum
-    i: int = 0
-    j: int = 0
-    qs: tuple = ()
+    """One cross-correlation map: the weights coeffs[i, j, l] (shape (d, d, d))
+    of the correlations T[c, i, j, l] combined before the magnitude is taken;
+    see cross_product_maps."""
+
+    label: str
+    coeffs: np.ndarray
 
 
-def component(i: int, j: int) -> CrossSelector:
-    return CrossSelector("component", i=i, j=j)
+def component(i: int, j: int, dimension: int) -> CrossSelector:
+    """Correlation of the kernel component Phi_ij with itself."""
+    coeffs = np.zeros((dimension,) * 3)
+    coeffs[i, j, j] = 1.0
+    return CrossSelector(f"component_{i + 1}{j + 1}", coeffs)
 
 
-def diagonal_sum() -> CrossSelector:
-    return CrossSelector("diagonal_sum")
+def diagonal_sum(dimension: int) -> CrossSelector:
+    """Sum over i of the correlations of Phi_ii with itself."""
+    coeffs = np.zeros((dimension,) * 3)
+    for i in range(dimension):
+        coeffs[i, i, i] = 1.0
+    return CrossSelector("diagonal_sum", coeffs)
 
 
-def polarization(q) -> CrossSelector:
-    return CrossSelector("polarization", qs=(tuple(np.asarray(q, dtype=float)),))
+def polarization(q, label: str = "polarization") -> CrossSelector:
+    """Correlation of the probes Phi(., x) q at the sampling and reference points."""
+    q = np.asarray(q, dtype=np.float64)
+    return CrossSelector(label, np.einsum("i,j,l->ijl", np.ones_like(q), q, q))
 
 
 def polarization_sum(qs) -> CrossSelector:
-    return CrossSelector("polarization_sum", qs=tuple(tuple(np.asarray(q, dtype=float)) for q in qs))
+    """Sum of the polarization correlations over qs, taken before the
+    magnitude; for the diagonal pair (1, -1)/sqrt 2, (1, 1)/sqrt 2 this is the
+    component combination Phi_11 + 2 Phi_12 + Phi_22."""
+    return CrossSelector("polarization_sum", sum(polarization(q).coeffs for q in qs))
 
 
 def cross_product_maps(ctx: WaveContext, surface: MeasurementSurface, x_q,
                        grid: SamplingGrid, selectors) -> list[IndexGrid]:
-    """Cross-correlation maps for several selectors in one sweep, sharing the
-    kernel evaluations between them; see cross_product_map."""
+    """Max-normalized cross-correlation maps against the fixed reference point
+    x_q, one per selector, from one sweep:
+
+        map(x_c) = |sum_ijl coeffs[i, j, l] T[c, i, j, l]|,
+        T[c, i, j, l] = sum_m w_m Phi_ij(x_m, x_c) conj(Phi_il(x_m, x_q)).
+    """
     x_q = np.asarray(x_q, dtype=np.float64)
     _check_inside(surface, x_q, "reference point")
     _grid_inside(surface, grid)
-    ref_parts = _KernelParts(ctx, surface, x_q[np.newaxis, :])
-    weights = surface.weights
-
-    evaluators = []
-    labels = []
+    selectors = list(selectors)
+    d = ctx.dimension
     for selector in selectors:
-        if selector.kind in ("component", "diagonal_sum"):
-            if selector.kind == "component":
-                pairs = [(selector.i, selector.j)]
-            else:
-                pairs = [(i, i) for i in range(ctx.dimension)]
-            refs = [weights * ref_parts.component(i, j)[0].conj() for i, j in pairs]
+        if selector.coeffs.shape != (d, d, d):
+            raise DimensionMismatchError(f"selector {selector.label!r} is not {d}-dimensional")
+    coeffs = np.array([selector.coeffs for selector in selectors]).reshape(-1, d, d, d)
+    ref = (surface.weights[:, np.newaxis, np.newaxis]
+           * green_tensor_from_diff(ctx, surface.points - x_q)).conj()
 
-            def evaluate(parts, pairs=pairs, refs=refs):
-                corr = 0.0
-                for (i, j), ref in zip(pairs, refs):
-                    corr = corr + parts.component(i, j) @ ref
-                return np.abs(corr)
+    def per_chunk(parts: _KernelParts):
+        return np.abs(np.einsum("cijl,sijl->sc", parts.contract(ref), coeffs))
 
-        elif selector.kind in ("polarization", "polarization_sum"):
-            qs = [np.asarray(q, dtype=np.float64) for q in selector.qs]
-            refs = [
-                (weights[:, np.newaxis] * ref_parts.probe(q)[0].conj()).reshape(-1) for q in qs
-            ]
-
-            def evaluate(parts, qs=qs, refs=refs):
-                corr = 0.0
-                for q, ref in zip(qs, refs):
-                    corr = corr + parts.probe(q).reshape(len(parts.diag), -1) @ ref
-                return np.abs(corr)
-
-        else:
-            raise DomainError(f"unknown selector {selector.kind!r}")
-        evaluators.append(evaluate)
-        label = selector.kind
-        if selector.kind == "component":
-            label += f":{selector.i + 1}{selector.j + 1}"
-        labels.append(f"cross:{label}")
-
-    def per_chunk(parts):
-        return [evaluate(parts) for evaluate in evaluators]
-
-    value_arrays = _sweep(ctx, surface, grid, per_chunk, len(evaluators))
+    value_arrays = _sweep(ctx, surface, grid, per_chunk, len(selectors))
     return [
-        IndexGrid(grid, values, label).normalized()
-        for values, label in zip(value_arrays, labels)
+        IndexGrid(grid, values, f"cross:{selector.label}").normalized()
+        for values, selector in zip(value_arrays, selectors)
     ]
 
 
-def cross_product_map(ctx: WaveContext, surface: MeasurementSurface, x_q,
-                      grid: SamplingGrid, selector: CrossSelector) -> IndexGrid:
-    """Max-normalized magnitude of the surface correlation between probes
-    anchored at the sampling points and the fixed reference point x_q.
-
-    For polarization_sum the per-polarization correlations are summed before
-    the magnitude is taken, which reproduces the component combination
-    Phi_11 + 2 Phi_12 + Phi_22 for the standard diagonal polarization pair.
-    """
-    return cross_product_maps(ctx, surface, x_q, grid, [selector])[0]
-
-
 def find_local_maxima(index: IndexGrid, floor_ratio: float = 0.5):
-    """Strictly dominant 8-/26-neighbourhood maxima above floor_ratio * peak,
-    sorted by value, strongest first."""
+    """Dominant 8-/26-neighbourhood maxima above floor_ratio * peak, strongest
+    first.
+
+    Values within _TIE_RTOL * peak of each other are tied, so that rounding
+    noise between mirror-image points decides nothing: of tied neighbours the
+    first in raster order is the maximum, and tied maxima are listed in
+    raster order.
+    """
     arr = index.as_array()
     d = arr.ndim
+    tol = _TIE_RTOL * float(np.abs(arr).max())
     padded = np.pad(arr, 1, constant_values=-np.inf)
-    core = tuple(slice(1, -1) for _ in range(d))
     dominant = np.ones(arr.shape, dtype=bool)
+    centre = (1,) * d
     for offset in np.ndindex(*([3] * d)):
-        if all(o == 1 for o in offset):
+        if offset == centre:
             continue
         shifted = padded[tuple(slice(o, o + n) for o, n in zip(offset, arr.shape))]
-        dominant &= arr > shifted
+        # a neighbour earlier in raster order (offset < centre) must be beaten
+        # beyond the tie, a later one only matched within it
+        dominant &= (arr - shifted > tol) if offset < centre else (arr - shifted >= -tol)
     dominant &= arr >= floor_ratio * arr.max()
+    flat = np.flatnonzero(dominant)
+    values = arr.ravel()[flat]
+    groups: list[list[int]] = []
+    for k in np.argsort(-values, kind="stable"):
+        if groups and values[groups[-1][-1]] - values[k] <= tol:
+            groups[-1].append(k)
+        else:
+            groups.append([k])
     axes = index.grid.axes
     results = []
-    for loc in np.argwhere(dominant):
+    for k in (k for group in groups for k in sorted(group)):
+        loc = np.unravel_index(flat[k], arr.shape)
         point = np.array([axes[a][loc[a]] for a in range(d)])
-        results.append((point, float(arr[tuple(loc)])))
-    results.sort(key=lambda item: -item[1])
+        results.append((point, float(values[k])))
     return results
 
 

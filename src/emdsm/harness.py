@@ -413,32 +413,26 @@ def _run_diagnostic(config: ExperimentConfig, report: LocalizationReport, outdir
     grid = dsm.sampling_grid(config.sampling_box, config.sampling_spacing)
     x_q = np.asarray(config.diagnostic_point)
     if config.diagnostic == "fig1":
-        selectors = [
-            ("component_11", dsm.component(0, 0)),
-            ("component_22", dsm.component(1, 1)),
-            ("component_12", dsm.component(0, 1)),
-            ("diagonal_sum", dsm.diagonal_sum()),
-        ]
+        d = ctx.dimension
+        selectors = [dsm.component(0, 0, d), dsm.component(1, 1, d), dsm.component(0, 1, d),
+                     dsm.diagonal_sum(d)]
     else:
         p1 = config.incidents[0].polarization
         p2 = config.incidents[1].polarization
-        selectors = [
-            ("polarization_1", dsm.polarization(p1)),
-            ("polarization_2", dsm.polarization(p2)),
-            ("polarization_sum", dsm.polarization_sum([p1, p2])),
-        ]
+        selectors = [dsm.polarization(p1, "polarization_1"), dsm.polarization(p2, "polarization_2"),
+                     dsm.polarization_sum([p1, p2])]
     started = time.perf_counter()
     pts = grid.points
     off_peak = np.linalg.norm(pts - x_q, axis=1) > 0.5 * ctx.wavelength
-    maps = dsm.cross_product_maps(ctx, surface, x_q, grid, [sel for _, sel in selectors])
+    maps = dsm.cross_product_maps(ctx, surface, x_q, grid, selectors)
     report.stage_seconds["sweep"] = time.perf_counter() - started
 
     started = time.perf_counter()
-    for (name, _), index in zip(selectors, maps):
+    for selector, index in zip(selectors, maps):
         entry = _index_entry(index)
         entry["off_peak_ratio"] = float(index.values[off_peak].max() / index.values.max())
         report.indices.append(entry)
-        _export_index(index, outdir / f"map_{name}", config.output_formats, report)
+        _export_index(index, outdir / f"map_{selector.label}", config.output_formats, report)
     report.stage_seconds["export"] = time.perf_counter() - started
 
 
@@ -493,7 +487,7 @@ def run_experiment(config: ExperimentConfig) -> LocalizationReport:
         started = time.perf_counter()
         try:
             grid = dsm.sampling_grid(config.sampling_box, config.sampling_spacing)
-            grids = dsm.compute_index_grid(config.ctx, datasets, grid, mode="both")
+            grids = dsm.compute_index_grid(config.ctx, datasets, grid)
         except Exception as exc:
             raise StageError("sweep", str(exc)) from exc
         report.stage_seconds["sweep"] = time.perf_counter() - started
@@ -618,19 +612,15 @@ def diagnostic_ratios(spacing: float = 0.02, count: int = 64) -> dict[str, float
     p1 = np.array([1.0, -1.0]) / _SQRT2
     p2 = np.array([1.0, 1.0]) / _SQRT2
     off = np.linalg.norm(grid.points - x_q, axis=1) > 0.5 * ctx.wavelength
-    selectors = {
-        "component_11": dsm.component(0, 0),
-        "component_22": dsm.component(1, 1),
-        "component_12": dsm.component(0, 1),
-        "diagonal_sum": dsm.diagonal_sum(),
-        "polarization_1": dsm.polarization(p1),
-        "polarization_2": dsm.polarization(p2),
-        "polarization_sum": dsm.polarization_sum([p1, p2]),
-    }
-    maps = dsm.cross_product_maps(ctx, surface, x_q, grid, list(selectors.values()))
+    selectors = [
+        dsm.component(0, 0, 2), dsm.component(1, 1, 2), dsm.component(0, 1, 2), dsm.diagonal_sum(2),
+        dsm.polarization(p1, "polarization_1"), dsm.polarization(p2, "polarization_2"),
+        dsm.polarization_sum([p1, p2]),
+    ]
+    maps = dsm.cross_product_maps(ctx, surface, x_q, grid, selectors)
     return {
-        name: float(index.values[off].max() / index.values.max())
-        for name, index in zip(selectors, maps)
+        selector.label: float(index.values[off].max() / index.values.max())
+        for selector, index in zip(selectors, maps)
     }
 
 

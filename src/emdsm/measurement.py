@@ -15,12 +15,18 @@ _NOISE_BITGEN = np.random.PCG64  # named, seedable, portable
 
 @dataclass(frozen=True)
 class MeasurementSurface:
-    """Discrete closed curve/surface: points, quadrature weights, outward normals."""
+    """Discrete closed curve/surface: points, quadrature weights, outward normals.
+
+    The enclosed region is the origin-centred ball {|x|_region_norm <
+    region_radius}: the 2-norm for circles, the max-norm for cubes.  A
+    surface rebuilt from sampled points alone has no region (None).
+    """
 
     points: np.ndarray
     weights: np.ndarray
     normals: np.ndarray
-    descriptor: str
+    region_radius: float | None = None
+    region_norm: float = 2.0
 
     @property
     def dimension(self) -> int:
@@ -32,12 +38,19 @@ class MeasurementSurface:
 
     def contains_strictly(self, x, margin: float = 0.0) -> bool:
         """Whether x lies strictly inside the enclosed region (minus a margin)."""
+        if self.region_radius is None:
+            raise GeometryError(
+                "this surface has no known enclosed region; pass surface= to "
+                "read_field_samples_csv to give the sampled surface"
+            )
         x = np.asarray(x, dtype=np.float64)
-        if self.descriptor.startswith("circle"):
-            radius = float(self.descriptor.split(":")[1])
-            return float(np.linalg.norm(x)) < radius - margin
-        edge = float(self.descriptor.split(":")[1])
-        return bool(np.all(np.abs(x) < 0.5 * edge - margin))
+        return float(np.linalg.norm(x, self.region_norm)) < self.region_radius - margin
+
+    def same_samples(self, other: "MeasurementSurface") -> bool:
+        """Whether other has the same points with the same weights."""
+        return other is self or (
+            np.array_equal(self.points, other.points) and np.array_equal(self.weights, other.weights)
+        )
 
 
 def circle_surface(radius: float, count: int) -> MeasurementSurface:
@@ -50,7 +63,7 @@ def circle_surface(radius: float, count: int) -> MeasurementSurface:
     normals = np.column_stack([np.cos(theta), np.sin(theta)])
     points = radius * normals
     weights = np.full(count, 2.0 * np.pi * radius / count)
-    return MeasurementSurface(points, weights, normals, f"circle:{radius!r}:{count}")
+    return MeasurementSurface(points, weights, normals, region_radius=float(radius))
 
 
 def cube_surface(edge: float, per_face: int) -> MeasurementSurface:
@@ -84,7 +97,7 @@ def cube_surface(edge: float, per_face: int) -> MeasurementSurface:
     points = np.vstack(points)
     normals = np.vstack(normals)
     weights = np.full(points.shape[0], (edge / per_face) ** 2)
-    return MeasurementSurface(points, weights, normals, f"cube:{edge!r}:{per_face}")
+    return MeasurementSurface(points, weights, normals, region_radius=half, region_norm=np.inf)
 
 
 @dataclass(frozen=True)
@@ -152,10 +165,7 @@ def add_noise(samples: FieldSamples, epsilon: float, seed: int) -> FieldSamples:
 
 def l2_inner_product(f: FieldSamples, g: FieldSamples) -> complex:
     """Weighted hermitian pairing sum_m w_m sum_i f_i(x_m) conj(g_i(x_m))."""
-    if f.surface is not g.surface and not (
-        np.array_equal(f.surface.points, g.surface.points)
-        and np.array_equal(f.surface.weights, g.surface.weights)
-    ):
+    if not f.surface.same_samples(g.surface):
         raise GeometryError("inner product requires samples on the same surface")
     return complex(np.sum(f.surface.weights * np.sum(f.values * np.conj(g.values), axis=1)))
 
@@ -183,7 +193,12 @@ def write_field_samples_csv(samples: FieldSamples, path) -> None:
 
 
 def read_field_samples_csv(path, surface: MeasurementSurface | None = None) -> FieldSamples:
-    """Inverse of write_field_samples_csv; rebuilds a generic surface if none is given."""
+    """Inverse of write_field_samples_csv.
+
+    With surface given, the file's points and weights must equal the
+    surface's; without, a surface of the file's points and weights is
+    rebuilt, which has no normals and no known enclosed region.
+    """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     header, data = rows[0], rows[1:]
@@ -192,6 +207,9 @@ def read_field_samples_csv(path, surface: MeasurementSurface | None = None) -> F
     points = arr[:, :d]
     weights = arr[:, d]
     values = arr[:, d + 1 :: 2] + 1j * arr[:, d + 2 :: 2]
+    rebuilt = MeasurementSurface(points, weights, np.zeros_like(points))
     if surface is None:
-        surface = MeasurementSurface(points, weights, np.zeros_like(points), "file")
+        surface = rebuilt
+    elif not surface.same_samples(rebuilt):
+        raise GeometryError(f"{path}: points or weights differ from the given surface")
     return FieldSamples(surface, values)

@@ -1,12 +1,14 @@
 """Sampling grids, index properties, cross-correlation maps, and identity checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emdsm import dsm, em_core as em, forward as fw, measurement as ms
-from emdsm.errors import DomainError, GeometryError
+from emdsm.errors import DimensionMismatchError, DomainError, GeometryError
 
 CTX2 = em.WaveContext.from_wavelength(2, 1.0)
 CTX3 = em.WaveContext.from_wavelength(3, 1.0)
@@ -79,29 +81,46 @@ class TestProbeField:
             dsm.probe_field(CTX2, SURF, [6.0, 0.0], P1)
 
 
+def index_at(ctx, datasets, x_p):
+    """compute_index_grid on the one-point grid {x_p}: the per-dataset
+    values followed by the combined one."""
+    grid = dsm.sampling_grid([(c, c + 0.5) for c in x_p], 1.0)
+    assert grid.n_points == 1
+    return [float(index.values[0]) for index in dsm.compute_index_grid(ctx, datasets, grid)]
+
+
+def psi_oracle(ctx, data, x_p, q):
+    """Psi at x_p from its definition: the probe from green_tensor_from_diff,
+    the pairing and the norms from l2_inner_product and l2_norm."""
+    x_p = np.asarray(x_p, dtype=float)
+    probe = ms.FieldSamples(data.surface, em.green_tensor_from_diff(ctx, data.surface.points - x_p) @ q)
+    return abs(ms.l2_inner_product(data, probe)) / (ms.l2_norm(data) * ms.l2_norm(probe))
+
+
 class TestIndexPsi:
     def test_self_probe_is_one(self):
         probe = dsm.probe_field(CTX2, SURF, [0.4, -0.3], P1)
-        assert dsm.index_psi(CTX2, probe, [0.4, -0.3], P1) == pytest.approx(1.0, abs=1e-12)
+        single, _ = index_at(CTX2, [(probe, P1)], [0.4, -0.3])
+        assert single == pytest.approx(1.0, abs=1e-12)
 
     def test_invariant_under_complex_rescaling(self, example1_data):
         samples, q = example1_data[0]
         scaled = ms.FieldSamples(samples.surface, 3j * samples.values)
-        x_p = [0.1, 0.2]
-        assert dsm.index_psi(CTX2, scaled, x_p, q) == pytest.approx(
-            dsm.index_psi(CTX2, samples, x_p, q), rel=1e-12
-        )
+        grid = dsm.sampling_grid([(-1, 1), (-1, 1)], 0.25)
+        plain = dsm.compute_index_grid(CTX2, [(samples, q)], grid)[0]
+        rescaled = dsm.compute_index_grid(CTX2, [(scaled, q)], grid)[0]
+        np.testing.assert_allclose(rescaled.values, plain.values, rtol=1e-12)
 
     def test_larger_at_scatterer_than_far_away(self, example1_data):
         samples, q = example1_data[0]
-        near = dsm.index_psi(CTX2, samples, [-0.25, 0.0], q)
-        far = dsm.index_psi(CTX2, samples, [1.5, 1.5], q)
+        near, _ = index_at(CTX2, [(samples, q)], [-0.25, 0.0])
+        far, _ = index_at(CTX2, [(samples, q)], [1.5, 1.5])
         assert near > far
 
     def test_zero_data_rejected(self):
         zero = ms.FieldSamples(SURF, np.zeros((30, 2), complex))
         with pytest.raises(DomainError):
-            dsm.index_psi(CTX2, zero, [0.0, 0.0], P1)
+            index_at(CTX2, [(zero, P1)], [0.0, 0.0])
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -114,36 +133,74 @@ class TestIndexPsi:
         if not np.any(values):
             return
         data = ms.FieldSamples(SURF, values)
-        val = dsm.index_psi(CTX2, data, [x, y], P1)
-        assert 0.0 <= val <= 1.0 + 1e-12
+        single, _ = index_at(CTX2, [(data, P1)], [x, y])
+        assert 0.0 <= single <= 1.0 + 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_invariant_under_surface_permutation(self, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal((30, 2)) + 1j * rng.standard_normal((30, 2))
+        perm = rng.permutation(30)
+        shuffled = replace(SURF, points=SURF.points[perm], weights=SURF.weights[perm],
+                           normals=SURF.normals[perm])
+        grid = dsm.sampling_grid([(-1, 1), (-1, 1)], 0.5)
+        plain = dsm.compute_index_grid(CTX2, [(ms.FieldSamples(SURF, values), P1)], grid)[0]
+        permuted = dsm.compute_index_grid(
+            CTX2, [(ms.FieldSamples(shuffled, values[perm]), P1)], grid)[0]
+        np.testing.assert_allclose(permuted.values, plain.values, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("ctx,surface,box", [
+        (CTX2, SURF, [(-1.5, 1.5), (-1.0, 1.2)]),
+        (CTX3, ms.cube_surface(10.0, 4), [(-1.0, 1.0), (-0.5, 0.5), (0.0, 1.0)]),
+    ])
+    def test_grid_matches_definition(self, ctx, surface, box):
+        rng = np.random.default_rng(7)
+        d = ctx.dimension
+        qs = [np.eye(d)[0], np.ones(d) / np.sqrt(d)]
+        datasets = [
+            (ms.FieldSamples(surface, rng.standard_normal((surface.count, d))
+                             + 1j * rng.standard_normal((surface.count, d))), q)
+            for q in qs
+        ]
+        grid = dsm.sampling_grid(box, 0.5)
+        grids = dsm.compute_index_grid(ctx, datasets, grid)
+        for (data, q), index in zip(datasets, grids):
+            expected = [psi_oracle(ctx, data, x_p, q) for x_p in grid.points]
+            np.testing.assert_allclose(index.values, expected, rtol=0, atol=1e-12)
 
 
 class TestCombined:
     def test_single_dataset_equals_psi(self, example1_data):
-        samples, q = example1_data[0]
-        combined = dsm.index_combined(CTX2, [(samples, q)])
-        assert combined([0.3, 0.1]) == pytest.approx(
-            dsm.index_psi(CTX2, samples, [0.3, 0.1], q), rel=1e-14
-        )
+        grid = dsm.sampling_grid([(-1, 1), (-1, 1)], 0.25)
+        single, combined = dsm.compute_index_grid(CTX2, example1_data[:1], grid)
+        np.testing.assert_array_equal(combined.values, single.values)
 
     def test_duplicate_dataset_mean_unchanged(self, example1_data):
-        samples, q = example1_data[0]
-        once = dsm.index_combined(CTX2, [(samples, q)])([0.2, -0.1])
-        twice = dsm.index_combined(CTX2, [(samples, q), (samples, q)])([0.2, -0.1])
+        once = index_at(CTX2, example1_data[:1], [0.2, -0.1])[-1]
+        twice = index_at(CTX2, example1_data[:1] * 2, [0.2, -0.1])[-1]
         assert twice == pytest.approx(once, rel=1e-14)
 
     def test_permutation_invariant(self, example1_data):
-        forward_order = dsm.index_combined(CTX2, example1_data)([0.0, 0.3])
-        reversed_order = dsm.index_combined(CTX2, example1_data[::-1])([0.0, 0.3])
-        assert forward_order == pytest.approx(reversed_order, rel=1e-14)
+        forward_order = index_at(CTX2, example1_data, [0.0, 0.3])
+        reversed_order = index_at(CTX2, example1_data[::-1], [0.0, 0.3])
+        assert reversed_order == pytest.approx(forward_order[1::-1] + forward_order[2:], rel=1e-14)
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
-            dsm.index_combined(CTX2, [])
+            index_at(CTX2, [], [0.0, 0.0])
+
+    def test_datasets_on_different_surfaces_rejected(self, example1_data):
+        (first, q1), (second, q2) = example1_data
+        moved = ms.circle_surface(5.5, 30)
+        reweighted = replace(SURF, weights=2.0 * SURF.weights)
+        for other in (moved, reweighted):
+            with pytest.raises(GeometryError):
+                index_at(CTX2, [(first, q1), (ms.FieldSamples(other, second.values), q2)], [0.0, 0.0])
 
     def test_example1_combined_peak_location(self, example1_data):
         grid = dsm.sampling_grid([(-2, 2), (-2, 2)], 0.02)
-        combined = dsm.compute_index_grid(CTX2, example1_data, grid, mode="combined")[0]
+        combined = dsm.compute_index_grid(CTX2, example1_data, grid)[-1]
         loc = combined.argmax_location()
         assert np.linalg.norm(loc - np.array([-0.25, 0.0])) <= 0.1
         assert np.all(combined.values >= 0) and np.all(combined.values <= 1 + 1e-12)
@@ -152,19 +209,20 @@ class TestCombined:
 class TestIndexGridSweep:
     def test_output_matches_grid_count(self, example1_data):
         grid = dsm.sampling_grid([(-1, 1), (-1, 1)], 0.1)
-        out = dsm.compute_index_grid(CTX2, example1_data, grid, mode="both")
-        assert len(out) == 3
+        out = dsm.compute_index_grid(CTX2, example1_data, grid)
+        assert [index.label for index in out] == [
+            "single_polarization:0", "single_polarization:1", "combined"]
         for index in out:
             assert index.values.shape == (grid.n_points,)
 
     def test_combined_is_mean_of_single(self, example1_data):
         grid = dsm.sampling_grid([(-1, 1), (-1, 1)], 0.1)
-        g1, g2, comb = dsm.compute_index_grid(CTX2, example1_data, grid, mode="both")
+        g1, g2, comb = dsm.compute_index_grid(CTX2, example1_data, grid)
         np.testing.assert_allclose(comb.values, 0.5 * (g1.values + g2.values), rtol=1e-13)
 
     def test_far_region_quieter_than_peak(self, example1_data):
         grid = dsm.sampling_grid([(-2, 2), (-2, 2)], 0.05)
-        comb = dsm.compute_index_grid(CTX2, example1_data, grid, mode="combined")[0]
+        comb = dsm.compute_index_grid(CTX2, example1_data, grid)[-1]
         far = np.linalg.norm(grid.points - np.array([-0.25, 0.0]), axis=1) > 1.2
         assert comb.values[far].mean() < comb.values.max() / 3
 
@@ -175,40 +233,58 @@ class TestIndexGridSweep:
 
     def test_thread_env_does_not_change_values(self, example1_data, monkeypatch):
         grid = dsm.sampling_grid([(-1, 1), (-1, 1)], 0.05)
-        serial = dsm.compute_index_grid(CTX2, example1_data, grid, mode="combined")[0]
+        serial = dsm.compute_index_grid(CTX2, example1_data, grid)[-1]
         monkeypatch.setenv("EMDSM_THREADS", "2")
-        threaded = dsm.compute_index_grid(CTX2, example1_data, grid, mode="combined")[0]
+        threaded = dsm.compute_index_grid(CTX2, example1_data, grid)[-1]
         np.testing.assert_array_equal(serial.values, threaded.values)
+
+    def test_read_back_data_gives_identical_grid(self, example1_data, tmp_path):
+        grid = dsm.sampling_grid([(-1, 1), (-1, 1)], 0.1)
+        noisy = [(ms.add_noise(data, 0.2, 1 + l), q) for l, (data, q) in enumerate(example1_data)]
+        read_back = []
+        for l, (data, q) in enumerate(noisy):
+            path = tmp_path / f"incident{l}.csv"
+            ms.write_field_samples_csv(data, path)
+            read_back.append((ms.read_field_samples_csv(path, surface=SURF), q))
+        for before, after in zip(dsm.compute_index_grid(CTX2, noisy, grid),
+                                 dsm.compute_index_grid(CTX2, read_back, grid)):
+            np.testing.assert_array_equal(after.values, before.values)
+
+    def test_read_back_without_surface_rejected(self, example1_data, tmp_path):
+        path = tmp_path / "incident.csv"
+        ms.write_field_samples_csv(example1_data[0][0], path)
+        data = ms.read_field_samples_csv(path)
+        grid = dsm.sampling_grid([(-1, 1), (-1, 1)], 0.1)
+        with pytest.raises(GeometryError, match="surface="):
+            dsm.compute_index_grid(CTX2, [(data, P1)], grid)
 
 
 class TestCrossMaps:
     def test_polarization_sum_equals_component_combination(self):
         # sum over the diagonal polarization pair == Phi11 + 2 Phi12 + Phi22
         grid = dsm.sampling_grid([(-1, 1), (-1, 1)], 0.1)
-        x_q = [-0.25, 0.0]
+        x_q = np.array([-0.25, 0.0])
         surf = ms.circle_surface(5.0, 64)
-        pol = dsm.cross_product_map(CTX2, surf, x_q, grid, dsm.polarization_sum([P1, P2]))
+        [pol] = dsm.cross_product_maps(CTX2, surf, x_q, grid, [dsm.polarization_sum([P1, P2])])
 
-        weights = surf.weights
-        ref_parts = dsm._KernelParts(CTX2, surf, np.asarray(x_q)[None, :])
-        parts = dsm._KernelParts(CTX2, surf, grid.points)
+        phi = em.green_tensor_from_diff(CTX2, surf.points[np.newaxis, :, :] - grid.points[:, np.newaxis, :])
+        ref = em.green_tensor_from_diff(CTX2, surf.points - x_q)
         corr = 0.0
         for (i, j), coeff in (((0, 0), 1.0), ((0, 1), 2.0), ((1, 1), 1.0)):
-            ref = ref_parts.component(i, j)[0]
-            corr = corr + coeff * np.einsum("cm,m,m->c", parts.component(i, j), weights, ref.conj())
+            corr = corr + coeff * np.einsum("cm,m,m->c", phi[..., i, j], surf.weights, ref[:, i, j].conj())
         expected = np.abs(corr)
         np.testing.assert_allclose(pol.values, expected / expected.max(), rtol=1e-10)
 
     def test_diagonal_sum_peaks_at_reference_point(self):
         grid = dsm.sampling_grid([(-2, 2), (-2, 2)], 0.02)
-        index = dsm.cross_product_map(CTX2, SURF, [-0.25, 0.0], grid, dsm.diagonal_sum())
+        [index] = dsm.cross_product_maps(CTX2, SURF, [-0.25, 0.0], grid, [dsm.diagonal_sum(2)])
         loc = index.argmax_location()
         assert np.linalg.norm(loc - np.array([-0.25, 0.0])) <= 0.011
 
     def test_component_maps_show_directional_sidelobes(self):
         grid = dsm.sampling_grid([(-2, 2), (-2, 2)], 0.04)
         x_q = np.array([-0.25, 0.0])
-        comp = dsm.cross_product_map(CTX2, SURF, x_q, grid, dsm.component(0, 0))
+        [comp] = dsm.cross_product_maps(CTX2, SURF, x_q, grid, [dsm.component(0, 0, 2)])
         far = np.linalg.norm(grid.points - x_q, axis=1) > 0.5
         assert comp.values[far].max() >= 0.5
 
@@ -216,17 +292,30 @@ class TestCrossMaps:
         grid = dsm.sampling_grid([(-2, 2), (-2, 2)], 0.04)
         x_q = np.array([-0.25, 0.0])
         far = np.linalg.norm(grid.points - x_q, axis=1) > 0.5
+        selectors = [dsm.diagonal_sum(2), dsm.component(0, 0, 2), dsm.component(1, 1, 2),
+                     dsm.polarization_sum([P1, P2]), dsm.polarization(P1), dsm.polarization(P2)]
+        diag, comp11, comp22, combined, pol1, pol2 = (
+            index.values[far].max() / index.values.max()
+            for index in dsm.cross_product_maps(CTX2, SURF, x_q, grid, selectors)
+        )
+        assert diag < comp11
+        assert diag < comp22
+        assert combined < pol1
+        assert combined < pol2
 
-        def off_peak(selector):
-            index = dsm.cross_product_map(CTX2, SURF, x_q, grid, selector)
-            return index.values[far].max() / index.values.max()
+    def test_labels_follow_selectors(self):
+        grid = dsm.sampling_grid([(-1, 1), (-1, 1)], 0.5)
+        selectors = [dsm.component(0, 1, 2), dsm.diagonal_sum(2), dsm.polarization(P1, "polarization_1"),
+                     dsm.polarization(P2, "polarization_2"), dsm.polarization_sum([P1, P2])]
+        maps = dsm.cross_product_maps(CTX2, SURF, [0.0, 0.0], grid, selectors)
+        assert [index.label for index in maps] == [
+            "cross:component_12", "cross:diagonal_sum", "cross:polarization_1",
+            "cross:polarization_2", "cross:polarization_sum"]
 
-        diag = off_peak(dsm.diagonal_sum())
-        assert diag < off_peak(dsm.component(0, 0))
-        assert diag < off_peak(dsm.component(1, 1))
-        combined = off_peak(dsm.polarization_sum([P1, P2]))
-        assert combined < off_peak(dsm.polarization(P1))
-        assert combined < off_peak(dsm.polarization(P2))
+    def test_selector_dimension_must_match(self):
+        grid = dsm.sampling_grid([(-1, 1), (-1, 1)], 0.5)
+        with pytest.raises(DimensionMismatchError):
+            dsm.cross_product_maps(CTX2, SURF, [0.0, 0.0], grid, [dsm.diagonal_sum(3)])
 
 
 class TestLocalMaxima:
@@ -258,6 +347,28 @@ class TestLocalMaxima:
         maxima = dsm.find_local_maxima(dsm.IndexGrid(grid, values, "test"))
         vals = [v for _, v in maxima]
         assert vals == sorted(vals, reverse=True)
+
+    def test_ulp_noise_on_mirror_symmetric_grid_keeps_list(self):
+        # symmetric under x1 <-> x2: a ridge peak whose top is the tied pair of
+        # diagonal neighbours (0.5, 0.55), (0.55, 0.5), and two mirror-image
+        # peaks of equal height; rounding noise alone decides between the pairs
+        grid = dsm.sampling_grid([(-1, 1), (-1, 1)], 0.05)
+        x1, x2 = grid.points.T
+        values = np.exp(-40 * (x1 + x2 - 1.05) ** 2 - 4 * (x1 - x2) ** 2) + sum(
+            0.8 * np.exp(-40 * ((x1 - a) ** 2 + (x2 - b) ** 2)) for a, b in ((-0.5, 0.3), (0.3, -0.5))
+        )
+        square = values.reshape(grid.shape)
+        values = (0.5 * (square + square.T)).ravel()
+        expected = [[0.5, 0.55], [-0.5, 0.3], [0.3, -0.5]]
+        reference = dsm.find_local_maxima(dsm.IndexGrid(grid, values, "test"))
+        np.testing.assert_allclose([p for p, _ in reference], expected, atol=1e-12)
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            step = rng.integers(-1, 2, values.shape)
+            noisy = np.where(step > 0, np.nextafter(values, np.inf),
+                             np.where(step < 0, np.nextafter(values, -np.inf), values))
+            maxima = dsm.find_local_maxima(dsm.IndexGrid(grid, noisy, "test"))
+            assert [p.tolist() for p, _ in maxima] == [p.tolist() for p, _ in reference]
 
 
 class TestBoundaryLemma:

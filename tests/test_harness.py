@@ -233,7 +233,7 @@ class TestDiagnosticRun:
         )
         report = harness.run_experiment(config)
         labels = [e["label"] for e in report.indices]
-        assert labels == ["cross:polarization", "cross:polarization", "cross:polarization_sum"]
+        assert labels == ["cross:polarization_1", "cross:polarization_2", "cross:polarization_sum"]
         assert all("off_peak_ratio" in e for e in report.indices)
         assert (tmp_path / "map_polarization_sum.pgm").exists()
 

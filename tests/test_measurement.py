@@ -50,6 +50,40 @@ class TestCircleSurface:
             assert abs(val) < 1e-10
 
 
+def descriptor_rule(kind, size, x, margin):
+    """Interior test of the former string-encoded surfaces ("circle:<radius>:<count>",
+    "cube:<edge>:<per_face>"), kept as the oracle for the typed region."""
+    descriptor = f"{kind}:{size!r}:1"
+    x = np.asarray(x, dtype=np.float64)
+    if descriptor.startswith("circle"):
+        return float(np.linalg.norm(x)) < float(descriptor.split(":")[1]) - margin
+    return bool(np.all(np.abs(x) < 0.5 * float(descriptor.split(":")[1]) - margin))
+
+
+class TestRegion:
+    @settings(max_examples=60, deadline=None)
+    @given(size=st.floats(0.1, 20.0), scale=st.floats(0.0, 1.2), margin=st.sampled_from([0.0, 0.1, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_contains_matches_descriptor_rule(self, size, scale, margin, seed):
+        rng = np.random.default_rng(seed)
+        circle = ms.circle_surface(size, 8)
+        cube = ms.cube_surface(size, 1)
+        on_circle = np.array([size - margin, 0.0])
+        on_cube = np.array([0.5 * size - margin, 0.0, 0.0])
+        for x in (scale * size * rng.uniform(-1, 1, 2), on_circle, np.nextafter(on_circle, 0.0)):
+            assert circle.contains_strictly(x, margin) == descriptor_rule("circle", size, x, margin)
+        for x in (scale * size * rng.uniform(-1, 1, 3), on_cube, np.nextafter(on_cube, 0.0)):
+            assert cube.contains_strictly(x, margin) == descriptor_rule("cube", size, x, margin)
+
+    def test_rebuilt_surface_has_no_region(self, tmp_path):
+        samples = ms.FieldSamples(ms.circle_surface(5.0, 8), np.ones((8, 2), complex))
+        path = tmp_path / "samples.csv"
+        ms.write_field_samples_csv(samples, path)
+        rebuilt = ms.read_field_samples_csv(path).surface
+        with pytest.raises(GeometryError, match="surface="):
+            rebuilt.contains_strictly([0.0, 0.0])
+
+
 class TestCubeSurface:
     def test_paper_configuration(self):
         surf = ms.cube_surface(10.0, 10)
@@ -128,7 +162,7 @@ class TestSynthesis:
     def test_measurement_point_inside_grid_rejected(self):
         _, current = example1_samples(h=0.05)
         inside = ms.MeasurementSurface(
-            np.array([[-0.25, 0.0]]), np.array([1.0]), np.array([[1.0, 0.0]]), "circle:0.1:1"
+            np.array([[-0.25, 0.0]]), np.array([1.0]), np.array([[1.0, 0.0]]), region_radius=0.1
         )
         with pytest.raises(GeometryError):
             ms.synthesize_scattered_field(current, inside, CTX2)
@@ -219,6 +253,17 @@ class TestCsv:
         np.testing.assert_array_equal(back.values, noisy.values)
         header = path.read_text().splitlines()[0]
         assert header == "x1,x2,w,Re_E1,Im_E1,Re_E2,Im_E2"
+
+    def test_read_rejects_other_surface(self, tmp_path):
+        surf = ms.circle_surface(5.0, 8)
+        path = tmp_path / "samples.csv"
+        ms.write_field_samples_csv(ms.FieldSamples(surf, np.ones((8, 2), complex)), path)
+        assert ms.read_field_samples_csv(path, surface=surf).surface is surf
+        moved = ms.circle_surface(5.5, 8)
+        reweighted = ms.MeasurementSurface(surf.points, 2.0 * surf.weights, surf.normals, region_radius=5.0)
+        for other in (moved, reweighted):
+            with pytest.raises(GeometryError):
+                ms.read_field_samples_csv(path, surface=other)
 
     def test_3d_header(self, tmp_path):
         surf = ms.cube_surface(2.0, 1)

@@ -218,9 +218,10 @@ def test_hankel_runs_fast_path_matches_public_api():
     pts = np.array([[-0.25, 0.0], [0.4, 0.1], [1.3, -1.7]])
     parts = dsm._KernelParts(CTX2, surface, pts)
     phi = em.green_tensor_from_diff(CTX2, surface.points[np.newaxis, :, :] - pts[:, np.newaxis, :])
-    for i in range(2):
-        for j in range(2):
-            np.testing.assert_allclose(parts.component(i, j), phi[..., i, j], rtol=1e-12)
+    # one-hot reference columns pick out each surface point: T[c, i, j, m] = Phi_ij(x_m, x_c)
+    one_hot = np.repeat(np.eye(surface.count)[:, np.newaxis, :], 2, axis=1)
+    contracted = parts.contract(one_hot).transpose(0, 3, 1, 2)
+    np.testing.assert_allclose(contracted, phi, rtol=1e-12)
     r = np.linalg.norm(surface.points - pts[0], axis=1)
     h0 = em.hankel1_012(CTX2.wavenumber * r)[0]
     np.testing.assert_array_equal(em.green_scalar_from_distance(CTX2, r), 0.25j * h0)
