@@ -13,11 +13,13 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from .em_core import WaveContext, green_tensor_from_diff, hankel1_012, im_green_tensor
-from .errors import DimensionMismatchError, DomainError, GeometryError
+from .errors import DomainError, GeometryError
 from .measurement import FieldSamples, MeasurementSurface, circle_surface, l2_inner_product, l2_norm
 
 _CHUNK_TARGET = 3_000_000  # (sampling point, surface point, axis) triples per chunk
@@ -257,40 +259,51 @@ def compute_index_grid(ctx: WaveContext, datasets, grid: SamplingGrid) -> list[I
 
 @dataclass(frozen=True, eq=False)
 class CrossSelector:
-    """One cross-correlation map: the weights coeffs[i, j, l] (shape (d, d, d))
-    of the correlations T[c, i, j, l] combined before the magnitude is taken;
-    see cross_product_maps."""
+    """One cross-correlation map: coeffs(d) gives the weights A[i, j, l]
+    (shape (d, d, d)) of the correlations T[c, i, j, l], combined before the
+    magnitude is taken; see cross_product_maps."""
 
     label: str
-    coeffs: np.ndarray
+    coeffs: Callable[[int], np.ndarray]
 
 
-def component(i: int, j: int, dimension: int) -> CrossSelector:
-    """Correlation of the kernel component Phi_ij with itself."""
-    coeffs = np.zeros((dimension,) * 3)
+def _component_coeffs(i: int, j: int, d: int) -> np.ndarray:
+    coeffs = np.zeros((d,) * 3)
     coeffs[i, j, j] = 1.0
-    return CrossSelector(f"component_{i + 1}{j + 1}", coeffs)
+    return coeffs
 
 
-def diagonal_sum(dimension: int) -> CrossSelector:
+def _diagonal_coeffs(d: int) -> np.ndarray:
+    return sum(_component_coeffs(i, i, d) for i in range(d))
+
+
+def _polarization_coeffs(qs: tuple, d: int) -> np.ndarray:
+    """A[i, j, l] = sum over q in qs of q_j q_l, the same for every i."""
+    return np.broadcast_to(sum(np.outer(q, q) for q in qs), (d, d, d))
+
+
+def component(i: int, j: int) -> CrossSelector:
+    """Correlation of the kernel component Phi_ij with itself."""
+    return CrossSelector(f"component_{i + 1}{j + 1}", partial(_component_coeffs, i, j))
+
+
+def diagonal_sum() -> CrossSelector:
     """Sum over i of the correlations of Phi_ii with itself."""
-    coeffs = np.zeros((dimension,) * 3)
-    for i in range(dimension):
-        coeffs[i, i, i] = 1.0
-    return CrossSelector("diagonal_sum", coeffs)
+    return CrossSelector("diagonal_sum", _diagonal_coeffs)
 
 
-def polarization(q, label: str = "polarization") -> CrossSelector:
-    """Correlation of the probes Phi(., x) q at the sampling and reference points."""
-    q = np.asarray(q, dtype=np.float64)
-    return CrossSelector(label, np.einsum("i,j,l->ijl", np.ones_like(q), q, q))
+def polarization(q, label: str) -> CrossSelector:
+    """Correlation of the probes Phi(., x) q at the sampling and reference
+    points, labelled cross:<label>."""
+    return CrossSelector(label, partial(_polarization_coeffs, (np.asarray(q, dtype=np.float64),)))
 
 
 def polarization_sum(qs) -> CrossSelector:
     """Sum of the polarization correlations over qs, taken before the
     magnitude; for the diagonal pair (1, -1)/sqrt 2, (1, 1)/sqrt 2 this is the
     component combination Phi_11 + 2 Phi_12 + Phi_22."""
-    return CrossSelector("polarization_sum", sum(polarization(q).coeffs for q in qs))
+    qs = tuple(np.asarray(q, dtype=np.float64) for q in qs)
+    return CrossSelector("polarization_sum", partial(_polarization_coeffs, qs))
 
 
 def cross_product_maps(ctx: WaveContext, surface: MeasurementSurface, x_q,
@@ -306,10 +319,7 @@ def cross_product_maps(ctx: WaveContext, surface: MeasurementSurface, x_q,
     _grid_inside(surface, grid)
     selectors = list(selectors)
     d = ctx.dimension
-    for selector in selectors:
-        if selector.coeffs.shape != (d, d, d):
-            raise DimensionMismatchError(f"selector {selector.label!r} is not {d}-dimensional")
-    coeffs = np.array([selector.coeffs for selector in selectors]).reshape(-1, d, d, d)
+    coeffs = np.array([selector.coeffs(d) for selector in selectors]).reshape(-1, d, d, d)
     ref = (surface.weights[:, np.newaxis, np.newaxis]
            * green_tensor_from_diff(ctx, surface.points - x_q)).conj()
 

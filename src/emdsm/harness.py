@@ -413,9 +413,7 @@ def _run_diagnostic(config: ExperimentConfig, report: LocalizationReport, outdir
     grid = dsm.sampling_grid(config.sampling_box, config.sampling_spacing)
     x_q = np.asarray(config.diagnostic_point)
     if config.diagnostic == "fig1":
-        d = ctx.dimension
-        selectors = [dsm.component(0, 0, d), dsm.component(1, 1, d), dsm.component(0, 1, d),
-                     dsm.diagonal_sum(d)]
+        selectors = [dsm.component(0, 0), dsm.component(1, 1), dsm.component(0, 1), dsm.diagonal_sum()]
     else:
         p1 = config.incidents[0].polarization
         p2 = config.incidents[1].polarization
@@ -613,7 +611,7 @@ def diagnostic_ratios(spacing: float = 0.02, count: int = 64) -> dict[str, float
     p2 = np.array([1.0, 1.0]) / _SQRT2
     off = np.linalg.norm(grid.points - x_q, axis=1) > 0.5 * ctx.wavelength
     selectors = [
-        dsm.component(0, 0, 2), dsm.component(1, 1, 2), dsm.component(0, 1, 2), dsm.diagonal_sum(2),
+        dsm.component(0, 0), dsm.component(1, 1), dsm.component(0, 1), dsm.diagonal_sum(),
         dsm.polarization(p1, "polarization_1"), dsm.polarization(p2, "polarization_2"),
         dsm.polarization_sum([p1, p2]),
     ]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,8 +25,8 @@ class MeasurementSurface:
     points: np.ndarray
     weights: np.ndarray
     normals: np.ndarray
-    region_radius: float | None = None
-    region_norm: float = 2.0
+    region_radius: float | None = field(default=None, kw_only=True)
+    region_norm: float = field(default=2.0, kw_only=True)
 
     @property
     def dimension(self) -> int:

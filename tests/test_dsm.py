@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emdsm import dsm, em_core as em, forward as fw, measurement as ms
-from emdsm.errors import DimensionMismatchError, DomainError, GeometryError
+from emdsm.errors import DomainError, GeometryError
 
 CTX2 = em.WaveContext.from_wavelength(2, 1.0)
 CTX3 = em.WaveContext.from_wavelength(3, 1.0)
@@ -277,14 +277,14 @@ class TestCrossMaps:
 
     def test_diagonal_sum_peaks_at_reference_point(self):
         grid = dsm.sampling_grid([(-2, 2), (-2, 2)], 0.02)
-        [index] = dsm.cross_product_maps(CTX2, SURF, [-0.25, 0.0], grid, [dsm.diagonal_sum(2)])
+        [index] = dsm.cross_product_maps(CTX2, SURF, [-0.25, 0.0], grid, [dsm.diagonal_sum()])
         loc = index.argmax_location()
         assert np.linalg.norm(loc - np.array([-0.25, 0.0])) <= 0.011
 
     def test_component_maps_show_directional_sidelobes(self):
         grid = dsm.sampling_grid([(-2, 2), (-2, 2)], 0.04)
         x_q = np.array([-0.25, 0.0])
-        [comp] = dsm.cross_product_maps(CTX2, SURF, x_q, grid, [dsm.component(0, 0, 2)])
+        [comp] = dsm.cross_product_maps(CTX2, SURF, x_q, grid, [dsm.component(0, 0)])
         far = np.linalg.norm(grid.points - x_q, axis=1) > 0.5
         assert comp.values[far].max() >= 0.5
 
@@ -292,8 +292,9 @@ class TestCrossMaps:
         grid = dsm.sampling_grid([(-2, 2), (-2, 2)], 0.04)
         x_q = np.array([-0.25, 0.0])
         far = np.linalg.norm(grid.points - x_q, axis=1) > 0.5
-        selectors = [dsm.diagonal_sum(2), dsm.component(0, 0, 2), dsm.component(1, 1, 2),
-                     dsm.polarization_sum([P1, P2]), dsm.polarization(P1), dsm.polarization(P2)]
+        selectors = [dsm.diagonal_sum(), dsm.component(0, 0), dsm.component(1, 1),
+                     dsm.polarization_sum([P1, P2]), dsm.polarization(P1, "polarization_1"),
+                     dsm.polarization(P2, "polarization_2")]
         diag, comp11, comp22, combined, pol1, pol2 = (
             index.values[far].max() / index.values.max()
             for index in dsm.cross_product_maps(CTX2, SURF, x_q, grid, selectors)
@@ -305,17 +306,12 @@ class TestCrossMaps:
 
     def test_labels_follow_selectors(self):
         grid = dsm.sampling_grid([(-1, 1), (-1, 1)], 0.5)
-        selectors = [dsm.component(0, 1, 2), dsm.diagonal_sum(2), dsm.polarization(P1, "polarization_1"),
+        selectors = [dsm.component(0, 1), dsm.diagonal_sum(), dsm.polarization(P1, "polarization_1"),
                      dsm.polarization(P2, "polarization_2"), dsm.polarization_sum([P1, P2])]
         maps = dsm.cross_product_maps(CTX2, SURF, [0.0, 0.0], grid, selectors)
         assert [index.label for index in maps] == [
             "cross:component_12", "cross:diagonal_sum", "cross:polarization_1",
             "cross:polarization_2", "cross:polarization_sum"]
-
-    def test_selector_dimension_must_match(self):
-        grid = dsm.sampling_grid([(-1, 1), (-1, 1)], 0.5)
-        with pytest.raises(DimensionMismatchError):
-            dsm.cross_product_maps(CTX2, SURF, [0.0, 0.0], grid, [dsm.diagonal_sum(3)])
 
 
 class TestLocalMaxima:

@@ -260,7 +260,7 @@ class TestSolve:
     def test_scattered_field_grid_convergence(self):
         # E^s at a fixed exterior point converges at first order or better
         surf = ms.MeasurementSurface(
-            np.array([[3.0, 1.0]]), np.array([1.0]), np.array([[1.0, 0.0]]), "circle:3.2:1"
+            np.array([[3.0, 1.0]]), np.array([1.0]), np.array([[1.0, 0.0]]), region_radius=3.2
         )
         vals = {}
         for h in (0.04, 0.02, 0.01):
