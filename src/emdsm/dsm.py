@@ -10,6 +10,7 @@ Values lie in [0, 1] by Cauchy-Schwarz and peak near scatterer support.
 
 from __future__ import annotations
 
+import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -18,12 +19,15 @@ from typing import Callable
 
 import numpy as np
 
-from .em_core import WaveContext, green_tensor_from_diff, hankel1_012, im_green_tensor
-from .errors import DomainError, GeometryError
+from .em_core import WaveContext, green_tensor_from_diff, green_tensor_parts, im_green_tensor
+from .errors import ConfigError, DomainError, GeometryError
 from .measurement import FieldSamples, MeasurementSurface, circle_surface, l2_inner_product, l2_norm
 
-_CHUNK_TARGET = 3_000_000  # (sampling point, surface point, axis) triples per chunk
-_CSV_BLOCK_ROWS = 1_024  # index rows per write; larger blocks add memory, not speed
+# (sampling point, surface point, axis) triples per chunk: each (C, M) complex
+# kernel array is then 0.5-0.8 MB, so a chunk's working set stays near a 2 MB
+# L2; 60 k-200 k measured within noise in 2D, 200 k and 3 M slower in 3D
+_CHUNK_TARGET = 100_000
+_CSV_BLOCK_ROWS = 1_024  # index rows per write, in whole lines; larger blocks add memory, not speed
 _TIE_RTOL = 1e-12  # index values this close, relative to the peak, are tied
 
 
@@ -121,22 +125,10 @@ class _KernelParts:
         self.dimension = ctx.dimension
         self.surface_points = surface.points
         self.pts = pts
-        k = ctx.wavenumber
         sq = np.sum(surface.points**2, axis=1)[np.newaxis, :] + np.sum(pts**2, axis=1)[:, np.newaxis]
         r2 = np.maximum(sq - 2.0 * (pts @ surface.points.T), 0.0)
-        r = np.sqrt(r2)
         self.inv_r2 = 1.0 / r2
-        if ctx.dimension == 2:
-            h0, h1, h2 = hankel1_012(k * r)
-            pref = 0.25j * k * k
-            self.diag = pref * (h0 - h1 / (k * r))  # coefficient of the identity part
-            self.outer = pref * h2                  # coefficient of rhat rhat^T
-        else:
-            g = np.exp(1j * k * r) / (4.0 * np.pi * r)
-            inv_r = 1.0 / r
-            radial = 1j * k * inv_r - inv_r * inv_r
-            self.diag = g * (k * k + radial)
-            self.outer = g * (-(k * k) - 3.0 * radial)
+        self.diag, self.outer = green_tensor_parts(ctx, np.sqrt(r2))
 
     def _diff_component(self, i: int) -> np.ndarray:
         return self.surface_points[np.newaxis, :, i] - self.pts[:, np.newaxis, i]
@@ -187,6 +179,18 @@ def _chunk_ranges(n_points: int, per_chunk: int):
         yield start, min(start + per_chunk, n_points)
 
 
+def _thread_count() -> int:
+    """The sweep's worker count from EMDSM_THREADS (default 1)."""
+    raw = os.environ.get("EMDSM_THREADS", "1")
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ConfigError(f"EMDSM_THREADS must be a positive integer, got {raw!r}")
+    return threads
+
+
 def _sweep(ctx, surface, grid, per_chunk_fn, n_outputs: int) -> list[np.ndarray]:
     """Data-parallel map over sampling-point chunks; results land in
     preallocated disjoint slots, so values do not depend on the thread count."""
@@ -200,8 +204,8 @@ def _sweep(ctx, surface, grid, per_chunk_fn, n_outputs: int) -> list[np.ndarray]
         for out, vals in zip(outputs, per_chunk_fn(parts)):
             out[lo:hi] = vals
 
+    threads = _thread_count()
     ranges = list(_chunk_ranges(grid.n_points, per_chunk))
-    threads = int(os.environ.get("EMDSM_THREADS", "1"))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(work, ranges))
@@ -492,16 +496,26 @@ def verify_correlation_approx(ctx: WaveContext, radii, x_p, x_q, p, q,
 
 def write_index_csv(index: IndexGrid, path) -> None:
     """One row per sampling point: coordinates then the index value, 17
-    significant digits.  Rows are formatted a block at a time with one
-    %-format per block, which keeps the extra memory to one block."""
+    significant digits.
+
+    Each axis's ticks are formatted once: a line along the last axis is one
+    %-template holding the last coordinates, into which the leading
+    coordinates are substituted, so only the values are formatted per row.
+    Lines are written a block at a time, which keeps the extra memory to one
+    block.
+    """
     d = index.grid.dimension
-    table = np.column_stack([index.grid.points, index.values])
-    row = ",".join(["%.17g"] * (d + 1)) + "\n"
+    ticks = [["%.17g" % t for t in axis] for axis in index.grid.axes]
+    line = "".join(f"\0{t},%.17g\n" for t in ticks[-1])
+    leading = [",".join(p) + "," for p in itertools.product(*ticks[:-1])]
+    n_last = len(ticks[-1])
+    per_block = max(1, _CSV_BLOCK_ROWS // n_last)
     with open(path, "w") as fh:
         fh.write(",".join(f"x{i + 1}" for i in range(d)) + ",value\n")
-        for start in range(0, len(table), _CSV_BLOCK_ROWS):
-            block = table[start:start + _CSV_BLOCK_ROWS]
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+        for start in range(0, len(leading), per_block):
+            group = leading[start:start + per_block]
+            values = index.values[start * n_last:(start + len(group)) * n_last]
+            fh.write("".join(line.replace("\0", p) for p in group) % tuple(values.tolist()))
 
 
 def write_index_pgm(index: IndexGrid, path) -> None:

@@ -218,11 +218,29 @@ def green_scalar(ctx: WaveContext, x, y) -> complex:
     return complex(out) if np.ndim(out) == 0 else out
 
 
+def green_tensor_parts(ctx: WaveContext, r) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients (a, b) of the matrix kernel Phi = a I + b rhat rhat^T at
+    separations r > 0.
+
+    2D: a = (i k^2 / 4)(H_0 - H_1 / (kr)), b = (i k^2 / 4) H_2.
+    3D: a = G (k^2 + ik/r - 1/r^2), b = -G (k^2 + 3ik/r - 3/r^2).
+    """
+    k = ctx.wavenumber
+    if ctx.dimension == 2:
+        h0, h1, h2 = hankel1_012(k * r)
+        pref = 0.25j * k * k
+        return pref * (h0 - h1 / (k * r)), pref * h2
+    g = np.exp(1j * k * r) / (4.0 * np.pi * r)
+    inv_r = 1.0 / r
+    radial = 1j * k * inv_r - inv_r * inv_r
+    return g * (k * k + radial), g * (-(k * k) - 3.0 * radial)
+
+
 def green_tensor_from_diff(ctx: WaveContext, diff) -> np.ndarray:
     """Matrix kernel Phi for separation vectors diff = x - y, shape (..., d).
 
-    Closed-form components: in 2D via H_0, H_1, H_2, in 3D via the explicit
-    bracket; returns shape (..., d, d).
+    Closed form a I + b rhat rhat^T (see green_tensor_parts); returns shape
+    (..., d, d).
     """
     d = ctx.dimension
     diff = np.asarray(diff, dtype=np.float64)
@@ -233,23 +251,10 @@ def green_tensor_from_diff(ctx: WaveContext, diff) -> np.ndarray:
     r = np.linalg.norm(flat, axis=-1)
     if np.any(r == 0.0):
         raise SingularityError("matrix kernel is singular at coincident points")
-    k = ctx.wavenumber
     rhat = flat / r[:, np.newaxis]
     outer = rhat[:, :, np.newaxis] * rhat[:, np.newaxis, :]
-    eye = np.eye(d)
-    if d == 2:
-        h0, h1, h2 = hankel1_012(k * r)
-        out = 0.25j * k * k * (
-            (h0 - h1 / (k * r))[:, np.newaxis, np.newaxis] * eye
-            + h2[:, np.newaxis, np.newaxis] * outer
-        )
-    else:
-        g = np.exp(1j * k * r) / (4.0 * np.pi * r)
-        inv_r = 1.0 / r
-        radial = (1j * k * inv_r - inv_r * inv_r)[:, np.newaxis, np.newaxis]
-        out = g[:, np.newaxis, np.newaxis] * (
-            k * k * (eye - outer) + radial * (eye - 3.0 * outer)
-        )
+    a, b = green_tensor_parts(ctx, r)
+    out = a[:, np.newaxis, np.newaxis] * np.eye(d) + b[:, np.newaxis, np.newaxis] * outer
     return out.reshape(batch_shape + (d, d))
 
 

@@ -2,7 +2,8 @@
 
 The current J = eta * E satisfies J - eta * int G(x,y) (PJ)(y) dy = eta * E^i
 with P = k^2 I + grad div.  Mid-point quadrature on a uniform cell-centred
-grid turns this into a dense linear system; P is applied by central finite
+grid turns this into a linear system whose G part is block-Toeplitz, applied
+by FFT convolution with one kernel table; P is applied by central finite
 differences with zero extension outside the grid (J is supported inside the
 scatterers, so the extension is exact for the true solution).
 """
@@ -225,11 +226,28 @@ class InducedCurrentField:
     iterations: int = 0
 
 
+def _fft_length(n: int) -> int:
+    """Smallest 5-smooth integer >= n, a fast FFT length."""
+    m = n
+    while True:
+        rest = m
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 1
+
+
 class ForwardSystem:
     """Discrete operator J |-> J - diag(eta) G (P J) h^d on all grid nodes.
 
-    Rows with eta = 0 reduce to the identity, so the scalar kernel matrix is
-    only needed on the eta-supported rows; the operator is exact either way.
+    On the uniform grid G(x_a, x_b) depends only on the lattice offset a - b,
+    so G is tabulated once on the (2n - 1)^d offsets (the averaged self-cell
+    at offset 0) and applied as a zero-padded FFT convolution (block-Toeplitz
+    matvec, CG-FFT): O(N log N) time and O(N) memory.  Rows with eta = 0
+    reduce to the identity, so only the eta-supported rows of G (P J) are
+    kept.  dense_matrix and g_rows gather their entries from the same table.
     """
 
     def __init__(self, contrast: ContrastField, ctx: WaveContext, grid: VolumeGrid):
@@ -238,17 +256,51 @@ class ForwardSystem:
         self.contrast_at_nodes = contrast.eta_at(grid.nodes)
         self.p_operator = POperator(grid, ctx)
         self.active = np.flatnonzero(self.contrast_at_nodes != 0.0)
-        nodes = grid.nodes
-        if self.active.size:
-            diff = nodes[self.active][:, None, :] - nodes[None, :, :]
-            r = np.linalg.norm(diff, axis=-1)
-            self_hits = r == 0.0
-            r[self_hits] = 1.0
-            rows = green_scalar_from_distance(ctx, r)
-            rows[self_hits] = diagonal_self_term(ctx, grid.mesh_size)
-            self.g_rows = rows
-        else:
-            self.g_rows = np.zeros((0, grid.n_nodes), dtype=np.complex128)
+        counts = grid.counts
+        offsets = np.meshgrid(
+            *[np.arange(1 - n, n) * grid.mesh_size for n in counts], indexing="ij", sparse=True
+        )
+        r = np.sqrt(sum(o * o for o in offsets))
+        centre = tuple(n - 1 for n in counts)
+        r[centre] = 1.0
+        table = green_scalar_from_distance(ctx, r)
+        table[centre] = diagonal_self_term(ctx, grid.mesh_size)
+        self._table = table
+        # circular embedding: offset o sits at index o mod L, and L >= 2n - 1
+        # keeps the wrap-around images of the zero-padded input out of range
+        self._fft_shape = tuple(_fft_length(2 * n - 1) for n in counts)
+        embedded = np.zeros(self._fft_shape, dtype=np.complex128)
+        embedded[np.ix_(*[np.arange(1 - n, n) % m for n, m in zip(counts, self._fft_shape)])] = table
+        self._kernel_hat = np.fft.fftn(embedded)
+
+    def _convolve(self, values: np.ndarray) -> np.ndarray:
+        """sum_b G(x_a - x_b) values_b for every node a.
+
+        One axis at a time, so each 1D transform pads only its own axis and
+        the inverse transforms crop as they go; the full padded block is
+        transformed on the last axis only.
+        """
+        counts = self.grid.counts
+        out = values.reshape(counts)
+        for axis, length in enumerate(self._fft_shape):
+            out = np.fft.fft(out, n=length, axis=axis)
+        out *= self._kernel_hat
+        for axis in reversed(range(len(counts))):
+            out = np.fft.ifft(out, axis=axis)[(slice(None),) * axis + (slice(counts[axis]),)]
+        return out.reshape(-1)
+
+    @property
+    def g_rows(self) -> np.ndarray:
+        """G(x_a, x_b) for the eta-supported nodes a and every node b,
+        gathered from the offset table; shape (n_active, N)."""
+        counts = self.grid.counts
+        row_idx = np.unravel_index(self.active, counts)
+        col_idx = np.unravel_index(np.arange(self.grid.n_nodes), counts)
+        flat = np.zeros((self.active.size, self.grid.n_nodes), dtype=np.intp)
+        for a, n in enumerate(counts):
+            flat *= 2 * n - 1
+            flat += row_idx[a][:, None] - col_idx[a][None, :] + (n - 1)
+        return self._table.reshape(-1)[flat]
 
     @property
     def system_dimension(self) -> int:
@@ -259,11 +311,11 @@ class ForwardSystem:
         n = self.grid.n_nodes
         fieldT = flat.reshape(d, n)
         pj = self.p_operator.apply(fieldT.T)
-        out = fieldT.copy()
+        out = fieldT.astype(np.complex128)
         if self.active.size:
-            w = self.g_rows @ pj  # (n_active, d)
-            eta_act = self.contrast_at_nodes[self.active]
-            out[:, self.active] -= (eta_act[:, None] * w * self.grid.cell_measure).T
+            scale = self.contrast_at_nodes[self.active] * self.grid.cell_measure
+            for i in range(d):
+                out[i, self.active] -= scale * self._convolve(pj[:, i])[self.active]
         return out.reshape(-1)
 
     def dense_matrix(self) -> np.ndarray:
@@ -274,7 +326,8 @@ class ForwardSystem:
         if self.active.size:
             eta_act = self.contrast_at_nodes[self.active]
             m[self.active] = eta_act[:, None] * self.g_rows * self.grid.cell_measure
-        a = np.eye(d * n, dtype=np.complex128)
+        # Fortran order, so that LAPACK can factor the matrix in place
+        a = np.eye(d * n, dtype=np.complex128, order="F")
         for i in range(d):
             rows = slice(i * n, (i + 1) * n)
             for j in range(d):
@@ -309,11 +362,11 @@ class ForwardSolver:
     def _solve_dense(self, rhs: np.ndarray) -> tuple[np.ndarray, float, int]:
         if self._lu is None:
             matrix = self.system.dense_matrix()
+            self._matrix_norm = np.linalg.norm(matrix, 1)
             try:
-                self._lu = sla.lu_factor(matrix)
+                self._lu = sla.lu_factor(matrix, overwrite_a=True)
             except sla.LinAlgError as exc:
                 raise SolverError(f"dense factorization failed: {exc}") from exc
-            self._matrix_norm = np.linalg.norm(matrix, 1)
         solution = sla.lu_solve(self._lu, rhs)
         rhs_norm = np.linalg.norm(rhs)
         residual = 0.0

@@ -7,10 +7,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .em_core import WaveContext, green_tensor_from_diff
+from .em_core import WaveContext, green_tensor_parts
 from .errors import DomainError, GeometryError
 
 _NOISE_BITGEN = np.random.PCG64  # named, seedable, portable
+_SYNTH_CHUNK_PAIRS = 32_768  # (surface point, source) kernel pairs per chunk
 
 
 @dataclass(frozen=True)
@@ -123,8 +124,11 @@ class FieldSamples:
 def synthesize_scattered_field(current, surface: MeasurementSurface, ctx: WaveContext) -> FieldSamples:
     """Discrete-sum scattered field E^s(x_m) = sum_j Phi(x_m, y_j) J_j h^d.
 
-    The sum runs only over nodes carrying nonzero current; every measurement
-    point must lie strictly outside the source grid's bounding box.
+    With Phi = a I + b rhat rhat^T, each term is a J_j + b (diff.J_j) diff / r^2
+    for diff = x_m - y_j.  The sum runs only over nodes carrying nonzero
+    current, a chunk of sources at a time so the kernel block stays
+    cache-sized; every measurement point must lie strictly outside the
+    source grid's bounding box.
     """
     lo, hi = current.grid.bounds
     inside = np.all((surface.points >= lo) & (surface.points <= hi), axis=1)
@@ -135,9 +139,15 @@ def synthesize_scattered_field(current, surface: MeasurementSurface, ctx: WaveCo
     if active.size:
         sources = current.grid.nodes[active]
         j_vals = current.values[active]
-        diffs = surface.points[:, np.newaxis, :] - sources[np.newaxis, :, :]
-        phi = green_tensor_from_diff(ctx, diffs)
-        values = np.einsum("mjab,jb->ma", phi, j_vals) * current.grid.cell_measure
+        per_chunk = max(1, _SYNTH_CHUNK_PAIRS // surface.count)
+        for start in range(0, active.size, per_chunk):
+            chunk = slice(start, start + per_chunk)
+            diffs = surface.points[:, np.newaxis, :] - sources[np.newaxis, chunk, :]
+            r2 = np.einsum("mjd,mjd->mj", diffs, diffs)
+            a, b = green_tensor_parts(ctx, np.sqrt(r2))
+            along = np.einsum("mjd,jd->mj", diffs, j_vals[chunk])
+            values += a @ j_vals[chunk] + np.einsum("mj,mjd->md", b * along / r2, diffs)
+        values *= current.grid.cell_measure
     return FieldSamples(surface, values, Provenance("exact"))
 
 

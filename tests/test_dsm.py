@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emdsm import dsm, em_core as em, forward as fw, measurement as ms
-from emdsm.errors import DomainError, GeometryError
+from emdsm.errors import ConfigError, DomainError, GeometryError
 
 CTX2 = em.WaveContext.from_wavelength(2, 1.0)
 CTX3 = em.WaveContext.from_wavelength(3, 1.0)
@@ -238,6 +238,24 @@ class TestIndexGridSweep:
         threaded = dsm.compute_index_grid(CTX2, example1_data, grid)[-1]
         np.testing.assert_array_equal(serial.values, threaded.values)
 
+    def test_one_point_chunks_match_default_chunks(self, example1_data, monkeypatch):
+        grid = dsm.sampling_grid([(-1, 1), (-1, 1)], 0.1)
+        default = dsm.compute_index_grid(CTX2, example1_data, grid)
+        monkeypatch.setattr(dsm, "_CHUNK_TARGET", 1)
+        one_point = dsm.compute_index_grid(CTX2, example1_data, grid)
+        assert grid.n_points > 1
+        for a, b in zip(default, one_point):
+            np.testing.assert_allclose(a.values, b.values, rtol=0.0, atol=1e-14)
+            np.testing.assert_array_equal(a.argmax_location(), b.argmax_location())
+            np.testing.assert_array_equal([p for p, _ in dsm.find_local_maxima(a)],
+                                          [p for p, _ in dsm.find_local_maxima(b)])
+
+    @pytest.mark.parametrize("value", ["x", "0", "-1"])
+    def test_invalid_thread_env_rejected(self, example1_data, monkeypatch, value):
+        monkeypatch.setenv("EMDSM_THREADS", value)
+        with pytest.raises(ConfigError, match="EMDSM_THREADS"):
+            dsm.compute_index_grid(CTX2, example1_data, dsm.sampling_grid([(-1, 1), (-1, 1)], 0.5))
+
     def test_read_back_data_gives_identical_grid(self, example1_data, tmp_path):
         grid = dsm.sampling_grid([(-1, 1), (-1, 1)], 0.1)
         noisy = [(ms.add_noise(data, 0.2, 1 + l), q) for l, (data, q) in enumerate(example1_data)]
@@ -449,6 +467,20 @@ class TestExports:
         dsm.write_index_csv(index, tmp_path / "blocked.csv")
         per_row_writer(index, tmp_path / "per_row.csv")
         assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "per_row.csv").read_bytes()
+
+    @pytest.mark.parametrize("box", [[(-3, -1), (-2, 0.5)], [(-1, 0), (-0.5, 0.5), (-2, -1.5)]])
+    def test_index_csv_partial_last_block_of_lines(self, tmp_path, monkeypatch, box):
+        grid = dsm.sampling_grid(box, 0.25)
+        index = dsm.IndexGrid(grid, np.random.default_rng(4).random(grid.n_points), "test")
+        dsm.write_index_csv(index, tmp_path / "default.csv")
+        # blocks of two or more whole last-axis lines, the last block partial
+        monkeypatch.setattr(dsm, "_CSV_BLOCK_ROWS", 2 * grid.shape[-1] + 1)
+        assert (grid.n_points // grid.shape[-1]) % 2 != 0
+        dsm.write_index_csv(index, tmp_path / "small_blocks.csv")
+        text = (tmp_path / "small_blocks.csv").read_text()
+        assert text == (tmp_path / "default.csv").read_text()
+        rows = np.loadtxt(tmp_path / "small_blocks.csv", delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(rows, np.column_stack([grid.points, index.values]))
 
     def test_pgm_header_and_size(self, tmp_path):
         grid = dsm.sampling_grid([(-1, 1), (-1, 1)], 0.1)

@@ -1,11 +1,14 @@
-"""Grid construction, singular self-cell quadrature, the P stencil, and the solve."""
+"""Grid construction, singular self-cell quadrature, the P stencil, the FFT
+operator, the solve, and convergence under mesh refinement."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.special
 from scipy.integrate import dblquad, quad
 
-from emdsm import em_core as em, forward as fw, measurement as ms
+from emdsm import em_core as em, forward as fw, harness, measurement as ms
 from emdsm.errors import DegenerateGridError, DomainError, GeometryError, SolverError
 
 CTX2 = em.WaveContext.from_wavelength(2, 1.0)
@@ -172,6 +175,83 @@ class TestForwardSystem:
         assert system.system_dimension == 2 * 36
 
 
+def system_on_grid(ctx, counts, h=0.05):
+    """Forward system on a cell-centred grid with the given node counts,
+    every node active, with two contrast values so eta varies."""
+    d = len(counts)
+    grid = fw.VolumeGrid(h, np.zeros(d), tuple(counts))
+    kind = "axis_cube" if d == 3 else "axis_square"
+    side = 2.0 * h * max(counts)
+    contrast = em.ContrastField([
+        em.Shape(kind, np.full(d, 0.5 * h * max(counts)), side, eta=1.0),
+        em.Shape(kind, np.full(d, 0.0), 2.0 * h * min(counts), eta=0.4 + 0.3j),
+    ])
+    return fw.ForwardSystem(contrast, ctx, grid)
+
+
+def direct_g_rows(system, rows):
+    """G(x_a, x_b) for the nodes a in rows from the node differences, with
+    the averaged self-cell on the diagonal."""
+    nodes = system.grid.nodes
+    r = np.linalg.norm(nodes[rows][:, None, :] - nodes[None, :, :], axis=-1)
+    self_hits = r == 0.0
+    r[self_hits] = 1.0
+    g = em.green_scalar_from_distance(system.ctx, r)
+    g[self_hits] = fw.diagonal_self_term(system.ctx, system.grid.mesh_size)
+    return g
+
+
+class TestFFTOperator:
+    @pytest.mark.parametrize("ctx, counts", [
+        (CTX2, (12, 7)), (CTX2, (3, 9)), (CTX3, (50, 10, 10)), (CTX3, (7, 3, 5)),
+    ])
+    def test_apply_matches_direct_sum(self, ctx, counts):
+        system = system_on_grid(ctx, counts)
+        assert system.active.size == system.grid.n_nodes
+        n, d = system.grid.n_nodes, ctx.dimension
+        rng = np.random.default_rng(7)
+        v = rng.standard_normal(d * n) + 1j * rng.standard_normal(d * n)
+        # every corner (the largest offsets, where wrap-around would show)
+        # plus a random sample of rows
+        corners = np.ravel_multi_index(
+            np.array(list(np.ndindex(*([2] * d)))).T * (np.array(counts)[:, None] - 1), counts
+        )
+        rows = np.union1d(corners, rng.choice(n, size=min(n, 200), replace=False))
+        pj = system.p_operator.apply(v.reshape(d, n).T)
+        eta = system.contrast_at_nodes[rows]
+        correction = eta[:, None] * (direct_g_rows(system, rows) @ pj) * system.grid.cell_measure
+        expected = v.reshape(d, n)[:, rows] - correction.T
+        got = system.apply(v).reshape(d, n)[:, rows]
+        np.testing.assert_allclose(got, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("ctx, counts", [(CTX2, (5, 4)), (CTX3, (3, 4, 5))])
+    def test_dense_matrix_equals_apply_on_unit_vectors(self, ctx, counts):
+        system = system_on_grid(ctx, counts)
+        a = system.dense_matrix()
+        columns = np.column_stack([system.apply(e) for e in np.eye(system.system_dimension)])
+        np.testing.assert_allclose(a, columns, rtol=0.0, atol=1e-13 * np.abs(a).max())
+
+    def test_g_rows_match_direct_sum(self):
+        system = system_on_grid(CTX3, (7, 3, 5))
+        np.testing.assert_allclose(system.g_rows, direct_g_rows(system, system.active), rtol=1e-13)
+
+    def test_no_dense_rows_on_the_matvec_path(self):
+        # 2 000 active rows of 5 000 nodes would be 160 MB of G rows
+        contrast = em.ContrastField([
+            em.Shape("axis_cube", [0.4, 0.3, 0.3], 0.2), em.Shape("axis_cube", [-0.4, 0.3, 0.3], 0.2),
+        ])
+        tracemalloc.start()
+        try:
+            system = fw.build_forward_system(contrast, CTX3, 0.02)
+            system.apply(np.ones(system.system_dimension, complex))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        dense_rows = system.active.size * system.grid.n_nodes * 16
+        assert system.active.size == 2000 and system.grid.n_nodes == 5000
+        assert peak < dense_rows / 10
+
+
 class TestSolve:
     def test_zero_contrast_zero_current(self):
         contrast = em.ContrastField([em.Shape("axis_square", [-0.25, 0.0], 0.3, eta=0.0)])
@@ -273,3 +353,29 @@ class TestSolve:
     def test_mismatched_dimension_rejected(self):
         with pytest.raises(GeometryError):
             fw.build_forward_system(em.ContrastField(SQUARE1), CTX3, 0.05)
+
+
+def synthesized_data(name: str, h: float) -> np.ndarray:
+    """Exact near-field data of a preset scene at forward mesh size h, all incidents."""
+    config = harness.preset(name)
+    solver = fw.ForwardSolver(config.contrast, config.ctx, h, config.solver)
+    surface = config.surface.build()
+    return np.stack([
+        ms.synthesize_scattered_field(solver.solve(wave), surface, config.ctx).values
+        for wave in config.incidents
+    ])
+
+
+class TestMeshConvergence:
+    # observed orders log2(|E_h - E_h/2| / |E_h/2 - E_h/4|): example1 1.01,
+    # example4 0.80, example3d 0.53; each gate is its order minus 0.1
+    @pytest.mark.parametrize("name, h, min_order", [
+        ("example1", 0.02, 0.9),
+        ("example4", 0.02, 0.7),
+        ("example3d", 0.04, 0.43),
+    ])
+    def test_synthesized_data_converge_under_refinement(self, name, h, min_order):
+        coarse, mid, fine = (synthesized_data(name, h / 2**i) for i in range(3))
+        d1 = np.linalg.norm(coarse - mid)
+        d2 = np.linalg.norm(mid - fine)
+        assert np.log2(d1 / d2) >= min_order

@@ -159,6 +159,25 @@ class TestSynthesis:
             ratio = np.mean(norms[a] / norms[b])
             assert ratio == pytest.approx(np.sqrt(2.0), rel=0.1)
 
+    @pytest.mark.parametrize("ctx, count", [(CTX2, 30), (CTX3, 2)])
+    def test_matches_kernel_tensor_sum_in_any_chunking(self, ctx, count, monkeypatch):
+        d = ctx.dimension
+        kind = "axis_cube" if d == 3 else "axis_square"
+        contrast = em.ContrastField([em.Shape(kind, np.zeros(d), 0.3)])
+        grid = fw.build_grid(contrast, 0.05)
+        rng = np.random.default_rng(2)
+        values = rng.standard_normal((grid.n_nodes, d)) + 1j * rng.standard_normal((grid.n_nodes, d))
+        values[::3] = 0.0
+        current = fw.InducedCurrentField(grid, values, np.ones(grid.n_nodes))
+        surf = ms.circle_surface(5.0, count) if d == 2 else ms.cube_surface(10.0, count)
+        phi = em.green_tensor_from_diff(ctx, surf.points[:, None, :] - grid.nodes[None, :, :])
+        expected = np.einsum("mjab,jb->ma", phi, values) * grid.cell_measure
+        default = ms.synthesize_scattered_field(current, surf, ctx).values
+        monkeypatch.setattr(ms, "_SYNTH_CHUNK_PAIRS", 1)  # one source per chunk
+        one_source = ms.synthesize_scattered_field(current, surf, ctx).values
+        for got in (default, one_source):
+            np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-14 * np.abs(expected).max())
+
     def test_measurement_point_inside_grid_rejected(self):
         _, current = example1_samples(h=0.05)
         inside = ms.MeasurementSurface(
