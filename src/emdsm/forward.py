@@ -15,16 +15,14 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .em_core import ContrastField, IncidentPlaneWave, WaveContext, green_scalar_from_distance, incident_field
 from .errors import DegenerateGridError, DomainError, GeometryError, SolverError
 
-DENSE_SYSTEM_LIMIT = 6000
-
 _SELF_TERM_ORDERS = (16, 32, 64, 128, 256)
 _SELF_TERM_RTOL = 1e-8
+_DENSE_BLOCK_COLUMNS = 256  # unit vectors per apply when building the dense matrix
 
 
 @dataclass(frozen=True)
@@ -138,11 +136,32 @@ def diagonal_self_term(ctx: WaveContext, h: float) -> complex:
     return _self_term_cached(ctx.dimension, ctx.wavenumber, h)
 
 
+def _first_difference(f: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """(f[i+1] - f[i-1]) / 2h along axis, with f = 0 beyond the grid."""
+    f = np.moveaxis(f, axis, 0)
+    out = np.empty_like(f)
+    out[0] = f[1]
+    np.subtract(f[2:], f[:-2], out=out[1:-1])
+    np.negative(f[-2], out=out[-1])
+    out *= 0.5 / h
+    return np.moveaxis(out, 0, axis)
+
+
+def _second_difference(f: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """(f[i-1] - 2 f[i] + f[i+1]) / h^2 along axis, with f = 0 beyond the grid."""
+    f = np.moveaxis(f, axis, 0)
+    out = -2.0 * f
+    out[1:] += f[:-1]
+    out[:-1] += f[1:]
+    out *= 1.0 / (h * h)
+    return np.moveaxis(out, 0, axis)
+
+
 class POperator:
     """Discrete P = k^2 I + grad div via central differences with zero extension.
 
-    Second and first derivative stencils are (1,-2,1)/h^2 and (-1,0,1)/(2h);
-    the mixed blocks are Kronecker products of the first-derivative stencils.
+    Second and first derivative stencils are (1,-2,1)/h^2 and (-1,0,1)/(2h) along
+    the axes of the grid array; the mixed terms chain two first-derivative ones.
     """
 
     def __init__(self, grid: VolumeGrid, ctx: WaveContext):
@@ -152,47 +171,25 @@ class POperator:
             raise GeometryError("grid and context dimensions differ")
         self.grid = grid
         self.ctx = ctx
-        h = grid.mesh_size
-        d = grid.dimension
-        second = [
-            sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n), format="csr") / (h * h)
-            for n in grid.counts
-        ]
-        first = [
-            sp.diags([-1.0, 1.0], [-1, 1], shape=(n, n), format="csr") / (2.0 * h)
-            for n in grid.counts
-        ]
-        eyes = [sp.identity(n, format="csr") for n in grid.counts]
 
-        def chain(factors):
-            out = factors[0]
-            for f in factors[1:]:
-                out = sp.kron(out, f, format="csr")
-            return out
-
-        self.blocks: list[list[sp.csr_matrix]] = []
+    def apply_grid(self, fields: np.ndarray) -> np.ndarray:
+        """(P J) on component-first grid arrays of shape (d, *counts, *batch)."""
+        h = self.grid.mesh_size
+        d = self.grid.dimension
+        fields = np.asarray(fields, dtype=np.complex128)
+        out = self.ctx.wavenumber**2 * fields
+        # d_j J_j once per component; row i takes d_i of the sum over j != i
+        firsts = [_first_difference(fields[j], j, h) for j in range(d)]
         for i in range(d):
-            row = []
-            for j in range(d):
-                factors = []
-                for axis in range(d):
-                    if axis == i and axis == j:
-                        factors.append(second[axis])
-                    elif axis in (i, j):
-                        factors.append(first[axis])
-                    else:
-                        factors.append(eyes[axis])
-                row.append(chain(factors))
-            self.blocks.append(row)
+            cross = sum(firsts[j] for j in range(d) if j != i)
+            out[i] += _second_difference(fields[i], i, h)
+            out[i] += _first_difference(cross, i, h)
+        return out
 
     def apply(self, field: np.ndarray) -> np.ndarray:
         """(P J) on nodal fields of shape (N, d)."""
-        k2 = self.ctx.wavenumber**2
-        out = k2 * field.astype(np.complex128, copy=True)
-        for i in range(len(self.blocks)):
-            for j in range(len(self.blocks)):
-                out[:, i] += self.blocks[i][j] @ field[:, j]
-        return out
+        d = self.grid.dimension
+        return self.apply_grid(field.T.reshape((d,) + self.grid.counts)).reshape(d, -1).T
 
 
 def assemble_p_operator(grid: VolumeGrid, ctx: WaveContext) -> POperator:
@@ -201,29 +198,32 @@ def assemble_p_operator(grid: VolumeGrid, ctx: WaveContext) -> POperator:
 
 @dataclass(frozen=True)
 class SolverSpec:
-    kind: str = "auto"  # auto | dense | gmres
+    kind: str = "auto"  # auto (= gmres) | gmres | dense, the LU cross-check oracle
     tol: float = 1e-8
     restart: int = 50
     maxiter: int = 500
 
-    def resolve(self, system_dimension: int) -> str:
-        if self.kind == "auto":
-            return "dense" if system_dimension <= DENSE_SYSTEM_LIMIT else "gmres"
-        if self.kind not in ("dense", "gmres"):
+    def resolve(self) -> str:
+        if self.kind not in ("auto", "dense", "gmres"):
             raise DomainError(f"unknown solver kind {self.kind!r}")
-        return self.kind
+        return "gmres" if self.kind == "auto" else self.kind
 
 
 @dataclass(frozen=True)
 class InducedCurrentField:
-    """Nodal current J (zero wherever eta vanishes) plus solve diagnostics."""
+    """Nodal current J (zero wherever eta vanishes) plus solve diagnostics;
+    residual_history holds GMRES's relative residual after each iteration."""
 
     grid: VolumeGrid
     values: np.ndarray
     eta: np.ndarray
-    method: str = "dense"
+    method: str = "gmres"
     residual: float = 0.0
-    iterations: int = 0
+    residual_history: tuple[float, ...] = ()
+
+    @property
+    def iterations(self) -> int:
+        return len(self.residual_history)
 
 
 def _fft_length(n: int) -> int:
@@ -247,7 +247,7 @@ class ForwardSystem:
     at offset 0) and applied as a zero-padded FFT convolution (block-Toeplitz
     matvec, CG-FFT): O(N log N) time and O(N) memory.  Rows with eta = 0
     reduce to the identity, so only the eta-supported rows of G (P J) are
-    kept.  dense_matrix and g_rows gather their entries from the same table.
+    kept.  dense_matrix applies the same operator to unit vectors.
     """
 
     def __init__(self, contrast: ContrastField, ctx: WaveContext, grid: VolumeGrid):
@@ -274,68 +274,48 @@ class ForwardSystem:
         self._kernel_hat = np.fft.fftn(embedded)
 
     def _convolve(self, values: np.ndarray) -> np.ndarray:
-        """sum_b G(x_a - x_b) values_b for every node a.
+        """sum_b G(x_a - x_b) values_b for every node a; values has shape
+        (*counts, *batch) and the result (N, *batch).
 
         One axis at a time, so each 1D transform pads only its own axis and
         the inverse transforms crop as they go; the full padded block is
         transformed on the last axis only.
         """
         counts = self.grid.counts
-        out = values.reshape(counts)
+        batch = values.shape[len(counts):]
+        out = values
         for axis, length in enumerate(self._fft_shape):
             out = np.fft.fft(out, n=length, axis=axis)
-        out *= self._kernel_hat
+        out *= self._kernel_hat.reshape(self._fft_shape + (1,) * len(batch))
         for axis in reversed(range(len(counts))):
             out = np.fft.ifft(out, axis=axis)[(slice(None),) * axis + (slice(counts[axis]),)]
-        return out.reshape(-1)
-
-    @property
-    def g_rows(self) -> np.ndarray:
-        """G(x_a, x_b) for the eta-supported nodes a and every node b,
-        gathered from the offset table; shape (n_active, N)."""
-        counts = self.grid.counts
-        row_idx = np.unravel_index(self.active, counts)
-        col_idx = np.unravel_index(np.arange(self.grid.n_nodes), counts)
-        flat = np.zeros((self.active.size, self.grid.n_nodes), dtype=np.intp)
-        for a, n in enumerate(counts):
-            flat *= 2 * n - 1
-            flat += row_idx[a][:, None] - col_idx[a][None, :] + (n - 1)
-        return self._table.reshape(-1)[flat]
+        return out.reshape((-1,) + batch)
 
     @property
     def system_dimension(self) -> int:
         return self.ctx.dimension * self.grid.n_nodes
 
     def apply(self, flat: np.ndarray) -> np.ndarray:
+        """The operator on a (d N,) vector or on each column of a (d N, B) block."""
         d = self.ctx.dimension
-        n = self.grid.n_nodes
-        fieldT = flat.reshape(d, n)
-        pj = self.p_operator.apply(fieldT.T)
-        out = fieldT.astype(np.complex128)
+        batch = flat.shape[1:]
+        pj = self.p_operator.apply_grid(flat.reshape((d,) + self.grid.counts + batch))
+        out = flat.astype(np.complex128, order="C")
         if self.active.size:
+            fields = out.reshape((d, self.grid.n_nodes) + batch)
             scale = self.contrast_at_nodes[self.active] * self.grid.cell_measure
             for i in range(d):
-                out[i, self.active] -= scale * self._convolve(pj[:, i])[self.active]
-        return out.reshape(-1)
+                fields[i, self.active] -= (self._convolve(pj[i])[self.active].T * scale).T
+        return out
 
     def dense_matrix(self) -> np.ndarray:
-        d = self.ctx.dimension
-        n = self.grid.n_nodes
-        k2 = self.ctx.wavenumber**2
-        m = np.zeros((n, n), dtype=np.complex128)
-        if self.active.size:
-            eta_act = self.contrast_at_nodes[self.active]
-            m[self.active] = eta_act[:, None] * self.g_rows * self.grid.cell_measure
+        """The system matrix, built by apply on blocks of unit vectors."""
+        dim = self.system_dimension
         # Fortran order, so that LAPACK can factor the matrix in place
-        a = np.eye(d * n, dtype=np.complex128, order="F")
-        for i in range(d):
-            rows = slice(i * n, (i + 1) * n)
-            for j in range(d):
-                cols = slice(j * n, (j + 1) * n)
-                block = self.p_operator.blocks[i][j]
-                a[rows, cols] -= (block.T @ m.T).T
-                if i == j:
-                    a[rows, cols] -= k2 * m
+        a = np.empty((dim, dim), dtype=np.complex128, order="F")
+        for start in range(0, dim, _DENSE_BLOCK_COLUMNS):
+            stop = min(start + _DENSE_BLOCK_COLUMNS, dim)
+            a[:, start:stop] = self.apply(np.eye(dim, stop - start, -start))
         return a
 
     def rhs(self, wave: IncidentPlaneWave) -> np.ndarray:
@@ -356,10 +336,10 @@ class ForwardSolver:
                  solver: SolverSpec = SolverSpec()):
         self.system = build_forward_system(contrast, ctx, h)
         self.spec = solver
-        self.method = solver.resolve(self.system.system_dimension)
+        self.method = solver.resolve()
         self._lu = None
 
-    def _solve_dense(self, rhs: np.ndarray) -> tuple[np.ndarray, float, int]:
+    def _solve_dense(self, rhs: np.ndarray) -> tuple[np.ndarray, float, list[float]]:
         if self._lu is None:
             matrix = self.system.dense_matrix()
             self._matrix_norm = np.linalg.norm(matrix, 1)
@@ -380,21 +360,16 @@ class ForwardSolver:
                     f"dense solve residual {residual:.2e} exceeds 1e-8; "
                     f"condition estimate {1.0 / max(rcond, 1e-300):.2e}"
                 )
-        return solution, residual, 0
+        return solution, residual, []
 
-    def _solve_gmres(self, rhs: np.ndarray) -> tuple[np.ndarray, float, int]:
+    def _solve_gmres(self, rhs: np.ndarray) -> tuple[np.ndarray, float, list[float]]:
         dim = self.system.system_dimension
         op = LinearOperator((dim, dim), matvec=self.system.apply, dtype=np.complex128)
-        iterations = 0
-
-        def count(_):
-            nonlocal iterations
-            iterations += 1
-
+        history: list[float] = []
         solution, info = gmres(
             op, rhs, rtol=self.spec.tol, atol=0.0,
             restart=self.spec.restart, maxiter=self.spec.maxiter,
-            callback=count, callback_type="pr_norm",
+            callback=history.append, callback_type="pr_norm",
         )
         rhs_norm = np.linalg.norm(rhs)
         residual = 0.0
@@ -405,20 +380,21 @@ class ForwardSolver:
                 f"GMRES did not converge in {self.spec.maxiter} iterations; "
                 f"final relative residual {residual:.2e}"
             )
-        return solution, residual, iterations
+        return solution, residual, history
 
     def solve(self, wave: IncidentPlaneWave) -> InducedCurrentField:
         rhs = self.system.rhs(wave)
         if self.method == "dense":
-            flat, residual, iterations = self._solve_dense(rhs)
+            flat, residual, history = self._solve_dense(rhs)
         else:
-            flat, residual, iterations = self._solve_gmres(rhs)
+            flat, residual, history = self._solve_gmres(rhs)
         d = self.system.ctx.dimension
         values = flat.reshape(d, self.system.grid.n_nodes).T.copy()
         values[self.system.contrast_at_nodes == 0.0] = 0.0
         return InducedCurrentField(
             self.system.grid, values, self.system.contrast_at_nodes,
-            method=self.method, residual=residual, iterations=iterations,
+            method=self.method, residual=residual,
+            residual_history=tuple(float(r) for r in history),
         )
 
 

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import resource
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -114,6 +116,13 @@ def _need(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
+def _positive_int(mapping: dict, key: str, default: int, context: str) -> int:
+    value = mapping.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"key '{context}{key}' must be an integer >= 1, got {value!r}")
+    return value
+
+
 def _as_complex(value, context: str) -> complex:
     if isinstance(value, (int, float)):
         return complex(value)
@@ -215,8 +224,8 @@ def config_from_dict(raw: dict, name: str = "custom") -> ExperimentConfig:
     solver = SolverSpec(
         kind=solver_kind,
         tol=float(fwd.get("tol", 1e-8)),
-        restart=int(fwd.get("restart", 50)),
-        maxiter=int(fwd.get("maxiter", 500)),
+        restart=_positive_int(fwd, "restart", 50, "forward."),
+        maxiter=_positive_int(fwd, "maxiter", 500, "forward."),
     )
     if solver.tol <= 0:
         raise ConfigError("key 'forward.tol' must be positive")
@@ -363,11 +372,12 @@ def preset(name: str, *, noise: float | None = None, seed: int | None = None,
 
 @dataclass
 class LocalizationReport:
-    """Per-index maxima and argmax, stage timings, and the resolved config."""
+    """Per-index maxima and argmax, stage timings and resources, the config."""
 
     config: dict
     indices: list[dict] = field(default_factory=list)
     stage_seconds: dict = field(default_factory=dict)
+    stage_resources: dict = field(default_factory=dict)
     solver_info: list[dict] = field(default_factory=list)
     output_files: list[str] = field(default_factory=list)
 
@@ -380,9 +390,29 @@ class LocalizationReport:
             "config": self.config,
             "indices": self.indices,
             "stage_seconds": self.stage_seconds,
+            "stage_resources": self.stage_resources,
             "solver_info": self.solver_info,
             "output_files": self.output_files,
         }
+
+
+@contextmanager
+def _stage(report: LocalizationReport, name: str):
+    """Run one pipeline stage: raise its failures as StageError(name), and
+    record its wall time, the process's peak RSS at its end, and the minor
+    page faults taken during it."""
+    before = resource.getrusage(resource.RUSAGE_SELF)
+    started = time.perf_counter()
+    try:
+        yield
+    except Exception as exc:
+        raise StageError(name, str(exc)) from exc
+    report.stage_seconds[name] = time.perf_counter() - started
+    after = resource.getrusage(resource.RUSAGE_SELF)
+    report.stage_resources[name] = {
+        "peak_rss_mb": after.ru_maxrss / 1024.0,
+        "minor_faults": after.ru_minflt - before.ru_minflt,
+    }
 
 
 def _export_index(index: dsm.IndexGrid, stem: Path, formats, report: LocalizationReport) -> None:
@@ -419,19 +449,16 @@ def _run_diagnostic(config: ExperimentConfig, report: LocalizationReport, outdir
         p2 = config.incidents[1].polarization
         selectors = [dsm.polarization(p1, "polarization_1"), dsm.polarization(p2, "polarization_2"),
                      dsm.polarization_sum([p1, p2])]
-    started = time.perf_counter()
-    pts = grid.points
-    off_peak = np.linalg.norm(pts - x_q, axis=1) > 0.5 * ctx.wavelength
-    maps = dsm.cross_product_maps(ctx, surface, x_q, grid, selectors)
-    report.stage_seconds["sweep"] = time.perf_counter() - started
+    with _stage(report, "sweep"):
+        off_peak = np.linalg.norm(grid.points - x_q, axis=1) > 0.5 * ctx.wavelength
+        maps = dsm.cross_product_maps(ctx, surface, x_q, grid, selectors)
 
-    started = time.perf_counter()
-    for selector, index in zip(selectors, maps):
-        entry = _index_entry(index)
-        entry["off_peak_ratio"] = float(index.values[off_peak].max() / index.values.max())
-        report.indices.append(entry)
-        _export_index(index, outdir / f"map_{selector.label}", config.output_formats, report)
-    report.stage_seconds["export"] = time.perf_counter() - started
+    with _stage(report, "export"):
+        for selector, index in zip(selectors, maps):
+            entry = _index_entry(index)
+            entry["off_peak_ratio"] = float(index.values[off_peak].max() / index.values.max())
+            report.indices.append(entry)
+            _export_index(index, outdir / f"map_{selector.label}", config.output_formats, report)
 
 
 def run_experiment(config: ExperimentConfig) -> LocalizationReport:
@@ -444,23 +471,19 @@ def run_experiment(config: ExperimentConfig) -> LocalizationReport:
     if config.diagnostic is not None:
         _run_diagnostic(config, report, outdir)
     else:
-        started = time.perf_counter()
-        try:
+        with _stage(report, "forward"):
             solver = ForwardSolver(config.contrast, config.ctx, config.forward_h, config.solver)
             currents = [solver.solve(wave) for wave in config.incidents]
-        except Exception as exc:
-            raise StageError("forward", str(exc)) from exc
-        for current in currents:
-            report.solver_info.append({
-                "method": current.method,
-                "residual": current.residual,
-                "iterations": current.iterations,
-                "nodes": current.grid.n_nodes,
-            })
-        report.stage_seconds["forward"] = time.perf_counter() - started
+            for current in currents:
+                report.solver_info.append({
+                    "method": current.method,
+                    "residual": current.residual,
+                    "iterations": current.iterations,
+                    "residual_history": list(current.residual_history),
+                    "nodes": current.grid.n_nodes,
+                })
 
-        started = time.perf_counter()
-        try:
+        with _stage(report, "synthesis"):
             surface = config.surface.build()
             datasets = []
             for l, (wave, current) in enumerate(zip(config.incidents, currents)):
@@ -476,26 +499,16 @@ def run_experiment(config: ExperimentConfig) -> LocalizationReport:
                         write_field_samples_csv(samples, path)
                         report.output_files.append(str(path))
                 datasets.append((samples, wave.polarization))
-        except StageError:
-            raise
-        except Exception as exc:
-            raise StageError("synthesis", str(exc)) from exc
-        report.stage_seconds["synthesis"] = time.perf_counter() - started
 
-        started = time.perf_counter()
-        try:
+        with _stage(report, "sweep"):
             grid = dsm.sampling_grid(config.sampling_box, config.sampling_spacing)
             grids = dsm.compute_index_grid(config.ctx, datasets, grid)
-        except Exception as exc:
-            raise StageError("sweep", str(exc)) from exc
-        report.stage_seconds["sweep"] = time.perf_counter() - started
 
-        started = time.perf_counter()
-        for index in grids:
-            report.indices.append(_index_entry(index))
-            stem = outdir / f"index_{index.label.replace(':', '_')}"
-            _export_index(index, stem, config.output_formats, report)
-        report.stage_seconds["export"] = time.perf_counter() - started
+        with _stage(report, "export"):
+            for index in grids:
+                report.indices.append(_index_entry(index))
+                stem = outdir / f"index_{index.label.replace(':', '_')}"
+                _export_index(index, stem, config.output_formats, report)
 
     path = outdir / "report.json"
     path.write_text(json.dumps(report.to_dict(), indent=2))

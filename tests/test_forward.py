@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.special
 from scipy.integrate import dblquad, quad
 
@@ -189,6 +190,44 @@ def system_on_grid(ctx, counts, h=0.05):
     return fw.ForwardSystem(contrast, ctx, grid)
 
 
+def kron_p_matrix(grid, ctx):
+    """P = k^2 I + grad div as one sparse (d N, d N) matrix of Kronecker
+    stencil blocks: (1,-2,1)/h^2 on block (i, i) along axis i, and the
+    (-1,0,1)/(2h) stencils along axes i and j on block (i, j)."""
+    h = grid.mesh_size
+    d = grid.dimension
+    second = [sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n)) / (h * h) for n in grid.counts]
+    first = [sp.diags([-1.0, 1.0], [-1, 1], shape=(n, n)) / (2.0 * h) for n in grid.counts]
+    eyes = [sp.identity(n) for n in grid.counts]
+    rows = []
+    for i in range(d):
+        row = []
+        for j in range(d):
+            block = sp.identity(1)
+            for axis in range(d):
+                if axis == i and axis == j:
+                    factor = second[axis]
+                elif axis in (i, j):
+                    factor = first[axis]
+                else:
+                    factor = eyes[axis]
+                block = sp.kron(block, factor, format="csr")
+            row.append(block)
+        rows.append(row)
+    return (sp.bmat(rows, format="csr") + ctx.wavenumber**2 * sp.identity(d * grid.n_nodes)).tocsr()
+
+
+def dense_oracle(system):
+    """I - diag(eta h^d) G P from the direct-sum G rows and the Kronecker P."""
+    d, n = system.ctx.dimension, system.grid.n_nodes
+    g = np.zeros((n, n), dtype=np.complex128)
+    active = system.active
+    g[active] = (system.contrast_at_nodes[active] * system.grid.cell_measure)[:, None] \
+        * direct_g_rows(system, active)
+    p = kron_p_matrix(system.grid, system.ctx).toarray()
+    return np.eye(d * n) - np.kron(np.eye(d), g) @ p
+
+
 def direct_g_rows(system, rows):
     """G(x_a, x_b) for the nodes a in rows from the node differences, with
     the averaged self-cell on the diagonal."""
@@ -228,12 +267,36 @@ class TestFFTOperator:
     def test_dense_matrix_equals_apply_on_unit_vectors(self, ctx, counts):
         system = system_on_grid(ctx, counts)
         a = system.dense_matrix()
-        columns = np.column_stack([system.apply(e) for e in np.eye(system.system_dimension)])
-        np.testing.assert_allclose(a, columns, rtol=0.0, atol=1e-13 * np.abs(a).max())
+        oracle = dense_oracle(system)
+        np.testing.assert_allclose(a, oracle, rtol=0.0, atol=1e-13 * np.abs(oracle).max())
 
     def test_g_rows_match_direct_sum(self):
+        # the G part of the dense matrix, every node active, against the direct sum
         system = system_on_grid(CTX3, (7, 3, 5))
-        np.testing.assert_allclose(system.g_rows, direct_g_rows(system, system.active), rtol=1e-13)
+        oracle = dense_oracle(system)
+        np.testing.assert_allclose(system.dense_matrix(), oracle, rtol=0.0,
+                                   atol=1e-13 * np.abs(oracle).max())
+
+    @pytest.mark.parametrize("ctx, counts", [(CTX2, (12, 7)), (CTX2, (3, 9)), (CTX3, (7, 3, 5))])
+    def test_p_stencil_matches_kronecker_oracle(self, ctx, counts):
+        grid = fw.VolumeGrid(0.05, np.zeros(len(counts)), counts)
+        d, n = len(counts), grid.n_nodes
+        rng = np.random.default_rng(3)
+        field = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+        expected = (kron_p_matrix(grid, ctx) @ field.T.reshape(-1)).reshape(d, n).T
+        got = fw.assemble_p_operator(grid, ctx).apply(field)
+        np.testing.assert_allclose(got, expected, rtol=1e-14, atol=1e-14 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("ctx, counts", [(CTX2, (12, 7)), (CTX3, (7, 3, 5))])
+    def test_block_apply_equals_columnwise_apply(self, ctx, counts):
+        system = system_on_grid(ctx, counts)
+        rng = np.random.default_rng(5)
+        block = rng.standard_normal((system.system_dimension, 4)) \
+            + 1j * rng.standard_normal((system.system_dimension, 4))
+        got = system.apply(block)
+        assert got.shape == block.shape
+        for col in range(block.shape[1]):
+            np.testing.assert_allclose(got[:, col], system.apply(block[:, col]), rtol=1e-14, atol=0.0)
 
     def test_no_dense_rows_on_the_matvec_path(self):
         # 2 000 active rows of 5 000 nodes would be 160 MB of G rows
@@ -267,7 +330,7 @@ class TestSolve:
         e_inc = em.incident_field(WAVE1, CTX2, system.grid.nodes)
         target = system.contrast_at_nodes[:, None] * e_inc
         correction = np.zeros_like(target)
-        w = system.g_rows @ system.p_operator.apply(target)
+        w = direct_g_rows(system, system.active) @ system.p_operator.apply(target)
         correction[system.active] = (
             system.contrast_at_nodes[system.active][:, None] * w * system.grid.cell_measure
         )
@@ -311,8 +374,9 @@ class TestSolve:
         assert rel <= 1e-8
 
     def test_auto_solver_selects_by_dimension(self):
+        # auto is GMRES at every size; dense runs only when asked for
         contrast = em.ContrastField(SQUARE1)
-        assert fw.solve_current(contrast, WAVE1, CTX2, 0.03).method == "dense"
+        assert fw.solve_current(contrast, WAVE1, CTX2, 0.03).method == "gmres"
         big = em.ContrastField([
             em.Shape("axis_square", [-0.8, -0.7], 0.2, eta=1.0),
             em.Shape("axis_square", [0.3, 0.8], 0.2, eta=1.0),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from emdsm import cli, harness
-from emdsm.errors import ConfigError
+from emdsm.errors import ConfigError, StageError
 
 SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
@@ -63,6 +63,13 @@ class TestConfigParsing:
     def test_unknown_solver_named(self):
         raw = small_config_dict(forward={"h": 0.05, "solver": "cg"})
         with pytest.raises(ConfigError, match="forward.solver"):
+            harness.config_from_dict(raw)
+
+    @pytest.mark.parametrize("key", ["restart", "maxiter"])
+    @pytest.mark.parametrize("value", [0, -3, 2.7])
+    def test_solver_counts_must_be_positive_integers(self, key, value):
+        raw = small_config_dict(forward={"h": 0.05, key: value})
+        with pytest.raises(ConfigError, match=f"'forward.{key}'"):
             harness.config_from_dict(raw)
 
     def test_complex_eta_pair(self):
@@ -178,6 +185,18 @@ class TestRunExperiment:
         assert set(report.stage_seconds) == {"forward", "synthesis", "sweep", "export"}
         assert len(report.solver_info) == 2
 
+    def test_stage_resources_and_residual_history(self, small_run):
+        config, report, outdir = small_run
+        parsed = json.loads((outdir / "report.json").read_text())
+        assert set(parsed["stage_resources"]) == set(report.stage_seconds)
+        for usage in parsed["stage_resources"].values():
+            assert usage["peak_rss_mb"] > 0.0
+            assert isinstance(usage["minor_faults"], int) and usage["minor_faults"] >= 0
+        for info in parsed["solver_info"]:
+            assert info["method"] == "gmres"
+            assert len(info["residual_history"]) == info["iterations"] > 0
+            assert info["residual_history"][-1] <= config.solver.tol
+
     def test_outputs_written(self, small_run):
         _, report, outdir = small_run
         names = {p.split("/")[-1] for p in report.output_files}
@@ -219,6 +238,14 @@ class TestRunExperiment:
         for name in ("index_combined.csv", "scattered_incident1_noisy.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_failure_names_its_stage(self, tmp_path):
+        raw = small_config_dict(outputs={"directory": str(tmp_path)},
+                                forward={"h": 0.05, "solver": "gmres", "tol": 1e-14,
+                                         "maxiter": 1, "restart": 2})
+        with pytest.raises(StageError, match="^forward: GMRES") as info:
+            harness.run_experiment(harness.config_from_dict(raw))
+        assert info.value.stage == "forward"
+
     def test_noisy_csv_written_only_with_noise(self, small_run):
         _, report, _ = small_run
         assert not any("noisy" in p for p in report.output_files)
@@ -235,6 +262,7 @@ class TestDiagnosticRun:
         labels = [e["label"] for e in report.indices]
         assert labels == ["cross:polarization_1", "cross:polarization_2", "cross:polarization_sum"]
         assert all("off_peak_ratio" in e for e in report.indices)
+        assert set(report.stage_resources) == {"sweep", "export"}
         assert (tmp_path / "map_polarization_sum.pgm").exists()
 
 
