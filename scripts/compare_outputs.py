@@ -1,0 +1,89 @@
+#!/usr/bin/env python3
+"""Compare two output trees of emdsm runs.
+
+For every run directory (one holding a report.json) under dir_a, and each
+index or map CSV in it, print the max |value difference| against the same
+file under dir_b, and whether the report.json entry of that grid has the
+same argmax location and the same local-maxima locations.  Exits non-zero
+when a difference exceeds --tol, a grid's coordinates, argmax or maxima
+differ, or a file of dir_a is missing from dir_b.
+
+    python scripts/compare_outputs.py out/before out/after --tol 1e-12
+"""
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+
+def _entries(report_path: Path) -> dict:
+    """report.json's index entries keyed by the stem of their exported files:
+    index_<label with ':' as '_'> for index grids, map_<name> for cross:<name>."""
+    out = {}
+    for entry in json.loads(report_path.read_text())["indices"]:
+        label = entry["label"]
+        stem = f"map_{label[6:]}" if label.startswith("cross:") else f"index_{label.replace(':', '_')}"
+        out[stem] = entry
+    return out
+
+
+def compare_run(run_a: Path, run_b: Path, tol: float) -> tuple[list[str], list[str]]:
+    """Lines to print and failures for one pair of run directories."""
+    lines, failures = [], []
+    if not (run_b / "report.json").exists():
+        return lines, [f"{run_b}: no report.json"]
+    entries_a, entries_b = _entries(run_a / "report.json"), _entries(run_b / "report.json")
+    for path_a in sorted([*run_a.glob("index_*.csv"), *run_a.glob("map_*.csv")]):
+        path_b = run_b / path_a.name
+        if not path_b.exists():
+            failures.append(f"{path_b}: missing")
+            continue
+        a = np.loadtxt(path_a, delimiter=",", skiprows=1, ndmin=2)
+        b = np.loadtxt(path_b, delimiter=",", skiprows=1, ndmin=2)
+        if a.shape != b.shape or not np.array_equal(a[:, :-1], b[:, :-1]):
+            failures.append(f"{path_a.name}: grid coordinates differ")
+            continue
+        delta = float(np.abs(a[:, -1] - b[:, -1]).max())
+        entry_a, entry_b = entries_a.get(path_a.stem), entries_b.get(path_a.stem)
+        if entry_a is None or entry_b is None:
+            failures.append(f"{path_a.name}: no report entry")
+            continue
+        same_argmax = entry_a["argmax"]["location"] == entry_b["argmax"]["location"]
+        maxima_a = [m["location"] for m in entry_a["maxima"]]
+        same_maxima = maxima_a == [m["location"] for m in entry_b["maxima"]]
+        lines.append(f"{run_a.name}/{path_a.name}: max |delta| {delta:.2e}, "
+                     f"argmax {'same' if same_argmax else 'DIFFERS'}, "
+                     f"{len(maxima_a)} maxima {'same' if same_maxima else 'DIFFER'}")
+        if delta > tol:
+            failures.append(f"{path_a.name}: max |delta| {delta:.2e} > {tol:g}")
+        if not (same_argmax and same_maxima):
+            failures.append(f"{path_a.name}: argmax or maxima differ")
+    return lines, failures
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("dir_a", type=Path)
+    parser.add_argument("dir_b", type=Path)
+    parser.add_argument("--tol", type=float, default=1e-12, help="largest allowed |value difference|")
+    args = parser.parse_args()
+    runs = sorted(path.parent for path in args.dir_a.rglob("report.json"))
+    if not runs:
+        print(f"{args.dir_a}: no report.json found", file=sys.stderr)
+        return 1
+    failures = []
+    for run_a in runs:
+        lines, run_failures = compare_run(run_a, args.dir_b / run_a.relative_to(args.dir_a), args.tol)
+        print("\n".join(lines))
+        failures += [f"{run_a.relative_to(args.dir_a)}: {f}" for f in run_failures]
+    for failure in failures:
+        print(f"FAIL {failure}", file=sys.stderr)
+    print(f"{len(runs)} runs compared, {len(failures)} failures")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

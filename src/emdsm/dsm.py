@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .em_core import WaveContext, green_tensor_from_diff, green_tensor_parts, im_green_tensor
+from .em_core import WaveContext, curl_green_tensor_from_diff, green_tensor_from_diff, green_tensor_parts, im_green_tensor
 from .errors import ConfigError, DomainError, GeometryError
 from .measurement import FieldSamples, MeasurementSurface, circle_surface, l2_inner_product, l2_norm
 
@@ -29,6 +29,7 @@ from .measurement import FieldSamples, MeasurementSurface, circle_surface, l2_in
 _CHUNK_TARGET = 100_000
 _CSV_BLOCK_ROWS = 1_024  # index rows per write, in whole lines; larger blocks add memory, not speed
 _TIE_RTOL = 1e-12  # index values this close, relative to the peak, are tied
+_MIRROR_RTOL = 1e-12  # mirror matches of surface points and grid ticks, relative to the surface's extent
 
 
 @dataclass(frozen=True)
@@ -87,6 +88,7 @@ class IndexGrid:
     grid: SamplingGrid
     values: np.ndarray  # flat, one value per grid point
     label: str
+    sweep_info: SweepInfo | None = None  # set on grids that come from a sweep
 
     def as_array(self) -> np.ndarray:
         return self.values.reshape(self.grid.shape)
@@ -97,7 +99,7 @@ class IndexGrid:
     def normalized(self) -> "IndexGrid":
         peak = self.values.max()
         scale = 1.0 / peak if peak > 0.0 else 1.0
-        return IndexGrid(self.grid, self.values * scale, self.label)
+        return IndexGrid(self.grid, self.values * scale, self.label, self.sweep_info)
 
 
 def _check_inside(surface: MeasurementSurface, x, what: str) -> None:
@@ -161,22 +163,37 @@ class _KernelParts:
         """||Phi(., x_c) q|| in the weighted L2 product for every chunk point
         and every column q of qs (shape (d, L)); returns shape (C, L).
 
-        Data-free closed form: |Phi q|^2 = |a|^2 |q|^2
-        + (2 Re(conj(a) b) + |b|^2) (diff.q)^2 / r^2 for real q.
+        Data-free closed form: |Phi q|^2 = |a|^2 |q|^2 + rho (diff.q)^2 / r^2
+        for real q, rho = 2 Re(conj(a) b) + |b|^2.  Its weighted sum is
+        A |q|^2 + q^T S q with the second moments A = sum_m w_m |a|^2 and
+        S_ij = sum_m w_m rho diff_i diff_j / r^2, taken once per chunk
+        whatever the number of columns.
         """
         a, b = self.diag, self.outer
         abs_a2 = a.real**2 + a.imag**2
         radial = (2.0 * (a.real * b.real + a.imag * b.imag) + b.real**2 + b.imag**2) * self.inv_r2
-        out = np.empty((len(self.pts), qs.shape[1]))
-        for l, q in enumerate(qs.T):
-            along = (self.surface_points @ q)[np.newaxis, :] - (self.pts @ q)[:, np.newaxis]
-            out[:, l] = (abs_a2 * (q @ q) + radial * along * along) @ weights
+        out = np.outer(abs_a2 @ weights, np.sum(qs * qs, axis=0))
+        for i in range(self.dimension):
+            scaled = radial * self._diff_component(i)
+            for j in range(i, self.dimension):
+                s_ij = (scaled * self._diff_component(j)) @ weights
+                out += np.outer(s_ij, (1.0 if i == j else 2.0) * qs[i] * qs[j])
         return np.sqrt(out)
 
 
-def _chunk_ranges(n_points: int, per_chunk: int):
-    for start in range(0, n_points, per_chunk):
-        yield start, min(start + per_chunk, n_points)
+@dataclass(frozen=True)
+class SweepInfo:
+    """What one sweep evaluated: the order of its sign-flip group, the
+    orthant points at which the kernel was evaluated, the (surface point,
+    sampling point) pairs evaluated and the grid's pairs they served, its
+    chunks and its worker threads."""
+
+    group_order: int
+    orthant_points: int
+    kernel_pairs: int
+    grid_pairs: int
+    chunks: int
+    threads: int
 
 
 def _thread_count() -> int:
@@ -191,12 +208,61 @@ def _thread_count() -> int:
     return threads
 
 
-def _sweep(ctx, surface, grid, per_chunk_fn, n_outputs: int) -> list[np.ndarray]:
-    """Data-parallel map over sampling-point chunks; results land in
-    preallocated disjoint slots, so values do not depend on the thread count."""
-    pts = grid.points
+def _sorted_order(points: np.ndarray, tol: float) -> np.ndarray:
+    """Lexicographic order of points rounded to 1000 tol, far above their
+    rounding noise."""
+    return np.lexsort(np.rint(points / (1e3 * tol)).T)
+
+
+def _mirror_group(surface: MeasurementSurface, grid: SamplingGrid):
+    """The axis sign flips g under which the surface (points within
+    _MIRROR_RTOL of its extent, weights exactly) and the grid's ticks are both
+    mirror-symmetric.  Returns signs (G, d), one row per g with the identity
+    first, and permutations (G, M) with g x_m = x_perms[g, m].
+
+    A flip's permutation pairs the sorted points with the sorted reflected
+    points, and every pair is then checked: a tie that the rounding splits
+    can only drop the axis, never pair the wrong points.
+    """
+    points = surface.points
+    tol = _MIRROR_RTOL * np.abs(points).max()
+    signs, perms = [np.ones(grid.dimension)], [np.arange(surface.count)]
+    for axis, ticks in enumerate(grid.axes):
+        flip = np.where(np.arange(grid.dimension) == axis, -1.0, 1.0)
+        perm = np.empty(surface.count, dtype=np.intp)
+        perm[_sorted_order(flip * points, tol)] = _sorted_order(points, tol)
+        if (np.abs(ticks + ticks[::-1]).max() <= tol and np.abs(points[perm] - flip * points).max() <= tol
+                and np.array_equal(surface.weights[perm], surface.weights)):
+            signs += [s * flip for s in signs]
+            perms += [perm[p] for p in perms]
+    return np.array(signs), np.array(perms)
+
+
+def _sweep(ctx, surface, grid, ref, per_chunk_fn, n_outputs: int) -> tuple[np.ndarray, SweepInfo]:
+    """Kernel contraction over the grid, evaluating Phi once per mirror orbit.
+
+    For a sign flip g with g x_m = x_pi(m),
+        Phi(x_m, g x_c) = g Phi(x_pi(m), x_c) g,
+    so the kernel at an orthant point x_c also gives T at its images g x_c:
+    contracted against the reflected references R_g[m, i, k] =
+    g_i ref[pi(m), i, k] (pi is an involution), each stacked along the
+    columns of the one GEMM, and scaled by g_j.  per_chunk_fn(parts, T,
+    signs) maps T (C, d, d, G, K) to values (n_outputs, G, C).  A point on a
+    mirror plane is its own image under that flip and is written only by the
+    image that leaves it in place, so results land in disjoint slots and do
+    not depend on the thread count.  Returns the outputs and a SweepInfo.
+    """
+    signs, perms = _mirror_group(surface, grid)
+    n_images, d = signs.shape
+    reflected = np.concatenate([s[:, np.newaxis] * ref[p] for s, p in zip(signs, perms)], axis=2)
+    axes = grid.axes
+    dims = grid.shape
+    shape = np.array(dims)
+    start = np.where(signs.min(axis=0) < 0.0, shape // 2, 0)  # upper half on each flipped axis
+    orthant = tuple(shape - start)
+    n_orthant = int(np.prod(orthant))
     per_chunk = max(1, _CHUNK_TARGET // (surface.count * ctx.dimension))
-    outputs = [np.empty(grid.n_points) for _ in range(n_outputs)]
+    outputs = np.empty((n_outputs, grid.n_points))
     # freeing one mmapped block raises glibc's mmap threshold to its size (and
     # its heap trim threshold to twice that), so each chunk's 0.5-0.8 MB arrays
     # stay on the heap instead of being unmapped and faulted in again per chunk
@@ -204,19 +270,30 @@ def _sweep(ctx, surface, grid, per_chunk_fn, n_outputs: int) -> list[np.ndarray]
 
     def work(bounds):
         lo, hi = bounds
-        parts = _KernelParts(ctx, surface, pts[lo:hi])
-        for out, vals in zip(outputs, per_chunk_fn(parts)):
-            out[lo:hi] = vals
+        ticks = [k + s for k, s in zip(np.unravel_index(np.arange(lo, hi), orthant), start)]
+        parts = _KernelParts(ctx, surface, np.column_stack([ax[k] for ax, k in zip(axes, ticks)]))
+        T = parts.contract(reflected).reshape(hi - lo, d, d, n_images, -1)
+        T *= signs.T[:, :, np.newaxis]
+        values = per_chunk_fn(parts, T, signs)
+        for g, s in enumerate(signs):
+            image = list(ticks)
+            keep = np.ones(hi - lo, dtype=bool)
+            for a in np.flatnonzero(s < 0.0):
+                image[a] = shape[a] - 1 - ticks[a]
+                keep &= image[a] != ticks[a]
+            outputs[:, np.ravel_multi_index(image, dims)[keep]] = values[:, g, keep]
 
     threads = _thread_count()
-    ranges = list(_chunk_ranges(grid.n_points, per_chunk))
+    ranges = [(lo, min(lo + per_chunk, n_orthant)) for lo in range(0, n_orthant, per_chunk)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(work, ranges))
     else:
         for bounds in ranges:
             work(bounds)
-    return outputs
+    info = SweepInfo(n_images, n_orthant, n_orthant * surface.count, grid.n_points * surface.count,
+                     len(ranges), threads)
+    return outputs, info
 
 
 def probe_field(ctx: WaveContext, surface: MeasurementSurface, x_p, q) -> FieldSamples:
@@ -253,16 +330,19 @@ def compute_index_grid(ctx: WaveContext, datasets, grid: SamplingGrid) -> list[I
     ref = np.stack([data.values for data, _ in datasets], axis=-1)
     ref = (surface.weights[:, np.newaxis, np.newaxis] * ref).conj()
 
-    def per_chunk(parts: _KernelParts):
-        num = np.abs(np.einsum("cijl,jl->cl", parts.contract(ref), qs))
-        return (num / (data_norms * parts.probe_norms(qs, surface.weights))).T
+    def per_chunk(parts: _KernelParts, T: np.ndarray, signs: np.ndarray):
+        # the probe norm at g x_c for q is the norm at x_c for g q
+        flipped_qs = (signs[:, :, np.newaxis] * qs).transpose(1, 0, 2).reshape(len(qs), -1)
+        norms = parts.probe_norms(flipped_qs, surface.weights).reshape(-1, len(signs), len(datasets))
+        num = np.abs(np.einsum("cijgl,jl->cgl", T, qs))
+        return (num / (data_norms * norms)).transpose(2, 1, 0)
 
-    per_pol = _sweep(ctx, surface, grid, per_chunk, len(datasets))
+    per_pol, info = _sweep(ctx, surface, grid, ref, per_chunk, len(datasets))
     grids = [
-        IndexGrid(grid, vals, f"single_polarization:{i}")
+        IndexGrid(grid, vals, f"single_polarization:{i}", info)
         for i, vals in enumerate(per_pol)
     ]
-    return grids + [IndexGrid(grid, np.mean(per_pol, axis=0), "combined")]
+    return grids + [IndexGrid(grid, np.mean(per_pol, axis=0), "combined", info)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,12 +411,12 @@ def cross_product_maps(ctx: WaveContext, surface: MeasurementSurface, x_q,
     ref = (surface.weights[:, np.newaxis, np.newaxis]
            * green_tensor_from_diff(ctx, surface.points - x_q)).conj()
 
-    def per_chunk(parts: _KernelParts):
-        return np.abs(np.einsum("cijl,sijl->sc", parts.contract(ref), coeffs))
+    def per_chunk(parts: _KernelParts, T: np.ndarray, signs: np.ndarray):
+        return np.abs(np.einsum("cijgl,sijl->sgc", T, coeffs))
 
-    value_arrays = _sweep(ctx, surface, grid, per_chunk, len(selectors))
+    value_arrays, info = _sweep(ctx, surface, grid, ref, per_chunk, len(selectors))
     return [
-        IndexGrid(grid, values, f"cross:{selector.label}").normalized()
+        IndexGrid(grid, values, f"cross:{selector.label}", info).normalized()
         for values, selector in zip(value_arrays, selectors)
     ]
 
@@ -388,31 +468,6 @@ class LemmaCheck:
     rel_err: float
 
 
-def _curl_of_probe(ctx: WaveContext, source: np.ndarray, v: np.ndarray,
-                   points: np.ndarray, step: float) -> np.ndarray:
-    """Curl of F(x) = Phi(x, source) v at the given points, by 4th-order
-    central differences of the closed-form kernel."""
-    d = ctx.dimension
-    offsets = np.array([2.0, 1.0, -1.0, -2.0]) * step
-    coeff = np.array([-1.0, 8.0, -8.0, 1.0]) / (12.0 * step)
-    # partial_a F_i for every axis a: (M, d_axis, d_comp)
-    eval_pts = (
-        points[:, np.newaxis, np.newaxis, :]
-        + offsets[np.newaxis, np.newaxis, :, np.newaxis]
-        * np.eye(d)[np.newaxis, :, np.newaxis, :]
-    )  # (M, a, 4, d)
-    phi = green_tensor_from_diff(ctx, eval_pts - source)
-    f_vals = phi @ v  # (M, a, 4, d_comp)
-    grad = np.einsum("s,masc->mac", coeff, f_vals)
-    if d == 2:
-        return grad[:, 0, 1] - grad[:, 1, 0]  # scalar curl (M,)
-    curl = np.empty((points.shape[0], 3), dtype=np.complex128)
-    curl[:, 0] = grad[:, 1, 2] - grad[:, 2, 1]
-    curl[:, 1] = grad[:, 2, 0] - grad[:, 0, 2]
-    curl[:, 2] = grad[:, 0, 1] - grad[:, 1, 0]
-    return curl
-
-
 def _curl_cross_n(curl, normals, dimension: int) -> np.ndarray:
     if dimension == 2:
         # out-of-plane scalar curl crossed with an in-plane normal
@@ -421,7 +476,7 @@ def _curl_cross_n(curl, normals, dimension: int) -> np.ndarray:
 
 
 def verify_boundary_lemma(ctx: WaveContext, surface: MeasurementSurface,
-                          x_p, x_q, p, q, fd_step: float | None = None) -> LemmaCheck:
+                          x_p, x_q, p, q) -> LemmaCheck:
     """Surface form of the reciprocity identity for two interior points:
 
         int_Gamma (curl conj(Phi(., x_q) q) x n, Phi(., x_p) p)
@@ -431,8 +486,8 @@ def verify_boundary_lemma(ctx: WaveContext, surface: MeasurementSurface,
     with the bilinear (unconjugated) vector pairing.  The k^2 on the right
     comes from curl curl Phi - k^2 Phi = k^2 delta I, which is the
     normalization that Phi = k^2 G I + Hess G actually satisfies.  The curls
-    are taken by 4th-order central differences, so the reported error is
-    quadrature plus differencing noise; the identity itself is exact.
+    are in closed form (curl_green_tensor_from_diff), so the reported error
+    is the quadrature's alone; the identity itself is exact.
     """
     x_p = np.asarray(x_p, dtype=np.float64)
     x_q = np.asarray(x_q, dtype=np.float64)
@@ -444,11 +499,9 @@ def verify_boundary_lemma(ctx: WaveContext, surface: MeasurementSurface,
     for point, name in ((x_p, "x_p"), (x_q, "x_q")):
         if not surface.contains_strictly(point, margin=margin):
             raise GeometryError(f"{name} must be inside the surface, at least one wavelength away")
-    if fd_step is None:
-        fd_step = 1e-4 * ctx.wavelength
 
-    curl_p = _curl_of_probe(ctx, x_p, p, surface.points, fd_step)
-    curl_q = _curl_of_probe(ctx, x_q, q.astype(np.complex128), surface.points, fd_step)
+    curl_p = curl_green_tensor_from_diff(ctx, surface.points - x_p, p)
+    curl_q = curl_green_tensor_from_diff(ctx, surface.points - x_q, q)
     phi_p = green_tensor_from_diff(ctx, surface.points - x_p) @ p
     phi_q = green_tensor_from_diff(ctx, surface.points - x_q) @ q
     term1 = np.sum(_curl_cross_n(curl_q.conj(), surface.normals, ctx.dimension) * phi_p, axis=1)

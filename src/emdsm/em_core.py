@@ -258,6 +258,28 @@ def green_tensor_from_diff(ctx: WaveContext, diff) -> np.ndarray:
     return out.reshape(batch_shape + (d, d))
 
 
+def curl_green_tensor_from_diff(ctx: WaveContext, diff, v) -> np.ndarray:
+    """curl_x (Phi(x, y) v) for separations diff = x - y, shape (..., d).
+
+    The Hessian term is a gradient, so only k^2 G v contributes:
+    curl = k^2 G'(r) rhat x v, with G' = -(ik/4) H_1(kr) in 2D and
+    G (ik - 1/r) in 3D.  Returns the scalar (out-of-plane) curl, shape (...),
+    in 2D and shape (..., 3) in 3D.
+    """
+    diff = np.asarray(diff, dtype=np.float64)
+    if diff.shape[-1] != ctx.dimension:
+        raise DimensionMismatchError("separation vector length does not match context")
+    r = np.linalg.norm(diff, axis=-1)
+    if np.any(r == 0.0):
+        raise SingularityError("the curl kernel is singular at coincident points")
+    k = ctx.wavenumber
+    if ctx.dimension == 2:
+        d_green = -0.25j * k * hankel1_012(k * r)[1]
+        return (k * k * d_green / r) * (diff[..., 0] * v[1] - diff[..., 1] * v[0])
+    d_green = np.exp(1j * k * r) / (4.0 * np.pi * r) * (1j * k - 1.0 / r)
+    return (k * k * d_green / r)[..., np.newaxis] * np.cross(diff, v)
+
+
 def green_tensor(ctx: WaveContext, x, y) -> np.ndarray:
     """Phi(x, y) = k^2 G I + Hess G in closed form; symmetric d x d matrix."""
     xp = _as_point(ctx, x)

@@ -1,5 +1,6 @@
 """Sampling grids, index properties, cross-correlation maps, and identity checks."""
 
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -275,6 +276,86 @@ class TestIndexGridSweep:
         grid = dsm.sampling_grid([(-1, 1), (-1, 1)], 0.1)
         with pytest.raises(GeometryError, match="surface="):
             dsm.compute_index_grid(CTX2, [(data, P1)], grid)
+
+
+def random_datasets(rng, surface, qs):
+    return [(ms.FieldSamples(surface, rng.standard_normal((surface.count, len(q)))
+                             + 1j * rng.standard_normal((surface.count, len(q)))), q) for q in qs]
+
+
+class TestMirrorOrbits:
+    """The sweep evaluates the kernel at orthant points only and serves their
+    sign-flip images from it; these cases cover full, partial and trivial
+    groups, mirror planes, and thread counts."""
+
+    @pytest.mark.parametrize("ctx,surface,box,spacing,order,orthant", [
+        # odd tick counts: both mirror lines are sampled; 5 x 5 of 9 x 9
+        (CTX2, SURF, [(-1.0, 1.0), (-1.0, 1.0)], 0.25, 4, 25),
+        # asymmetric x ticks (-1 .. 1.1), symmetric y ticks: the y flip only
+        (CTX2, SURF, [(-1.0, 1.1), (-1.0, 1.0)], 0.1, 2, 22 * 11),
+        # an odd-count circle has a point at angle 0 but none at pi: no x flip
+        (CTX2, ms.circle_surface(5.0, 31), [(-1.0, 1.0), (-1.0, 1.0)], 0.25, 2, 9 * 5),
+        (CTX3, ms.cube_surface(10.0, 4), [(-1.0, 1.0)] * 3, 0.5, 8, 27),
+    ])
+    def test_sweep_matches_definition(self, ctx, surface, box, spacing, order, orthant):
+        d = ctx.dimension
+        datasets = random_datasets(np.random.default_rng(9), surface, [np.eye(d)[0], np.ones(d) / np.sqrt(d)])
+        grid = dsm.sampling_grid(box, spacing)
+        grids = dsm.compute_index_grid(ctx, datasets, grid)
+        assert grids[0].sweep_info == dsm.SweepInfo(
+            group_order=order, orthant_points=orthant, kernel_pairs=orthant * surface.count,
+            grid_pairs=grid.n_points * surface.count, chunks=1, threads=1)
+        for (data, q), index in zip(datasets, grids):
+            expected = [psi_oracle(ctx, data, x_p, q) for x_p in grid.points]
+            np.testing.assert_allclose(index.values, expected, rtol=0, atol=1e-12)
+
+    def test_cross_maps_equal_on_symmetric_and_asymmetric_boxes(self):
+        x_q = np.array([-0.25, 0.1])
+        selectors = [dsm.component(0, 0), dsm.component(0, 1), dsm.diagonal_sum(),
+                     dsm.polarization(P1, "polarization_1"), dsm.polarization_sum([P1, P2])]
+        symmetric = dsm.sampling_grid([(-1.0, 1.0), (-1.0, 1.0)], 0.1)
+        # extends the symmetric box by ticks on one side of each axis: no flips
+        asymmetric = dsm.sampling_grid([(-1.0, 1.3), (-1.2, 1.0)], 0.1)
+        common = np.all(np.abs(asymmetric.points) <= 1.0 + 1e-9, axis=1)
+        assert common.sum() == symmetric.n_points
+        sym_maps = dsm.cross_product_maps(CTX2, SURF, x_q, symmetric, selectors)
+        asym_maps = dsm.cross_product_maps(CTX2, SURF, x_q, asymmetric, selectors)
+        assert (sym_maps[0].sweep_info.group_order, asym_maps[0].sweep_info.group_order) == (4, 1)
+        for sym, asym in zip(sym_maps, asym_maps):
+            values = asym.values[common]
+            np.testing.assert_allclose(sym.values, values / values.max(), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("threads", [2, 5])
+    def test_threads_bit_identical_with_mirror_planes(self, example1_data, monkeypatch, threads):
+        # 21 x 21 orthant points in chunks of 37: chunks straddle the mirror
+        # lines; 5 workers outnumber the cores, and a short switch interval
+        # interleaves their writes
+        grid = dsm.sampling_grid([(-1, 1), (-1, 1)], 0.05)
+        monkeypatch.setattr(dsm, "_CHUNK_TARGET", 37 * 60)
+        serial = dsm.compute_index_grid(CTX2, example1_data, grid)
+        monkeypatch.setenv("EMDSM_THREADS", str(threads))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = dsm.compute_index_grid(CTX2, example1_data, grid)
+        finally:
+            sys.setswitchinterval(interval)
+        info = threaded[0].sweep_info
+        assert (info.group_order, info.orthant_points, info.chunks, info.threads) == (4, 441, 12, threads)
+        assert serial[0].sweep_info.threads == 1
+        for a, b in zip(serial, threaded):
+            np.testing.assert_array_equal(a.values, b.values)
+
+    def test_unequal_mirror_weights_drop_the_flip(self):
+        weights = SURF.weights.copy()
+        weights[1] *= 1.5  # the point at angle 12 degrees loses both mirror partners
+        surface = replace(SURF, weights=weights)
+        datasets = random_datasets(np.random.default_rng(10), surface, [P1])
+        grid = dsm.sampling_grid([(-1.0, 1.0), (-1.0, 1.0)], 0.5)
+        [index, _] = dsm.compute_index_grid(CTX2, datasets, grid)
+        assert index.sweep_info.group_order == 1
+        expected = [psi_oracle(CTX2, datasets[0][0], x_p, P1) for x_p in grid.points]
+        np.testing.assert_allclose(index.values, expected, rtol=0, atol=1e-12)
 
 
 class TestCrossMaps:

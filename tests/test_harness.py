@@ -197,6 +197,15 @@ class TestRunExperiment:
             assert len(info["residual_history"]) == info["iterations"] > 0
             assert info["residual_history"][-1] <= config.solver.tol
 
+    def test_sweep_info_in_report(self, small_run):
+        _, _, outdir = small_run
+        parsed = json.loads((outdir / "report.json").read_text())
+        # a 21 x 21 grid and a 30-point circle: both flips, 11 x 11 orthant points
+        expected = {"group_order": 4, "orthant_points": 121, "kernel_pairs": 121 * 30,
+                    "grid_pairs": 441 * 30, "chunks": 1, "threads": 1}
+        for entry in parsed["indices"]:
+            assert entry["sweep_info"] == expected
+
     def test_outputs_written(self, small_run):
         _, report, outdir = small_run
         names = {p.split("/")[-1] for p in report.output_files}
@@ -264,6 +273,24 @@ class TestDiagnosticRun:
         assert all("off_peak_ratio" in e for e in report.indices)
         assert set(report.stage_resources) == {"sweep", "export"}
         assert (tmp_path / "map_polarization_sum.pgm").exists()
+
+
+    def test_fig1_sweep_info(self, tmp_path):
+        config = harness.preset("fig1", out=str(tmp_path))
+        config = harness.config_from_dict(
+            {**config.to_dict(), "sampling": {"box": [[-1, 1], [-1, 1]], "spacing": 0.25}},
+            name="fig1",
+        )
+        report = harness.run_experiment(config)
+        parsed = json.loads((tmp_path / "report.json").read_text())
+        assert len(parsed["indices"]) == 4
+        for entry in parsed["indices"]:
+            info = entry["sweep_info"]
+            assert set(info) == {"group_order", "orthant_points", "kernel_pairs", "grid_pairs",
+                                 "chunks", "threads"}
+            assert info["group_order"] == 4 and info["orthant_points"] == 25
+            assert info["kernel_pairs"] * 4 > info["grid_pairs"] == 81 * 512
+        assert report.indices == parsed["indices"]
 
 
 class TestVerify:
