@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Run every scattering preset (exact and 20% noise) and summarize the maxima."""
+"""Run every scattering preset (exact and 20% noise) and the kernel
+diagnostics fig1 and fig2 (exact data only), and summarize the maxima."""
 
 import argparse
 import time
@@ -9,6 +10,7 @@ import numpy as np
 from emdsm import harness
 
 EXAMPLES = ("example1", "example2a", "example2b", "example3", "example4", "example3d")
+DIAGNOSTICS = ("fig1", "fig2")  # no scattering data, so no noisy variant
 
 
 def main():
@@ -20,11 +22,14 @@ def main():
     parser.add_argument("--names", nargs="*", default=None, help="subset of presets to run")
     args = parser.parse_args()
 
-    names = args.names or EXAMPLES
+    names = args.names or EXAMPLES + DIAGNOSTICS
     for name in names:
         if args.skip_3d and name == "example3d":
             continue
-        for tag, eps in (("exact", None), (f"eps{args.noise:g}", args.noise)):
+        variants = [("exact", None)]
+        if name not in DIAGNOSTICS:
+            variants.append((f"eps{args.noise:g}", args.noise))
+        for tag, eps in variants:
             config = harness.preset(
                 name, noise=eps, seed=args.seed if eps else None,
                 out=f"{args.out}/{name}_{tag}",

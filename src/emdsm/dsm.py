@@ -14,7 +14,7 @@ import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -29,7 +29,7 @@ from .measurement import FieldSamples, MeasurementSurface, circle_surface, l2_in
 _CHUNK_TARGET = 100_000
 _CSV_BLOCK_ROWS = 1_024  # index rows per write, in whole lines; larger blocks add memory, not speed
 _TIE_RTOL = 1e-12  # index values this close, relative to the peak, are tied
-_MIRROR_RTOL = 1e-12  # mirror matches of surface points and grid ticks, relative to the surface's extent
+_MIRROR_RTOL = 1e-12  # symmetry matches of surface points and grid ticks, relative to the surface's extent
 
 
 @dataclass(frozen=True)
@@ -55,12 +55,15 @@ class SamplingGrid:
     def dimension(self) -> int:
         return len(self.box)
 
-    @property
+    @cached_property
     def axes(self) -> tuple[np.ndarray, ...]:
+        """Each axis's ticks, built once per grid and read-only."""
         out = []
         for lo, hi in self.box:
             n = int(np.floor((hi - lo) / self.spacing + 1e-9)) + 1
-            out.append(lo + self.spacing * np.arange(n))
+            ticks = lo + self.spacing * np.arange(n)
+            ticks.flags.writeable = False
+            out.append(ticks)
         return tuple(out)
 
     @property
@@ -94,7 +97,8 @@ class IndexGrid:
         return self.values.reshape(self.grid.shape)
 
     def argmax_location(self) -> np.ndarray:
-        return self.grid.points[int(np.argmax(self.values))]
+        ticks = np.unravel_index(int(np.argmax(self.values)), self.grid.shape)
+        return np.array([axis[k] for axis, k in zip(self.grid.axes, ticks)])
 
     def normalized(self) -> "IndexGrid":
         peak = self.values.max()
@@ -140,11 +144,10 @@ class _KernelParts:
         (M, d, K); returns shape (C, d, d, K).
 
         Phi is symmetric, so each component i <= j is built once and meets the
-        reference columns of both i and j in one GEMM.
+        reference columns of i and of j, each in place (no copy of ref).
         """
         d = self.dimension
-        n_ref = ref.shape[2]
-        out = np.empty((len(self.pts), d, d, n_ref), dtype=np.complex128)
+        out = np.empty((len(self.pts), d, d, ref.shape[2]), dtype=np.complex128)
         outer_r2 = self.outer * self.inv_r2
         for i in range(d):
             scaled = outer_r2 * self._diff_component(i)
@@ -152,11 +155,9 @@ class _KernelParts:
                 phi_ij = scaled * self._diff_component(j)
                 if i == j:
                     phi_ij += self.diag
-                    out[:, i, i] = phi_ij @ ref[:, i]
-                else:
-                    both = phi_ij @ np.concatenate([ref[:, i], ref[:, j]], axis=1)
-                    out[:, i, j] = both[:, :n_ref]
-                    out[:, j, i] = both[:, n_ref:]
+                out[:, i, j] = phi_ij @ ref[:, i]
+                if i != j:
+                    out[:, j, i] = phi_ij @ ref[:, j]
         return out
 
     def probe_norms(self, qs: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -183,13 +184,13 @@ class _KernelParts:
 
 @dataclass(frozen=True)
 class SweepInfo:
-    """What one sweep evaluated: the order of its sign-flip group, the
-    orthant points at which the kernel was evaluated, the (surface point,
+    """What one sweep evaluated: the order of its symmetry group, the orbit
+    representatives at which the kernel was evaluated, the (surface point,
     sampling point) pairs evaluated and the grid's pairs they served, its
     chunks and its worker threads."""
 
     group_order: int
-    orthant_points: int
+    orbits: int
     kernel_pairs: int
     grid_pairs: int
     chunks: int
@@ -214,84 +215,167 @@ def _sorted_order(points: np.ndarray, tol: float) -> np.ndarray:
     return np.lexsort(np.rint(points / (1e3 * tol)).T)
 
 
-def _mirror_group(surface: MeasurementSurface, grid: SamplingGrid):
-    """The axis sign flips g under which the surface (points within
-    _MIRROR_RTOL of its extent, weights exactly) and the grid's ticks are both
-    mirror-symmetric.  Returns signs (G, d), one row per g with the identity
-    first, and permutations (G, M) with g x_m = x_perms[g, m].
+def _matrices(axis_perms: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """The orthogonal matrices (G, d, d) of signed permutations,
+    sigma[i, p(i)] = s_i."""
+    n_images, d = signs.shape
+    mats = np.zeros((n_images, d, d))
+    mats[np.arange(n_images)[:, np.newaxis], np.arange(d), axis_perms] = signs
+    return mats
 
-    A flip's permutation pairs the sorted points with the sorted reflected
-    points, and every pair is then checked: a tie that the rounding splits
-    can only drop the axis, never pair the wrong points.
+
+def _symmetry_group(surface: MeasurementSurface, grid: SamplingGrid):
+    """The signed permutations sigma, (sigma v)_i = s_i v_p(i), under which
+    both the surface (sigma x_m = x_pi(m) within _MIRROR_RTOL of its extent,
+    weights exactly) and the grid (axis p(i)'s ticks are s_i times axis i's)
+    are invariant.  Returns the axis permutations p (G, d), the signs s
+    (G, d) and the point permutations pi (G, M), the identity first.
+
+    Each of the 2^d d! candidates pairs the sorted points with the sorted
+    mapped points, and every pair is then checked: a tie that the rounding
+    splits can only drop the candidate, never pair the wrong points.  A
+    candidate whose product with another found one was dropped is dropped as
+    well, so the result is a group.
     """
     points = surface.points
     tol = _MIRROR_RTOL * np.abs(points).max()
-    signs, perms = [np.ones(grid.dimension)], [np.arange(surface.count)]
-    for axis, ticks in enumerate(grid.axes):
-        flip = np.where(np.arange(grid.dimension) == axis, -1.0, 1.0)
-        perm = np.empty(surface.count, dtype=np.intp)
-        perm[_sorted_order(flip * points, tol)] = _sorted_order(points, tol)
-        if (np.abs(ticks + ticks[::-1]).max() <= tol and np.abs(points[perm] - flip * points).max() <= tol
-                and np.array_equal(surface.weights[perm], surface.weights)):
-            signs += [s * flip for s in signs]
-            perms += [perm[p] for p in perms]
-    return np.array(signs), np.array(perms)
+    axes = grid.axes
+    d = grid.dimension
+
+    def ticks_match(i: int, j: int, sign: float) -> bool:
+        """Whether axis j's ticks are sign times axis i's."""
+        mapped = axes[i] if sign > 0.0 else -axes[i][::-1]
+        return len(axes[j]) == len(mapped) and np.abs(axes[j] - mapped).max() <= tol
+
+    order = _sorted_order(points, tol)
+    found = []
+    for p in itertools.permutations(range(d)):
+        for s in itertools.product((1.0, -1.0), repeat=d):
+            if not all(ticks_match(i, j, si) for i, (j, si) in enumerate(zip(p, s))):
+                continue
+            mapped = np.array(s) * points[:, p]
+            perm = np.empty(surface.count, dtype=np.intp)
+            perm[_sorted_order(mapped, tol)] = order
+            if np.abs(points[perm] - mapped).max() <= tol and np.array_equal(surface.weights[perm], surface.weights):
+                found.append((p, s, perm))
+    # a signed permutation matrix's entries plus one, read as ternary digits,
+    # key it; keep the members whose products with every member are members
+    digits = 3 ** np.arange(d * d)
+    while True:
+        mats = _matrices(np.array([p for p, _, _ in found]), np.array([s for _, s, _ in found]))
+        keys = (mats.reshape(len(found), -1) + 1) @ digits
+        products = (np.einsum("aij,bjk->abik", mats, mats).reshape(len(found), len(found), -1) + 1) @ digits
+        closed = np.isin(products, keys).all(axis=1)
+        if closed.all():
+            break
+        found = [member for member, keep in zip(found, closed) if keep]
+    axis_perms, signs, point_perms = (np.array(column) for column in zip(*found))
+    return axis_perms, signs, point_perms
+
+
+def _image_indices(axis_perms, signs, ticks: np.ndarray, dims) -> np.ndarray:
+    """Raveled grid indices (G, C) of the images sigma x of the grid points
+    with tick indices ticks (d, C): axis i takes tick k_p(i), mirrored to
+    n_i - 1 - k_p(i) where s_i < 0."""
+    moved = ticks[axis_perms]
+    mirrored = np.where(signs[:, :, np.newaxis] < 0.0, np.array(dims)[:, np.newaxis] - 1 - moved, moved)
+    return np.ravel_multi_index(tuple(mirrored.transpose(1, 0, 2)), dims)
+
+
+def _orbit_representatives(axis_perms, signs, dims) -> np.ndarray:
+    """Raveled indices (R,) of the grid points whose raveled index is the
+    smallest in their orbit, ascending.
+
+    They are picked from the sign-flip orthant (the lower half, centre tick
+    included, of each axis whose flip alone is in the group), which holds
+    every orbit's smallest index, so no (N, G) array is built.
+    """
+    d = signs.shape[1]
+    flips_only = np.all(axis_perms == np.arange(d), axis=1)
+    halved = np.any(signs[flips_only & (np.sum(signs < 0.0, axis=1) == 1)] < 0.0, axis=0)
+    shape = np.array(dims)
+    orthant = tuple(np.where(halved, (shape + 1) // 2, shape))
+    ticks = np.array(np.unravel_index(np.arange(np.prod(orthant)), orthant))
+    index = np.ravel_multi_index(tuple(ticks), dims)
+    smallest = np.ones(index.shape, dtype=bool)
+    # flips of halved axes only never lower an orthant point's index
+    for g in np.flatnonzero(~flips_only | np.any((signs < 0.0) & ~halved, axis=1)):
+        smallest &= _image_indices(axis_perms[g:g + 1], signs[g:g + 1], ticks, dims)[0] >= index
+    return index[smallest]
+
+
+def _orbit_slots(axis_perms, signs, ticks: np.ndarray, dims) -> tuple[np.ndarray, np.ndarray]:
+    """The image indices (G, C) of the representatives with tick indices
+    ticks, and the mask of the slots each writes: a representative with a
+    nontrivial stabilizer reaches some slots through several group elements,
+    and only the first of them in group order writes there."""
+    images = _image_indices(axis_perms, signs, ticks, dims)
+    order = np.argsort(images, axis=0, kind="stable")
+    ranked = np.take_along_axis(images, order, axis=0)
+    first = np.ones(images.shape, dtype=bool)
+    np.put_along_axis(first, order[1:], ranked[1:] != ranked[:-1], axis=0)
+    return images, first
 
 
 def _sweep(ctx, surface, grid, ref, per_chunk_fn, n_outputs: int) -> tuple[np.ndarray, SweepInfo]:
-    """Kernel contraction over the grid, evaluating Phi once per mirror orbit.
+    """Kernel contraction over the grid, evaluating Phi once per orbit of the
+    symmetry group of the surface and the grid (_symmetry_group).
 
-    For a sign flip g with g x_m = x_pi(m),
-        Phi(x_m, g x_c) = g Phi(x_pi(m), x_c) g,
-    so the kernel at an orthant point x_c also gives T at its images g x_c:
-    contracted against the reflected references R_g[m, i, k] =
-    g_i ref[pi(m), i, k] (pi is an involution), each stacked along the
-    columns of the one GEMM, and scaled by g_j.  per_chunk_fn(parts, T,
-    signs) maps T (C, d, d, G, K) to values (n_outputs, G, C).  A point on a
-    mirror plane is its own image under that flip and is written only by the
-    image that leaves it in place, so results land in disjoint slots and do
-    not depend on the thread count.  Returns the outputs and a SweepInfo.
+    For a signed permutation sigma with sigma x_m = x_pi(m),
+        Phi(x_m, sigma x_c) = sigma Phi(x_pi^-1(m), x_c) sigma^T,
+    so the kernel at a representative x_c also serves its images sigma x_c.
+    Each chunk contracts once against the references R_sigma[m, a, k] =
+    sum_i sigma_ia ref[pi(m), i, k], stacked once per sweep along the columns
+    of the one GEMM; an image's U_sigma maps back to its T as
+        T_sigma[:, i, j] = s_j U_sigma[:, p(i), p(j)].
+    per_chunk_fn(parts, T, mats) maps T (C, d, d, G, K) and the group's
+    matrices (G, d, d) to values (n_outputs, G, C).  Each grid slot is
+    written once, by the first group element that reaches it from its
+    orbit's representative, so results do not depend on the thread count.
+    Returns the outputs and a SweepInfo.
     """
-    signs, perms = _mirror_group(surface, grid)
+    axis_perms, signs, point_perms = _symmetry_group(surface, grid)
+    mats = _matrices(axis_perms, signs)
     n_images, d = signs.shape
-    reflected = np.concatenate([s[:, np.newaxis] * ref[p] for s, p in zip(signs, perms)], axis=2)
+    stacked = np.empty((surface.count, d, n_images, ref.shape[2]), dtype=np.complex128)
+    for g, (mat, perm) in enumerate(zip(mats, point_perms)):
+        stacked[:, :, g] = np.einsum("ia,mik->mak", mat, ref[perm])
+    stacked = stacked.reshape(surface.count, d, -1)
     axes = grid.axes
     dims = grid.shape
-    shape = np.array(dims)
-    start = np.where(signs.min(axis=0) < 0.0, shape // 2, 0)  # upper half on each flipped axis
-    orthant = tuple(shape - start)
-    n_orthant = int(np.prod(orthant))
+    reps = _orbit_representatives(axis_perms, signs, dims)
+    n_reps = len(reps)
     per_chunk = max(1, _CHUNK_TARGET // (surface.count * ctx.dimension))
     outputs = np.empty((n_outputs, grid.n_points))
     # freeing one mmapped block raises glibc's mmap threshold to its size (and
     # its heap trim threshold to twice that), so each chunk's 0.5-0.8 MB arrays
     # stay on the heap instead of being unmapped and faulted in again per chunk
     np.empty(8 * per_chunk * surface.count, dtype=np.complex128)
+    swapped = np.flatnonzero(np.any(axis_perms != np.arange(d), axis=1))  # images that move axes
+    rows, cols = axis_perms[swapped, :, np.newaxis], axis_perms[swapped, np.newaxis, :]
 
     def work(bounds):
         lo, hi = bounds
-        ticks = [k + s for k, s in zip(np.unravel_index(np.arange(lo, hi), orthant), start)]
+        ticks = np.array(np.unravel_index(reps[lo:hi], dims))
         parts = _KernelParts(ctx, surface, np.column_stack([ax[k] for ax, k in zip(axes, ticks)]))
-        T = parts.contract(reflected).reshape(hi - lo, d, d, n_images, -1)
+        # U_sigma becomes T_sigma in place: the images that move axes permute
+        # their components, then every image takes its signs s_j
+        T = parts.contract(stacked).reshape(hi - lo, d, d, n_images, -1)
+        T[:, :, :, swapped] = T[:, rows, cols, swapped[:, np.newaxis, np.newaxis]].transpose(0, 2, 3, 1, 4)
         T *= signs.T[:, :, np.newaxis]
-        values = per_chunk_fn(parts, T, signs)
-        for g, s in enumerate(signs):
-            image = list(ticks)
-            keep = np.ones(hi - lo, dtype=bool)
-            for a in np.flatnonzero(s < 0.0):
-                image[a] = shape[a] - 1 - ticks[a]
-                keep &= image[a] != ticks[a]
-            outputs[:, np.ravel_multi_index(image, dims)[keep]] = values[:, g, keep]
+        values = per_chunk_fn(parts, T, mats)
+        images, first = _orbit_slots(axis_perms, signs, ticks, dims)
+        outputs[:, images[first]] = values[:, first]
 
     threads = _thread_count()
-    ranges = [(lo, min(lo + per_chunk, n_orthant)) for lo in range(0, n_orthant, per_chunk)]
+    ranges = [(lo, min(lo + per_chunk, n_reps)) for lo in range(0, n_reps, per_chunk)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(work, ranges))
     else:
         for bounds in ranges:
             work(bounds)
-    info = SweepInfo(n_images, n_orthant, n_orthant * surface.count, grid.n_points * surface.count,
+    info = SweepInfo(n_images, n_reps, n_reps * surface.count, grid.n_points * surface.count,
                      len(ranges), threads)
     return outputs, info
 
@@ -330,10 +414,10 @@ def compute_index_grid(ctx: WaveContext, datasets, grid: SamplingGrid) -> list[I
     ref = np.stack([data.values for data, _ in datasets], axis=-1)
     ref = (surface.weights[:, np.newaxis, np.newaxis] * ref).conj()
 
-    def per_chunk(parts: _KernelParts, T: np.ndarray, signs: np.ndarray):
-        # the probe norm at g x_c for q is the norm at x_c for g q
-        flipped_qs = (signs[:, :, np.newaxis] * qs).transpose(1, 0, 2).reshape(len(qs), -1)
-        norms = parts.probe_norms(flipped_qs, surface.weights).reshape(-1, len(signs), len(datasets))
+    def per_chunk(parts: _KernelParts, T: np.ndarray, mats: np.ndarray):
+        # the probe norm at sigma x_c for q is the norm at x_c for sigma^T q
+        moved_qs = np.einsum("gij,il->jgl", mats, qs).reshape(len(qs), -1)
+        norms = parts.probe_norms(moved_qs, surface.weights).reshape(-1, len(mats), len(datasets))
         num = np.abs(np.einsum("cijgl,jl->cgl", T, qs))
         return (num / (data_norms * norms)).transpose(2, 1, 0)
 
@@ -411,7 +495,7 @@ def cross_product_maps(ctx: WaveContext, surface: MeasurementSurface, x_q,
     ref = (surface.weights[:, np.newaxis, np.newaxis]
            * green_tensor_from_diff(ctx, surface.points - x_q)).conj()
 
-    def per_chunk(parts: _KernelParts, T: np.ndarray, signs: np.ndarray):
+    def per_chunk(parts: _KernelParts, T: np.ndarray, mats: np.ndarray):
         return np.abs(np.einsum("cijgl,sijl->sgc", T, coeffs))
 
     value_arrays, info = _sweep(ctx, surface, grid, ref, per_chunk, len(selectors))

@@ -50,6 +50,23 @@ class TestSamplingGrid:
         with pytest.raises(DomainError):
             dsm.sampling_grid([(-2, 2)], 0.0)
 
+    def test_axes_built_once_and_read_only(self):
+        grid = dsm.sampling_grid([(-1, 1), (-1, 1)], 0.5)
+        assert grid.axes is grid.axes
+        with pytest.raises(ValueError):
+            grid.axes[0][0] = 0.0
+
+    @pytest.mark.parametrize("box,spacing", [([(-1.0, 1.3), (-0.7, 1.0)], 0.1),
+                                             ([(-1.0, 1.0), (-0.5, 1.5), (0.0, 1.0)], 0.25)])
+    def test_argmax_location_is_the_argmax_point(self, box, spacing):
+        grid = dsm.sampling_grid(box, spacing)
+        rng = np.random.default_rng(3)
+        for argmax in (0, int(rng.integers(grid.n_points)), grid.n_points - 1):
+            values = rng.random(grid.n_points)
+            values[argmax] = 2.0
+            location = dsm.IndexGrid(grid, values, "test").argmax_location()
+            np.testing.assert_array_equal(location, grid.points[argmax])
+
 
 class TestProbeField:
     def test_on_axis_3d_alignment(self):
@@ -283,47 +300,72 @@ def random_datasets(rng, surface, qs):
                              + 1j * rng.standard_normal((surface.count, len(q)))), q) for q in qs]
 
 
-class TestMirrorOrbits:
-    """The sweep evaluates the kernel at orthant points only and serves their
-    sign-flip images from it; these cases cover full, partial and trivial
-    groups, mirror planes, and thread counts."""
+CIRCLE32 = ms.circle_surface(5.0, 32)
+CUBE = ms.cube_surface(10.0, 4)
+# 30 points turned by 0.1 rad: the point inversion is their only symmetry
+_TURNED = np.column_stack([np.cos(0.1 + np.pi * np.arange(30) / 15), np.sin(0.1 + np.pi * np.arange(30) / 15)])
+TURNED30 = ms.MeasurementSurface(5.0 * _TURNED, SURF.weights, _TURNED, region_radius=5.0)
 
-    @pytest.mark.parametrize("ctx,surface,box,spacing,order,orthant", [
-        # odd tick counts: both mirror lines are sampled; 5 x 5 of 9 x 9
+
+class TestMirrorOrbits:
+    """The sweep evaluates the kernel at one representative per orbit of its
+    signed-permutation group and serves the other points from it; these cases
+    cover full, partial and trivial groups, mirror and diagonal planes, and
+    thread counts."""
+
+    @pytest.mark.parametrize("ctx,surface,box,spacing,order,orbits", [
+        # a 30-point circle has both mirror lines but no diagonal one: the
+        # flips only; odd tick counts, 5 x 5 of 9 x 9
         (CTX2, SURF, [(-1.0, 1.0), (-1.0, 1.0)], 0.25, 4, 25),
         # asymmetric x ticks (-1 .. 1.1), symmetric y ticks: the y flip only
         (CTX2, SURF, [(-1.0, 1.1), (-1.0, 1.0)], 0.1, 2, 22 * 11),
         # an odd-count circle has a point at angle 0 but none at pi: no x flip
         (CTX2, ms.circle_surface(5.0, 31), [(-1.0, 1.0), (-1.0, 1.0)], 0.25, 2, 9 * 5),
-        (CTX3, ms.cube_surface(10.0, 4), [(-1.0, 1.0)] * 3, 0.5, 8, 27),
+        # every signed permutation (3-cycles included): |k| sorted, 3 of {0, 1, 2}
+        (CTX3, CUBE, [(-1.0, 1.0)] * 3, 0.5, 48, 10),
+        # 32 points: flips and the diagonal swap; 0 <= k1 <= k2 <= 4
+        (CTX2, CIRCLE32, [(-1.0, 1.0), (-1.0, 1.0)], 0.25, 8, 15),
+        # z ticks unlike x and y: the x-y square's 8 times the z flip; 6 x 4
+        (CTX3, CUBE, [(-1.0, 1.0), (-1.0, 1.0), (-1.5, 1.5)], 0.5, 16, 24),
+        # the inversion alone, no single flip: the centre and 40 pairs of 9 x 9
+        (CTX2, TURNED30, [(-1.0, 1.0), (-1.0, 1.0)], 0.25, 2, 41),
     ])
-    def test_sweep_matches_definition(self, ctx, surface, box, spacing, order, orthant):
+    def test_sweep_matches_definition(self, ctx, surface, box, spacing, order, orbits):
         d = ctx.dimension
         datasets = random_datasets(np.random.default_rng(9), surface, [np.eye(d)[0], np.ones(d) / np.sqrt(d)])
         grid = dsm.sampling_grid(box, spacing)
         grids = dsm.compute_index_grid(ctx, datasets, grid)
         assert grids[0].sweep_info == dsm.SweepInfo(
-            group_order=order, orthant_points=orthant, kernel_pairs=orthant * surface.count,
+            group_order=order, orbits=orbits, kernel_pairs=orbits * surface.count,
             grid_pairs=grid.n_points * surface.count, chunks=1, threads=1)
         for (data, q), index in zip(datasets, grids):
             expected = [psi_oracle(ctx, data, x_p, q) for x_p in grid.points]
             np.testing.assert_allclose(index.values, expected, rtol=0, atol=1e-12)
 
-    def test_cross_maps_equal_on_symmetric_and_asymmetric_boxes(self):
+    @staticmethod
+    def cross_maps_on_both_boxes(surface):
+        """The cross maps on a symmetric box, and on a box extended by ticks
+        on one side of each axis (trivial group) restricted to the first;
+        returns both group orders once the maps are checked equal."""
         x_q = np.array([-0.25, 0.1])
-        selectors = [dsm.component(0, 0), dsm.component(0, 1), dsm.diagonal_sum(),
+        selectors = [dsm.component(0, 0), dsm.component(0, 1), dsm.component(1, 0), dsm.diagonal_sum(),
                      dsm.polarization(P1, "polarization_1"), dsm.polarization_sum([P1, P2])]
         symmetric = dsm.sampling_grid([(-1.0, 1.0), (-1.0, 1.0)], 0.1)
-        # extends the symmetric box by ticks on one side of each axis: no flips
         asymmetric = dsm.sampling_grid([(-1.0, 1.3), (-1.2, 1.0)], 0.1)
         common = np.all(np.abs(asymmetric.points) <= 1.0 + 1e-9, axis=1)
         assert common.sum() == symmetric.n_points
-        sym_maps = dsm.cross_product_maps(CTX2, SURF, x_q, symmetric, selectors)
-        asym_maps = dsm.cross_product_maps(CTX2, SURF, x_q, asymmetric, selectors)
-        assert (sym_maps[0].sweep_info.group_order, asym_maps[0].sweep_info.group_order) == (4, 1)
+        sym_maps = dsm.cross_product_maps(CTX2, surface, x_q, symmetric, selectors)
+        asym_maps = dsm.cross_product_maps(CTX2, surface, x_q, asymmetric, selectors)
         for sym, asym in zip(sym_maps, asym_maps):
             values = asym.values[common]
             np.testing.assert_allclose(sym.values, values / values.max(), rtol=0, atol=1e-14)
+        return sym_maps[0].sweep_info.group_order, asym_maps[0].sweep_info.group_order
+
+    def test_cross_maps_equal_on_symmetric_and_asymmetric_boxes(self):
+        assert self.cross_maps_on_both_boxes(SURF) == (4, 1)
+
+    def test_cross_maps_equal_with_the_diagonal_swap(self):
+        assert self.cross_maps_on_both_boxes(CIRCLE32) == (8, 1)
 
     @pytest.mark.parametrize("threads", [2, 5])
     def test_threads_bit_identical_with_mirror_planes(self, example1_data, monkeypatch, threads):
@@ -341,10 +383,35 @@ class TestMirrorOrbits:
         finally:
             sys.setswitchinterval(interval)
         info = threaded[0].sweep_info
-        assert (info.group_order, info.orthant_points, info.chunks, info.threads) == (4, 441, 12, threads)
+        assert (info.group_order, info.orbits, info.chunks, info.threads) == (4, 441, 12, threads)
         assert serial[0].sweep_info.threads == 1
         for a, b in zip(serial, threaded):
             np.testing.assert_array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("threads", [2, 5])
+    def test_threads_bit_identical_across_the_diagonal(self, monkeypatch, threads):
+        # 21 * 22 / 2 representatives k1 <= k2 of the 41 x 41 grid in chunks
+        # of 37: chunks straddle the x = y plane, whose points two group
+        # elements reach from their representative
+        datasets = random_datasets(np.random.default_rng(11), CIRCLE32, [P1, P2])
+        grid = dsm.sampling_grid([(-1, 1), (-1, 1)], 0.05)
+        monkeypatch.setattr(dsm, "_CHUNK_TARGET", 37 * 64)
+        serial = dsm.compute_index_grid(CTX2, datasets, grid)
+        monkeypatch.setenv("EMDSM_THREADS", str(threads))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = dsm.compute_index_grid(CTX2, datasets, grid)
+        finally:
+            sys.setswitchinterval(interval)
+        info = threaded[0].sweep_info
+        assert (info.group_order, info.orbits, info.chunks, info.threads) == (8, 231, 7, threads)
+        for a, b in zip(serial, threaded):
+            np.testing.assert_array_equal(a.values, b.values)
+        for (data, q), index in zip(datasets, serial):
+            diagonal = np.flatnonzero(np.abs(grid.points[:, 0] - grid.points[:, 1]) < 1e-12)[::4]
+            expected = [psi_oracle(CTX2, data, grid.points[c], q) for c in diagonal]
+            np.testing.assert_allclose(index.values[diagonal], expected, rtol=0, atol=1e-12)
 
     def test_unequal_mirror_weights_drop_the_flip(self):
         weights = SURF.weights.copy()
@@ -356,6 +423,67 @@ class TestMirrorOrbits:
         assert index.sweep_info.group_order == 1
         expected = [psi_oracle(CTX2, datasets[0][0], x_p, P1) for x_p in grid.points]
         np.testing.assert_allclose(index.values, expected, rtol=0, atol=1e-12)
+
+    def test_unequal_weights_keep_the_flips_and_drop_the_swap(self):
+        # no circle point is fixed by both flips, so the smallest change the
+        # flips survive is one new weight on the flip orbit {angle 0, angle
+        # pi}; the swap maps angle 0 to pi/2, whose weight stayed
+        weights = CIRCLE32.weights.copy()
+        weights[[0, 16]] *= 1.5
+        surface = replace(CIRCLE32, weights=weights)
+        datasets = random_datasets(np.random.default_rng(12), surface, [P1, P2])
+        grid = dsm.sampling_grid([(-1.0, 1.0), (-1.0, 1.0)], 0.25)
+        grids = dsm.compute_index_grid(CTX2, datasets, grid)
+        assert (grids[0].sweep_info.group_order, grids[0].sweep_info.orbits) == (4, 25)
+        for (data, q), index in zip(datasets, grids):
+            expected = [psi_oracle(CTX2, data, x_p, q) for x_p in grid.points]
+            np.testing.assert_allclose(index.values, expected, rtol=0, atol=1e-12)
+
+    def test_cube_group_is_the_full_signed_permutation_group(self):
+        axis_perms, signs, point_perms = dsm._symmetry_group(CUBE, dsm.sampling_grid([(-1.0, 1.0)] * 3, 0.5))
+        assert len(signs) == 48
+        np.testing.assert_array_equal(axis_perms[0], [0, 1, 2])
+        np.testing.assert_array_equal(signs[0], [1.0, 1.0, 1.0])
+        assert {tuple(p) for p in axis_perms} >= {(1, 2, 0), (2, 0, 1)}  # the 3-cycles
+        mats = dsm._matrices(axis_perms, signs)
+        for mat, perm in zip(mats, point_perms):
+            np.testing.assert_allclose(CUBE.points @ mat.T, CUBE.points[perm], rtol=0, atol=1e-12)
+        codes = {tuple(m.ravel()) for m in mats}
+        assert {tuple((a @ b).ravel()) for a in mats for b in mats} == codes
+
+    def test_group_is_closed_under_products(self):
+        # the flips each match within 0.8 tol, but their product, the point
+        # inversion, is 1.6 tol off at the last point: neither flip can stay
+        # without it
+        grid = dsm.sampling_grid([(-1.0, 1.0)] * 2, 0.5)
+        for eps, order in ((0.0, 4), (3.2e-12, 1)):
+            points = np.array([[3.0, 4.0], [-3.0 - eps, 4.0], [3.0 + eps, -4.0], [-3.0 - 2 * eps, -4.0]])
+            surface = ms.MeasurementSurface(points, np.ones(4), np.zeros_like(points))
+            assert len(dsm._symmetry_group(surface, grid)[1]) == order
+
+    @pytest.mark.parametrize("surface,box,spacing,order", [
+        (CIRCLE32, [(-1.0, 1.0)] * 2, 0.2, 8),                      # 11 x 11
+        (CIRCLE32, [(-0.9, 0.9)] * 2, 0.2, 8),                      # 10 x 10
+        (SURF, [(-0.9, 0.9), (-1.0, 1.0)], 0.2, 4),                 # 10 x 11
+        (CUBE, [(-1.0, 1.0)] * 3, 0.5, 48),                         # 5^3
+        (CUBE, [(-0.75, 0.75)] * 3, 0.5, 48),                       # 4^3
+        (CUBE, [(-0.75, 0.75), (-0.75, 0.75), (-1.0, 1.0)], 0.5, 16),  # 4 x 4 x 5
+        (TURNED30, [(-0.9, 0.9)] * 2, 0.2, 2),                      # 10 x 10
+    ])
+    def test_representatives_write_every_slot_once(self, surface, box, spacing, order):
+        grid = dsm.sampling_grid(box, spacing)
+        axis_perms, signs, _ = dsm._symmetry_group(surface, grid)
+        assert len(signs) == order
+        reps = dsm._orbit_representatives(axis_perms, signs, grid.shape)
+        images, first = dsm._orbit_slots(axis_perms, signs, np.array(np.unravel_index(reps, grid.shape)), grid.shape)
+        np.testing.assert_array_equal(np.sort(images[first]), np.arange(grid.n_points))
+        # each representative is the smallest raveled index of its orbit,
+        # and the identity (first) writes it
+        every = np.array(np.unravel_index(np.arange(grid.n_points), grid.shape))
+        smallest = dsm._image_indices(axis_perms, signs, every, grid.shape).min(axis=0)
+        np.testing.assert_array_equal(reps, np.unique(smallest))
+        np.testing.assert_array_equal(images[0], reps)
+        assert first[0].all()
 
 
 class TestCrossMaps:

@@ -200,8 +200,9 @@ class TestRunExperiment:
     def test_sweep_info_in_report(self, small_run):
         _, _, outdir = small_run
         parsed = json.loads((outdir / "report.json").read_text())
-        # a 21 x 21 grid and a 30-point circle: both flips, 11 x 11 orthant points
-        expected = {"group_order": 4, "orthant_points": 121, "kernel_pairs": 121 * 30,
+        # a 21 x 21 grid and a 30-point circle: both flips and no diagonal
+        # swap, 11 x 11 representatives
+        expected = {"group_order": 4, "orbits": 121, "kernel_pairs": 121 * 30,
                     "grid_pairs": 441 * 30, "chunks": 1, "threads": 1}
         for entry in parsed["indices"]:
             assert entry["sweep_info"] == expected
@@ -286,10 +287,12 @@ class TestDiagnosticRun:
         assert len(parsed["indices"]) == 4
         for entry in parsed["indices"]:
             info = entry["sweep_info"]
-            assert set(info) == {"group_order", "orthant_points", "kernel_pairs", "grid_pairs",
+            assert set(info) == {"group_order", "orbits", "kernel_pairs", "grid_pairs",
                                  "chunks", "threads"}
-            assert info["group_order"] == 4 and info["orthant_points"] == 25
-            assert info["kernel_pairs"] * 4 > info["grid_pairs"] == 81 * 512
+            # 512 points on a square box: flips and the diagonal swap, and
+            # the representatives 0 <= k1 <= k2 <= 4 of the 9 x 9 grid
+            assert (info["group_order"], info["orbits"]) == (8, 15)
+            assert (info["kernel_pairs"], info["grid_pairs"]) == (15 * 512, 81 * 512)
         assert report.indices == parsed["indices"]
 
 
