@@ -4,9 +4,10 @@
 For every run directory (one holding a report.json) under dir_a, and each
 index or map CSV in it, print the max |value difference| against the same
 file under dir_b, and whether the report.json entry of that grid has the
-same argmax location and the same local-maxima locations.  Exits non-zero
-when a difference exceeds --tol, a grid's coordinates, argmax or maxima
-differ, or a file of dir_a is missing from dir_b.
+same argmax location, the same local-maxima locations and the same
+sweep_info (group order, orbits, kernel pairs, chunks, threads).  Exits
+non-zero when a difference exceeds --tol, a grid's coordinates, argmax,
+maxima or sweep_info differ, or a file of dir_a is missing from dir_b.
 
     python scripts/compare_outputs.py out/before out/after --tol 1e-12
 """
@@ -54,13 +55,18 @@ def compare_run(run_a: Path, run_b: Path, tol: float) -> tuple[list[str], list[s
         same_argmax = entry_a["argmax"]["location"] == entry_b["argmax"]["location"]
         maxima_a = [m["location"] for m in entry_a["maxima"]]
         same_maxima = maxima_a == [m["location"] for m in entry_b["maxima"]]
+        same_sweep = entry_a.get("sweep_info") == entry_b.get("sweep_info")
         lines.append(f"{run_a.name}/{path_a.name}: max |delta| {delta:.2e}, "
                      f"argmax {'same' if same_argmax else 'DIFFERS'}, "
-                     f"{len(maxima_a)} maxima {'same' if same_maxima else 'DIFFER'}")
+                     f"{len(maxima_a)} maxima {'same' if same_maxima else 'DIFFER'}, "
+                     f"sweep_info {'same' if same_sweep else 'DIFFERS'}")
         if delta > tol:
             failures.append(f"{path_a.name}: max |delta| {delta:.2e} > {tol:g}")
         if not (same_argmax and same_maxima):
             failures.append(f"{path_a.name}: argmax or maxima differ")
+        if not same_sweep:
+            failures.append(f"{path_a.name}: sweep_info differs: {entry_a.get('sweep_info')} "
+                            f"against {entry_b.get('sweep_info')}")
     return lines, failures
 
 

@@ -122,9 +122,10 @@ class _KernelParts:
 
         Phi_ij(x_m, x_c) = a delta_ij + (b / r^2) diff_i diff_j,   diff = x_m - x_c,
 
-    with a = diag and b = outer.  Distances come from the |x|^2 + |y|^2 - 2 x.y
-    expansion (one GEMM) and separation components are broadcast one at a
-    time, so no (C, M, d) array is ever materialized.
+    with a = diag and b = outer; contract pairs it with references F as
+    sum_m Phi : F.  Distances come from the |x|^2 + |y|^2 - 2 x.y expansion
+    (one GEMM) and separation components are broadcast one at a time, so no
+    (C, M, d) array is ever materialized.
     """
 
     def __init__(self, ctx: WaveContext, surface: MeasurementSurface, pts: np.ndarray):
@@ -139,25 +140,22 @@ class _KernelParts:
     def _diff_component(self, i: int) -> np.ndarray:
         return self.surface_points[np.newaxis, :, i] - self.pts[:, np.newaxis, i]
 
-    def contract(self, ref: np.ndarray) -> np.ndarray:
-        """T[c, i, j, k] = sum_m Phi_ij(x_m, x_c) ref[m, i, k] for ref of shape
-        (M, d, K); returns shape (C, d, d, K).
-
-        Phi is symmetric, so each component i <= j is built once and meets the
-        reference columns of i and of j, each in place (no copy of ref).
+    def contract(self, slabs: np.ndarray) -> np.ndarray:
+        """The pairings P[c, k] = sum_m Phi(x_m, x_c) : F[m, :, :, k] for F
+        held as its slabs (d(d+1)/2, M, K), F_ii and F_ij + F_ji for each
+        component i <= j in order; returns shape (C, K).  Phi is symmetric,
+        so each component is built once and meets its slab in one GEMM.
         """
-        d = self.dimension
-        out = np.empty((len(self.pts), d, d, ref.shape[2]), dtype=np.complex128)
+        out = np.zeros((len(self.pts), slabs.shape[2]), dtype=np.complex128)
         outer_r2 = self.outer * self.inv_r2
-        for i in range(d):
+        slab = iter(slabs)
+        for i in range(self.dimension):
             scaled = outer_r2 * self._diff_component(i)
-            for j in range(i, d):
+            for j in range(i, self.dimension):
                 phi_ij = scaled * self._diff_component(j)
                 if i == j:
                     phi_ij += self.diag
-                out[:, i, j] = phi_ij @ ref[:, i]
-                if i != j:
-                    out[:, j, i] = phi_ij @ ref[:, j]
+                out += phi_ij @ next(slab)
         return out
 
     def probe_norms(self, qs: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -317,55 +315,49 @@ def _orbit_slots(axis_perms, signs, ticks: np.ndarray, dims) -> tuple[np.ndarray
     return images, first
 
 
-def _sweep(ctx, surface, grid, ref, per_chunk_fn, n_outputs: int) -> tuple[np.ndarray, SweepInfo]:
-    """Kernel contraction over the grid, evaluating Phi once per orbit of the
-    symmetry group of the surface and the grid (_symmetry_group).
+def _sweep(ctx, surface, grid, group, refs, per_chunk_fn) -> tuple[np.ndarray, SweepInfo]:
+    """The pairings P[c, k] = sum_m Phi(x_m, x_c) : F[m, :, :, k] for refs F
+    over the grid, evaluating Phi once per orbit of the group (_symmetry_group).
 
     For a signed permutation sigma with sigma x_m = x_pi(m),
         Phi(x_m, sigma x_c) = sigma Phi(x_pi^-1(m), x_c) sigma^T,
-    so the kernel at a representative x_c also serves its images sigma x_c.
-    Each chunk contracts once against the references R_sigma[m, a, k] =
-    sum_i sigma_ia ref[pi(m), i, k], stacked once per sweep along the columns
-    of the one GEMM; an image's U_sigma maps back to its T as
-        T_sigma[:, i, j] = s_j U_sigma[:, p(i), p(j)].
-    per_chunk_fn(parts, T, mats) maps T (C, d, d, G, K) and the group's
-    matrices (G, d, d) to values (n_outputs, G, C).  Each grid slot is
-    written once, by the first group element that reaches it from its
-    orbit's representative, so results do not depend on the thread count.
-    Returns the outputs and a SweepInfo.
+    so the pairing at an image sigma x_c is the pairing at x_c against
+    F_sigma[m] = sigma^T F[pi(m)] sigma, that is F_sigma[m, p(i), p(j)] =
+    s_i s_j F[pi(m), i, j].  Every F_sigma is stacked once per sweep, as the
+    slabs of _KernelParts.contract: the group acts on the references alone.
+    per_chunk_fn(parts, P) maps a chunk's pairings P (C, G, K) to values of
+    the same shape.  Each grid slot is written once, by the first group
+    element that reaches it from its orbit's representative, so results do
+    not depend on the thread count.  Returns the values (K, N) and a SweepInfo.
     """
-    axis_perms, signs, point_perms = _symmetry_group(surface, grid)
-    mats = _matrices(axis_perms, signs)
+    axis_perms, signs, _ = group
     n_images, d = signs.shape
-    stacked = np.empty((surface.count, d, n_images, ref.shape[2]), dtype=np.complex128)
-    for g, (mat, perm) in enumerate(zip(mats, point_perms)):
-        stacked[:, :, g] = np.einsum("ia,mik->mak", mat, ref[perm])
-    stacked = stacked.reshape(surface.count, d, -1)
+    pairs = list(itertools.combinations_with_replacement(range(d), 2))
+    slabs = np.empty((len(pairs), surface.count, n_images, refs.shape[3]), dtype=np.complex128)
+    moved = np.empty_like(refs)
+    for g, (p, s, perm) in enumerate(zip(*group)):
+        moved[:, p[:, np.newaxis], p] = np.multiply.outer(s, s)[:, :, np.newaxis] * refs[perm]
+        for n, (i, j) in enumerate(pairs):
+            slabs[n, :, g] = moved[:, i, i] if i == j else moved[:, i, j] + moved[:, j, i]
+    slabs = slabs.reshape(len(pairs), surface.count, -1)
     axes = grid.axes
     dims = grid.shape
     reps = _orbit_representatives(axis_perms, signs, dims)
     n_reps = len(reps)
     per_chunk = max(1, _CHUNK_TARGET // (surface.count * ctx.dimension))
-    outputs = np.empty((n_outputs, grid.n_points))
+    outputs = np.empty((refs.shape[3], grid.n_points))
     # freeing one mmapped block raises glibc's mmap threshold to its size (and
     # its heap trim threshold to twice that), so each chunk's 0.5-0.8 MB arrays
     # stay on the heap instead of being unmapped and faulted in again per chunk
     np.empty(8 * per_chunk * surface.count, dtype=np.complex128)
-    swapped = np.flatnonzero(np.any(axis_perms != np.arange(d), axis=1))  # images that move axes
-    rows, cols = axis_perms[swapped, :, np.newaxis], axis_perms[swapped, np.newaxis, :]
 
     def work(bounds):
         lo, hi = bounds
         ticks = np.array(np.unravel_index(reps[lo:hi], dims))
         parts = _KernelParts(ctx, surface, np.column_stack([ax[k] for ax, k in zip(axes, ticks)]))
-        # U_sigma becomes T_sigma in place: the images that move axes permute
-        # their components, then every image takes its signs s_j
-        T = parts.contract(stacked).reshape(hi - lo, d, d, n_images, -1)
-        T[:, :, :, swapped] = T[:, rows, cols, swapped[:, np.newaxis, np.newaxis]].transpose(0, 2, 3, 1, 4)
-        T *= signs.T[:, :, np.newaxis]
-        values = per_chunk_fn(parts, T, mats)
+        values = per_chunk_fn(parts, parts.contract(slabs).reshape(hi - lo, n_images, -1))
         images, first = _orbit_slots(axis_perms, signs, ticks, dims)
-        outputs[:, images[first]] = values[:, first]
+        outputs[:, images[first]] = values.transpose(2, 1, 0)[:, first]
 
     threads = _thread_count()
     ranges = [(lo, min(lo + per_chunk, n_reps)) for lo in range(0, n_reps, per_chunk)]
@@ -394,9 +386,9 @@ def compute_index_grid(ctx: WaveContext, datasets, grid: SamplingGrid) -> list[I
     datasets is a sequence of (FieldSamples, polarization q) pairs on one
     measurement surface.  Returns one grid per dataset
     (single_polarization:<l>) followed by their mean (combined).  The
-    numerators <E_l, Phi(., x_c) q_l> come from one kernel contraction
-    against the weighted data; the probe norms are data-free and taken in
-    closed form.
+    numerators <E_l, Phi(., x_c) q_l> are the pairings of one kernel
+    contraction against the references conj(w E_l) q_l^T; the probe norms are
+    data-free and taken in closed form.
     """
     datasets = list(datasets)
     if not datasets:
@@ -409,19 +401,22 @@ def compute_index_grid(ctx: WaveContext, datasets, grid: SamplingGrid) -> list[I
     data_norms = np.array([l2_norm(data) for data, _ in datasets])
     if np.any(data_norms == 0.0):
         raise DomainError("index is undefined for identically zero data")
-    # conj(w E_l): the contraction then gives conj(<E_l, Phi q_l>), whose
+    # F_l = conj(w E_l) q_l^T: the pairing is then conj(<E_l, Phi q_l>), whose
     # magnitude is the numerator
-    ref = np.stack([data.values for data, _ in datasets], axis=-1)
-    ref = (surface.weights[:, np.newaxis, np.newaxis] * ref).conj()
+    values = np.stack([data.values for data, _ in datasets], axis=-1)[:, :, np.newaxis]
+    refs = (surface.weights[:, np.newaxis, np.newaxis, np.newaxis] * values).conj() * qs
+    group = _symmetry_group(surface, grid)
+    axis_perms, signs, _ = group
+    # the probe norm at sigma x_c for q is the norm at x_c for sigma^T q,
+    # (sigma^T q)_p(i) = s_i q_i; columns image-major, as the pairings
+    moved_qs = np.empty((len(qs), len(signs), len(datasets)))
+    moved_qs[axis_perms.T, np.arange(len(signs))] = signs.T[:, :, np.newaxis] * qs[:, np.newaxis]
 
-    def per_chunk(parts: _KernelParts, T: np.ndarray, mats: np.ndarray):
-        # the probe norm at sigma x_c for q is the norm at x_c for sigma^T q
-        moved_qs = np.einsum("gij,il->jgl", mats, qs).reshape(len(qs), -1)
-        norms = parts.probe_norms(moved_qs, surface.weights).reshape(-1, len(mats), len(datasets))
-        num = np.abs(np.einsum("cijgl,jl->cgl", T, qs))
-        return (num / (data_norms * norms)).transpose(2, 1, 0)
+    def per_chunk(parts: _KernelParts, P: np.ndarray):
+        norms = parts.probe_norms(moved_qs.reshape(len(qs), -1), surface.weights).reshape(P.shape)
+        return np.abs(P) / (data_norms * norms)
 
-    per_pol, info = _sweep(ctx, surface, grid, ref, per_chunk, len(datasets))
+    per_pol, info = _sweep(ctx, surface, grid, group, refs, per_chunk)
     grids = [
         IndexGrid(grid, vals, f"single_polarization:{i}", info)
         for i, vals in enumerate(per_pol)
@@ -432,8 +427,8 @@ def compute_index_grid(ctx: WaveContext, datasets, grid: SamplingGrid) -> list[I
 @dataclass(frozen=True, eq=False)
 class CrossSelector:
     """One cross-correlation map: coeffs(d) gives the weights A[i, j, l]
-    (shape (d, d, d)) of the correlations T[c, i, j, l], combined before the
-    magnitude is taken; see cross_product_maps."""
+    (shape (d, d, d)) with which cross_product_maps combines the
+    correlations before the magnitude is taken."""
 
     label: str
     coeffs: Callable[[int], np.ndarray]
@@ -483,8 +478,8 @@ def cross_product_maps(ctx: WaveContext, surface: MeasurementSurface, x_q,
     """Max-normalized cross-correlation maps against the fixed reference point
     x_q, one per selector, from one sweep:
 
-        map(x_c) = |sum_ijl coeffs[i, j, l] T[c, i, j, l]|,
-        T[c, i, j, l] = sum_m w_m Phi_ij(x_m, x_c) conj(Phi_il(x_m, x_q)).
+        map(x_c) = |sum_m Phi(x_m, x_c) : F[m]|,
+        F[m, i, j] = sum_l coeffs[i, j, l] conj(w_m Phi_il(x_m, x_q)).
     """
     x_q = np.asarray(x_q, dtype=np.float64)
     _check_inside(surface, x_q, "reference point")
@@ -494,11 +489,9 @@ def cross_product_maps(ctx: WaveContext, surface: MeasurementSurface, x_q,
     coeffs = np.array([selector.coeffs(d) for selector in selectors]).reshape(-1, d, d, d)
     ref = (surface.weights[:, np.newaxis, np.newaxis]
            * green_tensor_from_diff(ctx, surface.points - x_q)).conj()
-
-    def per_chunk(parts: _KernelParts, T: np.ndarray, mats: np.ndarray):
-        return np.abs(np.einsum("cijgl,sijl->sgc", T, coeffs))
-
-    value_arrays, info = _sweep(ctx, surface, grid, ref, per_chunk, len(selectors))
+    refs = np.einsum("sijl,mil->mijs", coeffs, ref)
+    value_arrays, info = _sweep(ctx, surface, grid, _symmetry_group(surface, grid), refs,
+                                lambda parts, P: np.abs(P))
     return [
         IndexGrid(grid, values, f"cross:{selector.label}", info).normalized()
         for values, selector in zip(value_arrays, selectors)

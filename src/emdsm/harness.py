@@ -110,17 +110,34 @@ class ExperimentConfig:
         return out
 
 
+def _object(value, key: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"key '{key}' must be a JSON object")
+    return value
+
+
 def _need(mapping: dict, key: str, context: str):
-    if key not in mapping:
+    if key not in _object(mapping, context.rstrip(".")):
         raise ConfigError(f"missing required key '{context}{key}'")
     return mapping[key]
 
 
-def _positive_int(mapping: dict, key: str, default: int, context: str) -> int:
-    value = mapping.get(key, default)
+def _positive_int(mapping: dict, key: str, default: int | None, context: str) -> int:
+    """mapping[key] as an integer >= 1; required when default is None."""
+    value = _need(mapping, key, context) if default is None else mapping.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ConfigError(f"key '{context}{key}' must be an integer >= 1, got {value!r}")
     return value
+
+
+def _number(value, key: str, positive: bool = False) -> float:
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"key '{key}' must be a number, got {value!r}") from None
+    if positive and not number > 0.0:
+        raise ConfigError(f"key '{key}' must be positive, got {value!r}")
+    return number
 
 
 def _as_complex(value, context: str) -> complex:
@@ -157,13 +174,13 @@ def _parse_surface(raw: dict, dimension: int) -> SurfaceSpec:
     if kind == "circle":
         if dimension != 2:
             raise ConfigError("key 'surface.kind': circle surfaces are two-dimensional")
-        return SurfaceSpec("circle", radius=float(_need(raw, "radius", "surface.")),
-                           count=int(_need(raw, "count", "surface.")))
+        return SurfaceSpec("circle", radius=_number(_need(raw, "radius", "surface."), "surface.radius", positive=True),
+                           count=_positive_int(raw, "count", None, "surface."))
     if kind == "cube_faces":
         if dimension != 3:
             raise ConfigError("key 'surface.kind': cube_faces surfaces are three-dimensional")
-        return SurfaceSpec("cube_faces", edge=float(_need(raw, "edge", "surface.")),
-                           per_face=int(_need(raw, "per_face", "surface.")))
+        return SurfaceSpec("cube_faces", edge=_number(_need(raw, "edge", "surface."), "surface.edge", positive=True),
+                           per_face=_positive_int(raw, "per_face", None, "surface."))
     raise ConfigError(f"key 'surface.kind': unknown surface kind {kind!r}")
 
 
@@ -171,8 +188,8 @@ def config_from_dict(raw: dict, name: str = "custom") -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("configuration root must be a JSON object")
     wave = _need(raw, "wave", "")
-    dimension = int(_need(wave, "dimension", "wave."))
-    wavelength = float(wave.get("wavelength", 1.0))
+    dimension = _positive_int(wave, "dimension", None, "wave.")
+    wavelength = _number(wave.get("wavelength", 1.0), "wave.wavelength")
     try:
         ctx = WaveContext.from_wavelength(dimension, wavelength)
     except Exception as exc:
@@ -206,51 +223,47 @@ def config_from_dict(raw: dict, name: str = "custom") -> ExperimentConfig:
             raise ConfigError(f"key 'diagnostic.kind': unknown kind {kind!r}")
         diagnostic = kind
         point = _need(diag, "x_q", "diagnostic.")
-        if len(point) != dimension:
+        if not isinstance(point, list) or len(point) != dimension:
             raise ConfigError("key 'diagnostic.x_q': length does not match 'wave.dimension'")
-        diagnostic_point = tuple(float(v) for v in point)
+        diagnostic_point = tuple(_number(v, "diagnostic.x_q") for v in point)
     else:
         contrast = _parse_shapes(_need(raw, "shapes", ""), dimension)
 
     surface = _parse_surface(_need(raw, "surface", ""), dimension)
 
-    fwd = raw.get("forward", {})
-    forward_h = float(fwd.get("h", DEFAULT_FORWARD_H[dimension]))
-    if forward_h <= 0:
-        raise ConfigError("key 'forward.h' must be positive")
+    fwd = _object(raw.get("forward", {}), "forward")
+    forward_h = _number(fwd.get("h", DEFAULT_FORWARD_H[dimension]), "forward.h", positive=True)
     solver_kind = fwd.get("solver", "auto")
     if solver_kind not in ("auto", "dense", "gmres"):
         raise ConfigError(f"key 'forward.solver': unknown solver {solver_kind!r}")
     solver = SolverSpec(
         kind=solver_kind,
-        tol=float(fwd.get("tol", 1e-8)),
+        tol=_number(fwd.get("tol", 1e-8), "forward.tol", positive=True),
         restart=_positive_int(fwd, "restart", 50, "forward."),
         maxiter=_positive_int(fwd, "maxiter", 500, "forward."),
     )
-    if solver.tol <= 0:
-        raise ConfigError("key 'forward.tol' must be positive")
 
-    sampling = raw.get("sampling", {})
+    sampling = _object(raw.get("sampling", {}), "sampling")
     box_raw = sampling.get("box", DEFAULT_SAMPLING_BOX[dimension])
-    box = tuple(tuple(float(v) for v in pair) for pair in box_raw)
-    if len(box) != dimension or any(len(pair) != 2 for pair in box):
+    if not isinstance(box_raw, (list, tuple)) or len(box_raw) != dimension or any(
+            not isinstance(pair, (list, tuple)) or len(pair) != 2 for pair in box_raw):
         raise ConfigError("key 'sampling.box' must give one [lo, hi] pair per axis")
-    spacing = float(sampling.get("spacing", DEFAULT_SAMPLING_SPACING[dimension]))
-    if spacing <= 0:
-        raise ConfigError("key 'sampling.spacing' must be positive")
+    box = tuple(tuple(_number(v, "sampling.box") for v in pair) for pair in box_raw)
+    spacing = _number(sampling.get("spacing", DEFAULT_SAMPLING_SPACING[dimension]), "sampling.spacing", positive=True)
 
-    noise = raw.get("noise", {})
-    epsilon = float(noise.get("epsilon", 0.0))
-    if epsilon < 0:
+    noise = _object(raw.get("noise", {}), "noise")
+    epsilon = _number(noise.get("epsilon", 0.0), "noise.epsilon")
+    if not epsilon >= 0.0:
         raise ConfigError("key 'noise.epsilon' must be nonnegative")
-    seed = int(noise.get("seed", 0))
+    seed = noise.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"key 'noise.seed' must be an integer >= 0, got {seed!r}")
 
-    outputs = raw.get("outputs", {})
+    outputs = _object(raw.get("outputs", {}), "outputs")
     directory = str(outputs.get("directory", "out"))
-    formats = tuple(outputs.get("formats", ["csv", "pgm"]))
-    for fmt in formats:
-        if fmt not in ("csv", "pgm"):
-            raise ConfigError(f"key 'outputs.formats': unknown format {fmt!r}")
+    formats = outputs.get("formats", ["csv", "pgm"])
+    if not isinstance(formats, list) or any(fmt not in ("csv", "pgm") for fmt in formats):
+        raise ConfigError(f"key 'outputs.formats' must be a list of 'csv' and 'pgm', got {formats!r}")
 
     return ExperimentConfig(
         name=str(raw.get("name", name)),
@@ -265,7 +278,7 @@ def config_from_dict(raw: dict, name: str = "custom") -> ExperimentConfig:
         noise_epsilon=epsilon,
         noise_seed=seed,
         output_directory=directory,
-        output_formats=formats,
+        output_formats=tuple(formats),
         diagnostic=diagnostic,
         diagnostic_point=diagnostic_point,
     )
@@ -386,14 +399,7 @@ class LocalizationReport:
         return self.indices[-1]["argmax"] if self.indices else {}
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "indices": self.indices,
-            "stage_seconds": self.stage_seconds,
-            "stage_resources": self.stage_resources,
-            "solver_info": self.solver_info,
-            "output_files": self.output_files,
-        }
+        return asdict(self)
 
 
 @contextmanager

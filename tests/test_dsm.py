@@ -367,6 +367,24 @@ class TestMirrorOrbits:
     def test_cross_maps_equal_with_the_diagonal_swap(self):
         assert self.cross_maps_on_both_boxes(CIRCLE32) == (8, 1)
 
+    def test_cross_maps_3d_match_definition_on_the_cube_group(self):
+        # axis swaps and 3-cycles act on references whose weights are not
+        # symmetric in i and j, against the direct definition
+        # sum_m w_m sum_ijl A_ijl Phi_ij(x_m, x_c) conj(Phi_il(x_m, x_q))
+        grid = dsm.sampling_grid([(-1.0, 1.0)] * 3, 0.5)
+        x_q = np.array([-0.25, 0.1, 0.3])
+        q1 = np.array([1.0, -2.0, 1.0]) / np.sqrt(6.0)
+        q2 = np.array([1.0, 1.0, -2.0]) / np.sqrt(6.0)
+        selectors = [dsm.component(0, 2), dsm.component(2, 0), dsm.diagonal_sum(),
+                     dsm.polarization(q1, "polarization_1"), dsm.polarization_sum([q1, q2])]
+        maps = dsm.cross_product_maps(CTX3, CUBE, x_q, grid, selectors)
+        assert maps[0].sweep_info.group_order == 48
+        phi = em.green_tensor_from_diff(CTX3, CUBE.points[np.newaxis, :, :] - grid.points[:, np.newaxis, :])
+        ref = em.green_tensor_from_diff(CTX3, CUBE.points - x_q).conj()
+        for selector, index in zip(selectors, maps):
+            corr = np.abs(np.einsum("cmij,m,mil,ijl->c", phi, CUBE.weights, ref, selector.coeffs(3)))
+            np.testing.assert_allclose(index.values, corr / corr.max(), rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("threads", [2, 5])
     def test_threads_bit_identical_with_mirror_planes(self, example1_data, monkeypatch, threads):
         # 21 x 21 orthant points in chunks of 37: chunks straddle the mirror

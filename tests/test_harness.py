@@ -28,6 +28,15 @@ def small_config_dict(**overrides):
     return base
 
 
+def set_value(raw, path, value):
+    """raw with raw[path[0]]...[path[-1]] = value, making missing sections."""
+    target = raw
+    for key in path[:-1]:
+        target = target.setdefault(key, {})
+    target[path[-1]] = value
+    return raw
+
+
 class TestConfigParsing:
     def test_defaults_applied(self):
         raw = small_config_dict()
@@ -71,6 +80,25 @@ class TestConfigParsing:
         raw = small_config_dict(forward={"h": 0.05, key: value})
         with pytest.raises(ConfigError, match=f"'forward.{key}'"):
             harness.config_from_dict(raw)
+
+    @pytest.mark.parametrize("dimension,path,value,key", [
+        (2, ("surface", "radius"), "x", "'surface.radius'"),
+        (2, ("wave", "dimension"), "two", "'wave.dimension'"),
+        (2, ("sampling", "spacing"), "a", "'sampling.spacing'"),
+        (2, ("noise", "seed"), "a", "'noise.seed'"),
+        (2, ("sampling", "box"), [1, 2], "'sampling.box'"),
+        (2, ("surface",), 5, "'surface'"),
+        (2, ("shapes",), [5], r"'shapes\[0\]'"),
+        (2, ("surface", "count"), 2.7, "'surface.count'"),
+        (2, ("surface", "radius"), -5.0, "'surface.radius'"),
+        (3, ("surface", "edge"), -10.0, "'surface.edge'"),
+        (3, ("surface", "per_face"), 2.5, "'surface.per_face'"),
+        (2, ("outputs", "formats"), "csv", "'outputs.formats' must be a list"),
+    ])
+    def test_bad_values_raise_config_error_naming_the_key(self, dimension, path, value, key):
+        raw = small_config_dict() if dimension == 2 else harness.preset("example3d").to_dict()
+        with pytest.raises(ConfigError, match=key):
+            harness.config_from_dict(set_value(raw, path, value))
 
     def test_complex_eta_pair(self):
         raw = small_config_dict()
@@ -351,3 +379,9 @@ class TestCli:
         path.write_text(json.dumps(raw))
         assert cli.main(["run", str(path)]) == 2
         assert "incidents" in capsys.readouterr().err
+
+    def test_bad_config_value_reports_error(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(set_value(small_config_dict(), ("surface", "radius"), "x")))
+        assert cli.main(["run", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: key 'surface.radius'")
