@@ -19,14 +19,11 @@ from typing import Callable
 
 import numpy as np
 
-from .em_core import WaveContext, curl_green_tensor_from_diff, green_tensor_from_diff, green_tensor_parts, im_green_tensor
+from .em_core import (KernelBlock, WaveContext, block_targets, curl_green_tensor_from_diff, green_tensor_from_diff,
+                      im_green_tensor, symmetric_slabs)
 from .errors import ConfigError, DomainError, GeometryError
 from .measurement import FieldSamples, MeasurementSurface, circle_surface, l2_inner_product, l2_norm
 
-# (sampling point, surface point, axis) triples per chunk: each (C, M) complex
-# kernel array is then 0.5-0.8 MB, so a chunk's working set stays near a 2 MB
-# L2; 60 k-200 k measured within noise in 2D, 200 k and 3 M slower in 3D
-_CHUNK_TARGET = 100_000
 _CSV_BLOCK_ROWS = 1_024  # index rows per write, in whole lines; larger blocks add memory, not speed
 _TIE_RTOL = 1e-12  # index values this close, relative to the peak, are tied
 _MIRROR_RTOL = 1e-12  # symmetry matches of surface points and grid ticks, relative to the surface's extent
@@ -111,73 +108,10 @@ def _check_inside(surface: MeasurementSurface, x, what: str) -> None:
         raise GeometryError(f"{what} must lie strictly inside the measurement surface")
 
 
-def _grid_inside(surface: MeasurementSurface, grid: SamplingGrid) -> None:
+def check_grid_inside(surface: MeasurementSurface, grid: SamplingGrid) -> None:
+    """Raise GeometryError unless every corner of the grid's box lies strictly inside the surface."""
     for corner in np.array(np.meshgrid(*[(lo, hi) for lo, hi in grid.box], indexing="ij")).reshape(len(grid.box), -1).T:
         _check_inside(surface, corner, "sampling box corner")
-
-
-class _KernelParts:
-    """Phi between the surface points and a chunk of sampling points, held as
-    its two separation-dependent coefficients,
-
-        Phi_ij(x_m, x_c) = a delta_ij + (b / r^2) diff_i diff_j,   diff = x_m - x_c,
-
-    with a = diag and b = outer; contract pairs it with references F as
-    sum_m Phi : F.  Distances come from the |x|^2 + |y|^2 - 2 x.y expansion
-    (one GEMM) and separation components are broadcast one at a time, so no
-    (C, M, d) array is ever materialized.
-    """
-
-    def __init__(self, ctx: WaveContext, surface: MeasurementSurface, pts: np.ndarray):
-        self.dimension = ctx.dimension
-        self.surface_points = surface.points
-        self.pts = pts
-        sq = np.sum(surface.points**2, axis=1)[np.newaxis, :] + np.sum(pts**2, axis=1)[:, np.newaxis]
-        r2 = np.maximum(sq - 2.0 * (pts @ surface.points.T), 0.0)
-        self.inv_r2 = 1.0 / r2
-        self.diag, self.outer = green_tensor_parts(ctx, np.sqrt(r2))
-
-    def _diff_component(self, i: int) -> np.ndarray:
-        return self.surface_points[np.newaxis, :, i] - self.pts[:, np.newaxis, i]
-
-    def contract(self, slabs: np.ndarray) -> np.ndarray:
-        """The pairings P[c, k] = sum_m Phi(x_m, x_c) : F[m, :, :, k] for F
-        held as its slabs (d(d+1)/2, M, K), F_ii and F_ij + F_ji for each
-        component i <= j in order; returns shape (C, K).  Phi is symmetric,
-        so each component is built once and meets its slab in one GEMM.
-        """
-        out = np.zeros((len(self.pts), slabs.shape[2]), dtype=np.complex128)
-        outer_r2 = self.outer * self.inv_r2
-        slab = iter(slabs)
-        for i in range(self.dimension):
-            scaled = outer_r2 * self._diff_component(i)
-            for j in range(i, self.dimension):
-                phi_ij = scaled * self._diff_component(j)
-                if i == j:
-                    phi_ij += self.diag
-                out += phi_ij @ next(slab)
-        return out
-
-    def probe_norms(self, qs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """||Phi(., x_c) q|| in the weighted L2 product for every chunk point
-        and every column q of qs (shape (d, L)); returns shape (C, L).
-
-        Data-free closed form: |Phi q|^2 = |a|^2 |q|^2 + rho (diff.q)^2 / r^2
-        for real q, rho = 2 Re(conj(a) b) + |b|^2.  Its weighted sum is
-        A |q|^2 + q^T S q with the second moments A = sum_m w_m |a|^2 and
-        S_ij = sum_m w_m rho diff_i diff_j / r^2, taken once per chunk
-        whatever the number of columns.
-        """
-        a, b = self.diag, self.outer
-        abs_a2 = a.real**2 + a.imag**2
-        radial = (2.0 * (a.real * b.real + a.imag * b.imag) + b.real**2 + b.imag**2) * self.inv_r2
-        out = np.outer(abs_a2 @ weights, np.sum(qs * qs, axis=0))
-        for i in range(self.dimension):
-            scaled = radial * self._diff_component(i)
-            for j in range(i, self.dimension):
-                s_ij = (scaled * self._diff_component(j)) @ weights
-                out += np.outer(s_ij, (1.0 if i == j else 2.0) * qs[i] * qs[j])
-        return np.sqrt(out)
 
 
 @dataclass(frozen=True)
@@ -324,27 +258,26 @@ def _sweep(ctx, surface, grid, group, refs, per_chunk_fn) -> tuple[np.ndarray, S
     so the pairing at an image sigma x_c is the pairing at x_c against
     F_sigma[m] = sigma^T F[pi(m)] sigma, that is F_sigma[m, p(i), p(j)] =
     s_i s_j F[pi(m), i, j].  Every F_sigma is stacked once per sweep, as the
-    slabs of _KernelParts.contract: the group acts on the references alone.
-    per_chunk_fn(parts, P) maps a chunk's pairings P (C, G, K) to values of
+    symmetric_slabs of KernelBlock.contract: the group acts on the references
+    alone.  Each chunk is one KernelBlock with the surface points as sources.
+    per_chunk_fn(block, P) maps a chunk's pairings P (C, G, K) to values of
     the same shape.  Each grid slot is written once, by the first group
     element that reaches it from its orbit's representative, so results do
     not depend on the thread count.  Returns the values (K, N) and a SweepInfo.
     """
     axis_perms, signs, _ = group
     n_images, d = signs.shape
-    pairs = list(itertools.combinations_with_replacement(range(d), 2))
-    slabs = np.empty((len(pairs), surface.count, n_images, refs.shape[3]), dtype=np.complex128)
+    slabs = np.empty((d * (d + 1) // 2, surface.count, n_images, refs.shape[3]), dtype=np.complex128)
     moved = np.empty_like(refs)
     for g, (p, s, perm) in enumerate(zip(*group)):
         moved[:, p[:, np.newaxis], p] = np.multiply.outer(s, s)[:, :, np.newaxis] * refs[perm]
-        for n, (i, j) in enumerate(pairs):
-            slabs[n, :, g] = moved[:, i, i] if i == j else moved[:, i, j] + moved[:, j, i]
-    slabs = slabs.reshape(len(pairs), surface.count, -1)
+        slabs[:, :, g] = symmetric_slabs(moved)
+    slabs = slabs.reshape(len(slabs), surface.count, -1)
     axes = grid.axes
     dims = grid.shape
     reps = _orbit_representatives(axis_perms, signs, dims)
     n_reps = len(reps)
-    per_chunk = max(1, _CHUNK_TARGET // (surface.count * ctx.dimension))
+    per_chunk = block_targets(surface.count, d)
     outputs = np.empty((refs.shape[3], grid.n_points))
     # freeing one mmapped block raises glibc's mmap threshold to its size (and
     # its heap trim threshold to twice that), so each chunk's 0.5-0.8 MB arrays
@@ -354,8 +287,8 @@ def _sweep(ctx, surface, grid, group, refs, per_chunk_fn) -> tuple[np.ndarray, S
     def work(bounds):
         lo, hi = bounds
         ticks = np.array(np.unravel_index(reps[lo:hi], dims))
-        parts = _KernelParts(ctx, surface, np.column_stack([ax[k] for ax, k in zip(axes, ticks)]))
-        values = per_chunk_fn(parts, parts.contract(slabs).reshape(hi - lo, n_images, -1))
+        block = KernelBlock(ctx, surface.points, np.column_stack([ax[k] for ax, k in zip(axes, ticks)]))
+        values = per_chunk_fn(block, block.contract(slabs).reshape(hi - lo, n_images, -1))
         images, first = _orbit_slots(axis_perms, signs, ticks, dims)
         outputs[:, images[first]] = values.transpose(2, 1, 0)[:, first]
 
@@ -396,7 +329,7 @@ def compute_index_grid(ctx: WaveContext, datasets, grid: SamplingGrid) -> list[I
     surface = datasets[0][0].surface
     if not all(surface.same_samples(data.surface) for data, _ in datasets[1:]):
         raise GeometryError("all datasets must share one measurement surface")
-    _grid_inside(surface, grid)
+    check_grid_inside(surface, grid)
     qs = np.array([np.asarray(q, dtype=np.float64) for _, q in datasets]).T  # (d, L)
     data_norms = np.array([l2_norm(data) for data, _ in datasets])
     if np.any(data_norms == 0.0):
@@ -412,8 +345,8 @@ def compute_index_grid(ctx: WaveContext, datasets, grid: SamplingGrid) -> list[I
     moved_qs = np.empty((len(qs), len(signs), len(datasets)))
     moved_qs[axis_perms.T, np.arange(len(signs))] = signs.T[:, :, np.newaxis] * qs[:, np.newaxis]
 
-    def per_chunk(parts: _KernelParts, P: np.ndarray):
-        norms = parts.probe_norms(moved_qs.reshape(len(qs), -1), surface.weights).reshape(P.shape)
+    def per_chunk(block: KernelBlock, P: np.ndarray):
+        norms = block.probe_norms(moved_qs.reshape(len(qs), -1), surface.weights).reshape(P.shape)
         return np.abs(P) / (data_norms * norms)
 
     per_pol, info = _sweep(ctx, surface, grid, group, refs, per_chunk)
@@ -483,7 +416,7 @@ def cross_product_maps(ctx: WaveContext, surface: MeasurementSurface, x_q,
     """
     x_q = np.asarray(x_q, dtype=np.float64)
     _check_inside(surface, x_q, "reference point")
-    _grid_inside(surface, grid)
+    check_grid_inside(surface, grid)
     selectors = list(selectors)
     d = ctx.dimension
     coeffs = np.array([selector.coeffs(d) for selector in selectors]).reshape(-1, d, d, d)
@@ -491,7 +424,7 @@ def cross_product_maps(ctx: WaveContext, surface: MeasurementSurface, x_q,
            * green_tensor_from_diff(ctx, surface.points - x_q)).conj()
     refs = np.einsum("sijl,mil->mijs", coeffs, ref)
     value_arrays, info = _sweep(ctx, surface, grid, _symmetry_group(surface, grid), refs,
-                                lambda parts, P: np.abs(P))
+                                lambda block, P: np.abs(P))
     return [
         IndexGrid(grid, values, f"cross:{selector.label}", info).normalized()
         for values, selector in zip(value_arrays, selectors)

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import dsm
 from .em_core import ContrastField, IncidentPlaneWave, Shape, WaveContext, green_scalar, green_tensor, incident_field
-from .errors import ConfigError, StageError
+from .errors import ConfigError, GeometryError, StageError
 from .forward import ForwardSolver, SolverSpec, solve_current
 from .measurement import (
     MeasurementSurface,
@@ -250,6 +250,10 @@ def config_from_dict(raw: dict, name: str = "custom") -> ExperimentConfig:
         raise ConfigError("key 'sampling.box' must give one [lo, hi] pair per axis")
     box = tuple(tuple(_number(v, "sampling.box") for v in pair) for pair in box_raw)
     spacing = _number(sampling.get("spacing", DEFAULT_SAMPLING_SPACING[dimension]), "sampling.spacing", positive=True)
+    try:
+        dsm.check_grid_inside(surface.build(), dsm.sampling_grid(box, spacing))
+    except GeometryError as exc:
+        raise ConfigError(f"key 'sampling.box': {exc}") from None
 
     noise = _object(raw.get("noise", {}), "noise")
     epsilon = _number(noise.get("epsilon", 0.0), "noise.epsilon")
@@ -444,26 +448,33 @@ def _index_entry(index: dsm.IndexGrid) -> dict:
     }
 
 
+def _diagnostic_selectors(kind: str, polarizations) -> list[dsm.CrossSelector]:
+    """The maps of fig1 (kernel components) or fig2 (the first two polarizations)."""
+    if kind == "fig1":
+        return [dsm.component(0, 0), dsm.component(1, 1), dsm.component(0, 1), dsm.diagonal_sum()]
+    p1, p2 = polarizations[:2]
+    return [dsm.polarization(p1, "polarization_1"), dsm.polarization(p2, "polarization_2"),
+            dsm.polarization_sum([p1, p2])]
+
+
+def _off_peak_ratios(maps, x_q, wavelength: float) -> list[float]:
+    """Each map's largest value beyond half a wavelength from x_q over its peak."""
+    off = np.linalg.norm(maps[0].grid.points - x_q, axis=1) > 0.5 * wavelength
+    return [float(index.values[off].max() / index.values.max()) for index in maps]
+
+
 def _run_diagnostic(config: ExperimentConfig, report: LocalizationReport, outdir: Path) -> None:
     ctx = config.ctx
-    surface = config.surface.build()
     grid = dsm.sampling_grid(config.sampling_box, config.sampling_spacing)
     x_q = np.asarray(config.diagnostic_point)
-    if config.diagnostic == "fig1":
-        selectors = [dsm.component(0, 0), dsm.component(1, 1), dsm.component(0, 1), dsm.diagonal_sum()]
-    else:
-        p1 = config.incidents[0].polarization
-        p2 = config.incidents[1].polarization
-        selectors = [dsm.polarization(p1, "polarization_1"), dsm.polarization(p2, "polarization_2"),
-                     dsm.polarization_sum([p1, p2])]
+    selectors = _diagnostic_selectors(config.diagnostic, [w.polarization for w in config.incidents])
     with _stage(report, "sweep"):
-        off_peak = np.linalg.norm(grid.points - x_q, axis=1) > 0.5 * ctx.wavelength
-        maps = dsm.cross_product_maps(ctx, surface, x_q, grid, selectors)
+        maps = dsm.cross_product_maps(ctx, config.surface.build(), x_q, grid, selectors)
 
     with _stage(report, "export"):
-        for selector, index in zip(selectors, maps):
+        for selector, index, ratio in zip(selectors, maps, _off_peak_ratios(maps, x_q, ctx.wavelength)):
             entry = _index_entry(index)
-            entry["off_peak_ratio"] = float(index.values[off_peak].max() / index.values.max())
+            entry["off_peak_ratio"] = ratio
             report.indices.append(entry)
             _export_index(index, outdir / f"map_{selector.label}", config.output_formats, report)
 
@@ -617,7 +628,7 @@ def _verify_solver_cross() -> list[dict]:
 
 def diagnostic_ratios(spacing: float = 0.02, count: int = 64) -> dict[str, float]:
     """Off-peak/peak ratios (beyond half a wavelength from the reference
-    point) of the single-point cross-correlation maps.
+    point) of the fig1 and fig2 cross-correlation maps.
 
     The default surface count is several times the correlation integrand's
     bandwidth, so the ratios are already converged (they match the 512-point
@@ -626,19 +637,10 @@ def diagnostic_ratios(spacing: float = 0.02, count: int = 64) -> dict[str, float
     surface = circle_surface(5.0, count)
     grid = dsm.sampling_grid(((-2.0, 2.0), (-2.0, 2.0)), spacing)
     x_q = np.array([-0.25, 0.0])
-    p1 = np.array([1.0, -1.0]) / _SQRT2
-    p2 = np.array([1.0, 1.0]) / _SQRT2
-    off = np.linalg.norm(grid.points - x_q, axis=1) > 0.5 * ctx.wavelength
-    selectors = [
-        dsm.component(0, 0), dsm.component(1, 1), dsm.component(0, 1), dsm.diagonal_sum(),
-        dsm.polarization(p1, "polarization_1"), dsm.polarization(p2, "polarization_2"),
-        dsm.polarization_sum([p1, p2]),
-    ]
+    polarizations = [np.array([1.0, -1.0]) / _SQRT2, np.array([1.0, 1.0]) / _SQRT2]
+    selectors = _diagnostic_selectors("fig1", polarizations) + _diagnostic_selectors("fig2", polarizations)
     maps = dsm.cross_product_maps(ctx, surface, x_q, grid, selectors)
-    return {
-        selector.label: float(index.values[off].max() / index.values.max())
-        for selector, index in zip(selectors, maps)
-    }
+    return dict(zip((selector.label for selector in selectors), _off_peak_ratios(maps, x_q, ctx.wavelength)))
 
 
 def _verify_figs() -> list[dict]:

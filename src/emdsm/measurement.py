@@ -7,11 +7,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .em_core import WaveContext, green_tensor_parts
+from .em_core import KernelBlock, WaveContext, block_targets, symmetric_slabs
 from .errors import DomainError, GeometryError
 
 _NOISE_BITGEN = np.random.PCG64  # named, seedable, portable
-_SYNTH_CHUNK_PAIRS = 32_768  # (surface point, source) kernel pairs per chunk
 
 
 @dataclass(frozen=True)
@@ -124,30 +123,25 @@ class FieldSamples:
 def synthesize_scattered_field(current, surface: MeasurementSurface, ctx: WaveContext) -> FieldSamples:
     """Discrete-sum scattered field E^s(x_m) = sum_j Phi(x_m, y_j) J_j h^d.
 
-    With Phi = a I + b rhat rhat^T, each term is a J_j + b (diff.J_j) diff / r^2
-    for diff = x_m - y_j.  The sum runs only over nodes carrying nonzero
-    current, a chunk of sources at a time so the kernel block stays
-    cache-sized; every measurement point must lie strictly outside the
-    source grid's bounding box.
+    It is the KernelBlock pairing, a block of surface points (the targets) at
+    a time, over the nodes carrying current (the sources) against the
+    references F[j, a, b, i] = delta_ai J_b(j) h^d.  Every measurement point
+    must lie strictly outside the source grid's bounding box.
     """
     lo, hi = current.grid.bounds
     inside = np.all((surface.points >= lo) & (surface.points <= hi), axis=1)
     if inside.any():
         raise GeometryError("measurement points must lie outside the forward grid box")
+    d = ctx.dimension
     active = np.flatnonzero(np.any(current.values != 0.0, axis=1))
-    values = np.zeros((surface.count, ctx.dimension), dtype=np.complex128)
+    values = np.zeros((surface.count, d), dtype=np.complex128)
     if active.size:
         sources = current.grid.nodes[active]
-        j_vals = current.values[active]
-        per_chunk = max(1, _SYNTH_CHUNK_PAIRS // surface.count)
-        for start in range(0, active.size, per_chunk):
-            chunk = slice(start, start + per_chunk)
-            diffs = surface.points[:, np.newaxis, :] - sources[np.newaxis, chunk, :]
-            r2 = np.einsum("mjd,mjd->mj", diffs, diffs)
-            a, b = green_tensor_parts(ctx, np.sqrt(r2))
-            along = np.einsum("mjd,jd->mj", diffs, j_vals[chunk])
-            values += a @ j_vals[chunk] + np.einsum("mj,mjd->md", b * along / r2, diffs)
-        values *= current.grid.cell_measure
+        weighted = current.values[active] * current.grid.cell_measure
+        slabs = symmetric_slabs(np.einsum("ai,jb->jabi", np.eye(d), weighted))
+        step = block_targets(active.size, d)
+        for start in range(0, surface.count, step):
+            values[start:start + step] = KernelBlock(ctx, sources, surface.points[start:start + step]).contract(slabs)
     return FieldSamples(surface, values, Provenance("exact"))
 
 

@@ -259,7 +259,7 @@ class TestIndexGridSweep:
     def test_one_point_chunks_match_default_chunks(self, example1_data, monkeypatch):
         grid = dsm.sampling_grid([(-1, 1), (-1, 1)], 0.1)
         default = dsm.compute_index_grid(CTX2, example1_data, grid)
-        monkeypatch.setattr(dsm, "_CHUNK_TARGET", 1)
+        monkeypatch.setattr(em, "_CHUNK_TARGET", 1)
         one_point = dsm.compute_index_grid(CTX2, example1_data, grid)
         assert grid.n_points > 1
         for a, b in zip(default, one_point):
@@ -391,7 +391,7 @@ class TestMirrorOrbits:
         # lines; 5 workers outnumber the cores, and a short switch interval
         # interleaves their writes
         grid = dsm.sampling_grid([(-1, 1), (-1, 1)], 0.05)
-        monkeypatch.setattr(dsm, "_CHUNK_TARGET", 37 * 60)
+        monkeypatch.setattr(em, "_CHUNK_TARGET", 37 * 60)
         serial = dsm.compute_index_grid(CTX2, example1_data, grid)
         monkeypatch.setenv("EMDSM_THREADS", str(threads))
         interval = sys.getswitchinterval()
@@ -413,7 +413,7 @@ class TestMirrorOrbits:
         # elements reach from their representative
         datasets = random_datasets(np.random.default_rng(11), CIRCLE32, [P1, P2])
         grid = dsm.sampling_grid([(-1, 1), (-1, 1)], 0.05)
-        monkeypatch.setattr(dsm, "_CHUNK_TARGET", 37 * 64)
+        monkeypatch.setattr(em, "_CHUNK_TARGET", 37 * 64)
         serial = dsm.compute_index_grid(CTX2, datasets, grid)
         monkeypatch.setenv("EMDSM_THREADS", str(threads))
         interval = sys.getswitchinterval()

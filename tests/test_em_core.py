@@ -16,7 +16,6 @@ import scipy.special as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emdsm import dsm
 from emdsm import em_core as em
 from emdsm import measurement as ms
 from emdsm.errors import DimensionMismatchError, DomainError, GeometryError, SingularityError
@@ -373,11 +372,12 @@ def test_trace_identity_property(dim, coords):
 def test_3d_kernels_do_not_load_scipy_special():
     # scipy.special is imported inside the 2D branches only
     code = (
-        "import sys, emdsm\n"
+        "import sys, emdsm, numpy as np\n"
         "from emdsm import em_core as em\n"
         "ctx = em.WaveContext.from_wavelength(3, 1.0)\n"
         "em.green_tensor(ctx, [0.0, 0.0, 0.0], [0.3, 0.1, -0.2])\n"
         "em.im_green_tensor(ctx, [0.0, 0.0, 0.0], [0.3, 0.1, -0.2])\n"
+        "em.KernelBlock(ctx, np.array([[0.3, 0.1, -0.2]]), np.zeros((1, 3)))\n"
         "assert 'scipy.special' not in sys.modules, 'scipy.special loaded'\n"
     )
     src = str(Path(em.__file__).resolve().parents[1])
@@ -579,20 +579,42 @@ def test_vectorized_matches_scalar():
         np.testing.assert_array_equal(vec[order], scal)
 
 
-def test_hankel_runs_fast_path_matches_public_api():
-    # the sweep's kernel pieces against the public closed-form kernel
-    surface = ms.circle_surface(5.0, 30)
-    pts = np.array([[-0.25, 0.0], [0.4, 0.1], [1.3, -1.7]])
-    parts = dsm._KernelParts(CTX2, surface, pts)
-    phi = em.green_tensor_from_diff(CTX2, surface.points[np.newaxis, :, :] - pts[:, np.newaxis, :])
+@pytest.mark.parametrize("ctx, surface, pts", [
+    (CTX2, ms.circle_surface(5.0, 30), np.array([[-0.25, 0.0], [0.4, 0.1], [1.3, -1.7]])),
+    (CTX3, ms.cube_surface(10.0, 3), np.array([[0.4, 0.3, 0.3], [-1.1, 0.0, 1.7]])),
+], ids=["2d", "3d"])
+def test_hankel_runs_fast_path_matches_public_api(ctx, surface, pts):
+    # the shared kernel block against the public closed-form kernel
+    block = em.KernelBlock(ctx, surface.points, pts)
+    phi = em.green_tensor_from_diff(ctx, surface.points[np.newaxis, :, :] - pts[:, np.newaxis, :])
     # one-hot symmetrized references, one column per (component i <= j,
     # surface point m), pick out each entry: P[c, (n, m)] = Phi_ij(x_m, x_c)
-    pairs = [(0, 0), (0, 1), (1, 1)]
+    pairs = list(zip(*np.triu_indices(ctx.dimension)))
     slabs = np.eye(len(pairs) * surface.count).reshape(len(pairs), surface.count, -1)
-    contracted = parts.contract(slabs).reshape(len(pts), len(pairs), surface.count)
+    contracted = block.contract(slabs).reshape(len(pts), len(pairs), surface.count)
     for n, (i, j) in enumerate(pairs):
         np.testing.assert_allclose(contracted[:, n], phi[..., i, j], rtol=1e-12)
         np.testing.assert_allclose(contracted[:, n], phi[..., j, i], rtol=1e-12)
-    r = np.linalg.norm(surface.points - pts[0], axis=1)
-    h0 = em.hankel1_012(CTX2.wavenumber * r)[0]
-    np.testing.assert_array_equal(em.green_scalar_from_distance(CTX2, r), 0.25j * h0)
+    if ctx.dimension == 2:
+        r = np.linalg.norm(surface.points - pts[0], axis=1)
+        h0 = em.hankel1_012(CTX2.wavenumber * r)[0]
+        np.testing.assert_array_equal(em.green_scalar_from_distance(CTX2, r), 0.25j * h0)
+
+
+@pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
+def test_symmetric_slabs_match_f_plus_f_transpose(ctx):
+    d = ctx.dimension
+    rng = np.random.default_rng(5)
+    refs = rng.standard_normal((7, d, d, 4)) + 1j * rng.standard_normal((7, d, d, 4))
+    both = refs + refs.transpose(0, 2, 1, 3)
+    slabs = em.symmetric_slabs(refs)
+    pairs = [(i, j) for i in range(d) for j in range(i, d)]
+    assert slabs.shape == (len(pairs), 7, 4)
+    for n, (i, j) in enumerate(pairs):
+        np.testing.assert_array_equal(slabs[n], refs[:, i, i] if i == j else both[:, i, j])
+    # contracted against a block they give the full Frobenius pairing
+    sources = rng.uniform(3.0, 4.0, (7, d))
+    targets = rng.uniform(-1.0, 1.0, (5, d))
+    phi = em.green_tensor_from_diff(ctx, sources[np.newaxis, :, :] - targets[:, np.newaxis, :])
+    np.testing.assert_allclose(em.KernelBlock(ctx, sources, targets).contract(slabs),
+                               np.einsum("cmij,mijk->ck", phi, refs), rtol=1e-12)

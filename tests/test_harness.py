@@ -284,6 +284,21 @@ class TestRunExperiment:
             harness.run_experiment(harness.config_from_dict(raw))
         assert info.value.stage == "forward"
 
+    @pytest.mark.parametrize("dimension,box", [
+        (2, [[1.0, -1.0], [-1.0, 1.0]]),    # inverted
+        (2, [[0.5, 0.5], [-1.0, 1.0]]),     # zero extent
+        (2, [[-4.0, 4.0], [-4.0, 4.0]]),    # corners outside the radius-5 circle
+        (3, [[-1.0, 1.0]] * 2 + [[0.0, 5.0]]),  # reaches the cube's face
+    ])
+    def test_bad_sampling_box_fails_before_any_output(self, tmp_path, dimension, box):
+        raw = small_config_dict() if dimension == 2 else harness.preset("example3d").to_dict()
+        raw.update(sampling={"box": box, "spacing": 0.25}, outputs={"directory": str(tmp_path / "out")})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match="'sampling.box'"):
+            harness.run_experiment(harness.load_config(path))
+        assert not (tmp_path / "out" / "scattered_incident1.csv").exists()
+
     def test_noisy_csv_written_only_with_noise(self, small_run):
         _, report, _ = small_run
         assert not any("noisy" in p for p in report.output_files)

@@ -173,9 +173,9 @@ class TestSynthesis:
         phi = em.green_tensor_from_diff(ctx, surf.points[:, None, :] - grid.nodes[None, :, :])
         expected = np.einsum("mjab,jb->ma", phi, values) * grid.cell_measure
         default = ms.synthesize_scattered_field(current, surf, ctx).values
-        monkeypatch.setattr(ms, "_SYNTH_CHUNK_PAIRS", 1)  # one source per chunk
-        one_source = ms.synthesize_scattered_field(current, surf, ctx).values
-        for got in (default, one_source):
+        monkeypatch.setattr(em, "_CHUNK_TARGET", 1)  # one surface point per block
+        one_target = ms.synthesize_scattered_field(current, surf, ctx).values
+        for got in (default, one_target):
             np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-14 * np.abs(expected).max())
 
     def test_measurement_point_inside_grid_rejected(self):
