@@ -1,18 +1,20 @@
 #!/usr/bin/env python3
 """Compare two output trees of emdsm runs.
 
-For every run directory (one holding a report.json) under dir_a, and each
-index or map CSV in it, print the max |value difference| against the same
-file under dir_b, and whether the report.json entry of that grid has the
+For every run directory (one holding a report.json) under dir_a, each file
+named in its report.json is compared against the same file under dir_b.
+Each index or map grid's entry lists its files; its CSV's max |value
+difference| is printed, and whether dir_b's entry of the same label has the
 same argmax location, the same local-maxima locations and the same
-sweep_info (group order, orbits, kernel pairs, chunks, threads).  Each
-synthesized data file (scattered_incident*.csv, exact and _noisy) is
-compared the same way, over its real and imaginary field parts.  Exits
-non-zero when a difference exceeds --tol, a file's coordinates (and
-quadrature weights), argmax, maxima or sweep_info differ, or a file of
-dir_a is missing from dir_b.
+sweep_info (group order, orbits, kernel pairs, chunks, threads).  The other
+output_files, the synthesized data (scattered_incident*.csv, exact and
+_noisy), are compared the same way over their real and imaginary field
+parts.  Exits non-zero when a difference exceeds --tol, a file's coordinates
+(and quadrature weights), argmax, maxima or sweep_info differ, a file of
+dir_a is missing from dir_b, or dir_a's report.json lists no files per grid
+(written before report.json named them: give the newer tree as dir_a).
 
-    python scripts/compare_outputs.py out/before out/after --tol 1e-12
+    python scripts/compare_outputs.py out/after out/before --tol 1e-12
 """
 
 import argparse
@@ -23,82 +25,68 @@ from pathlib import Path
 import numpy as np
 
 
-def _entries(report_path: Path) -> dict:
-    """report.json's index entries keyed by the stem of their exported files:
-    index_<label with ':' as '_'> for index grids, map_<name> for cross:<name>."""
-    out = {}
-    for entry in json.loads(report_path.read_text())["indices"]:
-        label = entry["label"]
-        stem = f"map_{label[6:]}" if label.startswith("cross:") else f"index_{label.replace(':', '_')}"
-        out[stem] = entry
-    return out
-
-
-def _load_pair(path_a: Path, path_b: Path, n_fixed: int, failures: list[str]):
-    """Both CSVs as arrays, or None, with the failure added, when path_b is
-    missing or the first n_fixed columns of the two differ."""
+def _compare_file(path_a: Path, path_b: Path, tol: float, failures: list[str]) -> str | None:
+    """The max |value difference| line of a CSV, or None, with any failure
+    added; only checks that path_b exists for other files."""
     if not path_b.exists():
         failures.append(f"{path_b}: missing")
         return None
+    if path_a.suffix != ".csv":
+        return None
+    with open(path_a) as fh:
+        # x1..xd (and w in a data file), then the values
+        n_fixed = sum(name == "w" or name.startswith("x") for name in fh.readline().split(","))
     a = np.loadtxt(path_a, delimiter=",", skiprows=1, ndmin=2)
     b = np.loadtxt(path_b, delimiter=",", skiprows=1, ndmin=2)
     if a.shape != b.shape or not np.array_equal(a[:, :n_fixed], b[:, :n_fixed]):
         failures.append(f"{path_a.name}: coordinates differ")
         return None
-    return a, b
+    delta = float(np.abs(a[:, n_fixed:] - b[:, n_fixed:]).max())
+    if delta > tol:
+        failures.append(f"{path_a.name}: max |delta| {delta:.2e} > {tol:g}")
+    return f"{path_a.name}: max |delta| {delta:.2e}"
 
 
 def compare_run(run_a: Path, run_b: Path, tol: float) -> tuple[list[str], list[str]]:
     """Lines to print and failures for one pair of run directories."""
-    lines, failures = [], []
+    report_a = json.loads((run_a / "report.json").read_text())
+    if any("files" not in entry for entry in report_a["indices"]):
+        return [], [f"{run_a / 'report.json'}: its index entries list no files, so it was written "
+                    "before report.json named them; give the newer tree first"]
     if not (run_b / "report.json").exists():
-        return lines, [f"{run_b}: no report.json"]
-    for path_a in sorted(run_a.glob("scattered_incident*.csv")):
-        # x1..xd and w, then Re and Im of each field component
-        with open(path_a) as fh:
-            n_fixed = sum(name.startswith("x") for name in fh.readline().split(",")) + 1
-        pair = _load_pair(path_a, run_b / path_a.name, n_fixed, failures)
-        if pair is None:
+        return [], [f"{run_b}: no report.json"]
+    entries_b = {entry["label"]: entry for entry in json.loads((run_b / "report.json").read_text())["indices"]}
+    grid_files = {name for entry in report_a["indices"] for name in entry["files"]}
+    failures = []
+    lines = [_compare_file(run_a / name, run_b / name, tol, failures)
+             for name in (Path(path).name for path in report_a["output_files"]) if name not in grid_files]
+    for entry_a in report_a["indices"]:
+        label, entry_b = entry_a["label"], entries_b.get(entry_a["label"])
+        if entry_b is None:
+            failures.append(f"{label}: no report entry")
             continue
-        delta = float(np.abs(pair[0][:, n_fixed:] - pair[1][:, n_fixed:]).max())
-        lines.append(f"{path_a.name}: max |delta| {delta:.2e}")
-        if delta > tol:
-            failures.append(f"{path_a.name}: max |delta| {delta:.2e} > {tol:g}")
-    entries_a, entries_b = _entries(run_a / "report.json"), _entries(run_b / "report.json")
-    for path_a in sorted([*run_a.glob("index_*.csv"), *run_a.glob("map_*.csv")]):
-        pair = _load_pair(path_a, run_b / path_a.name, -1, failures)
-        if pair is None:
-            continue
-        a, b = pair
-        delta = float(np.abs(a[:, -1] - b[:, -1]).max())
-        entry_a, entry_b = entries_a.get(path_a.stem), entries_b.get(path_a.stem)
-        if entry_a is None or entry_b is None:
-            failures.append(f"{path_a.name}: no report entry")
-            continue
+        lines += [_compare_file(run_a / name, run_b / name, tol, failures) for name in entry_a["files"]]
         same_argmax = entry_a["argmax"]["location"] == entry_b["argmax"]["location"]
         maxima_a = [m["location"] for m in entry_a["maxima"]]
         same_maxima = maxima_a == [m["location"] for m in entry_b["maxima"]]
         same_sweep = entry_a.get("sweep_info") == entry_b.get("sweep_info")
-        lines.append(f"{path_a.name}: max |delta| {delta:.2e}, "
-                     f"argmax {'same' if same_argmax else 'DIFFERS'}, "
+        lines.append(f"{label}: argmax {'same' if same_argmax else 'DIFFERS'}, "
                      f"{len(maxima_a)} maxima {'same' if same_maxima else 'DIFFER'}, "
                      f"sweep_info {'same' if same_sweep else 'DIFFERS'}")
-        if delta > tol:
-            failures.append(f"{path_a.name}: max |delta| {delta:.2e} > {tol:g}")
         if not (same_argmax and same_maxima):
-            failures.append(f"{path_a.name}: argmax or maxima differ")
+            failures.append(f"{label}: argmax or maxima differ")
         if not same_sweep:
-            failures.append(f"{path_a.name}: sweep_info differs: {entry_a.get('sweep_info')} "
+            failures.append(f"{label}: sweep_info differs: {entry_a.get('sweep_info')} "
                             f"against {entry_b.get('sweep_info')}")
-    return lines, failures
+    return [line for line in lines if line], failures
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("dir_a", type=Path)
     parser.add_argument("dir_b", type=Path)
     parser.add_argument("--tol", type=float, default=1e-12, help="largest allowed |value difference|")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     runs = sorted(path.parent for path in args.dir_a.rglob("report.json"))
     if not runs:
         print(f"{args.dir_a}: no report.json found", file=sys.stderr)

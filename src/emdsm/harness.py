@@ -226,6 +226,8 @@ def config_from_dict(raw: dict, name: str = "custom") -> ExperimentConfig:
         if not isinstance(point, list) or len(point) != dimension:
             raise ConfigError("key 'diagnostic.x_q': length does not match 'wave.dimension'")
         diagnostic_point = tuple(_number(v, "diagnostic.x_q") for v in point)
+        if kind == "fig2" and len(incidents) < 2:
+            raise ConfigError("key 'incidents' must list two incident fields for the fig2 diagnostic")
     else:
         contrast = _parse_shapes(_need(raw, "shapes", ""), dimension)
 
@@ -250,10 +252,13 @@ def config_from_dict(raw: dict, name: str = "custom") -> ExperimentConfig:
         raise ConfigError("key 'sampling.box' must give one [lo, hi] pair per axis")
     box = tuple(tuple(_number(v, "sampling.box") for v in pair) for pair in box_raw)
     spacing = _number(sampling.get("spacing", DEFAULT_SAMPLING_SPACING[dimension]), "sampling.spacing", positive=True)
+    built = surface.build()
     try:
-        dsm.check_grid_inside(surface.build(), dsm.sampling_grid(box, spacing))
+        dsm.check_grid_inside(built, dsm.sampling_grid(box, spacing))
     except GeometryError as exc:
         raise ConfigError(f"key 'sampling.box': {exc}") from None
+    if diagnostic is not None and not built.contains_strictly(diagnostic_point):
+        raise ConfigError("key 'diagnostic.x_q' must lie strictly inside the measurement surface")
 
     noise = _object(raw.get("noise", {}), "noise")
     epsilon = _number(noise.get("epsilon", 0.0), "noise.epsilon")
@@ -294,7 +299,11 @@ def load_config(path) -> ExperimentConfig:
     if not path.exists():
         raise ConfigError(f"configuration file {path} does not exist")
     try:
-        raw = json.loads(path.read_text())
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"configuration file {path} cannot be read: {exc}") from exc
+    try:
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"configuration file {path} is not valid JSON: {exc}") from exc
     return config_from_dict(raw, name=path.stem)
@@ -425,27 +434,28 @@ def _stage(report: LocalizationReport, name: str):
     }
 
 
-def _export_index(index: dsm.IndexGrid, stem: Path, formats, report: LocalizationReport) -> None:
+def _export_grid(index: dsm.IndexGrid, outdir: Path, formats, report: LocalizationReport, **extra) -> None:
+    """Write index.normalized() as index_<label, ':' as '_'> or, for a
+    cross:<name> map, map_<name>, in each format, and append the grid's report
+    entry: argmax, maxima, sweep_info, extra, and the files written, relative
+    to outdir."""
+    label = index.label
+    stem = f"map_{label.removeprefix('cross:')}" if label.startswith("cross:") else f"index_{label.replace(':', '_')}"
     exported = index.normalized()
-    if "csv" in formats:
-        path = stem.with_suffix(".csv")
-        dsm.write_index_csv(exported, path)
-        report.output_files.append(str(path))
-    if "pgm" in formats:
-        path = stem.with_suffix(".pgm")
-        dsm.write_index_pgm(exported, path)
-        report.output_files.append(str(path))
-
-
-def _index_entry(index: dsm.IndexGrid) -> dict:
-    maxima = dsm.find_local_maxima(index)
-    loc = index.argmax_location()
-    return {
-        "label": index.label,
-        "argmax": {"location": loc.tolist(), "value": float(index.values.max())},
-        "maxima": [{"location": p.tolist(), "value": v} for p, v in maxima],
+    files = []
+    for fmt, write in (("csv", dsm.write_index_csv), ("pgm", dsm.write_index_pgm)):
+        if fmt in formats:
+            files.append(f"{stem}.{fmt}")
+            write(exported, outdir / files[-1])
+            report.output_files.append(str(outdir / files[-1]))
+    report.indices.append({
+        "label": label,
+        "argmax": {"location": index.argmax_location().tolist(), "value": float(index.values.max())},
+        "maxima": [{"location": p.tolist(), "value": v} for p, v in dsm.find_local_maxima(index)],
         "sweep_info": asdict(index.sweep_info),
-    }
+        **extra,
+        "files": files,
+    })
 
 
 def _diagnostic_selectors(kind: str, polarizations) -> list[dsm.CrossSelector]:
@@ -463,32 +473,17 @@ def _off_peak_ratios(maps, x_q, wavelength: float) -> list[float]:
     return [float(index.values[off].max() / index.values.max()) for index in maps]
 
 
-def _run_diagnostic(config: ExperimentConfig, report: LocalizationReport, outdir: Path) -> None:
-    ctx = config.ctx
-    grid = dsm.sampling_grid(config.sampling_box, config.sampling_spacing)
-    x_q = np.asarray(config.diagnostic_point)
-    selectors = _diagnostic_selectors(config.diagnostic, [w.polarization for w in config.incidents])
-    with _stage(report, "sweep"):
-        maps = dsm.cross_product_maps(ctx, config.surface.build(), x_q, grid, selectors)
-
-    with _stage(report, "export"):
-        for selector, index, ratio in zip(selectors, maps, _off_peak_ratios(maps, x_q, ctx.wavelength)):
-            entry = _index_entry(index)
-            entry["off_peak_ratio"] = ratio
-            report.indices.append(entry)
-            _export_index(index, outdir / f"map_{selector.label}", config.output_formats, report)
-
-
 def run_experiment(config: ExperimentConfig) -> LocalizationReport:
-    """Forward-solve each incident, synthesize (optionally noisy) data, sweep
-    the indicators, and write index grids plus a JSON report."""
+    """Forward-solve each incident, synthesize (optionally noisy) data and
+    sweep the indicators, or for a fig1/fig2 diagnostic sweep its
+    cross-correlation maps; write the grids plus a JSON report."""
+    surface = config.surface.build()
+    grid = dsm.sampling_grid(config.sampling_box, config.sampling_spacing)
     outdir = Path(config.output_directory)
     outdir.mkdir(parents=True, exist_ok=True)
     report = LocalizationReport(config=config.to_dict())
 
-    if config.diagnostic is not None:
-        _run_diagnostic(config, report, outdir)
-    else:
+    if config.diagnostic is None:
         with _stage(report, "forward"):
             solver = ForwardSolver(config.contrast, config.ctx, config.forward_h, config.solver)
             currents = [solver.solve(wave) for wave in config.incidents]
@@ -502,7 +497,6 @@ def run_experiment(config: ExperimentConfig) -> LocalizationReport:
                 })
 
         with _stage(report, "synthesis"):
-            surface = config.surface.build()
             datasets = []
             for l, (wave, current) in enumerate(zip(config.incidents, currents)):
                 samples = synthesize_scattered_field(current, surface, config.ctx)
@@ -518,15 +512,19 @@ def run_experiment(config: ExperimentConfig) -> LocalizationReport:
                         report.output_files.append(str(path))
                 datasets.append((samples, wave.polarization))
 
-        with _stage(report, "sweep"):
-            grid = dsm.sampling_grid(config.sampling_box, config.sampling_spacing)
+    with _stage(report, "sweep"):
+        if config.diagnostic is None:
             grids = dsm.compute_index_grid(config.ctx, datasets, grid)
+        else:
+            x_q = np.asarray(config.diagnostic_point)
+            selectors = _diagnostic_selectors(config.diagnostic, [w.polarization for w in config.incidents])
+            grids = dsm.cross_product_maps(config.ctx, surface, x_q, grid, selectors)
 
-        with _stage(report, "export"):
-            for index in grids:
-                report.indices.append(_index_entry(index))
-                stem = outdir / f"index_{index.label.replace(':', '_')}"
-                _export_index(index, stem, config.output_formats, report)
+    with _stage(report, "export"):
+        extras = [{}] * len(grids) if config.diagnostic is None else [
+            {"off_peak_ratio": ratio} for ratio in _off_peak_ratios(grids, x_q, config.ctx.wavelength)]
+        for index, extra in zip(grids, extras):
+            _export_grid(index, outdir, config.output_formats, report, **extra)
 
     path = outdir / "report.json"
     path.write_text(json.dumps(report.to_dict(), indent=2))
@@ -545,17 +543,15 @@ def _verify_trace() -> list[dict]:
     rng = np.random.default_rng(2024)
     for dim in (2, 3):
         ctx = WaveContext.from_wavelength(dim, 1.0)
-        worst = 0.0
-        n = 0
-        while n < 500:
-            x = rng.uniform(-2.0, 2.0, dim)
-            y = rng.uniform(-2.0, 2.0, dim)
-            if np.linalg.norm(x - y) < 0.05:
-                continue
-            n += 1
-            g = green_scalar(ctx, x, y)
-            dev = abs(np.trace(green_tensor(ctx, x, y)) - (dim - 1) * ctx.wavenumber**2 * g)
-            worst = max(worst, dev / abs(ctx.wavenumber**2 * g))
+        # pair by pair, x before y, as many as are still missing: the pairs
+        # a one-pair-at-a-time draw would accept
+        pairs = np.empty((0, 2, dim))
+        while len(pairs) < 500:
+            block = rng.uniform(-2.0, 2.0, (500 - len(pairs), 2, dim))
+            pairs = np.concatenate([pairs, block[np.linalg.norm(block[:, 0] - block[:, 1], axis=1) >= 0.05]])
+        k2g = ctx.wavenumber**2 * green_scalar(ctx, pairs[:, 0], pairs[:, 1])
+        trace = np.trace(green_tensor(ctx, pairs[:, 0], pairs[:, 1]), axis1=1, axis2=2)
+        worst = float(np.max(np.abs(trace - (dim - 1) * k2g) / np.abs(k2g)))
         checks.append(_check(f"trace_identity_{dim}d_max_rel_dev", worst, 1e-11))
     return checks
 

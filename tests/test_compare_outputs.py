@@ -1,0 +1,109 @@
+"""scripts/compare_outputs.py on two trees of runs of the same configs."""
+
+import importlib.util
+import json
+import shutil
+from pathlib import Path
+
+import pytest
+
+from emdsm import harness
+
+from .test_harness import small_config_dict
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_outputs.py"
+
+
+def _load_script():
+    spec = importlib.util.spec_from_file_location("compare_outputs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+compare_outputs = _load_script()
+
+
+def _run_tree(root: Path) -> None:
+    """A small 2D scattering run (20 % noise) and fig2 on a coarse grid."""
+    raw = small_config_dict(outputs={"directory": str(root / "small")}, noise={"epsilon": 0.2, "seed": 1})
+    harness.run_experiment(harness.config_from_dict(raw, name="small"))
+    fig2 = harness.preset("fig2", out=str(root / "fig2"), sampling_spacing=0.1)
+    harness.run_experiment(fig2)
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    """Trees a and b, each from its own runs."""
+    root = tmp_path_factory.mktemp("trees")
+    for tree in ("a", "b"):
+        _run_tree(root / tree)
+    return root
+
+
+@pytest.fixture
+def trees(runs, tmp_path):
+    """Copies of trees a and b that a test may edit."""
+    for tree in ("a", "b"):
+        shutil.copytree(runs / tree, tmp_path / tree)
+    return tmp_path / "a", tmp_path / "b"
+
+
+def _compare(a: Path, b: Path, capsys) -> tuple[int, str, str]:
+    code = compare_outputs.main([str(a), str(b), "--tol", "1e-12"])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _edit_report(path: Path, edit) -> None:
+    report = json.loads(path.read_text())
+    edit(report)
+    path.write_text(json.dumps(report))
+
+
+def test_identical_trees_pass(trees, capsys):
+    code, out, err = _compare(*trees, capsys)
+    assert code == 0, err
+    assert "2 runs compared, 0 failures" in out
+    for name in ("small/index_combined.csv", "small/scattered_incident1_noisy.csv",
+                 "fig2/map_polarization_sum.csv"):
+        assert f"{name}: max |delta| 0.00e+00" in out
+
+
+def test_changed_index_value_fails(trees, capsys):
+    a, b = trees
+    path = b / "small" / "index_combined.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    *coords, value = lines[5].rstrip("\n").split(",")
+    lines[5] = ",".join(coords + ["%.17g" % (float(value) + 1e-9)]) + "\n"
+    path.write_text("".join(lines))
+    code, _, err = _compare(a, b, capsys)
+    assert code == 1
+    assert "index_combined.csv: max |delta| 1.00e-09 > 1e-12" in err
+
+
+def test_changed_maxima_fail(trees, capsys):
+    a, b = trees
+    _edit_report(b / "small" / "report.json",
+                 lambda report: report["indices"][-1]["maxima"][0]["location"].reverse())
+    code, _, err = _compare(a, b, capsys)
+    assert code == 1
+    assert "combined: argmax or maxima differ" in err
+
+
+def test_missing_map_reported(trees, capsys):
+    a, b = trees
+    (b / "fig2" / "map_polarization_1.csv").unlink()
+    code, _, err = _compare(a, b, capsys)
+    assert code == 1
+    assert f"{b / 'fig2' / 'map_polarization_1.csv'}: missing" in err
+
+
+def test_report_without_files_fails(trees, capsys):
+    a, b = trees
+    for run in ("small", "fig2"):
+        _edit_report(a / run / "report.json",
+                     lambda report: [entry.pop("files") for entry in report["indices"]])
+    code, _, err = _compare(a, b, capsys)
+    assert code == 1
+    assert err.count("written before report.json named them; give the newer tree first") == 2

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from emdsm import cli, harness
+from emdsm.em_core import WaveContext, green_scalar, green_tensor
 from emdsm.errors import ConfigError, StageError
 
 SQRT2 = np.sqrt(2.0)
@@ -245,6 +246,18 @@ class TestRunExperiment:
         parsed = json.loads((outdir / "report.json").read_text())
         assert parsed["indices"][-1]["label"] == "combined"
 
+    def test_report_files_are_the_grid_outputs(self, small_run):
+        _, report, outdir = small_run
+        files = [name for entry in report.indices for name in entry["files"]]
+        assert files == [f"index_{stem}.{fmt}" for stem in
+                         ("single_polarization_0", "single_polarization_1", "combined")
+                         for fmt in ("csv", "pgm")]
+        assert all((outdir / name).is_file() for name in files)
+        data = ["scattered_incident1.csv", "scattered_incident2.csv"]
+        assert sorted(p.split("/")[-1] for p in report.output_files) == sorted(files + data + ["report.json"])
+        parsed = json.loads((outdir / "report.json").read_text())
+        assert [entry["files"] for entry in parsed["indices"]] == [entry["files"] for entry in report.indices]
+
     def test_maxima_sorted_descending(self, small_run):
         _, report, _ = small_run
         for entry in report.indices:
@@ -305,6 +318,20 @@ class TestRunExperiment:
 
 
 class TestDiagnosticRun:
+    @pytest.mark.parametrize("name,edit,key", [
+        ("fig2", lambda raw: raw["incidents"].pop(), "'incidents'"),
+        ("fig1", lambda raw: raw["diagnostic"].update(x_q=[9.0, 0.0]), "'diagnostic.x_q'"),
+        ("fig1", lambda raw: raw["diagnostic"].update(x_q=[5.0, 0.0]), "'diagnostic.x_q'"),
+    ])
+    def test_bad_diagnostic_fails_at_parse_time(self, tmp_path, name, edit, key):
+        raw = harness.preset(name, out=str(tmp_path / "out")).to_dict()
+        edit(raw)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match=key):
+            harness.run_experiment(harness.load_config(path))
+        assert not (tmp_path / "out").exists()
+
     def test_fig2_maps_and_ratios(self, tmp_path):
         config = harness.preset("fig2", out=str(tmp_path))
         config = harness.config_from_dict(
@@ -344,6 +371,27 @@ class TestVerify:
         result = harness.verify("trace")
         assert result["passed"]
         assert all(c["value"] <= 1e-11 for c in result["checks"])
+
+    def test_trace_matches_per_pair_loop(self):
+        """The batched check against one kernel call per accepted pair, drawn
+        from the same generator one pair at a time."""
+        rng = np.random.default_rng(2024)
+        oracle = []
+        for dim in (2, 3):
+            ctx = WaveContext.from_wavelength(dim, 1.0)
+            worst, n = 0.0, 0
+            while n < 500:
+                x = rng.uniform(-2.0, 2.0, dim)
+                y = rng.uniform(-2.0, 2.0, dim)
+                if np.linalg.norm(x - y) < 0.05:
+                    continue
+                n += 1
+                g = green_scalar(ctx, x, y)
+                dev = abs(np.trace(green_tensor(ctx, x, y)) - (dim - 1) * ctx.wavenumber**2 * g)
+                worst = max(worst, dev / abs(ctx.wavenumber**2 * g))
+            oracle.append(worst)
+        values = [check["value"] for check in harness.verify("trace")["checks"]]
+        np.testing.assert_array_max_ulp(np.array(values), np.array(oracle), maxulp=4)
 
     def test_lemma(self):
         result = harness.verify("lemma")
@@ -394,6 +442,17 @@ class TestCli:
         path.write_text(json.dumps(raw))
         assert cli.main(["run", str(path)]) == 2
         assert "incidents" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+    def test_unreadable_config_reports_error(self, tmp_path, capsys, kind):
+        path = tmp_path / "config.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"name": "caf\xe9"}')
+        assert cli.main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: configuration file {path} cannot be read")
 
     def test_bad_config_value_reports_error(self, tmp_path, capsys):
         path = tmp_path / "config.json"
