@@ -6,9 +6,9 @@ named in its report.json is compared against the same file under dir_b.
 Each index or map grid's entry lists its files; its CSV's max |value
 difference| is printed, and whether dir_b's entry of the same label has the
 same argmax location, the same local-maxima locations and the same
-sweep_info (group order, orbits, kernel pairs, chunks, threads).  The other
-output_files, the synthesized data (scattered_incident*.csv, exact and
-_noisy), are compared the same way over their real and imaginary field
+sweep_info (group order, orbits, kernel pairs, chunks, threads, BLAS pin).
+The other output_files, the synthesized data (scattered_incident*.csv, exact
+and _noisy), are compared the same way over their real and imaginary field
 parts.  Exits non-zero when a difference exceeds --tol, a file's coordinates
 (and quadrature weights), argmax, maxima or sweep_info differ, a file of
 dir_a is missing from dir_b, or dir_a's report.json lists no files per grid

@@ -11,17 +11,15 @@ Values lie in [0, 1] by Cauchy-Schwarz and peak near scatterer support.
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
 
-from .em_core import (KernelBlock, WaveContext, block_targets, curl_green_tensor_from_diff, green_tensor_from_diff,
-                      im_green_tensor, symmetric_slabs)
-from .errors import ConfigError, DomainError, GeometryError
+from .em_core import (KernelBlock, WaveContext, curl_green_tensor_from_diff, green_tensor_from_diff, im_green_tensor,
+                      run_blocks, symmetric_slabs)
+from .errors import DomainError, GeometryError
 from .measurement import FieldSamples, MeasurementSurface, circle_surface, l2_inner_product, l2_norm
 
 _CSV_BLOCK_ROWS = 1_024  # index rows per write, in whole lines; larger blocks add memory, not speed
@@ -119,7 +117,8 @@ class SweepInfo:
     """What one sweep evaluated: the order of its symmetry group, the orbit
     representatives at which the kernel was evaluated, the (surface point,
     sampling point) pairs evaluated and the grid's pairs they served, its
-    chunks and its worker threads."""
+    chunks, its worker threads, and whether BLAS was pinned to one thread
+    (em_core.run_blocks)."""
 
     group_order: int
     orbits: int
@@ -127,18 +126,7 @@ class SweepInfo:
     grid_pairs: int
     chunks: int
     threads: int
-
-
-def _thread_count() -> int:
-    """The sweep's worker count from EMDSM_THREADS (default 1)."""
-    raw = os.environ.get("EMDSM_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ConfigError(f"EMDSM_THREADS must be a positive integer, got {raw!r}")
-    return threads
+    blas_pinned: bool
 
 
 def _sorted_order(points: np.ndarray, tol: float) -> np.ndarray:
@@ -259,11 +247,12 @@ def _sweep(ctx, surface, grid, group, refs, per_chunk_fn) -> tuple[np.ndarray, S
     F_sigma[m] = sigma^T F[pi(m)] sigma, that is F_sigma[m, p(i), p(j)] =
     s_i s_j F[pi(m), i, j].  Every F_sigma is stacked once per sweep, as the
     symmetric_slabs of KernelBlock.contract: the group acts on the references
-    alone.  Each chunk is one KernelBlock with the surface points as sources.
-    per_chunk_fn(block, P) maps a chunk's pairings P (C, G, K) to values of
-    the same shape.  Each grid slot is written once, by the first group
-    element that reaches it from its orbit's representative, so results do
-    not depend on the thread count.  Returns the values (K, N) and a SweepInfo.
+    alone.  Each chunk is one KernelBlock of em_core.run_blocks with the
+    surface points as sources.  per_chunk_fn(block, P) maps a chunk's
+    pairings P (C, G, K) to values of the same shape.  Each grid slot is
+    written once, by the first group element that reaches it from its orbit's
+    representative, so results do not depend on the thread count.  Returns
+    the values (K, N) and a SweepInfo.
     """
     axis_perms, signs, _ = group
     n_images, d = signs.shape
@@ -276,32 +265,18 @@ def _sweep(ctx, surface, grid, group, refs, per_chunk_fn) -> tuple[np.ndarray, S
     axes = grid.axes
     dims = grid.shape
     reps = _orbit_representatives(axis_perms, signs, dims)
-    n_reps = len(reps)
-    per_chunk = block_targets(surface.count, d)
     outputs = np.empty((refs.shape[3], grid.n_points))
-    # freeing one mmapped block raises glibc's mmap threshold to its size (and
-    # its heap trim threshold to twice that), so each chunk's 0.5-0.8 MB arrays
-    # stay on the heap instead of being unmapped and faulted in again per chunk
-    np.empty(8 * per_chunk * surface.count, dtype=np.complex128)
 
-    def work(bounds):
-        lo, hi = bounds
+    def work(lo, hi):
         ticks = np.array(np.unravel_index(reps[lo:hi], dims))
         block = KernelBlock(ctx, surface.points, np.column_stack([ax[k] for ax, k in zip(axes, ticks)]))
         values = per_chunk_fn(block, block.contract(slabs).reshape(hi - lo, n_images, -1))
         images, first = _orbit_slots(axis_perms, signs, ticks, dims)
         outputs[:, images[first]] = values.transpose(2, 1, 0)[:, first]
 
-    threads = _thread_count()
-    ranges = [(lo, min(lo + per_chunk, n_reps)) for lo in range(0, n_reps, per_chunk)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, ranges))
-    else:
-        for bounds in ranges:
-            work(bounds)
-    info = SweepInfo(n_images, n_reps, n_reps * surface.count, grid.n_points * surface.count,
-                     len(ranges), threads)
+    run = run_blocks(work, len(reps), surface.count, d)
+    info = SweepInfo(n_images, len(reps), len(reps) * surface.count, grid.n_points * surface.count,
+                     run.blocks, run.threads, run.blas_pinned)
     return outputs, info
 
 

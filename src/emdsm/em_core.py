@@ -8,19 +8,28 @@ the defining k^2 G I + Hess(G) expression survives only as a test oracle.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError, GeometryError, SingularityError
+from .errors import ConfigError, DimensionMismatchError, DomainError, GeometryError, SingularityError
 
 _TWO_PI = 2.0 * np.pi
 
 _SHAPE_KINDS = ("axis_square", "square_ring", "axis_cube")
 
-# (target, source, axis) triples per KernelBlock: each (C, M) complex array is then 0.5-0.8 MB, so a
-# block stays near a 2 MB L2; 60 k-200 k measured within noise in 2D, 200 k and 3 M slower in 3D
-_CHUNK_TARGET = 100_000
+# (target, source, axis) triples per KernelBlock: each (C, M) complex array is then 0.27-0.4 MB, and
+# the two blocks in flight on two cores hold what one block of 100 k did, so the workers do not raise
+# peak memory; 60 k-200 k measured within noise in 2D, 200 k and 3 M slower in 3D
+_CHUNK_TARGET = 50_000
+# one multi-worker run_blocks at a time: the BLAS pin is process-wide
+_BLAS_PIN = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -258,11 +267,6 @@ def green_tensor_from_diff(ctx: WaveContext, diff) -> np.ndarray:
     return out.reshape(batch_shape + (d, d))
 
 
-def block_targets(n_sources: int, dimension: int) -> int:
-    """Targets per KernelBlock against n_sources: about _CHUNK_TARGET (target, source, axis) triples."""
-    return max(1, _CHUNK_TARGET // (n_sources * dimension))
-
-
 def symmetric_slabs(refs: np.ndarray) -> np.ndarray:
     """References F (M, d, d, K) as the slabs (d(d+1)/2, M, K) of KernelBlock.contract:
     F_ii and F_ij + F_ji for each component i <= j, in order."""
@@ -325,6 +329,125 @@ class KernelBlock:
                 s_ij = (scaled * self.diffs[j]) @ weights
                 out += np.outer(s_ij, (1.0 if i == j else 2.0) * qs[i] * qs[j])
         return np.sqrt(out)
+
+
+def _thread_count() -> int:
+    """Worker threads for run_blocks: EMDSM_THREADS, by default the CPUs this
+    process may run on."""
+    raw = os.environ.get("EMDSM_THREADS")
+    if raw is None:
+        return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ConfigError(f"EMDSM_THREADS must be a positive integer, got {raw!r}")
+    return threads
+
+
+@functools.cache
+def _blas_threads():
+    """The thread-count getter and setter of numpy's bundled OpenBLAS, or None
+    where its scipy-openblas64 symbols are absent.  dlsym on numpy's core
+    extension also searches the libraries that extension links, so the
+    library is found wherever the wheel put it; looked up on first use, not at
+    import."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@functools.cache
+def _malloc_trim():
+    """glibc's malloc_trim, or None under another C library."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return None
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
+
+@dataclass(frozen=True)
+class BlockRun:
+    """How run_blocks ran: its blocks, its worker threads, and whether BLAS
+    was pinned to one thread meanwhile."""
+
+    blocks: int
+    threads: int
+    blas_pinned: bool
+
+
+def run_blocks(work: Callable[[int, int], None], n_targets: int, n_sources: int, dimension: int) -> BlockRun:
+    """Call work(lo, hi) once for each block [lo, hi) of the n_targets
+    targets of KernelBlocks against n_sources sources, about _CHUNK_TARGET
+    (target, source, axis) triples each, on _thread_count() worker threads.
+
+    The block size does not depend on the worker count, so neither does any
+    result as long as each call writes only its own targets' slots.  The
+    calling thread drains the blocks as one of the workers, which adds one
+    malloc arena rather than one per worker.  A run of one block, or with
+    one worker, runs on the calling thread alone.  Otherwise numpy's OpenBLAS
+    is pinned to one thread for the run and restored after it, since threaded
+    BLAS under every worker would oversubscribe the cores; where its thread
+    symbols are absent the run uses one worker.  The first exception a block
+    raises propagates once every worker has stopped.  After a run on several
+    workers the free heap is returned to the system (glibc's malloc_trim).
+    """
+    threads = _thread_count()
+    step = max(1, _CHUNK_TARGET // (n_sources * dimension))
+    blocks = [(lo, min(lo + step, n_targets)) for lo in range(0, n_targets, step)]
+    # freeing one mmapped block raises glibc's mmap threshold to its size (and
+    # its heap trim threshold to twice that), so each block's arrays stay on
+    # the heap instead of being unmapped and faulted in again per block
+    np.empty(8 * step * n_sources, dtype=np.complex128)
+    workers = min(threads, len(blocks))
+    blas = _blas_threads() if workers > 1 else None
+    if blas is None:
+        for lo, hi in blocks:
+            work(lo, hi)
+        return BlockRun(len(blocks), 1, False)
+    pending = iter(blocks)
+    take = threading.Lock()
+    failed = threading.Event()
+
+    def drain():
+        while not failed.is_set():
+            with take:
+                bounds = next(pending, None)
+            if bounds is None:
+                return
+            try:
+                work(*bounds)
+            except BaseException:
+                failed.set()
+                raise
+
+    get_threads, set_threads = blas
+    with _BLAS_PIN:
+        saved = get_threads()
+        set_threads(1)
+        try:
+            with ThreadPoolExecutor(workers - 1) as pool:
+                futures = [pool.submit(drain) for _ in range(workers - 1)]
+                drain()
+                for future in futures:
+                    future.result()
+        finally:
+            set_threads(saved)
+    # the pool thread's malloc arena keeps the block arrays it freed, up to
+    # its trim threshold, after the run; hand them back so that later stages
+    # do not peak on top of them
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
+    return BlockRun(len(blocks), workers, True)
 
 
 def curl_green_tensor_from_diff(ctx: WaveContext, diff, v) -> np.ndarray:

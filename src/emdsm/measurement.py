@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .em_core import KernelBlock, WaveContext, block_targets, symmetric_slabs
+from .em_core import KernelBlock, WaveContext, run_blocks, symmetric_slabs
 from .errors import DomainError, GeometryError
 
 _NOISE_BITGEN = np.random.PCG64  # named, seedable, portable
@@ -124,9 +124,10 @@ def synthesize_scattered_field(current, surface: MeasurementSurface, ctx: WaveCo
     """Discrete-sum scattered field E^s(x_m) = sum_j Phi(x_m, y_j) J_j h^d.
 
     It is the KernelBlock pairing, a block of surface points (the targets) at
-    a time, over the nodes carrying current (the sources) against the
-    references F[j, a, b, i] = delta_ai J_b(j) h^d.  Every measurement point
-    must lie strictly outside the source grid's bounding box.
+    a time (em_core.run_blocks), over the nodes carrying current (the
+    sources) against the references F[j, a, b, i] = delta_ai J_b(j) h^d.
+    Every measurement point must lie strictly outside the source grid's
+    bounding box.
     """
     lo, hi = current.grid.bounds
     inside = np.all((surface.points >= lo) & (surface.points <= hi), axis=1)
@@ -139,9 +140,11 @@ def synthesize_scattered_field(current, surface: MeasurementSurface, ctx: WaveCo
         sources = current.grid.nodes[active]
         weighted = current.values[active] * current.grid.cell_measure
         slabs = symmetric_slabs(np.einsum("ai,jb->jabi", np.eye(d), weighted))
-        step = block_targets(active.size, d)
-        for start in range(0, surface.count, step):
-            values[start:start + step] = KernelBlock(ctx, sources, surface.points[start:start + step]).contract(slabs)
+
+        def work(start, stop):
+            values[start:stop] = KernelBlock(ctx, sources, surface.points[start:stop]).contract(slabs)
+
+        run_blocks(work, surface.count, active.size, d)
     return FieldSamples(surface, values, Provenance("exact"))
 
 

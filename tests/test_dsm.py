@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emdsm import dsm, em_core as em, forward as fw, measurement as ms
-from emdsm.errors import ConfigError, DomainError, GeometryError
+from emdsm.errors import ConfigError, DomainError, GeometryError, SingularityError
 
 CTX2 = em.WaveContext.from_wavelength(2, 1.0)
 CTX3 = em.WaveContext.from_wavelength(3, 1.0)
@@ -251,6 +251,7 @@ class TestIndexGridSweep:
 
     def test_thread_env_does_not_change_values(self, example1_data, monkeypatch):
         grid = dsm.sampling_grid([(-1, 1), (-1, 1)], 0.05)
+        monkeypatch.setenv("EMDSM_THREADS", "1")
         serial = dsm.compute_index_grid(CTX2, example1_data, grid)[-1]
         monkeypatch.setenv("EMDSM_THREADS", "2")
         threaded = dsm.compute_index_grid(CTX2, example1_data, grid)[-1]
@@ -300,6 +301,12 @@ def random_datasets(rng, surface, qs):
                              + 1j * rng.standard_normal((surface.count, len(q)))), q) for q in qs]
 
 
+def pinned_run(threads):
+    """(threads, blas_pinned) of a run of several chunks on threads workers:
+    one unpinned worker where numpy's OpenBLAS thread symbols are absent."""
+    return (threads, True) if em._blas_threads() is not None else (1, False)
+
+
 CIRCLE32 = ms.circle_surface(5.0, 32)
 CUBE = ms.cube_surface(10.0, 4)
 # 30 points turned by 0.1 rad: the point inversion is their only symmetry
@@ -335,9 +342,10 @@ class TestMirrorOrbits:
         datasets = random_datasets(np.random.default_rng(9), surface, [np.eye(d)[0], np.ones(d) / np.sqrt(d)])
         grid = dsm.sampling_grid(box, spacing)
         grids = dsm.compute_index_grid(ctx, datasets, grid)
+        # one chunk runs on the calling thread, unpinned, whatever the worker count
         assert grids[0].sweep_info == dsm.SweepInfo(
             group_order=order, orbits=orbits, kernel_pairs=orbits * surface.count,
-            grid_pairs=grid.n_points * surface.count, chunks=1, threads=1)
+            grid_pairs=grid.n_points * surface.count, chunks=1, threads=1, blas_pinned=False)
         for (data, q), index in zip(datasets, grids):
             expected = [psi_oracle(ctx, data, x_p, q) for x_p in grid.points]
             np.testing.assert_allclose(index.values, expected, rtol=0, atol=1e-12)
@@ -392,6 +400,7 @@ class TestMirrorOrbits:
         # interleaves their writes
         grid = dsm.sampling_grid([(-1, 1), (-1, 1)], 0.05)
         monkeypatch.setattr(em, "_CHUNK_TARGET", 37 * 60)
+        monkeypatch.setenv("EMDSM_THREADS", "1")
         serial = dsm.compute_index_grid(CTX2, example1_data, grid)
         monkeypatch.setenv("EMDSM_THREADS", str(threads))
         interval = sys.getswitchinterval()
@@ -401,8 +410,9 @@ class TestMirrorOrbits:
         finally:
             sys.setswitchinterval(interval)
         info = threaded[0].sweep_info
-        assert (info.group_order, info.orbits, info.chunks, info.threads) == (4, 441, 12, threads)
-        assert serial[0].sweep_info.threads == 1
+        assert (info.group_order, info.orbits, info.chunks) == (4, 441, 12)
+        assert (info.threads, info.blas_pinned) == pinned_run(threads)
+        assert (serial[0].sweep_info.threads, serial[0].sweep_info.blas_pinned) == (1, False)
         for a, b in zip(serial, threaded):
             np.testing.assert_array_equal(a.values, b.values)
 
@@ -414,6 +424,7 @@ class TestMirrorOrbits:
         datasets = random_datasets(np.random.default_rng(11), CIRCLE32, [P1, P2])
         grid = dsm.sampling_grid([(-1, 1), (-1, 1)], 0.05)
         monkeypatch.setattr(em, "_CHUNK_TARGET", 37 * 64)
+        monkeypatch.setenv("EMDSM_THREADS", "1")
         serial = dsm.compute_index_grid(CTX2, datasets, grid)
         monkeypatch.setenv("EMDSM_THREADS", str(threads))
         interval = sys.getswitchinterval()
@@ -423,13 +434,48 @@ class TestMirrorOrbits:
         finally:
             sys.setswitchinterval(interval)
         info = threaded[0].sweep_info
-        assert (info.group_order, info.orbits, info.chunks, info.threads) == (8, 231, 7, threads)
+        assert (info.group_order, info.orbits, info.chunks) == (8, 231, 7)
+        assert (info.threads, info.blas_pinned) == pinned_run(threads)
         for a, b in zip(serial, threaded):
             np.testing.assert_array_equal(a.values, b.values)
         for (data, q), index in zip(datasets, serial):
             diagonal = np.flatnonzero(np.abs(grid.points[:, 0] - grid.points[:, 1]) < 1e-12)[::4]
             expected = [psi_oracle(CTX2, data, grid.points[c], q) for c in diagonal]
             np.testing.assert_allclose(index.values[diagonal], expected, rtol=0, atol=1e-12)
+
+    def test_blas_restored_after_a_sweep_and_a_raising_chunk(self, example1_data, monkeypatch, two_blas_threads):
+        grid = dsm.sampling_grid([(-1, 1), (-1, 1)], 0.05)
+        monkeypatch.setattr(em, "_CHUNK_TARGET", 37 * 60)
+        monkeypatch.setenv("EMDSM_THREADS", "2")
+        info = dsm.compute_index_grid(CTX2, example1_data, grid)[0].sweep_info
+        assert (info.chunks, info.threads, info.blas_pinned) == (12, 2, True)
+        assert two_blas_threads() == 2
+        parts = em.green_tensor_parts
+        calls = []
+
+        def third_chunk_fails(ctx, r):
+            calls.append(None)
+            if len(calls) == 3:
+                raise SingularityError("kernel failed in the third chunk")
+            return parts(ctx, r)
+
+        monkeypatch.setattr(em, "green_tensor_parts", third_chunk_fails)
+        with pytest.raises(SingularityError, match="third chunk"):
+            dsm.compute_index_grid(CTX2, example1_data, grid)
+        assert two_blas_threads() == 2
+
+    def test_absent_blas_symbols_fall_back_to_one_worker(self, example1_data, monkeypatch):
+        grid = dsm.sampling_grid([(-1, 1), (-1, 1)], 0.05)
+        monkeypatch.setattr(em, "_CHUNK_TARGET", 37 * 60)
+        monkeypatch.setenv("EMDSM_THREADS", "1")
+        serial = dsm.compute_index_grid(CTX2, example1_data, grid)
+        monkeypatch.setenv("EMDSM_THREADS", "2")
+        monkeypatch.setattr(em, "_blas_threads", lambda: None)
+        fallback = dsm.compute_index_grid(CTX2, example1_data, grid)
+        info = fallback[0].sweep_info
+        assert (info.chunks, info.threads, info.blas_pinned) == (12, 1, False)
+        for a, b in zip(serial, fallback):
+            np.testing.assert_array_equal(a.values, b.values)
 
     def test_unequal_mirror_weights_drop_the_flip(self):
         weights = SURF.weights.copy()
@@ -627,6 +673,18 @@ class TestBoundaryLemma:
             for n in (8, 12, 16)
         ]
         assert errs[0] > errs[1] > errs[2]
+
+    def test_cube_faces_converge_at_second_order(self):
+        # the example3d cubes' centres and polarizations on the face midpoint
+        # rule of an edge-10 cube: the error falls 4x per halving of the cell
+        p = np.array([1.0, -2.0, 1.0]) / np.sqrt(6.0)
+        q = np.array([1.0, 1.0, -2.0]) / np.sqrt(6.0)
+        errs = [dsm.verify_boundary_lemma(CTX3, ms.cube_surface(10.0, n), [0.4, 0.3, 0.3],
+                                          [-0.4, 0.3, 0.3], p, q).rel_err
+                for n in (16, 32, 64)]
+        orders = np.log2(np.array(errs[:-1]) / errs[1:])
+        np.testing.assert_allclose(orders, 2.0, atol=0.1)
+        assert errs[-1] <= 2e-4
 
     def test_swap_conjugate_negates_lhs(self):
         surf = ms.circle_surface(5.0, 256)

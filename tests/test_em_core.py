@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from emdsm import em_core as em
 from emdsm import measurement as ms
-from emdsm.errors import DimensionMismatchError, DomainError, GeometryError, SingularityError
+from emdsm.errors import ConfigError, DimensionMismatchError, DomainError, GeometryError, SingularityError
 
 CTX2 = em.WaveContext.from_wavelength(2, 1.0)
 CTX3 = em.WaveContext.from_wavelength(3, 1.0)
@@ -618,3 +619,78 @@ def test_symmetric_slabs_match_f_plus_f_transpose(ctx):
     phi = em.green_tensor_from_diff(ctx, sources[np.newaxis, :, :] - targets[:, np.newaxis, :])
     np.testing.assert_allclose(em.KernelBlock(ctx, sources, targets).contract(slabs),
                                np.einsum("cmij,mijk->ck", phi, refs), rtol=1e-12)
+
+
+class TestRunBlocks:
+    @pytest.mark.parametrize("threads", ["1", "2", "5"])
+    def test_blocks_cover_every_target_once(self, monkeypatch, threads):
+        # 5 workers outnumber the cores, and a short switch interval
+        # interleaves their takes from the shared block list
+        monkeypatch.setenv("EMDSM_THREADS", threads)
+        monkeypatch.setattr(em, "_CHUNK_TARGET", 7 * 10 * 2)  # 7 targets per block against 10 sources
+        seen = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run = em.run_blocks(lambda lo, hi: seen.append((lo, hi)), 500, 10, 2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(seen) == [(lo, min(lo + 7, 500)) for lo in range(0, 500, 7)]
+        assert run.blocks == 72
+        assert (run.threads, run.blas_pinned) == ((1, False) if threads == "1" or em._blas_threads() is None
+                                                  else (int(threads), True))
+
+    def test_one_block_runs_on_the_calling_thread(self, monkeypatch):
+        monkeypatch.setenv("EMDSM_THREADS", "4")
+        callers = []
+        run = em.run_blocks(lambda lo, hi: callers.append(threading.get_ident()), 5, 10, 3)
+        assert callers == [threading.get_ident()]
+        assert run == em.BlockRun(1, 1, False)
+
+    def test_blas_pinned_during_the_run_and_restored(self, monkeypatch, two_blas_threads):
+        monkeypatch.setenv("EMDSM_THREADS", "2")
+        monkeypatch.setattr(em, "_CHUNK_TARGET", 1)
+        during = []
+        run = em.run_blocks(lambda lo, hi: during.append(two_blas_threads()), 6, 1, 1)
+        assert during == [1] * 6 and run.blas_pinned
+        assert two_blas_threads() == 2
+
+    @pytest.mark.parametrize("failing", [0, 3, 5])
+    def test_raising_block_surfaces_and_blas_restored(self, monkeypatch, two_blas_threads, failing):
+        monkeypatch.setenv("EMDSM_THREADS", "2")
+        monkeypatch.setattr(em, "_CHUNK_TARGET", 1)
+
+        def work(lo, hi):
+            if lo == failing:
+                raise SingularityError(f"block {lo}")
+
+        with pytest.raises(SingularityError, match=f"block {failing}"):
+            em.run_blocks(work, 6, 1, 1)
+        assert two_blas_threads() == 2
+
+    def test_absent_blas_symbols_run_one_worker(self, monkeypatch):
+        monkeypatch.setenv("EMDSM_THREADS", "3")
+        monkeypatch.setattr(em, "_CHUNK_TARGET", 1)
+        monkeypatch.setattr(em, "_blas_threads", lambda: None)
+        callers = set()
+        run = em.run_blocks(lambda lo, hi: callers.add(threading.get_ident()), 6, 1, 1)
+        assert callers == {threading.get_ident()}
+        assert run == em.BlockRun(6, 1, False)
+
+    @pytest.mark.parametrize("value", ["x", "0", "-1", "1.5"])
+    def test_bad_thread_env_raises_before_any_block(self, monkeypatch, value):
+        monkeypatch.setenv("EMDSM_THREADS", value)
+        calls = []
+        with pytest.raises(ConfigError, match="EMDSM_THREADS"):
+            em.run_blocks(lambda lo, hi: calls.append(lo), 6, 1, 1)
+        assert calls == []
+
+    def test_default_threads_are_the_usable_cpus(self, monkeypatch):
+        monkeypatch.delenv("EMDSM_THREADS", raising=False)
+        if hasattr(os, "sched_getaffinity"):
+            assert em._thread_count() == len(os.sched_getaffinity(0))
+            monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert em._thread_count() == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert em._thread_count() == 3

@@ -230,9 +230,10 @@ class TestRunExperiment:
         _, _, outdir = small_run
         parsed = json.loads((outdir / "report.json").read_text())
         # a 21 x 21 grid and a 30-point circle: both flips and no diagonal
-        # swap, 11 x 11 representatives
+        # swap, 11 x 11 representatives; one chunk runs on the calling
+        # thread, unpinned, whatever the worker count
         expected = {"group_order": 4, "orbits": 121, "kernel_pairs": 121 * 30,
-                    "grid_pairs": 441 * 30, "chunks": 1, "threads": 1}
+                    "grid_pairs": 441 * 30, "chunks": 1, "threads": 1, "blas_pinned": False}
         for entry in parsed["indices"]:
             assert entry["sweep_info"] == expected
 
@@ -358,7 +359,7 @@ class TestDiagnosticRun:
         for entry in parsed["indices"]:
             info = entry["sweep_info"]
             assert set(info) == {"group_order", "orbits", "kernel_pairs", "grid_pairs",
-                                 "chunks", "threads"}
+                                 "chunks", "threads", "blas_pinned"}
             # 512 points on a square box: flips and the diagonal swap, and
             # the representatives 0 <= k1 <= k2 <= 4 of the 9 x 9 grid
             assert (info["group_order"], info["orbits"]) == (8, 15)

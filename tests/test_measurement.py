@@ -178,6 +178,27 @@ class TestSynthesis:
         for got in (default, one_target):
             np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-14 * np.abs(expected).max())
 
+    @pytest.mark.parametrize("ctx, count", [(CTX2, 30), (CTX3, 2)])
+    def test_bit_identical_across_thread_counts(self, ctx, count, monkeypatch):
+        d = ctx.dimension
+        kind = "axis_cube" if d == 3 else "axis_square"
+        grid = fw.build_grid(em.ContrastField([em.Shape(kind, np.zeros(d), 0.3)]), 0.05)
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal((grid.n_nodes, d)) + 1j * rng.standard_normal((grid.n_nodes, d))
+        values[::3] = 0.0
+        current = fw.InducedCurrentField(grid, values, np.ones(grid.n_nodes))
+        surf = ms.circle_surface(5.0, count) if d == 2 else ms.cube_surface(10.0, count)
+        # 4 surface points per block: blocks straddle every worker's share,
+        # and 5 workers outnumber the cores
+        active = np.count_nonzero(np.any(values != 0.0, axis=1))
+        monkeypatch.setattr(em, "_CHUNK_TARGET", 4 * active * d)
+        runs = []
+        for threads in ("1", "2", "5"):
+            monkeypatch.setenv("EMDSM_THREADS", threads)
+            runs.append(ms.synthesize_scattered_field(current, surf, ctx).values)
+        for got in runs[1:]:
+            np.testing.assert_array_equal(got, runs[0])
+
     def test_measurement_point_inside_grid_rejected(self):
         _, current = example1_samples(h=0.05)
         inside = ms.MeasurementSurface(
