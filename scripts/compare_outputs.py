@@ -5,12 +5,14 @@ For every run directory (one holding a report.json) under dir_a, each file
 named in its report.json is compared against the same file under dir_b.
 Each index or map grid's entry lists its files; its CSV's max |value
 difference| is printed, and whether dir_b's entry of the same label has the
-same argmax location, the same local-maxima locations and the same
-sweep_info (group order, orbits, kernel pairs, chunks, threads, BLAS pin).
+same argmax location, the same local-maxima locations and the same sweep
+computation (sweep_info's group order, orbits, kernel pairs and grid pairs).
+How each sweep ran (its chunks, worker threads and BLAS pin) follows the
+machine and EMDSM_THREADS, so it is printed where it differs, not failed.
 The other output_files, the synthesized data (scattered_incident*.csv, exact
 and _noisy), are compared the same way over their real and imaginary field
 parts.  Exits non-zero when a difference exceeds --tol, a file's coordinates
-(and quadrature weights), argmax, maxima or sweep_info differ, a file of
+(and quadrature weights), argmax, maxima or sweep computation differ, a file of
 dir_a is missing from dir_b, or dir_a's report.json lists no files per grid
 (written before report.json named them: give the newer tree as dir_a).
 
@@ -23,6 +25,9 @@ import sys
 from pathlib import Path
 
 import numpy as np
+
+# the sweep_info fields that describe what was computed; the others describe how
+COMPUTATION = ("group_order", "orbits", "kernel_pairs", "grid_pairs")
 
 
 def _compare_file(path_a: Path, path_b: Path, tol: float, failures: list[str]) -> str | None:
@@ -69,15 +74,17 @@ def compare_run(run_a: Path, run_b: Path, tol: float) -> tuple[list[str], list[s
         same_argmax = entry_a["argmax"]["location"] == entry_b["argmax"]["location"]
         maxima_a = [m["location"] for m in entry_a["maxima"]]
         same_maxima = maxima_a == [m["location"] for m in entry_b["maxima"]]
-        same_sweep = entry_a.get("sweep_info") == entry_b.get("sweep_info")
+        info_a, info_b = entry_a.get("sweep_info") or {}, entry_b.get("sweep_info") or {}
+        computation_a, computation_b = ({key: info.get(key) for key in COMPUTATION} for info in (info_a, info_b))
+        ran_a, ran_b = ({key: info[key] for key in info if key not in COMPUTATION} for info in (info_a, info_b))
         lines.append(f"{label}: argmax {'same' if same_argmax else 'DIFFERS'}, "
                      f"{len(maxima_a)} maxima {'same' if same_maxima else 'DIFFER'}, "
-                     f"sweep_info {'same' if same_sweep else 'DIFFERS'}")
+                     f"sweep {'same' if computation_a == computation_b else 'DIFFERS'}"
+                     + ("" if ran_a == ran_b else f", ran {ran_a} against {ran_b}"))
         if not (same_argmax and same_maxima):
             failures.append(f"{label}: argmax or maxima differ")
-        if not same_sweep:
-            failures.append(f"{label}: sweep_info differs: {entry_a.get('sweep_info')} "
-                            f"against {entry_b.get('sweep_info')}")
+        if computation_a != computation_b:
+            failures.append(f"{label}: sweep_info differs: {computation_a} against {computation_b}")
     return [line for line in lines if line], failures
 
 

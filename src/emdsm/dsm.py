@@ -237,7 +237,7 @@ def _orbit_slots(axis_perms, signs, ticks: np.ndarray, dims) -> tuple[np.ndarray
     return images, first
 
 
-def _sweep(ctx, surface, grid, group, refs, per_chunk_fn) -> tuple[np.ndarray, SweepInfo]:
+def _sweep(ctx, surface, grid, group, refs, per_chunk_fn, probe_weights=None) -> tuple[np.ndarray, SweepInfo]:
     """The pairings P[c, k] = sum_m Phi(x_m, x_c) : F[m, :, :, k] for refs F
     over the grid, evaluating Phi once per orbit of the group (_symmetry_group).
 
@@ -248,8 +248,9 @@ def _sweep(ctx, surface, grid, group, refs, per_chunk_fn) -> tuple[np.ndarray, S
     s_i s_j F[pi(m), i, j].  Every F_sigma is stacked once per sweep, as the
     symmetric_slabs of KernelBlock.contract: the group acts on the references
     alone.  Each chunk is one KernelBlock of em_core.run_blocks with the
-    surface points as sources.  per_chunk_fn(block, P) maps a chunk's
-    pairings P (C, G, K) to values of the same shape.  Each grid slot is
+    surface points as sources, built with probe_weights where per_chunk_fn
+    takes probe norms (KernelBlock.probe_norms).  per_chunk_fn(block, P) maps
+    a chunk's pairings P (C, G, K) to values of the same shape.  Each grid slot is
     written once, by the first group element that reaches it from its orbit's
     representative, so results do not depend on the thread count.  Returns
     the values (K, N) and a SweepInfo.
@@ -269,7 +270,8 @@ def _sweep(ctx, surface, grid, group, refs, per_chunk_fn) -> tuple[np.ndarray, S
 
     def work(lo, hi):
         ticks = np.array(np.unravel_index(reps[lo:hi], dims))
-        block = KernelBlock(ctx, surface.points, np.column_stack([ax[k] for ax, k in zip(axes, ticks)]))
+        block = KernelBlock(ctx, surface.points, np.column_stack([ax[k] for ax, k in zip(axes, ticks)]),
+                            probe_weights)
         values = per_chunk_fn(block, block.contract(slabs).reshape(hi - lo, n_images, -1))
         images, first = _orbit_slots(axis_perms, signs, ticks, dims)
         outputs[:, images[first]] = values.transpose(2, 1, 0)[:, first]
@@ -321,10 +323,10 @@ def compute_index_grid(ctx: WaveContext, datasets, grid: SamplingGrid) -> list[I
     moved_qs[axis_perms.T, np.arange(len(signs))] = signs.T[:, :, np.newaxis] * qs[:, np.newaxis]
 
     def per_chunk(block: KernelBlock, P: np.ndarray):
-        norms = block.probe_norms(moved_qs.reshape(len(qs), -1), surface.weights).reshape(P.shape)
+        norms = block.probe_norms(moved_qs.reshape(len(qs), -1)).reshape(P.shape)
         return np.abs(P) / (data_norms * norms)
 
-    per_pol, info = _sweep(ctx, surface, grid, group, refs, per_chunk)
+    per_pol, info = _sweep(ctx, surface, grid, group, refs, per_chunk, surface.weights)
     grids = [
         IndexGrid(grid, vals, f"single_polarization:{i}", info)
         for i, vals in enumerate(per_pol)

@@ -24,11 +24,13 @@ _TWO_PI = 2.0 * np.pi
 
 _SHAPE_KINDS = ("axis_square", "square_ring", "axis_cube")
 
-# (target, source, axis) triples per KernelBlock: each (C, M) complex array is then 0.27-0.4 MB, and
-# the two blocks in flight on two cores hold what one block of 100 k did, so the workers do not raise
-# peak memory; 60 k-200 k measured within noise in 2D, 200 k and 3 M slower in 3D
-_CHUNK_TARGET = 50_000
-# one multi-worker run_blocks at a time: the BLAS pin is process-wide
+# (target, source, axis) triples per KernelBlock: each (C, M) complex array is then 0.5-0.8 MB and a
+# block holds about five at once, so the blocks of two workers hold about what one block did before
+# KernelBlock formed its terms in place.  Block memory grows with the worker count; the peak was
+# measured flat for two workers only.  60 k-200 k measured within noise in 2D, 200 k and 3 M slower in
+# 3D.  The size also sets rounding (see green_tensor_parts), so it does not follow the worker count
+_CHUNK_TARGET = 100_000
+# one run_blocks at a time: the BLAS pin is process-wide
 _BLAS_PIN = threading.Lock()
 
 
@@ -186,21 +188,34 @@ def contrast_eval(contrast: ContrastField, x) -> complex:
     return complex(contrast.eta_at(np.asarray(x, dtype=np.float64)))
 
 
+def _hankel1_01(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """H_0^(1), H_1^(1) at x > 0, each J_n + i Y_n written straight into the
+    real and imaginary parts of one complex array."""
+    from scipy import special
+
+    if np.any(x <= 0.0):
+        raise DomainError("Hankel functions need a strictly positive argument")
+    h0 = np.empty(x.shape, dtype=np.complex128)
+    special.j0(x, out=h0.real)
+    special.y0(x, out=h0.imag)
+    h1 = np.empty(x.shape, dtype=np.complex128)
+    special.j1(x, out=h1.real)
+    special.y1(x, out=h1.imag)
+    return h0, h1
+
+
 def hankel1_012(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """H_0^(1), H_1^(1), H_2^(1) at x > 0 from the cephes J_0, Y_0, J_1, Y_1.
 
     H_2 follows from the upward recurrence (2/x) H_1 - H_0, which is stable
-    for Y and so for H.  scipy.special is imported here, not at module level,
-    so that 3D runs never load it.
+    for Y and so for H.  scipy.special is imported on the first call, not at
+    module level, so that 3D runs never load it.
     """
-    from scipy import special
-
     x = np.asarray(x, dtype=np.float64)
-    if np.any(x <= 0.0):
-        raise DomainError("Hankel functions need a strictly positive argument")
-    h0 = special.j0(x) + 1j * special.y0(x)
-    h1 = special.j1(x) + 1j * special.y1(x)
-    return h0, h1, (2.0 / x) * h1 - h0
+    h0, h1 = _hankel1_01(x)
+    h2 = np.multiply(2.0 / x, h1)
+    h2 -= h0
+    return h0[()], h1[()], h2[()]
 
 
 def green_scalar_from_distance(ctx: WaveContext, r) -> np.ndarray:
@@ -227,22 +242,39 @@ def green_scalar(ctx: WaveContext, x, y) -> complex:
     return complex(out) if np.ndim(out) == 0 else out
 
 
-def green_tensor_parts(ctx: WaveContext, r) -> tuple[np.ndarray, np.ndarray]:
+def green_tensor_parts(ctx: WaveContext, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients (a, b) of the matrix kernel Phi = a I + b rhat rhat^T at
-    separations r > 0.
+    an array r of separations r > 0.
 
     2D: a = (i k^2 / 4)(H_0 - H_1 / (kr)), b = (i k^2 / 4) H_2.
     3D: a = G (k^2 + ik/r - 1/r^2), b = -G (k^2 + 3ik/r - 3/r^2).
+
+    The terms are formed in place where that keeps their rounding, so that at
+    most four complex arrays of r's shape are live at once.
     """
     k = ctx.wavenumber
     if ctx.dimension == 2:
-        h0, h1, h2 = hankel1_012(k * r)
+        x = k * r
+        h0, h1 = _hankel1_01(x)
+        h1_kr = h1 / x
+        h2 = np.multiply(np.divide(2.0, x, out=x), h1, out=h1)  # upward recurrence, as hankel1_012
+        h2 -= h0
+        h0 -= h1_kr
+        del x, h1_kr
         pref = 0.25j * k * k
-        return pref * (h0 - h1 / (k * r)), pref * h2
-    g = np.exp(1j * k * r) / (4.0 * np.pi * r)
+        return np.multiply(pref, h0, out=h0), np.multiply(pref, h2, out=h2)
+    g = 1j * k * r
+    np.exp(g, out=g)
+    g /= 4.0 * np.pi * r
     inv_r = 1.0 / r
-    radial = 1j * k * inv_r - inv_r * inv_r
-    return g * (k * k + radial), g * (-(k * k) - 3.0 * radial)
+    radial = 1j * k * inv_r
+    radial -= inv_r * inv_r
+    del inv_r
+    # numpy forms g * (temporary) in the temporary's buffer, as temporary * g,
+    # once the temporary reaches 256 KiB; complex products are not bitwise
+    # commutative, so a and b stay expressions and round as they always have
+    a = g * (k * k + radial)
+    return a, g * (-(k * k) - np.multiply(3.0, radial, out=radial))
 
 
 def green_tensor_from_diff(ctx: WaveContext, diff) -> np.ndarray:
@@ -283,51 +315,96 @@ class KernelBlock:
 
         Phi_ij(x_s, x_t) = a delta_ij + (b / r^2) diff_i diff_j,   diff = x_s - x_t,
 
-    with a = diag and b = outer (green_tensor_parts).  Phi is even in diff, so
-    Phi(x_s, x_t) = Phi(x_t, x_s).  The d separation components are taken once,
-    as d (C, M) arrays (d C M floats), and r^2 is their sum of squares.
+    with (a, b) = green_tensor_parts.  Phi is even in diff, so
+    Phi(x_s, x_t) = Phi(x_t, x_s).  A block keeps diag = a, outer_r2 = b / r^2
+    and the d separation components diffs, as (C, M) arrays, and, given
+    source weights, the second moments of probe_norms.  The terms are formed
+    in place, r^2 is taken twice rather than kept, and rho / r^2 lives only
+    while the moments are taken, so that a block holds about five complex
+    (C, M) arrays at once, against eight to ten when each term was a new
+    array.
     """
 
-    def __init__(self, ctx: WaveContext, sources: np.ndarray, targets: np.ndarray):
-        self.diffs = [sources[np.newaxis, :, i] - targets[:, np.newaxis, i] for i in range(ctx.dimension)]
-        r2 = sum(diff * diff for diff in self.diffs)
-        self.inv_r2 = 1.0 / r2
-        self.diag, self.outer = green_tensor_parts(ctx, np.sqrt(r2))
+    def __init__(self, ctx: WaveContext, sources: np.ndarray, targets: np.ndarray, weights=None):
+        def separation(i):
+            return sources[np.newaxis, :, i] - targets[:, np.newaxis, i]
+
+        def squared_distance():
+            r2 = np.square(separation(0))
+            for i in range(1, ctx.dimension):
+                r2 += np.square(separation(i))
+            return r2
+
+        r = squared_distance()
+        a, b = green_tensor_parts(ctx, np.sqrt(r, out=r))
+        del r
+        if weights is not None:
+            # A = sum_s w_s |a|^2 and rho = 2 Re(conj(a) b) + |b|^2, of probe_norms
+            rho = np.square(a.real)
+            part = np.square(a.imag)
+            rho += part
+            second = rho @ weights
+            np.multiply(a.real, b.real, out=rho)
+            rho += np.multiply(a.imag, b.imag, out=part)
+            rho *= 2.0
+            rho += np.square(b.real, out=part)
+            rho += np.square(b.imag, out=part)
+            del part
+        inv_r2 = squared_distance()
+        np.divide(1.0, inv_r2, out=inv_r2)
+        self.diag, self.outer_r2 = a, np.multiply(b, inv_r2, out=b)
+        if weights is not None:
+            rho *= inv_r2
+        del inv_r2
+        self.diffs = [separation(i) for i in range(ctx.dimension)]
+        self.moments = None if weights is None else (second, self._cross_moments(rho, weights))
+
+    def _cross_moments(self, rho_r2: np.ndarray, weights: np.ndarray) -> list[np.ndarray]:
+        """S_ij = sum_s w_s rho diff_i diff_j / r^2, shape (C,), for each
+        component i <= j, in order (see probe_norms)."""
+        moment = np.empty_like(rho_r2)
+        cross = []
+        for i, diff_i in enumerate(self.diffs):
+            for diff_j in self.diffs[i:]:
+                np.multiply(rho_r2, diff_i, out=moment)
+                moment *= diff_j
+                cross.append(moment @ weights)
+        return cross
 
     def contract(self, slabs: np.ndarray) -> np.ndarray:
         """The pairings P[c, k] = sum_s Phi(x_s, x_c) : F[s, :, :, k], shape (C, K),
         for F held as symmetric_slabs: each component i <= j meets its slab in one GEMM."""
-        out = np.zeros((len(self.inv_r2), slabs.shape[2]), dtype=np.complex128)
-        outer_r2 = self.outer * self.inv_r2
+        out = np.zeros((len(self.diag), slabs.shape[2]), dtype=np.complex128)
+        phi = np.empty_like(self.diag)
         slab = iter(slabs)
         for i, diff_i in enumerate(self.diffs):
-            scaled = outer_r2 * diff_i
-            for j in range(i, len(self.diffs)):
-                phi_ij = scaled * self.diffs[j]
+            for j, diff_j in enumerate(self.diffs[i:], i):
+                np.multiply(self.outer_r2, diff_i, out=phi)
+                phi *= diff_j
                 if i == j:
-                    phi_ij += self.diag
-                out += phi_ij @ next(slab)
+                    phi += self.diag
+                out += phi @ next(slab)
         return out
 
-    def probe_norms(self, qs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """||Phi(., x_c) q|| in the product weighted by weights (M,) over the sources,
-        for every target and every column q of qs (d, L); returns shape (C, L).
+    def probe_norms(self, qs: np.ndarray) -> np.ndarray:
+        """||Phi(., x_c) q|| in the product weighted by the block's source
+        weights, for every target and every column q of qs (d, L); returns
+        shape (C, L).
 
         Data-free closed form: |Phi q|^2 = |a|^2 |q|^2 + rho (diff.q)^2 / r^2
         for real q, rho = 2 Re(conj(a) b) + |b|^2.  Its weighted sum is
         A |q|^2 + q^T S q with the second moments A = sum_s w_s |a|^2 and
-        S_ij = sum_s w_s rho diff_i diff_j / r^2, taken once per block
-        whatever the number of columns.
+        S_ij = sum_s w_s rho diff_i diff_j / r^2, taken once per block, when
+        it is built, whatever the number of columns.
         """
-        a, b = self.diag, self.outer
-        abs_a2 = a.real**2 + a.imag**2
-        radial = (2.0 * (a.real * b.real + a.imag * b.imag) + b.real**2 + b.imag**2) * self.inv_r2
-        out = np.outer(abs_a2 @ weights, np.sum(qs * qs, axis=0))
-        for i, diff_i in enumerate(self.diffs):
-            scaled = radial * diff_i
-            for j in range(i, len(self.diffs)):
-                s_ij = (scaled * self.diffs[j]) @ weights
-                out += np.outer(s_ij, (1.0 if i == j else 2.0) * qs[i] * qs[j])
+        if self.moments is None:
+            raise DomainError("probe_norms needs a block built with source weights")
+        second, cross = self.moments
+        out = np.outer(second, np.sum(qs * qs, axis=0))
+        moment = iter(cross)
+        for i in range(len(qs)):
+            for j in range(i, len(qs)):
+                out += np.outer(next(moment), (1.0 if i == j else 2.0) * qs[i] * qs[j])
         return np.sqrt(out)
 
 
@@ -389,16 +466,18 @@ def run_blocks(work: Callable[[int, int], None], n_targets: int, n_sources: int,
     targets of KernelBlocks against n_sources sources, about _CHUNK_TARGET
     (target, source, axis) triples each, on _thread_count() worker threads.
 
-    The block size does not depend on the worker count, so neither does any
-    result as long as each call writes only its own targets' slots.  The
-    calling thread drains the blocks as one of the workers, which adds one
-    malloc arena rather than one per worker.  A run of one block, or with
-    one worker, runs on the calling thread alone.  Otherwise numpy's OpenBLAS
-    is pinned to one thread for the run and restored after it, since threaded
-    BLAS under every worker would oversubscribe the cores; where its thread
-    symbols are absent the run uses one worker.  The first exception a block
-    raises propagates once every worker has stopped.  After a run on several
-    workers the free heap is returned to the system (glibc's malloc_trim).
+    The block size does not depend on the worker count, and numpy's OpenBLAS
+    runs on one thread for the whole run, whatever the worker count (OpenBLAS
+    rounds some GEMMs differently on one thread and on several), so no result
+    depends on the worker count as long as each call writes only its own
+    targets' slots.  The BLAS thread count is restored after the run.  Where
+    OpenBLAS's thread symbols are absent BLAS is left as it is and the run
+    uses one worker.  The calling thread drains the blocks as one of the
+    workers, which adds one malloc arena rather than one per worker, and a
+    run of one block runs on the calling thread alone.  The first exception a
+    block raises propagates once every worker has stopped.  Before and after
+    a run on several workers the free heap is returned to the system (glibc's
+    malloc_trim).
     """
     threads = _thread_count()
     step = max(1, _CHUNK_TARGET // (n_sources * dimension))
@@ -407,12 +486,6 @@ def run_blocks(work: Callable[[int, int], None], n_targets: int, n_sources: int,
     # its heap trim threshold to twice that), so each block's arrays stay on
     # the heap instead of being unmapped and faulted in again per block
     np.empty(8 * step * n_sources, dtype=np.complex128)
-    workers = min(threads, len(blocks))
-    blas = _blas_threads() if workers > 1 else None
-    if blas is None:
-        for lo, hi in blocks:
-            work(lo, hi)
-        return BlockRun(len(blocks), 1, False)
     pending = iter(blocks)
     take = threading.Lock()
     failed = threading.Event()
@@ -429,22 +502,30 @@ def run_blocks(work: Callable[[int, int], None], n_targets: int, n_sources: int,
                 failed.set()
                 raise
 
+    blas = _blas_threads()
+    if blas is None:
+        drain()
+        return BlockRun(len(blocks), 1, False)
+    workers = max(1, min(threads, len(blocks)))
     get_threads, set_threads = blas
+    # a pool thread's blocks come from its own malloc arena, which cannot reuse
+    # the free pages the main arena keeps; hand those back before the run, and
+    # the pool arena's after it, so that neither peaks on top of the other
+    trim = _malloc_trim() if workers > 1 else None
+    if trim is not None:
+        trim(0)
     with _BLAS_PIN:
         saved = get_threads()
         set_threads(1)
         try:
-            with ThreadPoolExecutor(workers - 1) as pool:
+            # the pool starts its threads on submit, so one worker starts none
+            with ThreadPoolExecutor(max(1, workers - 1)) as pool:
                 futures = [pool.submit(drain) for _ in range(workers - 1)]
                 drain()
                 for future in futures:
                     future.result()
         finally:
             set_threads(saved)
-    # the pool thread's malloc arena keeps the block arrays it freed, up to
-    # its trim threshold, after the run; hand them back so that later stages
-    # do not peak on top of them
-    trim = _malloc_trim()
     if trim is not None:
         trim(0)
     return BlockRun(len(blocks), workers, True)

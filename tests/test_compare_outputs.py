@@ -91,6 +91,31 @@ def test_changed_maxima_fail(trees, capsys):
     assert "combined: argmax or maxima differ" in err
 
 
+def test_how_a_sweep_ran_is_printed_not_failed(trees, capsys):
+    # the worker count follows the machine: the same program on more cores
+    a, b = trees
+
+    def more_threads(report):
+        for entry in report["indices"]:
+            entry["sweep_info"]["threads"] += 2
+
+    _edit_report(b / "small" / "report.json", more_threads)
+    code, out, err = _compare(a, b, capsys)
+    assert code == 0, err
+    assert "2 runs compared, 0 failures" in out
+    combined = next(line for line in out.splitlines() if line.startswith("small/combined: "))
+    assert "sweep same, ran {'chunks': 1, 'threads': 1, " in combined
+    assert "against {'chunks': 1, 'threads': 3, " in combined
+
+
+def test_changed_sweep_computation_fails(trees, capsys):
+    a, b = trees
+    _edit_report(b / "small" / "report.json", lambda report: report["indices"][-1]["sweep_info"].update(orbits=1))
+    code, _, err = _compare(a, b, capsys)
+    assert code == 1
+    assert "combined: sweep_info differs" in err
+
+
 def test_missing_map_reported(trees, capsys):
     a, b = trees
     (b / "fig2" / "map_polarization_1.csv").unlink()

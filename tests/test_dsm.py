@@ -342,10 +342,11 @@ class TestMirrorOrbits:
         datasets = random_datasets(np.random.default_rng(9), surface, [np.eye(d)[0], np.ones(d) / np.sqrt(d)])
         grid = dsm.sampling_grid(box, spacing)
         grids = dsm.compute_index_grid(ctx, datasets, grid)
-        # one chunk runs on the calling thread, unpinned, whatever the worker count
+        # one chunk runs on the calling thread, whatever the worker count
         assert grids[0].sweep_info == dsm.SweepInfo(
             group_order=order, orbits=orbits, kernel_pairs=orbits * surface.count,
-            grid_pairs=grid.n_points * surface.count, chunks=1, threads=1, blas_pinned=False)
+            grid_pairs=grid.n_points * surface.count, chunks=1, threads=1,
+            blas_pinned=em._blas_threads() is not None)
         for (data, q), index in zip(datasets, grids):
             expected = [psi_oracle(ctx, data, x_p, q) for x_p in grid.points]
             np.testing.assert_allclose(index.values, expected, rtol=0, atol=1e-12)
@@ -412,7 +413,7 @@ class TestMirrorOrbits:
         info = threaded[0].sweep_info
         assert (info.group_order, info.orbits, info.chunks) == (4, 441, 12)
         assert (info.threads, info.blas_pinned) == pinned_run(threads)
-        assert (serial[0].sweep_info.threads, serial[0].sweep_info.blas_pinned) == (1, False)
+        assert (serial[0].sweep_info.threads, serial[0].sweep_info.blas_pinned) == pinned_run(1)
         for a, b in zip(serial, threaded):
             np.testing.assert_array_equal(a.values, b.values)
 

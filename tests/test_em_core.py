@@ -637,18 +637,20 @@ class TestRunBlocks:
             sys.setswitchinterval(interval)
         assert sorted(seen) == [(lo, min(lo + 7, 500)) for lo in range(0, 500, 7)]
         assert run.blocks == 72
-        assert (run.threads, run.blas_pinned) == ((1, False) if threads == "1" or em._blas_threads() is None
-                                                  else (int(threads), True))
+        assert (run.threads, run.blas_pinned) == ((int(threads), True) if em._blas_threads() is not None
+                                                  else (1, False))
 
     def test_one_block_runs_on_the_calling_thread(self, monkeypatch):
         monkeypatch.setenv("EMDSM_THREADS", "4")
         callers = []
         run = em.run_blocks(lambda lo, hi: callers.append(threading.get_ident()), 5, 10, 3)
         assert callers == [threading.get_ident()]
-        assert run == em.BlockRun(1, 1, False)
+        assert run == em.BlockRun(1, 1, em._blas_threads() is not None)
 
-    def test_blas_pinned_during_the_run_and_restored(self, monkeypatch, two_blas_threads):
-        monkeypatch.setenv("EMDSM_THREADS", "2")
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_blas_pinned_during_the_run_and_restored(self, monkeypatch, two_blas_threads, threads):
+        # one worker pins too, so that BLAS rounds alike at every worker count
+        monkeypatch.setenv("EMDSM_THREADS", threads)
         monkeypatch.setattr(em, "_CHUNK_TARGET", 1)
         during = []
         run = em.run_blocks(lambda lo, hi: during.append(two_blas_threads()), 6, 1, 1)

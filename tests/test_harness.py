@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from emdsm import cli, harness
+from emdsm import cli, em_core, harness
 from emdsm.em_core import WaveContext, green_scalar, green_tensor
 from emdsm.errors import ConfigError, StageError
 
@@ -231,9 +231,9 @@ class TestRunExperiment:
         parsed = json.loads((outdir / "report.json").read_text())
         # a 21 x 21 grid and a 30-point circle: both flips and no diagonal
         # swap, 11 x 11 representatives; one chunk runs on the calling
-        # thread, unpinned, whatever the worker count
-        expected = {"group_order": 4, "orbits": 121, "kernel_pairs": 121 * 30,
-                    "grid_pairs": 441 * 30, "chunks": 1, "threads": 1, "blas_pinned": False}
+        # thread whatever the worker count
+        expected = {"group_order": 4, "orbits": 121, "kernel_pairs": 121 * 30, "grid_pairs": 441 * 30,
+                    "chunks": 1, "threads": 1, "blas_pinned": em_core._blas_threads() is not None}
         for entry in parsed["indices"]:
             assert entry["sweep_info"] == expected
 

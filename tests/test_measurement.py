@@ -199,6 +199,24 @@ class TestSynthesis:
         for got in runs[1:]:
             np.testing.assert_array_equal(got, runs[0])
 
+    def test_bit_identical_across_thread_counts_where_blas_threads_round(self, monkeypatch, two_blas_threads):
+        # blocks of 133 targets against 250 sources: OpenBLAS rounds this
+        # GEMM differently on one thread and on two, so one worker must pin
+        # BLAS as several do
+        grid = fw.build_grid(em.ContrastField([em.Shape("axis_cube", np.zeros(3), 0.35)]), 0.05)
+        rng = np.random.default_rng(4)
+        values = rng.standard_normal((grid.n_nodes, 3)) + 1j * rng.standard_normal((grid.n_nodes, 3))
+        values[:grid.n_nodes - 250] = 0.0
+        current = fw.InducedCurrentField(grid, values, np.ones(grid.n_nodes))
+        surf = ms.cube_surface(10.0, 9)
+        monkeypatch.setattr(em, "_CHUNK_TARGET", 133 * 250 * 3)
+        runs = []
+        for threads in ("1", "2", "5"):
+            monkeypatch.setenv("EMDSM_THREADS", threads)
+            runs.append(ms.synthesize_scattered_field(current, surf, CTX3).values)
+        for got in runs[1:]:
+            np.testing.assert_array_equal(got, runs[0])
+
     def test_measurement_point_inside_grid_rejected(self):
         _, current = example1_samples(h=0.05)
         inside = ms.MeasurementSurface(
