@@ -25,7 +25,7 @@ _TWO_PI = 2.0 * np.pi
 _SHAPE_KINDS = ("axis_square", "square_ring", "axis_cube")
 
 # (target, source, axis) triples per KernelBlock: each (C, M) complex array is then 0.5-0.8 MB and a
-# block holds about five at once, so the blocks of two workers hold about what one block did before
+# block holds about 4.5 at once, so the blocks of two workers hold about what one block did before
 # KernelBlock formed its terms in place.  Block memory grows with the worker count; the peak was
 # measured flat for two workers only.  60 k-200 k measured within noise in 2D, 200 k and 3 M slower in
 # 3D.  The size also sets rounding (see green_tensor_parts), so it does not follow the worker count
@@ -316,26 +316,18 @@ class KernelBlock:
         Phi_ij(x_s, x_t) = a delta_ij + (b / r^2) diff_i diff_j,   diff = x_s - x_t,
 
     with (a, b) = green_tensor_parts.  Phi is even in diff, so
-    Phi(x_s, x_t) = Phi(x_t, x_s).  A block keeps diag = a, outer_r2 = b / r^2
-    and the d separation components diffs, as (C, M) arrays, and, given
-    source weights, the second moments of probe_norms.  The terms are formed
-    in place, r^2 is taken twice rather than kept, and rho / r^2 lives only
-    while the moments are taken, so that a block holds about five complex
-    (C, M) arrays at once, against eight to ten when each term was a new
-    array.
+    Phi(x_s, x_t) = Phi(x_t, x_s).  A block keeps diag = a and outer_r2 =
+    b / r^2 as (C, M) arrays and, given source weights, the second moments of
+    probe_norms.  The terms are formed in place, r^2 and the separation
+    components diff_i are taken again where needed rather than kept, and
+    rho / r^2 lives only while the moments are taken, so that a block holds
+    about four and a half complex (C, M) arrays at once, against eight to ten
+    when each term was a new array and every component was kept.
     """
 
     def __init__(self, ctx: WaveContext, sources: np.ndarray, targets: np.ndarray, weights=None):
-        def separation(i):
-            return sources[np.newaxis, :, i] - targets[:, np.newaxis, i]
-
-        def squared_distance():
-            r2 = np.square(separation(0))
-            for i in range(1, ctx.dimension):
-                r2 += np.square(separation(i))
-            return r2
-
-        r = squared_distance()
+        self.sources, self.targets = sources, targets
+        r = self._squared_distance()
         a, b = green_tensor_parts(ctx, np.sqrt(r, out=r))
         del r
         if weights is not None:
@@ -350,25 +342,43 @@ class KernelBlock:
             rho += np.square(b.real, out=part)
             rho += np.square(b.imag, out=part)
             del part
-        inv_r2 = squared_distance()
+        inv_r2 = self._squared_distance()
         np.divide(1.0, inv_r2, out=inv_r2)
         self.diag, self.outer_r2 = a, np.multiply(b, inv_r2, out=b)
         if weights is not None:
             rho *= inv_r2
         del inv_r2
-        self.diffs = [separation(i) for i in range(ctx.dimension)]
         self.moments = None if weights is None else (second, self._cross_moments(rho, weights))
+
+    def _separation(self, i: int, out=None) -> np.ndarray:
+        """Component i of diff = x_s - x_t, shape (C, M)."""
+        return np.subtract(self.sources[np.newaxis, :, i], self.targets[:, np.newaxis, i], out=out)
+
+    def _squared_distance(self) -> np.ndarray:
+        r2 = np.square(self._separation(0))
+        for i in range(1, self.sources.shape[1]):
+            r2 += np.square(self._separation(i))
+        return r2
+
+    def _component_pairs(self):
+        """(i == j, diff_i, diff_j) for each component i <= j, in order, in
+        two buffers that every pair reuses."""
+        diff_i, diff_j = np.empty(self.diag.shape), np.empty(self.diag.shape)
+        d = self.sources.shape[1]
+        for i in range(d):
+            self._separation(i, out=diff_i)
+            for j in range(i, d):
+                yield i == j, diff_i, diff_i if i == j else self._separation(j, out=diff_j)
 
     def _cross_moments(self, rho_r2: np.ndarray, weights: np.ndarray) -> list[np.ndarray]:
         """S_ij = sum_s w_s rho diff_i diff_j / r^2, shape (C,), for each
         component i <= j, in order (see probe_norms)."""
         moment = np.empty_like(rho_r2)
         cross = []
-        for i, diff_i in enumerate(self.diffs):
-            for diff_j in self.diffs[i:]:
-                np.multiply(rho_r2, diff_i, out=moment)
-                moment *= diff_j
-                cross.append(moment @ weights)
+        for _, diff_i, diff_j in self._component_pairs():
+            np.multiply(rho_r2, diff_i, out=moment)
+            moment *= diff_j
+            cross.append(moment @ weights)
         return cross
 
     def contract(self, slabs: np.ndarray) -> np.ndarray:
@@ -376,14 +386,12 @@ class KernelBlock:
         for F held as symmetric_slabs: each component i <= j meets its slab in one GEMM."""
         out = np.zeros((len(self.diag), slabs.shape[2]), dtype=np.complex128)
         phi = np.empty_like(self.diag)
-        slab = iter(slabs)
-        for i, diff_i in enumerate(self.diffs):
-            for j, diff_j in enumerate(self.diffs[i:], i):
-                np.multiply(self.outer_r2, diff_i, out=phi)
-                phi *= diff_j
-                if i == j:
-                    phi += self.diag
-                out += phi @ next(slab)
+        for (same, diff_i, diff_j), slab in zip(self._component_pairs(), slabs):
+            np.multiply(self.outer_r2, diff_i, out=phi)
+            phi *= diff_j
+            if same:
+                phi += self.diag
+            out += phi @ slab
         return out
 
     def probe_norms(self, qs: np.ndarray) -> np.ndarray:
