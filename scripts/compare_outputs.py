@@ -11,15 +11,19 @@ How each sweep ran (its chunks, worker threads and BLAS pin) follows the
 machine and EMDSM_THREADS, so it is printed where it differs, not failed.
 The other output_files, the synthesized data (scattered_incident*.csv, exact
 and _noisy), are compared the same way over their real and imaginary field
-parts.  Exits non-zero when a difference exceeds --tol, a file's coordinates
-(and quadrature weights), argmax, maxima or sweep computation differ, a file of
-dir_a is missing from dir_b, or dir_a's report.json lists no files per grid
-(written before report.json named them: give the newer tree as dir_a).
+parts.  Every compared file, CSV or PGM, is also printed with whether its
+bytes are the same.  Exits non-zero when a difference exceeds --tol, a file's
+coordinates (and quadrature weights), argmax, maxima or sweep computation
+differ, a file's bytes differ under --bytes, a file of dir_a is missing from
+dir_b, or dir_a's report.json lists no files per grid (written before
+report.json named them: give the newer tree as dir_a).
 
     python scripts/compare_outputs.py out/after out/before --tol 1e-12
+    python scripts/compare_outputs.py out/after out/before --bytes
 """
 
 import argparse
+import filecmp
 import json
 import sys
 from pathlib import Path
@@ -30,14 +34,18 @@ import numpy as np
 COMPUTATION = ("group_order", "orbits", "kernel_pairs", "grid_pairs")
 
 
-def _compare_file(path_a: Path, path_b: Path, tol: float, failures: list[str]) -> str | None:
-    """The max |value difference| line of a CSV, or None, with any failure
-    added; only checks that path_b exists for other files."""
+def _compare_file(path_a: Path, path_b: Path, tol: float, exact: bool, failures: list[str]) -> str | None:
+    """The line of one file: whether its bytes are the same and, for a CSV, its
+    max |value difference|; None when path_b is missing.  Failures are added."""
     if not path_b.exists():
         failures.append(f"{path_b}: missing")
         return None
+    same_bytes = filecmp.cmp(path_a, path_b, shallow=False)
+    bytes_line = f"bytes {'same' if same_bytes else 'differ'}"
+    if exact and not same_bytes:
+        failures.append(f"{path_a.name}: bytes differ")
     if path_a.suffix != ".csv":
-        return None
+        return f"{path_a.name}: {bytes_line}"
     with open(path_a) as fh:
         # x1..xd (and w in a data file), then the values
         n_fixed = sum(name == "w" or name.startswith("x") for name in fh.readline().split(","))
@@ -49,10 +57,10 @@ def _compare_file(path_a: Path, path_b: Path, tol: float, failures: list[str]) -
     delta = float(np.abs(a[:, n_fixed:] - b[:, n_fixed:]).max())
     if delta > tol:
         failures.append(f"{path_a.name}: max |delta| {delta:.2e} > {tol:g}")
-    return f"{path_a.name}: max |delta| {delta:.2e}"
+    return f"{path_a.name}: max |delta| {delta:.2e}, {bytes_line}"
 
 
-def compare_run(run_a: Path, run_b: Path, tol: float) -> tuple[list[str], list[str]]:
+def compare_run(run_a: Path, run_b: Path, tol: float, exact: bool) -> tuple[list[str], list[str]]:
     """Lines to print and failures for one pair of run directories."""
     report_a = json.loads((run_a / "report.json").read_text())
     if any("files" not in entry for entry in report_a["indices"]):
@@ -63,14 +71,14 @@ def compare_run(run_a: Path, run_b: Path, tol: float) -> tuple[list[str], list[s
     entries_b = {entry["label"]: entry for entry in json.loads((run_b / "report.json").read_text())["indices"]}
     grid_files = {name for entry in report_a["indices"] for name in entry["files"]}
     failures = []
-    lines = [_compare_file(run_a / name, run_b / name, tol, failures)
+    lines = [_compare_file(run_a / name, run_b / name, tol, exact, failures)
              for name in (Path(path).name for path in report_a["output_files"]) if name not in grid_files]
     for entry_a in report_a["indices"]:
         label, entry_b = entry_a["label"], entries_b.get(entry_a["label"])
         if entry_b is None:
             failures.append(f"{label}: no report entry")
             continue
-        lines += [_compare_file(run_a / name, run_b / name, tol, failures) for name in entry_a["files"]]
+        lines += [_compare_file(run_a / name, run_b / name, tol, exact, failures) for name in entry_a["files"]]
         same_argmax = entry_a["argmax"]["location"] == entry_b["argmax"]["location"]
         maxima_a = [m["location"] for m in entry_a["maxima"]]
         same_maxima = maxima_a == [m["location"] for m in entry_b["maxima"]]
@@ -93,6 +101,7 @@ def main(argv=None) -> int:
     parser.add_argument("dir_a", type=Path)
     parser.add_argument("dir_b", type=Path)
     parser.add_argument("--tol", type=float, default=1e-12, help="largest allowed |value difference|")
+    parser.add_argument("--bytes", action="store_true", help="fail when any compared file's bytes differ")
     args = parser.parse_args(argv)
     runs = sorted(path.parent for path in args.dir_a.rglob("report.json"))
     if not runs:
@@ -100,7 +109,7 @@ def main(argv=None) -> int:
         return 1
     failures = []
     for run_a in runs:
-        lines, run_failures = compare_run(run_a, args.dir_b / run_a.relative_to(args.dir_a), args.tol)
+        lines, run_failures = compare_run(run_a, args.dir_b / run_a.relative_to(args.dir_a), args.tol, args.bytes)
         label = run_a.relative_to(args.dir_a)
         print("\n".join(f"{label}/{line}" for line in lines))
         failures += [f"{label}: {f}" for f in run_failures]

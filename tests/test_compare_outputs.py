@@ -49,8 +49,8 @@ def trees(runs, tmp_path):
     return tmp_path / "a", tmp_path / "b"
 
 
-def _compare(a: Path, b: Path, capsys) -> tuple[int, str, str]:
-    code = compare_outputs.main([str(a), str(b), "--tol", "1e-12"])
+def _compare(a: Path, b: Path, capsys, *flags: str) -> tuple[int, str, str]:
+    code = compare_outputs.main([str(a), str(b), "--tol", "1e-12", *flags])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -67,7 +67,10 @@ def test_identical_trees_pass(trees, capsys):
     assert "2 runs compared, 0 failures" in out
     for name in ("small/index_combined.csv", "small/scattered_incident1_noisy.csv",
                  "fig2/map_polarization_sum.csv"):
-        assert f"{name}: max |delta| 0.00e+00" in out
+        assert f"{name}: max |delta| 0.00e+00, bytes same" in out
+    assert "small/index_combined.pgm: bytes same" in out
+    code, _, err = _compare(*trees, capsys, "--bytes")
+    assert code == 0, err
 
 
 def test_changed_index_value_fails(trees, capsys):
@@ -80,6 +83,29 @@ def test_changed_index_value_fails(trees, capsys):
     code, _, err = _compare(a, b, capsys)
     assert code == 1
     assert "index_combined.csv: max |delta| 1.00e-09 > 1e-12" in err
+
+
+def test_byte_differences_printed_and_failed_under_bytes(trees, capsys):
+    a, b = trees
+    path = b / "small" / "index_combined.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    row = next(i for i, line in enumerate(lines[1:], 1) if "." in line.rsplit(",", 1)[1])
+    lines[row] = lines[row].replace("\n", "0\n")  # the same value in other bytes
+    path.write_text("".join(lines))
+    pgm = b / "fig2" / "map_polarization_sum.pgm"
+    blob = bytearray(pgm.read_bytes())
+    blob[-1] ^= 1
+    pgm.write_bytes(bytes(blob))
+    code, out, err = _compare(a, b, capsys)
+    assert code == 0, err
+    assert "small/index_combined.csv: max |delta| 0.00e+00, bytes differ" in out
+    assert "fig2/map_polarization_sum.pgm: bytes differ" in out
+    assert "small/index_combined.pgm: bytes same" in out
+    code, out, err = _compare(a, b, capsys, "--bytes")
+    assert code == 1
+    assert "2 runs compared, 2 failures" in out
+    assert "small: index_combined.csv: bytes differ" in err
+    assert "fig2: map_polarization_sum.pgm: bytes differ" in err
 
 
 def test_changed_maxima_fail(trees, capsys):

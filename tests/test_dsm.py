@@ -754,6 +754,24 @@ class TestExports:
         per_row_writer(index, tmp_path / "per_row.csv")
         assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "per_row.csv").read_bytes()
 
+    def test_value_formatting_matches_percent_17g(self):
+        rng = np.random.default_rng(5)
+        powers = np.array([1e-1, 1e-2, 1e-3, 1e-4])
+        cases = {
+            "uniform": rng.random(1_000_000),
+            "log-uniform": 10.0 ** rng.uniform(-4.2, 0.0, 1_000_000),
+            # just below a power of ten, log10 rounds up to its exponent
+            "next to powers of ten": np.concatenate([np.nextafter(powers, 0.0), powers, np.nextafter(powers, 1.0)]),
+            # on [0.1, 1) the 18th significant digit is an exact 5: ties go to even
+            "ties": np.arange(1, 2**18, 2) * 2.0**-18,
+            "below one": 1.0 - np.arange(1, 2**16) * 2.0**-53,
+            "one at a time": np.array([0.0, 1.0, 1.0 + 2.0**-52, 3.0, -0.5, 1e-300, 5e-324, np.nan, np.inf]),
+        }
+        for name, values in cases.items():
+            pairs = zip(values.tolist(), dsm._format_values(values))
+            wrong = [(v, text) for v, text in pairs if text != b"%.17g" % v]
+            assert not wrong, f"{name}: {len(wrong)} values, first {wrong[:3]}"
+
     @pytest.mark.parametrize("box", [[(-3, -1), (-2, 0.5)], [(-1, 0), (-0.5, 0.5), (-2, -1.5)]])
     def test_index_csv_partial_last_block_of_lines(self, tmp_path, monkeypatch, box):
         grid = dsm.sampling_grid(box, 0.25)
