@@ -12,10 +12,13 @@ machine and EMDSM_THREADS, so it is printed where it differs, not failed.
 The other output_files, the synthesized data (scattered_incident*.csv, exact
 and _noisy), are compared the same way over their real and imaginary field
 parts.  Every compared file, CSV or PGM, is also printed with whether its
-bytes are the same.  Exits non-zero when a difference exceeds --tol, a file's
-coordinates (and quadrature weights), argmax, maxima or sweep computation
-differ, a file's bytes differ under --bytes, a file of dir_a is missing from
-dir_b, or dir_a's report.json lists no files per grid (written before
+bytes are the same.  Each forward solve of solver_info is printed with its
+GMRES iterations and final relative residual in both trees.  Exits non-zero
+when a difference exceeds --tol, a file's coordinates (and quadrature
+weights), argmax, maxima or sweep computation differ, the trees' forward
+solves differ in number or GMRES iterations or their residuals differ by more
+than --tol, a file's bytes differ under --bytes, a file of dir_a is missing
+from dir_b, or dir_a's report.json lists no files per grid (written before
 report.json named them: give the newer tree as dir_a).
 
     python scripts/compare_outputs.py out/after out/before --tol 1e-12
@@ -68,11 +71,23 @@ def compare_run(run_a: Path, run_b: Path, tol: float, exact: bool) -> tuple[list
                     "before report.json named them; give the newer tree first"]
     if not (run_b / "report.json").exists():
         return [], [f"{run_b}: no report.json"]
-    entries_b = {entry["label"]: entry for entry in json.loads((run_b / "report.json").read_text())["indices"]}
+    report_b = json.loads((run_b / "report.json").read_text())
+    entries_b = {entry["label"]: entry for entry in report_b["indices"]}
     grid_files = {name for entry in report_a["indices"] for name in entry["files"]}
     failures = []
     lines = [_compare_file(run_a / name, run_b / name, tol, exact, failures)
              for name in (Path(path).name for path in report_a["output_files"]) if name not in grid_files]
+    solves_a, solves_b = report_a["solver_info"], report_b["solver_info"]
+    if len(solves_a) != len(solves_b):
+        failures.append(f"solver_info lists {len(solves_a)} forward solves against {len(solves_b)}")
+    for n, (solve_a, solve_b) in enumerate(zip(solves_a, solves_b), 1):
+        lines.append(f"solve {n}: GMRES {solve_a['iterations']} iterations, residual {solve_a['residual']:.3e} "
+                     f"against {solve_b['iterations']}, {solve_b['residual']:.3e}")
+        if solve_a["iterations"] != solve_b["iterations"]:
+            failures.append(f"solve {n}: GMRES iterations differ")
+        delta = abs(solve_a["residual"] - solve_b["residual"])
+        if delta > tol:
+            failures.append(f"solve {n}: residual differs by {delta:.2e} > {tol:g}")
     for entry_a in report_a["indices"]:
         label, entry_b = entry_a["label"], entries_b.get(entry_a["label"])
         if entry_b is None:

@@ -6,11 +6,9 @@ from .em_core import (
     IncidentPlaneWave,
     Shape,
     WaveContext,
-    contrast_eval,
     green_scalar,
     green_tensor,
     im_green_tensor,
-    im_trace_green_tensor,
     incident_field,
 )
 from .forward import (
@@ -19,7 +17,6 @@ from .forward import (
     InducedCurrentField,
     SolverSpec,
     VolumeGrid,
-    assemble_p_operator,
     build_forward_system,
     build_grid,
     diagonal_self_term,

@@ -80,6 +80,8 @@ class IncidentPlaneWave:
         p = np.asarray(self.polarization, dtype=np.float64)
         if d.shape != p.shape or d.ndim != 1:
             raise DimensionMismatchError("direction and polarization must be vectors of the same length")
+        if not (np.isfinite(d).all() and np.isfinite(p).all()):
+            raise DomainError("direction and polarization must be finite")
         if abs(np.linalg.norm(d) - 1.0) > 1e-12 or abs(np.linalg.norm(p) - 1.0) > 1e-12:
             raise DomainError("direction and polarization must be unit vectors")
         if abs(float(d @ p)) > 1e-12:
@@ -119,6 +121,8 @@ class Shape:
         expected_dim = 3 if self.kind == "axis_cube" else 2
         if center.shape != (expected_dim,):
             raise DimensionMismatchError(f"{self.kind} needs a {expected_dim}-vector center")
+        if not np.isfinite([*center, self.outer_side, self.inner_side, self.eta]).all():
+            raise DomainError("center, sides and eta must be finite")
         if self.outer_side <= 0.0:
             raise DomainError("outer_side must be positive")
         if self.kind == "square_ring":
@@ -183,14 +187,10 @@ class ContrastField:
         return out[0] if scalar else out
 
 
-def contrast_eval(contrast: ContrastField, x) -> complex:
-    """eta at a single point (0 outside every shape, 0 in ring holes)."""
-    return complex(contrast.eta_at(np.asarray(x, dtype=np.float64)))
-
-
 def _hankel1_01(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """H_0^(1), H_1^(1) at x > 0, each J_n + i Y_n written straight into the
-    real and imaginary parts of one complex array."""
+    real and imaginary parts of one complex array.  scipy.special is imported
+    on the first call, not at module level, so that 3D runs never load it."""
     from scipy import special
 
     if np.any(x <= 0.0):
@@ -202,20 +202,6 @@ def _hankel1_01(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     special.j1(x, out=h1.real)
     special.y1(x, out=h1.imag)
     return h0, h1
-
-
-def hankel1_012(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """H_0^(1), H_1^(1), H_2^(1) at x > 0 from the cephes J_0, Y_0, J_1, Y_1.
-
-    H_2 follows from the upward recurrence (2/x) H_1 - H_0, which is stable
-    for Y and so for H.  scipy.special is imported on the first call, not at
-    module level, so that 3D runs never load it.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    h0, h1 = _hankel1_01(x)
-    h2 = np.multiply(2.0 / x, h1)
-    h2 -= h0
-    return h0[()], h1[()], h2[()]
 
 
 def green_scalar_from_distance(ctx: WaveContext, r) -> np.ndarray:
@@ -257,7 +243,7 @@ def green_tensor_parts(ctx: WaveContext, r: np.ndarray) -> tuple[np.ndarray, np.
         x = k * r
         h0, h1 = _hankel1_01(x)
         h1_kr = h1 / x
-        h2 = np.multiply(np.divide(2.0, x, out=x), h1, out=h1)  # upward recurrence, as hankel1_012
+        h2 = np.multiply(np.divide(2.0, x, out=x), h1, out=h1)  # H_2 = (2/x) H_1 - H_0, stable for Y so for H
         h2 -= h0
         h0 -= h1_kr
         del x, h1_kr
@@ -555,7 +541,7 @@ def curl_green_tensor_from_diff(ctx: WaveContext, diff, v) -> np.ndarray:
         raise SingularityError("the curl kernel is singular at coincident points")
     k = ctx.wavenumber
     if ctx.dimension == 2:
-        d_green = -0.25j * k * hankel1_012(k * r)[1]
+        d_green = -0.25j * k * _hankel1_01(k * r)[1]
         return (k * k * d_green / r) * (diff[..., 0] * v[1] - diff[..., 1] * v[0])
     d_green = np.exp(1j * k * r) / (4.0 * np.pi * r) * (1j * k - 1.0 / r)
     return (k * k * d_green / r)[..., np.newaxis] * np.cross(diff, v)
@@ -617,21 +603,3 @@ def im_green_tensor(ctx: WaveContext, x, y) -> np.ndarray:
     yp = _as_point(ctx, y)
     return im_green_tensor_from_diff(ctx, xp - yp)
 
-
-def im_trace_green_tensor(ctx: WaveContext, r) -> np.ndarray:
-    """(d-1) k^2 Im G(r): k^2 J_0(kr)/4 in 2D, 2 k^2 sin(kr)/(4 pi r) in 3D.
-
-    Peaks at zero separation, which is what makes the trace combination a
-    sharp probe of source locations.
-    """
-    r = np.asarray(r, dtype=np.float64)
-    k = ctx.wavenumber
-    if ctx.dimension == 2:
-        if np.any(r < 0.0):
-            raise DomainError("separation must be nonnegative")
-        from scipy import special
-
-        return 0.25 * k * k * special.j0(k * r)
-    if np.any(r <= 0.0):
-        raise DomainError("separation must be positive in 3D")
-    return 2.0 * k * k * np.sin(k * r) / (4.0 * np.pi * r)

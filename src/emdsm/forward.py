@@ -192,21 +192,13 @@ class POperator:
         return self.apply_grid(field.T.reshape((d,) + self.grid.counts)).reshape(d, -1).T
 
 
-def assemble_p_operator(grid: VolumeGrid, ctx: WaveContext) -> POperator:
-    return POperator(grid, ctx)
-
-
 @dataclass(frozen=True)
 class SolverSpec:
-    kind: str = "auto"  # auto (= gmres) | gmres | dense, the LU cross-check oracle
+    """Restarted GMRES settings: relative tolerance, restart length, maximum restarts."""
+
     tol: float = 1e-8
     restart: int = 50
     maxiter: int = 500
-
-    def resolve(self) -> str:
-        if self.kind not in ("auto", "dense", "gmres"):
-            raise DomainError(f"unknown solver kind {self.kind!r}")
-        return "gmres" if self.kind == "auto" else self.kind
 
 
 @dataclass(frozen=True)
@@ -217,7 +209,6 @@ class InducedCurrentField:
     grid: VolumeGrid
     values: np.ndarray
     eta: np.ndarray
-    method: str = "gmres"
     residual: float = 0.0
     residual_history: tuple[float, ...] = ()
 
@@ -247,7 +238,8 @@ class ForwardSystem:
     at offset 0) and applied as a zero-padded FFT convolution (block-Toeplitz
     matvec, CG-FFT): O(N log N) time and O(N) memory.  Rows with eta = 0
     reduce to the identity, so only the eta-supported rows of G (P J) are
-    kept.  dense_matrix applies the same operator to unit vectors.
+    kept.  dense_matrix applies the same operator to unit vectors, and
+    dense_solve factors it: the reference the GMRES solve is checked against.
     """
 
     def __init__(self, contrast: ContrastField, ctx: WaveContext, grid: VolumeGrid):
@@ -318,6 +310,26 @@ class ForwardSystem:
             a[:, start:stop] = self.apply(np.eye(dim, stop - start, -start))
         return a
 
+    def dense_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """LU solve of the dense matrix, checked to a relative residual of 1e-8."""
+        matrix = self.dense_matrix()
+        matrix_norm = np.linalg.norm(matrix, 1)
+        try:
+            lu = sla.lu_factor(matrix, overwrite_a=True)
+        except sla.LinAlgError as exc:
+            raise SolverError(f"dense factorization failed: {exc}") from exc
+        solution = sla.lu_solve(lu, rhs)
+        rhs_norm = np.linalg.norm(rhs)
+        if rhs_norm > 0.0:
+            residual = float(np.linalg.norm(self.apply(solution) - rhs) / rhs_norm)
+            if residual > 1e-8:
+                rcond = sla.lapack.zgecon(lu[0], matrix_norm, norm="1")[0]
+                raise SolverError(
+                    f"dense solve residual {residual:.2e} exceeds 1e-8; "
+                    f"condition estimate {1.0 / max(rcond, 1e-300):.2e}"
+                )
+        return solution
+
     def rhs(self, wave: IncidentPlaneWave) -> np.ndarray:
         e_inc = incident_field(wave, self.ctx, self.grid.nodes)
         return (self.contrast_at_nodes[:, None] * e_inc).T.reshape(-1)
@@ -330,43 +342,20 @@ def build_forward_system(contrast: ContrastField, ctx: WaveContext, h: float) ->
 
 
 class ForwardSolver:
-    """Caches system assembly (and the dense factorization) across incident waves."""
+    """Caches system assembly across incident waves; solves by restarted GMRES."""
 
     def __init__(self, contrast: ContrastField, ctx: WaveContext, h: float,
                  solver: SolverSpec = SolverSpec()):
         self.system = build_forward_system(contrast, ctx, h)
         self.spec = solver
-        self.method = solver.resolve()
-        self._lu = None
 
-    def _solve_dense(self, rhs: np.ndarray) -> tuple[np.ndarray, float, list[float]]:
-        if self._lu is None:
-            matrix = self.system.dense_matrix()
-            self._matrix_norm = np.linalg.norm(matrix, 1)
-            try:
-                self._lu = sla.lu_factor(matrix, overwrite_a=True)
-            except sla.LinAlgError as exc:
-                raise SolverError(f"dense factorization failed: {exc}") from exc
-        solution = sla.lu_solve(self._lu, rhs)
-        rhs_norm = np.linalg.norm(rhs)
-        residual = 0.0
-        if rhs_norm > 0.0:
-            residual = float(
-                np.linalg.norm(self.system.apply(solution) - rhs) / rhs_norm
-            )
-            if residual > 1e-8:
-                rcond = sla.lapack.zgecon(self._lu[0], self._matrix_norm, norm="1")[0]
-                raise SolverError(
-                    f"dense solve residual {residual:.2e} exceeds 1e-8; "
-                    f"condition estimate {1.0 / max(rcond, 1e-300):.2e}"
-                )
-        return solution, residual, []
-
-    def _solve_gmres(self, rhs: np.ndarray) -> tuple[np.ndarray, float, list[float]]:
-        dim = self.system.system_dimension
-        op = LinearOperator((dim, dim), matvec=self.system.apply, dtype=np.complex128)
+    def solve(self, wave: IncidentPlaneWave) -> InducedCurrentField:
+        system = self.system
+        rhs = system.rhs(wave)
+        dim = system.system_dimension
+        op = LinearOperator((dim, dim), matvec=system.apply, dtype=np.complex128)
         history: list[float] = []
-        solution, info = gmres(
+        flat, info = gmres(
             op, rhs, rtol=self.spec.tol, atol=0.0,
             restart=self.spec.restart, maxiter=self.spec.maxiter,
             callback=history.append, callback_type="pr_norm",
@@ -374,26 +363,16 @@ class ForwardSolver:
         rhs_norm = np.linalg.norm(rhs)
         residual = 0.0
         if rhs_norm > 0.0:
-            residual = float(np.linalg.norm(self.system.apply(solution) - rhs) / rhs_norm)
+            residual = float(np.linalg.norm(system.apply(flat) - rhs) / rhs_norm)
         if info != 0:
             raise SolverError(
                 f"GMRES did not converge in {self.spec.maxiter} iterations; "
                 f"final relative residual {residual:.2e}"
             )
-        return solution, residual, history
-
-    def solve(self, wave: IncidentPlaneWave) -> InducedCurrentField:
-        rhs = self.system.rhs(wave)
-        if self.method == "dense":
-            flat, residual, history = self._solve_dense(rhs)
-        else:
-            flat, residual, history = self._solve_gmres(rhs)
-        d = self.system.ctx.dimension
-        values = flat.reshape(d, self.system.grid.n_nodes).T.copy()
-        values[self.system.contrast_at_nodes == 0.0] = 0.0
+        values = flat.reshape(system.ctx.dimension, system.grid.n_nodes).T.copy()
+        values[system.contrast_at_nodes == 0.0] = 0.0
         return InducedCurrentField(
-            self.system.grid, values, self.system.contrast_at_nodes,
-            method=self.method, residual=residual,
+            system.grid, values, system.contrast_at_nodes, residual=residual,
             residual_history=tuple(float(r) for r in history),
         )
 

@@ -101,19 +101,11 @@ def cube_surface(edge: float, per_face: int) -> MeasurementSurface:
 
 
 @dataclass(frozen=True)
-class Provenance:
-    kind: str  # "exact" | "noisy"
-    epsilon: float = 0.0
-    seed: int | None = None
-
-
-@dataclass(frozen=True)
 class FieldSamples:
     """Complex d-vector field values at the surface points."""
 
     surface: MeasurementSurface
     values: np.ndarray
-    provenance: Provenance = Provenance("exact")
 
     def __post_init__(self):
         if self.values.shape != (self.surface.count, self.surface.dimension):
@@ -145,7 +137,7 @@ def synthesize_scattered_field(current, surface: MeasurementSurface, ctx: WaveCo
             values[start:stop] = KernelBlock(ctx, sources, surface.points[start:stop]).contract(slabs)
 
         run_blocks(work, surface.count, active.size, d)
-    return FieldSamples(surface, values, Provenance("exact"))
+    return FieldSamples(surface, values)
 
 
 def add_noise(samples: FieldSamples, epsilon: float, seed: int) -> FieldSamples:
@@ -163,11 +155,7 @@ def add_noise(samples: FieldSamples, epsilon: float, seed: int) -> FieldSamples:
     draws = rng.standard_normal(samples.values.shape + (2,))
     zeta = draws[..., 0] + 1j * draws[..., 1]
     scale = epsilon * np.linalg.norm(samples.values, axis=1).max()
-    return FieldSamples(
-        samples.surface,
-        samples.values + scale * zeta,
-        Provenance("noisy", epsilon, seed),
-    )
+    return FieldSamples(samples.surface, samples.values + scale * zeta)
 
 
 def l2_inner_product(f: FieldSamples, g: FieldSamples) -> complex:

@@ -69,6 +69,9 @@ def test_identical_trees_pass(trees, capsys):
                  "fig2/map_polarization_sum.csv"):
         assert f"{name}: max |delta| 0.00e+00, bytes same" in out
     assert "small/index_combined.pgm: bytes same" in out
+    solve = json.loads((trees[0] / "small" / "report.json").read_text())["solver_info"][0]
+    iterations, residual = solve["iterations"], f"{solve['residual']:.3e}"
+    assert f"small/solve 1: GMRES {iterations} iterations, residual {residual} against {iterations}, {residual}" in out
     code, _, err = _compare(*trees, capsys, "--bytes")
     assert code == 0, err
 
@@ -140,6 +143,18 @@ def test_changed_sweep_computation_fails(trees, capsys):
     code, _, err = _compare(a, b, capsys)
     assert code == 1
     assert "combined: sweep_info differs" in err
+
+
+@pytest.mark.parametrize("edit, failure", [
+    (lambda solve: solve.update(iterations=solve["iterations"] + 1), "solve 1: GMRES iterations differ"),
+    (lambda solve: solve.update(residual=solve["residual"] + 1e-9), "solve 1: residual differs by 1.00e-09 > 1e-12"),
+], ids=["iterations", "residual"])
+def test_changed_forward_solve_fails(trees, capsys, edit, failure):
+    a, b = trees
+    _edit_report(b / "small" / "report.json", lambda report: edit(report["solver_info"][0]))
+    code, _, err = _compare(a, b, capsys)
+    assert code == 1
+    assert failure in err
 
 
 def test_missing_map_reported(trees, capsys):

@@ -1,7 +1,8 @@
 """Wave context, incident fields, contrast, Green-function identities, and
 the cylindrical Bessel and Hankel values behind the 2D kernels (the
-scipy-backed em_core.hankel1_012 and the J_n in Im Phi) against independent
-series oracles, published tables and identities."""
+scipy-backed H_0, H_1 of em_core._hankel1_01, the H_2 inside
+green_tensor_parts and the J_n in Im Phi) against independent series
+oracles, published tables and identities."""
 
 import math
 import os
@@ -75,6 +76,14 @@ class TestIncidentWave:
         with pytest.raises(DomainError):
             em.IncidentPlaneWave(np.array([2.0, 0.0]), np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize("direction, polarization", [
+        ([np.nan, 1.0], [1.0, 0.0]), ([1.0, 0.0], [0.0, np.inf]),
+    ])
+    def test_requires_finite_vectors(self, direction, polarization):
+        # a NaN norm passes the unit-length test, so finiteness is its own check
+        with pytest.raises(DomainError, match="finite"):
+            em.IncidentPlaneWave(np.array(direction), np.array(polarization))
+
     def test_value_at_origin_is_polarization(self):
         w = em.IncidentPlaneWave(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
         np.testing.assert_allclose(em.incident_field(w, CTX2, [0.0, 0.0]), w.polarization)
@@ -115,16 +124,16 @@ class TestIncidentWave:
 class TestContrast:
     def test_example1_value(self):
         c = em.ContrastField([em.Shape("axis_square", [-0.25, 0.0], 0.3, eta=1.0)])
-        assert em.contrast_eval(c, [-0.25, 0.0]) == 1.0 + 0.0j
+        assert c.eta_at([-0.25, 0.0]) == 1.0 + 0.0j
 
     def test_ring_hole_is_zero(self):
         ring = em.ContrastField([em.Shape("square_ring", [0.0, 0.0], 0.6, 0.4, eta=1.0)])
-        assert em.contrast_eval(ring, [0.0, 0.0]) == 0.0
-        assert em.contrast_eval(ring, [0.25, 0.0]) == 1.0
+        assert ring.eta_at([0.0, 0.0]) == 0.0
+        assert ring.eta_at([0.25, 0.0]) == 1.0
 
     def test_outside_support_is_zero(self):
         c = em.ContrastField([em.Shape("axis_square", [-0.25, 0.0], 0.3, eta=1.0)])
-        assert em.contrast_eval(c, [5.0, 5.0]) == 0.0
+        assert c.eta_at([5.0, 5.0]) == 0.0
 
     def test_half_open_membership(self):
         s = em.Shape("axis_square", [0.0, 0.0], 1.0)
@@ -136,7 +145,7 @@ class TestContrast:
             em.Shape("axis_square", [0.0, 0.0], 1.0, eta=1.0),
             em.Shape("axis_square", [0.0, 0.0], 0.5, eta=2.0),
         ])
-        assert em.contrast_eval(c, [0.0, 0.0]) == 2.0
+        assert c.eta_at([0.0, 0.0]) == 2.0
 
     def test_needs_a_shape(self):
         with pytest.raises(GeometryError):
@@ -145,6 +154,13 @@ class TestContrast:
     def test_ring_needs_smaller_hole(self):
         with pytest.raises(DomainError):
             em.Shape("square_ring", [0.0, 0.0], 0.4, 0.6)
+
+    @pytest.mark.parametrize("center, side, eta", [
+        ([np.nan, 0.0], 0.3, 1.0), ([0.0, 0.0], np.inf, 1.0), ([0.0, 0.0], 0.3, complex(1.0, np.nan)),
+    ])
+    def test_shape_requires_finite_values(self, center, side, eta):
+        with pytest.raises(DomainError, match="finite"):
+            em.Shape("axis_square", center, side, eta=eta)
 
 
 class TestGreenScalar:
@@ -292,6 +308,12 @@ class TestGreenTensor:
             em.curl_green_tensor_from_diff(CTX2, [0.0, 0.0], v[:2])
 
 
+def im_trace(ctx, r):
+    """Tr Im Phi = (d - 1) k^2 Im G at separations r along the first axis."""
+    diff = np.multiply.outer(r, np.eye(ctx.dimension)[0])
+    return np.trace(em.im_green_tensor_from_diff(ctx, diff), axis1=-2, axis2=-1)
+
+
 class TestImParts:
     def test_im_tensor_matches_tensor_imag(self):
         rng = np.random.default_rng(9)
@@ -314,13 +336,14 @@ class TestImParts:
         np.testing.assert_allclose(near, (k**2 / 8) * np.eye(2), rtol=1e-10)
 
     def test_im_trace_2d_peak_value(self):
-        assert em.im_trace_green_tensor(CTX2, 0.0) == pytest.approx(np.pi**2, rel=1e-14)
+        assert im_trace(CTX2, 0.0) == pytest.approx(np.pi**2, rel=1e-14)
 
     def test_im_trace_3d_small_separation_limit(self):
+        # 2 k^2 Im G = 2 k^2 sin(kr) / (4 pi r), which tends to k^3 / (2 pi)
         k = 2 * np.pi
-        assert em.im_trace_green_tensor(CTX3, 1e-10) == pytest.approx(
-            2 * k**2 * k / (4 * np.pi), rel=1e-9
-        )
+        assert im_trace(CTX3, 0.0) == pytest.approx(k**3 / (2 * np.pi), rel=1e-14)
+        r = 1e-4
+        assert im_trace(CTX3, r) == pytest.approx(2 * k**2 * np.sin(k * r) / (4 * np.pi * r), rel=1e-9)
 
     def test_im_trace_vanishes_at_first_bessel_zero(self):
         # root of J_0 located with the series oracle via bisection
@@ -333,7 +356,7 @@ class TestImParts:
                 hi = mid
         root = 0.5 * (lo + hi)
         assert root == pytest.approx(2.404825557695773, rel=1e-10)
-        assert abs(em.im_trace_green_tensor(CTX2, root / CTX2.wavenumber)) < 1e-10
+        assert abs(im_trace(CTX2, root / CTX2.wavenumber)) < 1e-10
 
     def test_im_tensor_small_kr_against_jv(self):
         # J_2 at small kr, where the upward recurrence from J_0, J_1 would
@@ -351,7 +374,7 @@ class TestImParts:
 
     def test_im_trace_max_at_zero_separation(self):
         r = np.linspace(1e-6, 3.0, 400)
-        assert em.im_trace_green_tensor(CTX2, 0.0) > em.im_trace_green_tensor(CTX2, r).max()
+        assert im_trace(CTX2, 0.0) > im_trace(CTX2, r).max()
 
 
 @settings(max_examples=60, deadline=None)
@@ -443,9 +466,22 @@ def y1_series_oracle(x: float, terms: int = 40) -> float:
     return (2.0 / math.pi) * math.log(x / 2.0) * j1 - 2.0 / (math.pi * x) - x / (2.0 * math.pi) * series
 
 
+# k = 1, so that green_tensor_parts' b = (i/4) H_2(r) and x = kr = r
+UNIT_K = em.WaveContext.from_wavenumber(2, 1.0)
+
+
+def hankel(order: int, x):
+    """H_n^(1)(x) for n = 0, 1, 2 as the 2D kernels see it: H_0, H_1 from
+    _hankel1_01, H_2 as green_tensor_parts' b / (i k^2 / 4)."""
+    x = np.asarray(x, dtype=np.float64)
+    flat = x.reshape(-1)
+    h = em._hankel1_01(flat)[order] if order < 2 else em.green_tensor_parts(UNIT_K, flat)[1] / 0.25j
+    return h.reshape(x.shape)[()]
+
+
 def jy(order: int, x):
     """(J_n(x), Y_n(x)) as the 2D kernels see them."""
-    h = em.hankel1_012(x)[order]
+    h = hankel(order, x)
     return h.real, h.imag
 
 
@@ -462,7 +498,7 @@ def test_j_at_zero():
     k = CTX2.wavenumber
     near = em.im_green_tensor_from_diff(CTX2, [1e-200, 0.0])
     np.testing.assert_array_equal(near, (k * k / 8.0) * np.eye(2))
-    assert em.im_trace_green_tensor(CTX2, 0.0) == 0.25 * k * k
+    assert im_trace(CTX2, 0.0) == 0.25 * k * k
 
 
 def test_j_against_series_oracle():
@@ -484,7 +520,7 @@ def test_y0_log_blowup_near_zero():
 def test_hankel_is_j_plus_iy_exactly():
     # orders 0 and 1 are the cephes values untouched
     x = np.linspace(0.3, 150.0, 500)
-    h0, h1, _ = em.hankel1_012(x)
+    h0, h1 = em._hankel1_01(x)
     np.testing.assert_array_equal(h0.real, sp.j0(x))
     np.testing.assert_array_equal(h0.imag, sp.y0(x))
     np.testing.assert_array_equal(h1.real, sp.j1(x))
@@ -493,7 +529,7 @@ def test_hankel_is_j_plus_iy_exactly():
 
 def test_hankel_recurrence_pins_order_two():
     x = 3.7
-    h0, h1, h2 = em.hankel1_012(x)
+    h0, h1, h2 = (hankel(order, x) for order in (0, 1, 2))
     assert h2 == pytest.approx(2.0 * h1 / x - h0, rel=1e-12)
     assert h2 == pytest.approx(sp.hankel1(2, x), rel=1e-13)
 
@@ -501,7 +537,7 @@ def test_hankel_recurrence_pins_order_two():
 def test_large_argument_amplitude():
     # |H_0(x)| sqrt(x) -> sqrt(2/pi)
     x = 100.0
-    h0 = em.hankel1_012(x)[0]
+    h0 = hankel(0, x)
     assert abs(h0) * math.sqrt(x) == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-5)
     # phase against the leading asymptotic form
     ref = math.sqrt(2.0 / (math.pi * x)) * np.exp(1j * (x - math.pi / 4.0))
@@ -511,15 +547,13 @@ def test_large_argument_amplitude():
 def test_domain_errors():
     # y0(0) is -inf: the helper must refuse rather than return it
     with pytest.raises(DomainError):
-        em.hankel1_012(0.0)
+        em._hankel1_01(np.array(0.0))
     with pytest.raises(DomainError):
-        em.hankel1_012(np.array([1.0, -2.0]))
+        em._hankel1_01(np.array([1.0, -2.0]))
     with pytest.raises(SingularityError):
         em.green_scalar_from_distance(CTX2, 0.0)
     with pytest.raises(SingularityError):
         em.green_tensor_from_diff(CTX2, [0.0, 0.0])
-    with pytest.raises(DomainError):
-        em.im_trace_green_tensor(CTX2, -1.0)
 
 
 def test_wronskian_on_random_sample():
@@ -543,7 +577,7 @@ def test_recurrence_closure_on_random_sample():
     # one more upward step from the helper's H_1, H_2 must land on AMOS H_3
     rng = np.random.default_rng(11)
     x = rng.uniform(0.01, 100.0, 200)
-    _, h1, h2 = em.hankel1_012(x)
+    h1, h2 = hankel(1, x), hankel(2, x)
     h3 = 4.0 * h2 / x - h1
     ref = sp.hankel1(3, x)
     assert np.max(np.abs(h3 - ref) / np.abs(ref)) < 1e-10
@@ -554,11 +588,11 @@ def test_derivative_identity_vs_finite_differences():
     h = 1e-5
 
     def h0(v):
-        return em.hankel1_012(v)[0]
+        return hankel(0, v)
 
     for x in (0.5, 1.7, 6.3, 20.0, 80.0):
         fd = (-h0(x + 2 * h) + 8.0 * h0(x + h) - 8.0 * h0(x - h) + h0(x - 2 * h)) / (12.0 * h)
-        assert abs(fd - (-em.hankel1_012(x)[1])) < 1e-7
+        assert abs(fd - (-hankel(1, x))) < 1e-7
 
 
 @settings(max_examples=150, deadline=None)
@@ -569,15 +603,14 @@ def test_derivative_identity_vs_finite_differences():
 def test_matches_scipy_within_contract(order, x):
     # the helper against AMOS hankel1(n, x) on [1e-6, 200]
     ref = sp.hankel1(order, x)
-    assert abs(em.hankel1_012(x)[order] - ref) <= 1e-13 * abs(ref)
+    assert abs(hankel(order, x) - ref) <= 1e-13 * abs(ref)
 
 
 def test_vectorized_matches_scalar():
     x = np.array([0.2, 1.0, 11.9, 12.1, 60.0])
-    vec = em.hankel1_012(x)
     for order in (0, 1, 2):
-        scal = np.array([em.hankel1_012(v)[order] for v in x])
-        np.testing.assert_array_equal(vec[order], scal)
+        scal = np.array([hankel(order, v) for v in x])
+        np.testing.assert_array_equal(hankel(order, x), scal)
 
 
 @pytest.mark.parametrize("ctx, surface, pts", [
@@ -598,7 +631,7 @@ def test_hankel_runs_fast_path_matches_public_api(ctx, surface, pts):
         np.testing.assert_allclose(contracted[:, n], phi[..., j, i], rtol=1e-12)
     if ctx.dimension == 2:
         r = np.linalg.norm(surface.points - pts[0], axis=1)
-        h0 = em.hankel1_012(CTX2.wavenumber * r)[0]
+        h0 = em._hankel1_01(CTX2.wavenumber * r)[0]
         np.testing.assert_array_equal(em.green_scalar_from_distance(CTX2, r), 0.25j * h0)
 
 

@@ -112,7 +112,7 @@ class TestSelfTerm:
 class TestPOperator:
     def test_constant_field_gives_k2(self):
         grid = fw.build_grid(em.ContrastField(SQUARE1), 0.02)
-        p = fw.assemble_p_operator(grid, CTX2)
+        p = fw.POperator(grid, CTX2)
         c = np.array([0.3 + 0.1j, -0.7 + 0.2j])
         out = p.apply(np.tile(c, (grid.n_nodes, 1)))
         mask = np.zeros(grid.counts, bool)
@@ -128,7 +128,7 @@ class TestPOperator:
         errs = []
         for h in (0.04, 0.02, 0.01):
             grid = fw.build_grid(em.ContrastField(SQUARE1), h)
-            p = fw.assemble_p_operator(grid, CTX2)
+            p = fw.POperator(grid, CTX2)
             e_inc = em.incident_field(WAVE1, CTX2, grid.nodes)
             residual = p.apply(e_inc) - CTX2.wavenumber**2 * e_inc
             mask = np.zeros(grid.counts, bool)
@@ -139,7 +139,7 @@ class TestPOperator:
 
     def test_axis_fields_and_cross_stencil(self):
         grid = fw.build_grid(em.ContrastField(SQUARE1), 0.03)
-        p = fw.assemble_p_operator(grid, CTX2)
+        p = fw.POperator(grid, CTX2)
         nodes = grid.nodes
         # linear-in-x1 first component: all second differences vanish inside
         field = np.zeros((grid.n_nodes, 2), complex)
@@ -152,7 +152,7 @@ class TestPOperator:
     def test_needs_three_nodes_per_axis(self):
         grid = fw.build_grid(em.ContrastField(SQUARE1), 0.15)  # 2x2
         with pytest.raises(DegenerateGridError):
-            fw.assemble_p_operator(grid, CTX2)
+            fw.POperator(grid, CTX2)
 
 
 class TestForwardSystem:
@@ -284,7 +284,7 @@ class TestFFTOperator:
         rng = np.random.default_rng(3)
         field = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
         expected = (kron_p_matrix(grid, ctx) @ field.T.reshape(-1)).reshape(d, n).T
-        got = fw.assemble_p_operator(grid, ctx).apply(field)
+        got = fw.POperator(grid, ctx).apply(field)
         np.testing.assert_allclose(got, expected, rtol=1e-14, atol=1e-14 * np.abs(expected).max())
 
     @pytest.mark.parametrize("ctx, counts", [(CTX2, (12, 7)), (CTX3, (7, 3, 5))])
@@ -313,6 +313,16 @@ class TestFFTOperator:
         dense_rows = system.active.size * system.grid.n_nodes * 16
         assert system.active.size == 2000 and system.grid.n_nodes == 5000
         assert peak < dense_rows / 10
+
+
+def dense_vs_gmres(contrast):
+    """Max relative difference of the GMRES current (tol 1e-10) from the dense
+    LU reference at h = 0.03, and the GMRES current."""
+    solver = fw.ForwardSolver(contrast, CTX2, 0.03, fw.SolverSpec(tol=1e-10))
+    system = solver.system
+    dense = system.dense_solve(system.rhs(WAVE1)).reshape(2, -1).T
+    iterative = solver.solve(WAVE1)
+    return np.abs(dense - iterative.values).max() / np.abs(dense).max(), iterative
 
 
 class TestSolve:
@@ -358,30 +368,20 @@ class TestSolve:
         assert slope == pytest.approx(1.0, abs=0.2)
 
     def test_dense_vs_gmres(self):
-        contrast = em.ContrastField(SQUARE1)
-        dense = fw.solve_current(contrast, WAVE1, CTX2, 0.03, fw.SolverSpec("dense"))
-        iterative = fw.solve_current(contrast, WAVE1, CTX2, 0.03, fw.SolverSpec("gmres", tol=1e-10))
-        rel = np.abs(dense.values - iterative.values).max() / np.abs(dense.values).max()
+        rel, iterative = dense_vs_gmres(em.ContrastField(SQUARE1))
         assert rel <= 1e-8
-        assert dense.method == "dense" and iterative.method == "gmres"
         assert iterative.iterations > 0
 
     def test_dense_vs_gmres_ring_geometry(self):
-        ring = em.ContrastField([em.Shape("square_ring", [0.0, 0.0], 0.6, 0.4, eta=1.0)])
-        dense = fw.solve_current(ring, WAVE1, CTX2, 0.03, fw.SolverSpec("dense"))
-        iterative = fw.solve_current(ring, WAVE1, CTX2, 0.03, fw.SolverSpec("gmres", tol=1e-10))
-        rel = np.abs(dense.values - iterative.values).max() / np.abs(dense.values).max()
+        rel, _ = dense_vs_gmres(em.ContrastField([em.Shape("square_ring", [0.0, 0.0], 0.6, 0.4, eta=1.0)]))
         assert rel <= 1e-8
 
-    def test_auto_solver_selects_by_dimension(self):
-        # auto is GMRES at every size; dense runs only when asked for
-        contrast = em.ContrastField(SQUARE1)
-        assert fw.solve_current(contrast, WAVE1, CTX2, 0.03).method == "gmres"
-        big = em.ContrastField([
-            em.Shape("axis_square", [-0.8, -0.7], 0.2, eta=1.0),
-            em.Shape("axis_square", [0.3, 0.8], 0.2, eta=1.0),
-        ])
-        assert fw.solve_current(big, WAVE1, CTX2, 0.02).method == "gmres"
+    def test_dense_solve_residual_failure_names_condition(self, monkeypatch):
+        system = fw.build_forward_system(em.ContrastField(SQUARE1), CTX2, 0.05)
+        solve = fw.sla.lu_solve
+        monkeypatch.setattr(fw.sla, "lu_solve", lambda lu, rhs: 1.001 * solve(lu, rhs))
+        with pytest.raises(SolverError, match=r"residual \S+ exceeds 1e-8; condition estimate \S+"):
+            system.dense_solve(system.rhs(WAVE1))
 
     def test_current_vanishes_outside_support(self):
         ring = em.ContrastField([em.Shape("square_ring", [0.0, 0.0], 0.6, 0.4, eta=1.0)])
@@ -398,7 +398,7 @@ class TestSolve:
         with pytest.raises(SolverError, match="GMRES"):
             fw.solve_current(
                 em.ContrastField(SQUARE1), WAVE1, CTX2, 0.02,
-                fw.SolverSpec("gmres", tol=1e-14, maxiter=1, restart=2),
+                fw.SolverSpec(tol=1e-14, maxiter=1, restart=2),
             )
 
     def test_scattered_field_grid_convergence(self):

@@ -8,6 +8,7 @@ import pytest
 from emdsm import cli, em_core, harness
 from emdsm.em_core import WaveContext, green_scalar, green_tensor
 from emdsm.errors import ConfigError, StageError
+from emdsm.forward import SolverSpec
 
 SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
@@ -46,7 +47,7 @@ class TestConfigParsing:
         assert config.forward_h == 0.02
         assert config.sampling_spacing == 0.01
         assert config.noise_epsilon == 0.0
-        assert config.solver.kind == "auto"
+        assert config.solver == SolverSpec()
 
     def test_3d_defaults(self):
         config = harness.preset("example3d")
@@ -71,9 +72,11 @@ class TestConfigParsing:
             harness.config_from_dict(raw)
 
     def test_unknown_solver_named(self):
-        raw = small_config_dict(forward={"h": 0.05, "solver": "cg"})
-        with pytest.raises(ConfigError, match="forward.solver"):
-            harness.config_from_dict(raw)
+        # the forward solve is always GMRES: any solver key is rejected
+        for value in ("cg", "gmres", "dense", "auto"):
+            raw = small_config_dict(forward={"h": 0.05, "solver": value})
+            with pytest.raises(ConfigError, match="'forward.solver'"):
+                harness.config_from_dict(raw)
 
     @pytest.mark.parametrize("key", ["restart", "maxiter"])
     @pytest.mark.parametrize("value", [0, -3, 2.7])
@@ -100,6 +103,32 @@ class TestConfigParsing:
         raw = small_config_dict() if dimension == 2 else harness.preset("example3d").to_dict()
         with pytest.raises(ConfigError, match=key):
             harness.config_from_dict(set_value(raw, path, value))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("name, path, key", [
+        ("custom", ("wave", "wavelength"), "'wave.wavelength'"),
+        ("custom", ("noise", "epsilon"), "'noise.epsilon'"),
+        ("custom", ("forward", "tol"), "'forward.tol'"),
+        ("custom", ("sampling", "box", 0, 1), "'sampling.box'"),
+        ("fig1", ("diagnostic", "x_q", 0), "'diagnostic.x_q'"),
+        ("custom", ("shapes", 0, "eta"), r"'shapes\[0\]\.eta'"),
+        ("custom", ("shapes", 0, "eta", 1), r"'shapes\[0\]\.eta'"),
+        ("custom", ("incidents", 0, "direction", 0), r"'incidents\[0\]'"),
+        ("custom", ("shapes", 0, "center", 1), r"'shapes\[0\]'"),
+    ])
+    def test_non_finite_values_rejected_naming_the_key(self, tmp_path, name, path, key, value):
+        # Python's json reads NaN and Infinity, so they reach the parser
+        raw = small_config_dict() if name == "custom" else harness.preset(name).to_dict()
+        if name == "custom":
+            raw["shapes"][0]["eta"] = [1.0, 0.0]  # a [re, im] pair, so that a path can reach either part
+        target = raw
+        for step in path[:-1]:
+            target = target[step] if isinstance(step, int) else target.setdefault(step, {})
+        target[path[-1]] = value
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match=key):
+            harness.load_config(config_path)
 
     def test_complex_eta_pair(self):
         raw = small_config_dict()
@@ -292,7 +321,7 @@ class TestRunExperiment:
 
     def test_failure_names_its_stage(self, tmp_path):
         raw = small_config_dict(outputs={"directory": str(tmp_path)},
-                                forward={"h": 0.05, "solver": "gmres", "tol": 1e-14,
+                                forward={"h": 0.05, "tol": 1e-14,
                                          "maxiter": 1, "restart": 2})
         with pytest.raises(StageError, match="^forward: GMRES") as info:
             harness.run_experiment(harness.config_from_dict(raw))

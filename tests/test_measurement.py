@@ -237,7 +237,6 @@ class TestNoise:
         a = ms.add_noise(samples, 0.2, 7)
         b = ms.add_noise(samples, 0.2, 7)
         np.testing.assert_array_equal(a.values, b.values)
-        assert a.provenance == ms.Provenance("noisy", 0.2, 7)
 
     def test_linear_in_epsilon_for_fixed_seed(self):
         samples, _ = example1_samples(h=0.05)
