@@ -13,7 +13,9 @@ The other output_files, the synthesized data (scattered_incident*.csv, exact
 and _noisy), are compared the same way over their real and imaginary field
 parts.  Every compared file, CSV or PGM, is also printed with whether its
 bytes are the same.  Each forward solve of solver_info is printed with its
-GMRES iterations and final relative residual in both trees.  Exits non-zero
+GMRES iterations and final relative residual in both trees; how the forward
+run ran (its worker threads and BLAS pin) is printed where it differs, not
+failed, as for the sweep.  Exits non-zero
 when a difference exceeds --tol, a file's coordinates (and quadrature
 weights), argmax, maxima or sweep computation differ, the trees' forward
 solves differ in number or GMRES iterations or their residuals differ by more
@@ -35,6 +37,8 @@ import numpy as np
 
 # the sweep_info fields that describe what was computed; the others describe how
 COMPUTATION = ("group_order", "orbits", "kernel_pairs", "grid_pairs")
+# the solver_info fields that describe how the forward run ran
+FORWARD_RUN = ("threads", "blas_pinned")
 
 
 def _compare_file(path_a: Path, path_b: Path, tol: float, exact: bool, failures: list[str]) -> str | None:
@@ -81,8 +85,10 @@ def compare_run(run_a: Path, run_b: Path, tol: float, exact: bool) -> tuple[list
     if len(solves_a) != len(solves_b):
         failures.append(f"solver_info lists {len(solves_a)} forward solves against {len(solves_b)}")
     for n, (solve_a, solve_b) in enumerate(zip(solves_a, solves_b), 1):
+        ran_a, ran_b = ({key: solve.get(key) for key in FORWARD_RUN} for solve in (solve_a, solve_b))
         lines.append(f"solve {n}: GMRES {solve_a['iterations']} iterations, residual {solve_a['residual']:.3e} "
-                     f"against {solve_b['iterations']}, {solve_b['residual']:.3e}")
+                     f"against {solve_b['iterations']}, {solve_b['residual']:.3e}"
+                     + ("" if ran_a == ran_b else f", ran {ran_a} against {ran_b}"))
         if solve_a["iterations"] != solve_b["iterations"]:
             failures.append(f"solve {n}: GMRES iterations differ")
         delta = abs(solve_a["residual"] - solve_b["residual"])

@@ -31,7 +31,7 @@ from .measurement import (
     l2_inner_product,
     l2_norm,
     read_field_samples_csv,
-    synthesize_scattered_field,
+    synthesize_scattered_fields,
     write_field_samples_csv,
 )
 from .dsm import (

@@ -14,7 +14,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -30,7 +30,14 @@ _SHAPE_KINDS = ("axis_square", "square_ring", "axis_cube")
 # measured flat for two workers only.  60 k-200 k measured within noise in 2D, 200 k and 3 M slower in
 # 3D.  The size also sets rounding (see green_tensor_parts), so it does not follow the worker count
 _CHUNK_TARGET = 100_000
-# one run_blocks at a time: the BLAS pin is process-wide
+# below this kr the 3D Im Phi is taken from the series of j0 - j1/x and of
+# j2 / x^2 in x^2 (x = kr); five terms each reach double precision there.  The
+# closed form loses about eps / x^2 of the whole tensor and 15 eps / x^4 of its
+# rhat rhat^T part: 1e-6 of that part at x = 1e-2, 3e-11 at x = 0.1
+_IM_SERIES_KR = 0.1
+_ISO_SERIES = (2.0 / 3.0, -2.0 / 15.0, 1.0 / 140.0, -1.0 / 5670.0, 1.0 / 399168.0)
+_J2_SERIES = (1.0 / 15.0, -1.0 / 210.0, 1.0 / 7560.0, -1.0 / 498960.0, 1.0 / 51891840.0)
+# one run_tasks at a time: the BLAS pin is process-wide
 _BLAS_PIN = threading.Lock()
 
 
@@ -403,7 +410,7 @@ class KernelBlock:
 
 
 def _thread_count() -> int:
-    """Worker threads for run_blocks: EMDSM_THREADS, by default the CPUs this
+    """Worker threads for run_tasks: EMDSM_THREADS, by default the CPUs this
     process may run on."""
     raw = os.environ.get("EMDSM_THREADS")
     if raw is None:
@@ -447,64 +454,57 @@ def _malloc_trim():
 
 @dataclass(frozen=True)
 class BlockRun:
-    """How run_blocks ran: its blocks, its worker threads, and whether BLAS
-    was pinned to one thread meanwhile."""
+    """How run_tasks ran: its tasks (run_blocks' kernel blocks), its worker
+    threads, and whether BLAS was pinned to one thread meanwhile."""
 
     blocks: int
     threads: int
     blas_pinned: bool
 
 
-def run_blocks(work: Callable[[int, int], None], n_targets: int, n_sources: int, dimension: int) -> BlockRun:
-    """Call work(lo, hi) once for each block [lo, hi) of the n_targets
-    targets of KernelBlocks against n_sources sources, about _CHUNK_TARGET
-    (target, source, axis) triples each, on _thread_count() worker threads.
+def run_tasks(tasks: Sequence[Callable[[], object]]) -> BlockRun:
+    """Call each task once on up to _thread_count() worker threads.
 
-    The block size does not depend on the worker count, and numpy's OpenBLAS
-    runs on one thread for the whole run, whatever the worker count (OpenBLAS
-    rounds some GEMMs differently on one thread and on several), so no result
-    depends on the worker count as long as each call writes only its own
-    targets' slots.  The BLAS thread count is restored after the run.  Where
-    OpenBLAS's thread symbols are absent BLAS is left as it is and the run
-    uses one worker.  The calling thread drains the blocks as one of the
-    workers, which adds one malloc arena rather than one per worker, and a
-    run of one block runs on the calling thread alone.  The first exception a
-    block raises propagates once every worker has stopped.  Before and after
-    a run on several workers the free heap is returned to the system (glibc's
-    malloc_trim).
+    Worker w runs task w first and the workers then take the rest in turn, so
+    that with no more tasks than workers each task has a worker of its own,
+    task 0 the calling thread.  The calling thread works as one of the
+    workers, which adds one malloc arena rather than one per worker, and one
+    task runs on the calling thread alone.  numpy's OpenBLAS runs on one
+    thread for the whole run, whatever the worker count (OpenBLAS rounds some
+    products differently on one thread and on several), so a task's result
+    does not depend on the worker count; its thread count is restored after
+    the run.  Where OpenBLAS's thread symbols are absent BLAS is left as it
+    is and the run uses one worker.  The first exception a task raises
+    propagates once every worker has stopped.  Before and after a run on
+    several workers the free heap is returned to the system (glibc's
+    malloc_trim).  A task must not call run_tasks: the BLAS pin is held for
+    the whole run and is not re-entrant.
     """
     threads = _thread_count()
-    step = max(1, _CHUNK_TARGET // (n_sources * dimension))
-    blocks = [(lo, min(lo + step, n_targets)) for lo in range(0, n_targets, step)]
-    # freeing one mmapped block raises glibc's mmap threshold to its size (and
-    # its heap trim threshold to twice that), so each block's arrays stay on
-    # the heap instead of being unmapped and faulted in again per block
-    np.empty(8 * step * n_sources, dtype=np.complex128)
-    pending = iter(blocks)
+    blas = _blas_threads()
+    workers = 1 if blas is None else max(1, min(threads, len(tasks)))
+    pending = iter(range(workers, len(tasks)))
     take = threading.Lock()
     failed = threading.Event()
 
-    def drain():
-        while not failed.is_set():
-            with take:
-                bounds = next(pending, None)
-            if bounds is None:
-                return
+    def drain(index):
+        while index is not None and index < len(tasks) and not failed.is_set():
             try:
-                work(*bounds)
+                tasks[index]()
             except BaseException:
                 failed.set()
                 raise
+            with take:
+                index = next(pending, None)
 
-    blas = _blas_threads()
     if blas is None:
-        drain()
-        return BlockRun(len(blocks), 1, False)
-    workers = max(1, min(threads, len(blocks)))
+        drain(0)
+        return BlockRun(len(tasks), 1, False)
     get_threads, set_threads = blas
-    # a pool thread's blocks come from its own malloc arena, which cannot reuse
-    # the free pages the main arena keeps; hand those back before the run, and
-    # the pool arena's after it, so that neither peaks on top of the other
+    # a pool thread's arrays come from its own malloc arena, which cannot
+    # reuse the free pages the main arena keeps; hand those back before the
+    # run, and the pool arena's after it, so that neither peaks on top of the
+    # other
     trim = _malloc_trim() if workers > 1 else None
     if trim is not None:
         trim(0)
@@ -514,15 +514,31 @@ def run_blocks(work: Callable[[int, int], None], n_targets: int, n_sources: int,
         try:
             # the pool starts its threads on submit, so one worker starts none
             with ThreadPoolExecutor(max(1, workers - 1)) as pool:
-                futures = [pool.submit(drain) for _ in range(workers - 1)]
-                drain()
+                futures = [pool.submit(drain, w) for w in range(1, workers)]
+                drain(0)
                 for future in futures:
                     future.result()
         finally:
             set_threads(saved)
     if trim is not None:
         trim(0)
-    return BlockRun(len(blocks), workers, True)
+    return BlockRun(len(tasks), workers, True)
+
+
+def run_blocks(work: Callable[[int, int], None], n_targets: int, n_sources: int, dimension: int) -> BlockRun:
+    """Call work(lo, hi) once for each block [lo, hi) of the n_targets
+    targets of KernelBlocks against n_sources sources, about _CHUNK_TARGET
+    (target, source, axis) triples each, as the tasks of run_tasks.
+
+    The block size does not depend on the worker count, so no result depends
+    on it as long as each call writes only its own targets' slots.
+    """
+    step = max(1, _CHUNK_TARGET // (n_sources * dimension))
+    # freeing one mmapped block raises glibc's mmap threshold to its size (and
+    # its heap trim threshold to twice that), so each block's arrays stay on
+    # the heap instead of being unmapped and faulted in again per block
+    np.empty(8 * step * n_sources, dtype=np.complex128)
+    return run_tasks([functools.partial(work, lo, min(lo + step, n_targets)) for lo in range(0, n_targets, step)])
 
 
 def curl_green_tensor_from_diff(ctx: WaveContext, diff, v) -> np.ndarray:
@@ -570,6 +586,20 @@ def im_green_tensor_from_diff(ctx: WaveContext, diff) -> np.ndarray:
     if coincident.any():
         out[coincident] = (k * k / 8.0) * eye if d == 2 else (k**3 / (6.0 * np.pi)) * eye
     regular = ~coincident
+    if d == 3:
+        # the closed form below cancels catastrophically as kr -> 0; there
+        # Im Phi = (k^3 / 4 pi)[(j0 - j1/x) I + j2 rhat rhat^T], x = kr, in series
+        series = regular & (k * r < _IM_SERIES_KR)
+        regular &= ~series
+        if series.any():
+            x2 = np.square(k * r[series])
+            rhat = flat[series] / r[series][:, np.newaxis]
+            outer = rhat[:, :, np.newaxis] * rhat[:, np.newaxis, :]
+            iso = np.polynomial.polynomial.polyval(x2, _ISO_SERIES)
+            j2 = x2 * np.polynomial.polynomial.polyval(x2, _J2_SERIES)
+            out[series] = (k**3 / (4.0 * np.pi)) * (
+                iso[:, np.newaxis, np.newaxis] * eye + j2[:, np.newaxis, np.newaxis] * outer
+            )
     if regular.any():
         rr = r[regular]
         rhat = flat[regular] / rr[:, np.newaxis]

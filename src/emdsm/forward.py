@@ -11,13 +11,14 @@ scatterers, so the extension is exact for the true solution).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import scipy.linalg as sla
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .em_core import ContrastField, IncidentPlaneWave, WaveContext, green_scalar_from_distance, incident_field
+from .em_core import (BlockRun, ContrastField, IncidentPlaneWave, WaveContext, green_scalar_from_distance,
+                      incident_field, run_tasks)
 from .errors import DegenerateGridError, DomainError, GeometryError, SolverError
 
 _SELF_TERM_ORDERS = (16, 32, 64, 128, 256)
@@ -61,6 +62,13 @@ class VolumeGrid:
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         hi = self.origin + np.asarray(self.counts) * self.mesh_size
         return self.origin.copy(), hi
+
+    def same_nodes(self, other: "VolumeGrid") -> bool:
+        """Whether other has the same pitch, origin and counts."""
+        return other is self or (
+            other.mesh_size == self.mesh_size and other.counts == self.counts
+            and np.array_equal(other.origin, self.origin)
+        )
 
 
 def build_grid(contrast: ContrastField, h: float) -> VolumeGrid:
@@ -375,6 +383,20 @@ class ForwardSolver:
             system.grid, values, system.contrast_at_nodes, residual=residual,
             residual_history=tuple(float(r) for r in history),
         )
+
+    def solve_all(self, waves) -> tuple[list[InducedCurrentField], BlockRun]:
+        """solve for each wave, one em_core.run_tasks task per wave, so that
+        the solves run concurrently and each wholly on one worker with BLAS
+        pinned to one thread: its bits depend neither on the worker count nor
+        on the ambient BLAS thread count.  Returns the currents in the order
+        of waves and how the run went."""
+        currents = [None] * len(waves)
+
+        def task(l):
+            currents[l] = self.solve(waves[l])
+
+        run = run_tasks([partial(task, l) for l in range(len(waves))])
+        return currents, run
 
 
 def solve_current(contrast: ContrastField, wave: IncidentPlaneWave, ctx: WaveContext,

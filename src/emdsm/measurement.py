@@ -112,32 +112,40 @@ class FieldSamples:
             raise GeometryError("values must be one d-vector per surface point")
 
 
-def synthesize_scattered_field(current, surface: MeasurementSurface, ctx: WaveContext) -> FieldSamples:
-    """Discrete-sum scattered field E^s(x_m) = sum_j Phi(x_m, y_j) J_j h^d.
+def synthesize_scattered_fields(currents, surface: MeasurementSurface, ctx: WaveContext) -> list[FieldSamples]:
+    """Discrete-sum scattered fields E^s_l(x_m) = sum_j Phi(x_m, y_j) J_l(y_j) h^d
+    of currents J_1..J_L on one grid, in their order.
 
     It is the KernelBlock pairing, a block of surface points (the targets) at
-    a time (em_core.run_blocks), over the nodes carrying current (the
-    sources) against the references F[j, a, b, i] = delta_ai J_b(j) h^d.
-    Every measurement point must lie strictly outside the source grid's
-    bounding box.
+    a time (em_core.run_blocks), over the nodes where any current is nonzero
+    (the sources) against the references F[j, a, b, l d + i] = delta_ai
+    J_l,b(j) h^d: each block is built once and contracted against all L
+    currents, K = d L columns.  Every measurement point must lie strictly
+    outside the source grid's bounding box.
     """
-    lo, hi = current.grid.bounds
+    if not currents:
+        raise DomainError("synthesis needs at least one current")
+    grid = currents[0].grid
+    if not all(grid.same_nodes(current.grid) for current in currents[1:]):
+        raise GeometryError("the currents must share one forward grid")
+    lo, hi = grid.bounds
     inside = np.all((surface.points >= lo) & (surface.points <= hi), axis=1)
     if inside.any():
         raise GeometryError("measurement points must lie outside the forward grid box")
     d = ctx.dimension
-    active = np.flatnonzero(np.any(current.values != 0.0, axis=1))
-    values = np.zeros((surface.count, d), dtype=np.complex128)
+    stacked = np.stack([current.values for current in currents], axis=1)
+    active = np.flatnonzero(np.any(stacked != 0.0, axis=(1, 2)))
+    values = np.zeros((surface.count, d * len(currents)), dtype=np.complex128)
     if active.size:
-        sources = current.grid.nodes[active]
-        weighted = current.values[active] * current.grid.cell_measure
-        slabs = symmetric_slabs(np.einsum("ai,jb->jabi", np.eye(d), weighted))
+        sources = grid.nodes[active]
+        refs = np.einsum("ai,jlb->jabli", np.eye(d), stacked[active] * grid.cell_measure)
+        slabs = symmetric_slabs(refs.reshape(active.size, d, d, -1))
 
         def work(start, stop):
             values[start:stop] = KernelBlock(ctx, sources, surface.points[start:stop]).contract(slabs)
 
         run_blocks(work, surface.count, active.size, d)
-    return FieldSamples(surface, values)
+    return [FieldSamples(surface, values[:, l * d:(l + 1) * d].copy()) for l in range(len(currents))]
 
 
 def add_noise(samples: FieldSamples, epsilon: float, seed: int) -> FieldSamples:
@@ -170,21 +178,20 @@ def l2_norm(f: FieldSamples) -> float:
 
 
 def write_field_samples_csv(samples: FieldSamples, path) -> None:
-    """CSV schema: x1..xd, w, Re/Im per component, 17 significant digits."""
+    """CSV schema: x1..xd, w, Re/Im per component, 17 significant digits.
+
+    Every row is one %.17g template, with the csv module's excel line ending,
+    so the bytes are those of csv.writer writing each value as f"{v:.17g}"."""
     d = samples.surface.dimension
     header = [f"x{i + 1}" for i in range(d)] + ["w"]
     for i in range(d):
         header += [f"Re_E{i + 1}", f"Im_E{i + 1}"]
+    table = np.column_stack([samples.surface.points, samples.surface.weights,
+                             np.ascontiguousarray(samples.values).view(np.float64)])
+    template = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for m in range(samples.surface.count):
-            row = [f"{v:.17g}" for v in samples.surface.points[m]]
-            row.append(f"{samples.surface.weights[m]:.17g}")
-            for i in range(d):
-                row.append(f"{samples.values[m, i].real:.17g}")
-                row.append(f"{samples.values[m, i].imag:.17g}")
-            writer.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(template % row for row in map(tuple, table.tolist()))
 
 
 def read_field_samples_csv(path, surface: MeasurementSurface | None = None) -> FieldSamples:

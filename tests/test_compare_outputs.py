@@ -137,6 +137,25 @@ def test_how_a_sweep_ran_is_printed_not_failed(trees, capsys):
     assert "against {'chunks': 1, 'threads': 3, " in combined
 
 
+def test_how_the_forward_run_ran_is_printed_not_failed(trees, capsys):
+    # like the sweep's, the forward run's worker count follows the machine
+    a, b = trees
+
+    def more_threads(report):
+        for solve in report["solver_info"]:
+            solve["threads"] += 2
+
+    _edit_report(b / "small" / "report.json", more_threads)
+    solve = json.loads((a / "small" / "report.json").read_text())["solver_info"][0]
+    threads, pinned = solve["threads"], solve["blas_pinned"]
+    code, out, err = _compare(a, b, capsys)
+    assert code == 0, err
+    assert "2 runs compared, 0 failures" in out
+    line = next(line for line in out.splitlines() if line.startswith("small/solve 1: "))
+    assert line.endswith(f", ran {{'threads': {threads}, 'blas_pinned': {pinned}}} "
+                         f"against {{'threads': {threads + 2}, 'blas_pinned': {pinned}}}")
+
+
 def test_changed_sweep_computation_fails(trees, capsys):
     a, b = trees
     _edit_report(b / "small" / "report.json", lambda report: report["indices"][-1]["sweep_info"].update(orbits=1))

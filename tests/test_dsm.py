@@ -26,7 +26,7 @@ def example1_data():
     solver = fw.ForwardSolver(contrast, CTX2, 0.02)
     out = []
     for wave in (wave1, wave2):
-        samples = ms.synthesize_scattered_field(solver.solve(wave), SURF, CTX2)
+        samples = ms.synthesize_scattered_fields([solver.solve(wave)], SURF, CTX2)[0]
         out.append((samples, wave.polarization))
     return out
 

@@ -314,6 +314,32 @@ def im_trace(ctx, r):
     return np.trace(em.im_green_tensor_from_diff(ctx, diff), axis1=-2, axis2=-1)
 
 
+def im_green_3d_oracle(k: float, r: float):
+    """A separation of length about r along (3, 4, 12) / 13 whose components
+    and length are exact, and Im Phi there in rational arithmetic:
+    [sin(kr)(k^2 (I - rr) - (I - 3 rr) / r^2) + k cos(kr)(I - 3 rr) / r] / (4 pi r),
+    with sin and cos their degree-30 Taylor polynomials, and k and pi the
+    doubles."""
+    bits = 40 - math.floor(math.log2(r / 13))
+    scale = Fraction(round(r / 13 * 2**bits), 2**bits)  # 3, 4 and 12 times it are exact doubles
+    r, k, pi = 13 * scale, Fraction(k), Fraction(math.pi)
+    sin = cos = Fraction(0)
+    term = Fraction(1)  # (kr)^n / n!
+    for n in range(31):
+        if n % 2:
+            sin += (-1) ** (n // 2) * term
+        else:
+            cos += (-1) ** (n // 2) * term
+        term *= k * r / (n + 1)
+    out = np.empty((3, 3))
+    for i, a in enumerate((3, 4, 12)):
+        for j, b in enumerate((3, 4, 12)):
+            eye, rr = int(i == j), Fraction(a * b, 169)
+            out[i, j] = (sin * (k * k * (eye - rr) - (eye - 3 * rr) / (r * r))
+                         + k * cos * (eye - 3 * rr) / r) / (4 * pi * r)
+    return np.array([3.0, 4.0, 12.0]) * float(scale), out
+
+
 class TestImParts:
     def test_im_tensor_matches_tensor_imag(self):
         rng = np.random.default_rng(9)
@@ -344,6 +370,23 @@ class TestImParts:
         assert im_trace(CTX3, 0.0) == pytest.approx(k**3 / (2 * np.pi), rel=1e-14)
         r = 1e-4
         assert im_trace(CTX3, r) == pytest.approx(2 * k**2 * np.sin(k * r) / (4 * np.pi * r), rel=1e-9)
+
+    @pytest.mark.parametrize("r", [1e-12, 1e-8, 1e-5])
+    def test_im_tensor_3d_small_separation_against_exact_oracle(self, r):
+        # the closed form cancels catastrophically here: at r = 1e-10 its
+        # trace reads 0 and its Phi_yy -461 times the limit
+        diff, exact = im_green_3d_oracle(CTX3.wavenumber, r)
+        np.testing.assert_allclose(em.im_green_tensor_from_diff(CTX3, diff), exact, rtol=2e-15, atol=0.0)
+
+    def test_im_tensor_3d_continuous_across_the_series_switch(self):
+        # just below the switch the series, just above it the closed form,
+        # whose rhat rhat^T part is good to about 15 eps / (kr)^4 there
+        x = em._IM_SERIES_KR
+        below, above = (im_green_3d_oracle(CTX3.wavenumber, x * f / CTX3.wavenumber) for f in (1 - 1e-9, 1 + 1e-9))
+        np.testing.assert_allclose(em.im_green_tensor_from_diff(CTX3, below[0]), below[1], rtol=2e-15, atol=0.0)
+        np.testing.assert_allclose(em.im_green_tensor_from_diff(CTX3, above[0]), above[1], rtol=1e-9, atol=0.0)
+        np.testing.assert_allclose(em.im_green_tensor_from_diff(CTX3, below[0]),
+                                   em.im_green_tensor_from_diff(CTX3, above[0]), rtol=1e-8, atol=0.0)
 
     def test_im_trace_vanishes_at_first_bessel_zero(self):
         # root of J_0 located with the series oracle via bisection
@@ -719,6 +762,23 @@ class TestRunBlocks:
         with pytest.raises(ConfigError, match="EMDSM_THREADS"):
             em.run_blocks(lambda lo, hi: calls.append(lo), 6, 1, 1)
         assert calls == []
+
+    def test_tasks_up_to_the_worker_count_run_one_per_worker(self, monkeypatch):
+        # each task waits for the others, so they must run at once; task 0
+        # runs on the calling thread
+        if em._blas_threads() is None:
+            pytest.skip("without OpenBLAS's thread symbols tasks run on one worker")
+        monkeypatch.setenv("EMDSM_THREADS", "3")
+        barrier = threading.Barrier(3, timeout=10.0)
+        callers = [None] * 3
+
+        def task(n):
+            barrier.wait()
+            callers[n] = threading.get_ident()
+
+        run = em.run_tasks([lambda n=n: task(n) for n in range(3)])
+        assert run == em.BlockRun(3, 3, True)
+        assert callers[0] == threading.get_ident() and len(set(callers)) == 3
 
     def test_default_threads_are_the_usable_cpus(self, monkeypatch):
         monkeypatch.delenv("EMDSM_THREADS", raising=False)

@@ -409,7 +409,7 @@ class TestSolve:
         vals = {}
         for h in (0.04, 0.02, 0.01):
             current = fw.solve_current(em.ContrastField(SQUARE1), WAVE1, CTX2, h)
-            vals[h] = ms.synthesize_scattered_field(current, surf, CTX2).values[0]
+            vals[h] = ms.synthesize_scattered_fields([current], surf, CTX2)[0].values[0]
         d1 = np.linalg.norm(vals[0.04] - vals[0.02])
         d2 = np.linalg.norm(vals[0.02] - vals[0.01])
         assert d1 / d2 >= 2.0 ** 0.9
@@ -419,15 +419,64 @@ class TestSolve:
             fw.build_forward_system(em.ContrastField(SQUARE1), CTX3, 0.05)
 
 
+class TestSolveAll:
+    @pytest.fixture(scope="class")
+    def fine_3d(self):
+        # example3d at h = 0.02: 15 000 unknowns, long enough vectors that
+        # OpenBLAS threads the dot products of an unpinned solve
+        config = harness.preset("example3d")
+        return fw.ForwardSolver(config.contrast, config.ctx, 0.02, config.solver), config.incidents
+
+    @staticmethod
+    def assert_same_bits(runs):
+        for currents in runs[1:]:
+            for got, first in zip(currents, runs[0]):
+                np.testing.assert_array_equal(got.values, first.values)
+                assert got.residual_history == first.residual_history
+
+    def test_bit_identical_across_thread_counts(self, monkeypatch, fine_3d):
+        solver, waves = fine_3d
+        runs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("EMDSM_THREADS", threads)
+            currents, run = solver.solve_all(waves)
+            assert run.blocks == len(waves)
+            assert run.threads == (int(threads) if em._blas_threads() is not None else 1)
+            runs.append(currents)
+        self.assert_same_bits(runs)
+
+    def test_bit_identical_across_ambient_blas_threads(self, monkeypatch, two_blas_threads, fine_3d):
+        monkeypatch.setenv("EMDSM_THREADS", "2")
+        solver, waves = fine_3d
+        set_threads = em._blas_threads()[1]
+        runs = []
+        for blas in (1, 2):
+            set_threads(blas)
+            runs.append(solver.solve_all(waves)[0])
+            assert two_blas_threads() == blas
+        self.assert_same_bits(runs)
+
+    def test_keeps_the_iteration_counts_of_solve(self, fine_3d):
+        solver, waves = fine_3d
+        currents, _ = solver.solve_all(waves)
+        assert [c.iterations for c in currents] == [solver.solve(w).iterations for w in waves]
+        for current in currents:
+            assert current.residual <= solver.spec.tol
+
+    def test_a_failing_solve_raises(self, monkeypatch):
+        monkeypatch.setenv("EMDSM_THREADS", "2")
+        solver = fw.ForwardSolver(em.ContrastField(SQUARE1), CTX2, 0.02, fw.SolverSpec(tol=1e-14, maxiter=1, restart=2))
+        with pytest.raises(SolverError, match="GMRES"):
+            solver.solve_all([WAVE1, WAVE1])
+
+
 def synthesized_data(name: str, h: float) -> np.ndarray:
     """Exact near-field data of a preset scene at forward mesh size h, all incidents."""
     config = harness.preset(name)
     solver = fw.ForwardSolver(config.contrast, config.ctx, h, config.solver)
-    surface = config.surface.build()
-    return np.stack([
-        ms.synthesize_scattered_field(solver.solve(wave), surface, config.ctx).values
-        for wave in config.incidents
-    ])
+    currents, _ = solver.solve_all(config.incidents)
+    fields = ms.synthesize_scattered_fields(currents, config.surface.build(), config.ctx)
+    return np.stack([samples.values for samples in fields])
 
 
 class TestMeshConvergence:

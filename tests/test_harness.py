@@ -254,6 +254,9 @@ class TestRunExperiment:
             assert info["method"] == "gmres"
             assert len(info["residual_history"]) == info["iterations"] > 0
             assert info["residual_history"][-1] <= config.solver.tol
+            # the incidents were solved as one run of em_core.run_tasks
+            assert (info["threads"], info["blas_pinned"]) == (
+                (min(em_core._thread_count(), 2), True) if em_core._blas_threads() is not None else (1, False))
 
     def test_sweep_info_in_report(self, small_run):
         _, _, outdir = small_run
@@ -324,6 +327,13 @@ class TestRunExperiment:
                                 forward={"h": 0.05, "tol": 1e-14,
                                          "maxiter": 1, "restart": 2})
         with pytest.raises(StageError, match="^forward: GMRES") as info:
+            harness.run_experiment(harness.config_from_dict(raw))
+        assert info.value.stage == "forward"
+
+    def test_bad_thread_env_fails_in_the_forward_stage(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("EMDSM_THREADS", "0")
+        raw = small_config_dict(outputs={"directory": str(tmp_path)})
+        with pytest.raises(StageError, match="^forward: EMDSM_THREADS") as info:
             harness.run_experiment(harness.config_from_dict(raw))
         assert info.value.stage == "forward"
 

@@ -1,5 +1,7 @@
 """Surfaces, quadrature, field synthesis, the noise model, and CSV round-trips."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ def example1_samples(h=0.02, count=30, radius=5.0):
     wave = em.IncidentPlaneWave(np.array([1.0, 1.0]) / np.sqrt(2), np.array([1.0, -1.0]) / np.sqrt(2))
     contrast = em.ContrastField([em.Shape("axis_square", [-0.25, 0.0], 0.3, eta=1.0)])
     current = fw.solve_current(contrast, wave, CTX2, h)
-    return ms.synthesize_scattered_field(current, ms.circle_surface(radius, count), CTX2), current
+    return ms.synthesize_scattered_fields([current], ms.circle_surface(radius, count), CTX2)[0], current
 
 
 class TestCircleSurface:
@@ -112,7 +114,7 @@ class TestSynthesis:
         contrast = em.ContrastField([em.Shape("axis_square", [-0.25, 0.0], 0.3, eta=0.0)])
         wave = em.IncidentPlaneWave(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
         current = fw.solve_current(contrast, wave, CTX2, 0.05)
-        samples = ms.synthesize_scattered_field(current, ms.circle_surface(5.0, 30), CTX2)
+        samples = ms.synthesize_scattered_fields([current], ms.circle_surface(5.0, 30), CTX2)[0]
         assert np.all(samples.values == 0.0)
 
     def test_single_active_node_is_one_term_quadrature(self):
@@ -123,7 +125,7 @@ class TestSynthesis:
         values[j0] = [1.0 + 2.0j, -0.5j]
         current = fw.InducedCurrentField(grid, values, np.zeros(grid.n_nodes))
         surf = ms.circle_surface(5.0, 8)
-        samples = ms.synthesize_scattered_field(current, surf, CTX2)
+        samples = ms.synthesize_scattered_fields([current], surf, CTX2)[0]
         expected = np.array([
             em.green_tensor(CTX2, m, grid.nodes[j0]) @ values[j0] for m in surf.points
         ]) * grid.cell_measure
@@ -139,9 +141,9 @@ class TestSynthesis:
         eta = np.ones(grid.n_nodes)
 
         def field(vals):
-            return ms.synthesize_scattered_field(
-                fw.InducedCurrentField(grid, vals, eta), surf, CTX2
-            ).values
+            return ms.synthesize_scattered_fields(
+                [fw.InducedCurrentField(grid, vals, eta)], surf, CTX2
+            )[0].values
 
         a, b = 1.3 - 0.7j, -0.2 + 2.1j
         np.testing.assert_allclose(
@@ -153,7 +155,7 @@ class TestSynthesis:
         norms = {}
         for radius in (5.0, 10.0, 20.0):
             surf = ms.circle_surface(radius, 30)
-            vals = ms.synthesize_scattered_field(current, surf, CTX2).values
+            vals = ms.synthesize_scattered_fields([current], surf, CTX2)[0].values
             norms[radius] = np.linalg.norm(vals, axis=1)
         for a, b in ((5.0, 10.0), (10.0, 20.0)):
             ratio = np.mean(norms[a] / norms[b])
@@ -172,9 +174,9 @@ class TestSynthesis:
         surf = ms.circle_surface(5.0, count) if d == 2 else ms.cube_surface(10.0, count)
         phi = em.green_tensor_from_diff(ctx, surf.points[:, None, :] - grid.nodes[None, :, :])
         expected = np.einsum("mjab,jb->ma", phi, values) * grid.cell_measure
-        default = ms.synthesize_scattered_field(current, surf, ctx).values
+        default = ms.synthesize_scattered_fields([current], surf, ctx)[0].values
         monkeypatch.setattr(em, "_CHUNK_TARGET", 1)  # one surface point per block
-        one_target = ms.synthesize_scattered_field(current, surf, ctx).values
+        one_target = ms.synthesize_scattered_fields([current], surf, ctx)[0].values
         for got in (default, one_target):
             np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-14 * np.abs(expected).max())
 
@@ -195,7 +197,7 @@ class TestSynthesis:
         runs = []
         for threads in ("1", "2", "5"):
             monkeypatch.setenv("EMDSM_THREADS", threads)
-            runs.append(ms.synthesize_scattered_field(current, surf, ctx).values)
+            runs.append(ms.synthesize_scattered_fields([current], surf, ctx)[0].values)
         for got in runs[1:]:
             np.testing.assert_array_equal(got, runs[0])
 
@@ -213,9 +215,61 @@ class TestSynthesis:
         runs = []
         for threads in ("1", "2", "5"):
             monkeypatch.setenv("EMDSM_THREADS", threads)
-            runs.append(ms.synthesize_scattered_field(current, surf, CTX3).values)
+            runs.append(ms.synthesize_scattered_fields([current], surf, CTX3)[0].values)
         for got in runs[1:]:
             np.testing.assert_array_equal(got, runs[0])
+
+    @staticmethod
+    def random_currents(ctx, count, seed):
+        """count random currents on one grid of a cube or square of side 0.3,
+        each zero on its own third of the nodes, and a surface around it."""
+        d = ctx.dimension
+        kind = "axis_cube" if d == 3 else "axis_square"
+        grid = fw.build_grid(em.ContrastField([em.Shape(kind, np.zeros(d), 0.3)]), 0.05)
+        rng = np.random.default_rng(seed)
+        currents = []
+        for l in range(count):
+            values = rng.standard_normal((grid.n_nodes, d)) + 1j * rng.standard_normal((grid.n_nodes, d))
+            values[l::3] = 0.0
+            currents.append(fw.InducedCurrentField(grid, values, np.ones(grid.n_nodes)))
+        surf = ms.circle_surface(5.0, 30) if d == 2 else ms.cube_surface(10.0, 2)
+        return currents, surf
+
+    @pytest.mark.parametrize("ctx", [CTX2, CTX3])
+    def test_many_currents_match_one_current_calls(self, ctx):
+        currents, surf = self.random_currents(ctx, 3, 6)
+        fields = ms.synthesize_scattered_fields(currents, surf, ctx)
+        assert len(fields) == 3
+        for current, samples in zip(currents, fields):
+            assert samples.surface is surf
+            alone = ms.synthesize_scattered_fields([current], surf, ctx)[0].values
+            assert np.abs(samples.values - alone).max() <= 1e-15 * np.abs(alone).max()
+
+    @pytest.mark.parametrize("ctx", [CTX2, CTX3])
+    def test_many_currents_bit_identical_across_thread_counts(self, ctx, monkeypatch):
+        currents, surf = self.random_currents(ctx, 2, 7)
+        # 4 surface points per block, and 5 workers outnumber the cores
+        monkeypatch.setattr(em, "_CHUNK_TARGET", 4 * currents[0].grid.n_nodes * ctx.dimension)
+        runs = []
+        for threads in ("1", "2", "5"):
+            monkeypatch.setenv("EMDSM_THREADS", threads)
+            runs.append([samples.values for samples in ms.synthesize_scattered_fields(currents, surf, ctx)])
+        for got in runs[1:]:
+            for values, first in zip(got, runs[0]):
+                np.testing.assert_array_equal(values, first)
+
+    def test_currents_on_different_grids_rejected(self):
+        current, _ = self.random_currents(CTX2, 1, 8)
+        shifted = fw.InducedCurrentField(
+            fw.VolumeGrid(current[0].grid.mesh_size, current[0].grid.origin + 0.01, current[0].grid.counts),
+            current[0].values, current[0].eta,
+        )
+        with pytest.raises(GeometryError, match="one forward grid"):
+            ms.synthesize_scattered_fields([current[0], shifted], ms.circle_surface(5.0, 30), CTX2)
+
+    def test_no_currents_rejected(self):
+        with pytest.raises(DomainError, match="at least one current"):
+            ms.synthesize_scattered_fields([], ms.circle_surface(5.0, 30), CTX2)
 
     def test_measurement_point_inside_grid_rejected(self):
         _, current = example1_samples(h=0.05)
@@ -223,7 +277,7 @@ class TestSynthesis:
             np.array([[-0.25, 0.0]]), np.array([1.0]), np.array([[1.0, 0.0]]), region_radius=0.1
         )
         with pytest.raises(GeometryError):
-            ms.synthesize_scattered_field(current, inside, CTX2)
+            ms.synthesize_scattered_fields([current], inside, CTX2)
 
 
 class TestNoise:
@@ -280,7 +334,7 @@ class TestInnerProduct:
 
     def test_surface_mismatch_rejected(self):
         samples, current = example1_samples(h=0.05)
-        other = ms.synthesize_scattered_field(current, ms.circle_surface(6.0, 30), CTX2)
+        other = ms.synthesize_scattered_fields([current], ms.circle_surface(6.0, 30), CTX2)[0]
         with pytest.raises(GeometryError):
             ms.l2_inner_product(samples, other)
 
@@ -321,6 +375,29 @@ class TestCsv:
         for other in (moved, reweighted):
             with pytest.raises(GeometryError):
                 ms.read_field_samples_csv(path, surface=other)
+
+    @pytest.mark.parametrize("surf", [ms.circle_surface(5.0, 9), ms.cube_surface(2.0, 2)])
+    def test_bytes_match_csv_writer_oracle(self, tmp_path, surf):
+        d = surf.dimension
+        special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, -1e300, 0.1, 1.0 / 3.0]
+        rng = np.random.default_rng(9)
+        parts = rng.standard_normal((surf.count, d, 2)) * 10.0 ** rng.integers(-300, 300, (surf.count, d, 2))
+        parts.ravel()[:len(special)] = special
+        parts.ravel()[-len(special):] = special[::-1]
+        samples = ms.FieldSamples(surf, parts.view(np.complex128)[..., 0])  # 1j * inf would put nan in Re
+        path = tmp_path / "samples.csv"
+        ms.write_field_samples_csv(samples, path)
+        oracle = tmp_path / "oracle.csv"
+        with open(oracle, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([f"x{i + 1}" for i in range(d)] + ["w"]
+                            + [f"{part}_E{i + 1}" for i in range(d) for part in ("Re", "Im")])
+            for m in range(surf.count):
+                row = [*surf.points[m], surf.weights[m]]
+                for i in range(d):
+                    row += [samples.values[m, i].real, samples.values[m, i].imag]
+                writer.writerow([f"{v:.17g}" for v in row])
+        assert path.read_bytes() == oracle.read_bytes()
 
     def test_3d_header(self, tmp_path):
         surf = ms.cube_surface(2.0, 1)
