@@ -8,7 +8,7 @@ difference| is printed, and whether dir_b's entry of the same label has the
 same argmax location, the same local-maxima locations and the same sweep
 computation (sweep_info's group order, orbits, kernel pairs and grid pairs).
 How each sweep ran (its chunks, worker threads and BLAS pin) follows the
-machine and EMDSM_THREADS, so it is printed where it differs, not failed.
+CPUs the run may use, so it is printed where it differs, not failed.
 The other output_files, the synthesized data (scattered_incident*.csv, exact
 and _noisy), are compared the same way over their real and imaginary field
 parts.  Every compared file, CSV or PGM, is also printed with whether its

@@ -6,21 +6,15 @@ from .em_core import (
     IncidentPlaneWave,
     Shape,
     WaveContext,
-    green_scalar,
-    green_tensor,
-    im_green_tensor,
     incident_field,
 )
 from .forward import (
-    ForwardSolver,
     ForwardSystem,
     InducedCurrentField,
     SolverSpec,
     VolumeGrid,
-    build_forward_system,
     build_grid,
     diagonal_self_term,
-    solve_current,
 )
 from .measurement import (
     FieldSamples,

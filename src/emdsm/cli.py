@@ -48,10 +48,6 @@ def main(argv=None) -> int:
     verify_p = sub.add_parser("verify", help="run identity and solver checks")
     verify_p.add_argument("kind", choices=VERIFY_KINDS + ("all",))
 
-    fig_p = sub.add_parser("fig", help="reproduce the point-source diagnostic maps")
-    fig_p.add_argument("name", choices=("fig1", "fig2"))
-    fig_p.add_argument("--out", default=None, help="output directory")
-
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
@@ -66,10 +62,6 @@ def main(argv=None) -> int:
             if args.dump_config:
                 print(json.dumps(config.to_dict(), indent=2))
                 return 0
-            _print_report(run_experiment(config))
-            return 0
-        if args.command == "fig":
-            config = preset(args.name, out=args.out)
             _print_report(run_experiment(config))
             return 0
         if args.command == "verify":

@@ -17,8 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .em_core import (KernelBlock, WaveContext, curl_green_tensor_from_diff, green_tensor_from_diff, im_green_tensor,
-                      run_blocks, symmetric_slabs)
+from .em_core import (KernelBlock, WaveContext, curl_green_tensor_from_diff, green_tensor_from_diff,
+                      im_green_tensor_from_diff, run_blocks, symmetric_slabs)
 from .errors import DomainError, GeometryError
 from .measurement import FieldSamples, MeasurementSurface, circle_surface, l2_inner_product, l2_norm
 
@@ -502,7 +502,7 @@ def verify_boundary_lemma(ctx: WaveContext, surface: MeasurementSurface,
     term1 = np.sum(_curl_cross_n(curl_q.conj(), surface.normals, ctx.dimension) * phi_p, axis=1)
     term2 = np.sum(_curl_cross_n(curl_p, surface.normals, ctx.dimension) * phi_q.conj(), axis=1)
     lhs = complex(np.sum(surface.weights * (term1 - term2)))
-    rhs = complex(-2j * ctx.wavenumber**2 * (p @ (im_green_tensor(ctx, x_p, x_q) @ q)))
+    rhs = complex(-2j * ctx.wavenumber**2 * (p @ (im_green_tensor_from_diff(ctx, x_p - x_q) @ q)))
     return LemmaCheck(lhs, rhs, abs(lhs - rhs) / abs(rhs))
 
 
@@ -532,7 +532,7 @@ def verify_correlation_approx(ctx: WaveContext, radii, x_p, x_q, p, q,
     x_q = np.asarray(x_q, dtype=np.float64)
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
-    rhs = ctx.wavenumber * float(p @ (im_green_tensor(ctx, x_p, x_q) @ q))
+    rhs = ctx.wavenumber * float(p @ (im_green_tensor_from_diff(ctx, x_p - x_q) @ q))
     rows = []
     for radius in radii:
         surface = circle_surface(float(radius), count)

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, DomainError, GeometryError, SingularityError
+from .errors import DimensionMismatchError, DomainError, GeometryError, SingularityError
 
 _TWO_PI = 2.0 * np.pi
 
@@ -224,17 +224,6 @@ def green_scalar_from_distance(ctx: WaveContext, r) -> np.ndarray:
     return np.exp(1j * kr) / (4.0 * np.pi * r)
 
 
-def green_scalar(ctx: WaveContext, x, y) -> complex:
-    """G(x, y): (i/4) H_0^(1)(k|x-y|) in 2D, e^{ik|x-y|}/(4 pi |x-y|) in 3D."""
-    xp = _as_point(ctx, x)
-    yp = _as_point(ctx, y)
-    r = np.linalg.norm(xp - yp, axis=-1)
-    if np.any(r == 0.0):
-        raise SingularityError("green_scalar called with coincident points")
-    out = green_scalar_from_distance(ctx, r)
-    return complex(out) if np.ndim(out) == 0 else out
-
-
 def green_tensor_parts(ctx: WaveContext, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients (a, b) of the matrix kernel Phi = a I + b rhat rhat^T at
     an array r of separations r > 0.
@@ -410,18 +399,8 @@ class KernelBlock:
 
 
 def _thread_count() -> int:
-    """Worker threads for run_tasks: EMDSM_THREADS, by default the CPUs this
-    process may run on."""
-    raw = os.environ.get("EMDSM_THREADS")
-    if raw is None:
-        return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ConfigError(f"EMDSM_THREADS must be a positive integer, got {raw!r}")
-    return threads
+    """Worker threads for run_tasks: the CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 @functools.cache
@@ -563,13 +542,6 @@ def curl_green_tensor_from_diff(ctx: WaveContext, diff, v) -> np.ndarray:
     return (k * k * d_green / r)[..., np.newaxis] * np.cross(diff, v)
 
 
-def green_tensor(ctx: WaveContext, x, y) -> np.ndarray:
-    """Phi(x, y) = k^2 G I + Hess G in closed form; symmetric d x d matrix."""
-    xp = _as_point(ctx, x)
-    yp = _as_point(ctx, y)
-    return green_tensor_from_diff(ctx, xp - yp)
-
-
 def im_green_tensor_from_diff(ctx: WaveContext, diff) -> np.ndarray:
     """Im Phi for separations diff; finite (and isotropic) at zero separation."""
     d = ctx.dimension
@@ -626,10 +598,3 @@ def im_green_tensor_from_diff(ctx: WaveContext, diff) -> np.ndarray:
                 + k * c * inv_r * (eye - 3.0 * outer)
             ) * (inv_r / (4.0 * np.pi))
     return out.reshape(batch_shape + (d, d))
-
-
-def im_green_tensor(ctx: WaveContext, x, y) -> np.ndarray:
-    xp = _as_point(ctx, x)
-    yp = _as_point(ctx, y)
-    return im_green_tensor_from_diff(ctx, xp - yp)
-

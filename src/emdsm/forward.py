@@ -133,15 +133,11 @@ def _self_term_3d(k: float, h: float) -> complex:
 
 
 @lru_cache(maxsize=64)
-def _self_term_cached(dimension: int, k: float, h: float) -> complex:
-    return _self_term_2d(k, h) if dimension == 2 else _self_term_3d(k, h)
-
-
 def diagonal_self_term(ctx: WaveContext, h: float) -> complex:
     """Cell average of G over one centred cell, (1/h^d) int_cell G(x, 0) dx."""
     if h <= 0.0:
         raise DomainError("cell size must be positive")
-    return _self_term_cached(ctx.dimension, ctx.wavenumber, h)
+    return _self_term_2d(ctx.wavenumber, h) if ctx.dimension == 2 else _self_term_3d(ctx.wavenumber, h)
 
 
 def _first_difference(f: np.ndarray, axis: int, h: float) -> np.ndarray:
@@ -246,11 +242,15 @@ class ForwardSystem:
     at offset 0) and applied as a zero-padded FFT convolution (block-Toeplitz
     matvec, CG-FFT): O(N log N) time and O(N) memory.  Rows with eta = 0
     reduce to the identity, so only the eta-supported rows of G (P J) are
-    kept.  dense_matrix applies the same operator to unit vectors, and
-    dense_solve factors it: the reference the GMRES solve is checked against.
+    kept.  Assembled once per scene, it solves each incident wave by
+    restarted GMRES; dense_matrix applies the same operator to unit vectors,
+    and dense_solve factors it: the reference the GMRES solve is checked
+    against.
     """
 
     def __init__(self, contrast: ContrastField, ctx: WaveContext, grid: VolumeGrid):
+        if contrast.dimension != ctx.dimension:
+            raise GeometryError("contrast and context dimensions differ")
         self.ctx = ctx
         self.grid = grid
         self.contrast_at_nodes = contrast.eta_at(grid.nodes)
@@ -342,49 +342,34 @@ class ForwardSystem:
         e_inc = incident_field(wave, self.ctx, self.grid.nodes)
         return (self.contrast_at_nodes[:, None] * e_inc).T.reshape(-1)
 
-
-def build_forward_system(contrast: ContrastField, ctx: WaveContext, h: float) -> ForwardSystem:
-    if contrast.dimension != ctx.dimension:
-        raise GeometryError("contrast and context dimensions differ")
-    return ForwardSystem(contrast, ctx, build_grid(contrast, h))
-
-
-class ForwardSolver:
-    """Caches system assembly across incident waves; solves by restarted GMRES."""
-
-    def __init__(self, contrast: ContrastField, ctx: WaveContext, h: float,
-                 solver: SolverSpec = SolverSpec()):
-        self.system = build_forward_system(contrast, ctx, h)
-        self.spec = solver
-
-    def solve(self, wave: IncidentPlaneWave) -> InducedCurrentField:
-        system = self.system
-        rhs = system.rhs(wave)
-        dim = system.system_dimension
-        op = LinearOperator((dim, dim), matvec=system.apply, dtype=np.complex128)
+    def solve(self, wave: IncidentPlaneWave, spec: SolverSpec = SolverSpec()) -> InducedCurrentField:
+        """The current of one incident wave by restarted GMRES with spec."""
+        rhs = self.rhs(wave)
+        dim = self.system_dimension
+        op = LinearOperator((dim, dim), matvec=self.apply, dtype=np.complex128)
         history: list[float] = []
         flat, info = gmres(
-            op, rhs, rtol=self.spec.tol, atol=0.0,
-            restart=self.spec.restart, maxiter=self.spec.maxiter,
+            op, rhs, rtol=spec.tol, atol=0.0,
+            restart=spec.restart, maxiter=spec.maxiter,
             callback=history.append, callback_type="pr_norm",
         )
         rhs_norm = np.linalg.norm(rhs)
         residual = 0.0
         if rhs_norm > 0.0:
-            residual = float(np.linalg.norm(system.apply(flat) - rhs) / rhs_norm)
+            residual = float(np.linalg.norm(self.apply(flat) - rhs) / rhs_norm)
         if info != 0:
             raise SolverError(
-                f"GMRES did not converge in {self.spec.maxiter} iterations; "
+                f"GMRES did not converge in {spec.maxiter} iterations; "
                 f"final relative residual {residual:.2e}"
             )
-        values = flat.reshape(system.ctx.dimension, system.grid.n_nodes).T.copy()
-        values[system.contrast_at_nodes == 0.0] = 0.0
+        values = flat.reshape(self.ctx.dimension, self.grid.n_nodes).T.copy()
+        values[self.contrast_at_nodes == 0.0] = 0.0
         return InducedCurrentField(
-            system.grid, values, system.contrast_at_nodes, residual=residual,
+            self.grid, values, self.contrast_at_nodes, residual=residual,
             residual_history=tuple(float(r) for r in history),
         )
 
-    def solve_all(self, waves) -> tuple[list[InducedCurrentField], BlockRun]:
+    def solve_all(self, waves, spec: SolverSpec = SolverSpec()) -> tuple[list[InducedCurrentField], BlockRun]:
         """solve for each wave, one em_core.run_tasks task per wave, so that
         the solves run concurrently and each wholly on one worker with BLAS
         pinned to one thread: its bits depend neither on the worker count nor
@@ -393,13 +378,7 @@ class ForwardSolver:
         currents = [None] * len(waves)
 
         def task(l):
-            currents[l] = self.solve(waves[l])
+            currents[l] = self.solve(waves[l], spec)
 
         run = run_tasks([partial(task, l) for l in range(len(waves))])
         return currents, run
-
-
-def solve_current(contrast: ContrastField, wave: IncidentPlaneWave, ctx: WaveContext,
-                  h: float, solver: SolverSpec = SolverSpec()) -> InducedCurrentField:
-    """One-shot forward solve; see ForwardSolver for the multi-incident path."""
-    return ForwardSolver(contrast, ctx, h, solver).solve(wave)

@@ -13,9 +13,10 @@ from pathlib import Path
 import numpy as np
 
 from . import dsm
-from .em_core import ContrastField, IncidentPlaneWave, Shape, WaveContext, green_scalar, green_tensor, incident_field
+from .em_core import (ContrastField, IncidentPlaneWave, Shape, WaveContext, green_scalar_from_distance,
+                      green_tensor_from_diff, incident_field)
 from .errors import ConfigError, GeometryError, StageError
-from .forward import ForwardSolver, SolverSpec, solve_current
+from .forward import ForwardSystem, SolverSpec, build_grid
 from .measurement import (
     MeasurementSurface,
     add_noise,
@@ -486,8 +487,8 @@ def run_experiment(config: ExperimentConfig) -> LocalizationReport:
 
     if config.diagnostic is None:
         with _stage(report, "forward"):
-            solver = ForwardSolver(config.contrast, config.ctx, config.forward_h, config.solver)
-            currents, run = solver.solve_all(config.incidents)
+            system = ForwardSystem(config.contrast, config.ctx, build_grid(config.contrast, config.forward_h))
+            currents, run = system.solve_all(config.incidents, config.solver)
             for current in currents:
                 report.solver_info.append({
                     "method": "gmres",
@@ -552,8 +553,9 @@ def _verify_trace() -> list[dict]:
         while len(pairs) < 500:
             block = rng.uniform(-2.0, 2.0, (500 - len(pairs), 2, dim))
             pairs = np.concatenate([pairs, block[np.linalg.norm(block[:, 0] - block[:, 1], axis=1) >= 0.05]])
-        k2g = ctx.wavenumber**2 * green_scalar(ctx, pairs[:, 0], pairs[:, 1])
-        trace = np.trace(green_tensor(ctx, pairs[:, 0], pairs[:, 1]), axis1=1, axis2=2)
+        diff = pairs[:, 0] - pairs[:, 1]
+        k2g = ctx.wavenumber**2 * green_scalar_from_distance(ctx, np.linalg.norm(diff, axis=-1))
+        trace = np.trace(green_tensor_from_diff(ctx, diff), axis1=1, axis2=2)
         worst = float(np.max(np.abs(trace - (dim - 1) * k2g) / np.abs(k2g)))
         checks.append(_check(f"trace_identity_{dim}d_max_rel_dev", worst, 1e-11))
     return checks
@@ -600,7 +602,7 @@ def born_deviations(etas=(1e-4, 1e-3, 1e-2), h: float = 0.02) -> list[float]:
     out = []
     for eta in etas:
         contrast = ContrastField([Shape("axis_square", [-0.25, 0.0], 0.3, eta=eta)])
-        current = solve_current(contrast, wave, ctx, h)
+        current = ForwardSystem(contrast, ctx, build_grid(contrast, h)).solve(wave)
         target = current.eta[:, None] * incident_field(wave, ctx, current.grid.nodes)
         dev = np.linalg.norm(current.values - target, axis=1).max()
         out.append(float(dev / np.linalg.norm(target, axis=1).max()))
@@ -619,10 +621,9 @@ def _verify_solver_cross() -> list[dict]:
     ctx = WaveContext.from_wavelength(2, 1.0)
     wave = IncidentPlaneWave(np.array([1.0, 1.0]) / _SQRT2, np.array([1.0, -1.0]) / _SQRT2)
     contrast = ContrastField([Shape("axis_square", [-0.25, 0.0], 0.3, eta=1.0)])
-    solver = ForwardSolver(contrast, ctx, 0.03, SolverSpec(tol=1e-10))
-    system = solver.system
+    system = ForwardSystem(contrast, ctx, build_grid(contrast, 0.03))
     dense = system.dense_solve(system.rhs(wave)).reshape(ctx.dimension, -1).T
-    iterative = solver.solve(wave).values
+    iterative = system.solve(wave, SolverSpec(tol=1e-10)).values
     rel = np.abs(dense - iterative).max() / np.abs(dense).max()
     return [_check("dense_vs_gmres_rel_diff", float(rel), 1e-8)]
 

@@ -177,15 +177,19 @@ def l2_norm(f: FieldSamples) -> float:
     return float(np.sqrt(max(l2_inner_product(f, f).real, 0.0)))
 
 
+def _csv_header(d: int) -> list[str]:
+    header = [f"x{i + 1}" for i in range(d)] + ["w"]
+    for i in range(d):
+        header += [f"Re_E{i + 1}", f"Im_E{i + 1}"]
+    return header
+
+
 def write_field_samples_csv(samples: FieldSamples, path) -> None:
     """CSV schema: x1..xd, w, Re/Im per component, 17 significant digits.
 
     Every row is one %.17g template, with the csv module's excel line ending,
     so the bytes are those of csv.writer writing each value as f"{v:.17g}"."""
-    d = samples.surface.dimension
-    header = [f"x{i + 1}" for i in range(d)] + ["w"]
-    for i in range(d):
-        header += [f"Re_E{i + 1}", f"Im_E{i + 1}"]
+    header = _csv_header(samples.surface.dimension)
     table = np.column_stack([samples.surface.points, samples.surface.weights,
                              np.ascontiguousarray(samples.values).view(np.float64)])
     template = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
@@ -197,15 +201,32 @@ def write_field_samples_csv(samples: FieldSamples, path) -> None:
 def read_field_samples_csv(path, surface: MeasurementSurface | None = None) -> FieldSamples:
     """Inverse of write_field_samples_csv.
 
-    With surface given, the file's points and weights must equal the
-    surface's; without, a surface of the file's points and weights is
-    rebuilt, which has no normals and no known enclosed region.
+    The file must have the writer's header for d = 2 or 3, at least one row,
+    and one finite number per header column in each row: GeometryError for a
+    wrong shape and DomainError for a bad value, naming the line.  With
+    surface given, the file's points and weights must equal the surface's;
+    without, a surface of the file's points and weights is rebuilt, which has
+    no normals and no known enclosed region.
     """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    header, data = rows[0], rows[1:]
-    d = sum(1 for name in header if name.startswith("x"))
-    arr = np.array([[float(v) for v in row] for row in data])
+    header = rows[0] if rows else []
+    if header not in (_csv_header(2), _csv_header(3)):
+        raise GeometryError(f"{path}: line 1: header {','.join(header)!r} is not the 2D or 3D field-sample header")
+    if len(rows) < 2:
+        raise GeometryError(f"{path}: line 2: no data rows")
+    arr = np.empty((len(rows) - 1, len(header)))
+    for line, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise GeometryError(f"{path}: line {line}: {len(row)} values, expected {len(header)}")
+        try:
+            arr[line - 2] = [float(v) for v in row]
+        except ValueError as exc:
+            raise DomainError(f"{path}: line {line}: {exc}") from None
+    bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
+    if bad.size:
+        raise DomainError(f"{path}: line {bad[0] + 2}: values must be finite")
+    d = (len(header) - 1) // 3
     points = arr[:, :d]
     weights = arr[:, d]
     values = arr[:, d + 1 :: 2] + 1j * arr[:, d + 2 :: 2]

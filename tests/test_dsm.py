@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emdsm import dsm, em_core as em, forward as fw, measurement as ms
-from emdsm.errors import ConfigError, DomainError, GeometryError, SingularityError
+from emdsm.errors import DomainError, GeometryError, SingularityError
 
 CTX2 = em.WaveContext.from_wavelength(2, 1.0)
 CTX3 = em.WaveContext.from_wavelength(3, 1.0)
@@ -23,10 +23,10 @@ def example1_data():
     wave1 = em.IncidentPlaneWave(np.array([1.0, 1.0]) / np.sqrt(2), P1)
     wave2 = em.IncidentPlaneWave(np.array([-1.0, 1.0]) / np.sqrt(2), P2)
     contrast = em.ContrastField([em.Shape("axis_square", [-0.25, 0.0], 0.3, eta=1.0)])
-    solver = fw.ForwardSolver(contrast, CTX2, 0.02)
+    system = fw.ForwardSystem(contrast, CTX2, fw.build_grid(contrast, 0.02))
     out = []
     for wave in (wave1, wave2):
-        samples = ms.synthesize_scattered_fields([solver.solve(wave)], SURF, CTX2)[0]
+        samples = ms.synthesize_scattered_fields([system.solve(wave)], SURF, CTX2)[0]
         out.append((samples, wave.polarization))
     return out
 
@@ -249,11 +249,11 @@ class TestIndexGridSweep:
         with pytest.raises(GeometryError):
             dsm.compute_index_grid(CTX2, example1_data, grid)
 
-    def test_thread_env_does_not_change_values(self, example1_data, monkeypatch):
+    def test_thread_count_does_not_change_values(self, example1_data, monkeypatch):
         grid = dsm.sampling_grid([(-1, 1), (-1, 1)], 0.05)
-        monkeypatch.setenv("EMDSM_THREADS", "1")
+        monkeypatch.setattr(em, "_thread_count", lambda: 1)
         serial = dsm.compute_index_grid(CTX2, example1_data, grid)[-1]
-        monkeypatch.setenv("EMDSM_THREADS", "2")
+        monkeypatch.setattr(em, "_thread_count", lambda: 2)
         threaded = dsm.compute_index_grid(CTX2, example1_data, grid)[-1]
         np.testing.assert_array_equal(serial.values, threaded.values)
 
@@ -268,12 +268,6 @@ class TestIndexGridSweep:
             np.testing.assert_array_equal(a.argmax_location(), b.argmax_location())
             np.testing.assert_array_equal([p for p, _ in dsm.find_local_maxima(a)],
                                           [p for p, _ in dsm.find_local_maxima(b)])
-
-    @pytest.mark.parametrize("value", ["x", "0", "-1"])
-    def test_invalid_thread_env_rejected(self, example1_data, monkeypatch, value):
-        monkeypatch.setenv("EMDSM_THREADS", value)
-        with pytest.raises(ConfigError, match="EMDSM_THREADS"):
-            dsm.compute_index_grid(CTX2, example1_data, dsm.sampling_grid([(-1, 1), (-1, 1)], 0.5))
 
     def test_read_back_data_gives_identical_grid(self, example1_data, tmp_path):
         grid = dsm.sampling_grid([(-1, 1), (-1, 1)], 0.1)
@@ -401,9 +395,9 @@ class TestMirrorOrbits:
         # interleaves their writes
         grid = dsm.sampling_grid([(-1, 1), (-1, 1)], 0.05)
         monkeypatch.setattr(em, "_CHUNK_TARGET", 37 * 60)
-        monkeypatch.setenv("EMDSM_THREADS", "1")
+        monkeypatch.setattr(em, "_thread_count", lambda: 1)
         serial = dsm.compute_index_grid(CTX2, example1_data, grid)
-        monkeypatch.setenv("EMDSM_THREADS", str(threads))
+        monkeypatch.setattr(em, "_thread_count", lambda: threads)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -425,9 +419,9 @@ class TestMirrorOrbits:
         datasets = random_datasets(np.random.default_rng(11), CIRCLE32, [P1, P2])
         grid = dsm.sampling_grid([(-1, 1), (-1, 1)], 0.05)
         monkeypatch.setattr(em, "_CHUNK_TARGET", 37 * 64)
-        monkeypatch.setenv("EMDSM_THREADS", "1")
+        monkeypatch.setattr(em, "_thread_count", lambda: 1)
         serial = dsm.compute_index_grid(CTX2, datasets, grid)
-        monkeypatch.setenv("EMDSM_THREADS", str(threads))
+        monkeypatch.setattr(em, "_thread_count", lambda: threads)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -447,7 +441,7 @@ class TestMirrorOrbits:
     def test_blas_restored_after_a_sweep_and_a_raising_chunk(self, example1_data, monkeypatch, two_blas_threads):
         grid = dsm.sampling_grid([(-1, 1), (-1, 1)], 0.05)
         monkeypatch.setattr(em, "_CHUNK_TARGET", 37 * 60)
-        monkeypatch.setenv("EMDSM_THREADS", "2")
+        monkeypatch.setattr(em, "_thread_count", lambda: 2)
         info = dsm.compute_index_grid(CTX2, example1_data, grid)[0].sweep_info
         assert (info.chunks, info.threads, info.blas_pinned) == (12, 2, True)
         assert two_blas_threads() == 2
@@ -468,9 +462,9 @@ class TestMirrorOrbits:
     def test_absent_blas_symbols_fall_back_to_one_worker(self, example1_data, monkeypatch):
         grid = dsm.sampling_grid([(-1, 1), (-1, 1)], 0.05)
         monkeypatch.setattr(em, "_CHUNK_TARGET", 37 * 60)
-        monkeypatch.setenv("EMDSM_THREADS", "1")
+        monkeypatch.setattr(em, "_thread_count", lambda: 1)
         serial = dsm.compute_index_grid(CTX2, example1_data, grid)
-        monkeypatch.setenv("EMDSM_THREADS", "2")
+        monkeypatch.setattr(em, "_thread_count", lambda: 2)
         monkeypatch.setattr(em, "_blas_threads", lambda: None)
         fallback = dsm.compute_index_grid(CTX2, example1_data, grid)
         info = fallback[0].sweep_info

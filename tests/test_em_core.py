@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from emdsm import em_core as em
 from emdsm import measurement as ms
-from emdsm.errors import ConfigError, DimensionMismatchError, DomainError, GeometryError, SingularityError
+from emdsm.errors import DimensionMismatchError, DomainError, GeometryError, SingularityError
 
 CTX2 = em.WaveContext.from_wavelength(2, 1.0)
 CTX3 = em.WaveContext.from_wavelength(3, 1.0)
@@ -165,25 +165,26 @@ class TestContrast:
 
 class TestGreenScalar:
     def test_3d_full_wavelength(self):
-        val = em.green_scalar(CTX3, [0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
+        val = em.green_scalar_from_distance(CTX3, 1.0)
         assert val == pytest.approx(1.0 / (4 * np.pi), abs=1e-15)
 
     def test_3d_half_wavelength(self):
-        val = em.green_scalar(CTX3, [0.0, 0.0, 0.0], [0.5, 0.0, 0.0])
+        val = em.green_scalar_from_distance(CTX3, 0.5)
         assert val == pytest.approx(-1.0 / (2 * np.pi), abs=1e-15)
 
     def test_2d_unit_argument(self):
         r = 1.0 / (2 * np.pi)
-        val = em.green_scalar(CTX2, [0.0, 0.0], [r, 0.0])
+        val = em.green_scalar_from_distance(CTX2, r)
         assert val == pytest.approx(-0.0220642411 + 0.1912994217j, abs=1e-9)
 
     def test_symmetry(self):
         x, y = np.array([0.3, -0.2]), np.array([-0.8, 0.9])
-        assert em.green_scalar(CTX2, x, y) == em.green_scalar(CTX2, y, x)
+        assert (em.green_scalar_from_distance(CTX2, np.linalg.norm(x - y))
+                == em.green_scalar_from_distance(CTX2, np.linalg.norm(y - x)))
 
     def test_coincident_raises(self):
         with pytest.raises(SingularityError):
-            em.green_scalar(CTX2, [0.1, 0.1], [0.1, 0.1])
+            em.green_scalar_from_distance(CTX2, 0.0)
 
 
 class TestGreenTensor:
@@ -194,8 +195,8 @@ class TestGreenTensor:
             worst = 0.0
             for _ in range(500):
                 x, y = random_pair(rng, d, min_sep=0.05)
-                phi = em.green_tensor(ctx, x, y)
-                g = em.green_scalar(ctx, x, y)
+                phi = em.green_tensor_from_diff(ctx, x - y)
+                g = em.green_scalar_from_distance(ctx, np.linalg.norm(x - y))
                 worst = max(worst, abs(np.trace(phi) - (d - 1) * ctx.wavenumber**2 * g)
                             / abs(ctx.wavenumber**2 * g))
             assert worst <= 1e-11
@@ -208,7 +209,7 @@ class TestGreenTensor:
         for ctx in (CTX2, CTX3):
             for _ in range(100):
                 x, y = random_pair(rng, ctx.dimension)
-                phi = em.green_tensor(ctx, x, y)
+                phi = em.green_tensor_from_diff(ctx, x - y)
                 np.testing.assert_allclose(phi, fd_hessian_tensor(ctx, x - y, h=1e-3), atol=1e-5)
 
     def test_spec_pair_vs_fd_hessian_at_pinned_step(self):
@@ -220,12 +221,12 @@ class TestGreenTensor:
         rng = np.random.default_rng(5)
         for ctx in (CTX2, CTX3):
             x, y = random_pair(rng, ctx.dimension)
-            phi = em.green_tensor(ctx, x, y)
+            phi = em.green_tensor_from_diff(ctx, x - y)
             np.testing.assert_array_equal(phi, phi.T)
-            np.testing.assert_allclose(phi, em.green_tensor(ctx, y, x), rtol=1e-13)
+            np.testing.assert_allclose(phi, em.green_tensor_from_diff(ctx, y - x), rtol=1e-13)
 
     def test_3d_axis_separation_is_diagonal(self):
-        phi = em.green_tensor(CTX3, [0.7, 0.0, 0.0], [0.0, 0.0, 0.0])
+        phi = em.green_tensor_from_diff(CTX3, [0.7, 0.0, 0.0])
         off = phi - np.diag(np.diag(phi))
         assert np.abs(off).max() == 0.0
 
@@ -241,8 +242,8 @@ class TestGreenTensor:
                     e = np.zeros(2)
                     e[i] = h
                     res[j] += (
-                        em.green_tensor(CTX2, x0 + e, y0)[i, j]
-                        - em.green_tensor(CTX2, x0 - e, y0)[i, j]
+                        em.green_tensor_from_diff(CTX2, x0 + e - y0)[i, j]
+                        - em.green_tensor_from_diff(CTX2, x0 - e - y0)[i, j]
                     ) / (2 * h)
             return np.abs(res).max()
 
@@ -259,7 +260,7 @@ class TestGreenTensor:
         h = 1e-3
 
         def field(pt):
-            return em.green_tensor(ctx, pt, y0) @ q
+            return em.green_tensor_from_diff(ctx, pt - y0) @ q
 
         def curl(pt):
             dx = (field(pt + [h, 0]) - field(pt - [h, 0])) / (2 * h)
@@ -275,7 +276,7 @@ class TestGreenTensor:
 
     def test_coincident_raises(self):
         with pytest.raises(SingularityError):
-            em.green_tensor(CTX2, [0.0, 0.0], [0.0, 0.0])
+            em.green_tensor_from_diff(CTX2, [0.0, 0.0])
 
     def test_curl_kernel_matches_fd_curl(self):
         # oracle: curl of Phi(., y) v by 4th-order central differences of the
@@ -346,19 +347,19 @@ class TestImParts:
         for ctx in (CTX2, CTX3):
             x, y = random_pair(rng, ctx.dimension)
             np.testing.assert_allclose(
-                em.im_green_tensor(ctx, x, y), em.green_tensor(ctx, x, y).imag, atol=1e-14
+                em.im_green_tensor_from_diff(ctx, x - y), em.green_tensor_from_diff(ctx, x - y).imag, atol=1e-14
             )
 
     def test_im_tensor_coincident_limits(self):
         k = 2 * np.pi
         np.testing.assert_allclose(
-            em.im_green_tensor(CTX2, [0.3, 0.1], [0.3, 0.1]), (k**2 / 8) * np.eye(2), rtol=1e-14
+            em.im_green_tensor_from_diff(CTX2, [0.0, 0.0]), (k**2 / 8) * np.eye(2), rtol=1e-14
         )
         np.testing.assert_allclose(
-            em.im_green_tensor(CTX3, [0.0] * 3, [0.0] * 3), (k**3 / (6 * np.pi)) * np.eye(3), rtol=1e-14
+            em.im_green_tensor_from_diff(CTX3, [0.0] * 3), (k**3 / (6 * np.pi)) * np.eye(3), rtol=1e-14
         )
         # continuity toward the limit
-        near = em.im_green_tensor(CTX2, [0.0, 0.0], [1e-7, 0.0])
+        near = em.im_green_tensor_from_diff(CTX2, [-1e-7, 0.0])
         np.testing.assert_allclose(near, (k**2 / 8) * np.eye(2), rtol=1e-10)
 
     def test_im_trace_2d_peak_value(self):
@@ -431,8 +432,8 @@ def test_trace_identity_property(dim, coords):
     y = np.array(coords[3:3 + dim])
     if np.linalg.norm(x - y) < 1e-2:
         return
-    phi = em.green_tensor(ctx, x, y)
-    g = em.green_scalar(ctx, x, y)
+    phi = em.green_tensor_from_diff(ctx, x - y)
+    g = em.green_scalar_from_distance(ctx, np.linalg.norm(x - y))
     assert abs(np.trace(phi) - (dim - 1) * ctx.wavenumber**2 * g) <= 1e-11 * abs(ctx.wavenumber**2 * g)
 
 
@@ -442,8 +443,8 @@ def test_3d_kernels_do_not_load_scipy_special():
         "import sys, emdsm, numpy as np\n"
         "from emdsm import em_core as em\n"
         "ctx = em.WaveContext.from_wavelength(3, 1.0)\n"
-        "em.green_tensor(ctx, [0.0, 0.0, 0.0], [0.3, 0.1, -0.2])\n"
-        "em.im_green_tensor(ctx, [0.0, 0.0, 0.0], [0.3, 0.1, -0.2])\n"
+        "em.green_tensor_from_diff(ctx, [-0.3, -0.1, 0.2])\n"
+        "em.im_green_tensor_from_diff(ctx, [-0.3, -0.1, 0.2])\n"
         "em.KernelBlock(ctx, np.array([[0.3, 0.1, -0.2]]), np.zeros((1, 3)))\n"
         "assert 'scipy.special' not in sys.modules, 'scipy.special loaded'\n"
     )
@@ -698,11 +699,11 @@ def test_symmetric_slabs_match_f_plus_f_transpose(ctx):
 
 
 class TestRunBlocks:
-    @pytest.mark.parametrize("threads", ["1", "2", "5"])
+    @pytest.mark.parametrize("threads", [1, 2, 5])
     def test_blocks_cover_every_target_once(self, monkeypatch, threads):
         # 5 workers outnumber the cores, and a short switch interval
         # interleaves their takes from the shared block list
-        monkeypatch.setenv("EMDSM_THREADS", threads)
+        monkeypatch.setattr(em, "_thread_count", lambda: threads)
         monkeypatch.setattr(em, "_CHUNK_TARGET", 7 * 10 * 2)  # 7 targets per block against 10 sources
         seen = []
         interval = sys.getswitchinterval()
@@ -713,20 +714,20 @@ class TestRunBlocks:
             sys.setswitchinterval(interval)
         assert sorted(seen) == [(lo, min(lo + 7, 500)) for lo in range(0, 500, 7)]
         assert run.blocks == 72
-        assert (run.threads, run.blas_pinned) == ((int(threads), True) if em._blas_threads() is not None
+        assert (run.threads, run.blas_pinned) == ((threads, True) if em._blas_threads() is not None
                                                   else (1, False))
 
     def test_one_block_runs_on_the_calling_thread(self, monkeypatch):
-        monkeypatch.setenv("EMDSM_THREADS", "4")
+        monkeypatch.setattr(em, "_thread_count", lambda: 4)
         callers = []
         run = em.run_blocks(lambda lo, hi: callers.append(threading.get_ident()), 5, 10, 3)
         assert callers == [threading.get_ident()]
         assert run == em.BlockRun(1, 1, em._blas_threads() is not None)
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("threads", [1, 2])
     def test_blas_pinned_during_the_run_and_restored(self, monkeypatch, two_blas_threads, threads):
         # one worker pins too, so that BLAS rounds alike at every worker count
-        monkeypatch.setenv("EMDSM_THREADS", threads)
+        monkeypatch.setattr(em, "_thread_count", lambda: threads)
         monkeypatch.setattr(em, "_CHUNK_TARGET", 1)
         during = []
         run = em.run_blocks(lambda lo, hi: during.append(two_blas_threads()), 6, 1, 1)
@@ -735,7 +736,7 @@ class TestRunBlocks:
 
     @pytest.mark.parametrize("failing", [0, 3, 5])
     def test_raising_block_surfaces_and_blas_restored(self, monkeypatch, two_blas_threads, failing):
-        monkeypatch.setenv("EMDSM_THREADS", "2")
+        monkeypatch.setattr(em, "_thread_count", lambda: 2)
         monkeypatch.setattr(em, "_CHUNK_TARGET", 1)
 
         def work(lo, hi):
@@ -747,7 +748,7 @@ class TestRunBlocks:
         assert two_blas_threads() == 2
 
     def test_absent_blas_symbols_run_one_worker(self, monkeypatch):
-        monkeypatch.setenv("EMDSM_THREADS", "3")
+        monkeypatch.setattr(em, "_thread_count", lambda: 3)
         monkeypatch.setattr(em, "_CHUNK_TARGET", 1)
         monkeypatch.setattr(em, "_blas_threads", lambda: None)
         callers = set()
@@ -755,20 +756,12 @@ class TestRunBlocks:
         assert callers == {threading.get_ident()}
         assert run == em.BlockRun(6, 1, False)
 
-    @pytest.mark.parametrize("value", ["x", "0", "-1", "1.5"])
-    def test_bad_thread_env_raises_before_any_block(self, monkeypatch, value):
-        monkeypatch.setenv("EMDSM_THREADS", value)
-        calls = []
-        with pytest.raises(ConfigError, match="EMDSM_THREADS"):
-            em.run_blocks(lambda lo, hi: calls.append(lo), 6, 1, 1)
-        assert calls == []
-
     def test_tasks_up_to_the_worker_count_run_one_per_worker(self, monkeypatch):
         # each task waits for the others, so they must run at once; task 0
         # runs on the calling thread
         if em._blas_threads() is None:
             pytest.skip("without OpenBLAS's thread symbols tasks run on one worker")
-        monkeypatch.setenv("EMDSM_THREADS", "3")
+        monkeypatch.setattr(em, "_thread_count", lambda: 3)
         barrier = threading.Barrier(3, timeout=10.0)
         callers = [None] * 3
 
@@ -781,7 +774,6 @@ class TestRunBlocks:
         assert callers[0] == threading.get_ident() and len(set(callers)) == 3
 
     def test_default_threads_are_the_usable_cpus(self, monkeypatch):
-        monkeypatch.delenv("EMDSM_THREADS", raising=False)
         if hasattr(os, "sched_getaffinity"):
             assert em._thread_count() == len(os.sched_getaffinity(0))
             monkeypatch.delattr(os, "sched_getaffinity")

@@ -17,6 +17,12 @@ CTX3 = em.WaveContext.from_wavelength(3, 1.0)
 
 WAVE1 = em.IncidentPlaneWave(np.array([1.0, 1.0]) / np.sqrt(2), np.array([1.0, -1.0]) / np.sqrt(2))
 SQUARE1 = [em.Shape("axis_square", [-0.25, 0.0], 0.3, eta=1.0)]
+CONTRAST1 = em.ContrastField(SQUARE1)
+
+
+def solve(contrast, ctx, h, spec=fw.SolverSpec()):
+    """The current of WAVE1 on the forward system of contrast at mesh size h."""
+    return fw.ForwardSystem(contrast, ctx, fw.build_grid(contrast, h)).solve(WAVE1, spec)
 
 
 def polar_self_cell_oracle(k: float, h: float) -> complex:
@@ -158,21 +164,21 @@ class TestPOperator:
 class TestForwardSystem:
     def test_zero_contrast_operator_is_identity(self):
         contrast = em.ContrastField([em.Shape("axis_square", [-0.25, 0.0], 0.3, eta=0.0)])
-        system = fw.build_forward_system(contrast, CTX2, 0.05)
+        system = fw.ForwardSystem(contrast, CTX2, fw.build_grid(contrast, 0.05))
         rng = np.random.default_rng(0)
         v = rng.standard_normal(system.system_dimension) + 1j * rng.standard_normal(system.system_dimension)
         np.testing.assert_array_equal(system.apply(v), v)
         np.testing.assert_array_equal(system.dense_matrix(), np.eye(system.system_dimension))
 
     def test_dense_matrix_matches_matrix_free_apply(self):
-        system = fw.build_forward_system(em.ContrastField(SQUARE1), CTX2, 0.05)
+        system = fw.ForwardSystem(CONTRAST1, CTX2, fw.build_grid(CONTRAST1, 0.05))
         a = system.dense_matrix()
         rng = np.random.default_rng(1)
         v = rng.standard_normal(system.system_dimension) + 1j * rng.standard_normal(system.system_dimension)
         np.testing.assert_allclose(system.apply(v), a @ v, rtol=1e-12)
 
     def test_system_dimension(self):
-        system = fw.build_forward_system(em.ContrastField(SQUARE1), CTX2, 0.05)
+        system = fw.ForwardSystem(CONTRAST1, CTX2, fw.build_grid(CONTRAST1, 0.05))
         assert system.system_dimension == 2 * 36
 
 
@@ -305,7 +311,7 @@ class TestFFTOperator:
         ])
         tracemalloc.start()
         try:
-            system = fw.build_forward_system(contrast, CTX3, 0.02)
+            system = fw.ForwardSystem(contrast, CTX3, fw.build_grid(contrast, 0.02))
             system.apply(np.ones(system.system_dimension, complex))
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -318,17 +324,16 @@ class TestFFTOperator:
 def dense_vs_gmres(contrast):
     """Max relative difference of the GMRES current (tol 1e-10) from the dense
     LU reference at h = 0.03, and the GMRES current."""
-    solver = fw.ForwardSolver(contrast, CTX2, 0.03, fw.SolverSpec(tol=1e-10))
-    system = solver.system
+    system = fw.ForwardSystem(contrast, CTX2, fw.build_grid(contrast, 0.03))
     dense = system.dense_solve(system.rhs(WAVE1)).reshape(2, -1).T
-    iterative = solver.solve(WAVE1)
+    iterative = system.solve(WAVE1, fw.SolverSpec(tol=1e-10))
     return np.abs(dense - iterative.values).max() / np.abs(dense).max(), iterative
 
 
 class TestSolve:
     def test_zero_contrast_zero_current(self):
         contrast = em.ContrastField([em.Shape("axis_square", [-0.25, 0.0], 0.3, eta=0.0)])
-        current = fw.solve_current(contrast, WAVE1, CTX2, 0.05)
+        current = solve(contrast, CTX2, 0.05)
         assert np.all(current.values == 0.0)
 
     def test_born_regime_against_iterate_oracle(self):
@@ -336,7 +341,7 @@ class TestSolve:
         # eta * G (P (eta E^i)) h^d computed directly, and stay small
         eta = 1e-3
         contrast = em.ContrastField([em.Shape("axis_square", [-0.25, 0.0], 0.3, eta=eta)])
-        system = fw.build_forward_system(contrast, CTX2, 0.02)
+        system = fw.ForwardSystem(contrast, CTX2, fw.build_grid(contrast, 0.02))
         e_inc = em.incident_field(WAVE1, CTX2, system.grid.nodes)
         target = system.contrast_at_nodes[:, None] * e_inc
         correction = np.zeros_like(target)
@@ -346,7 +351,7 @@ class TestSolve:
         )
         oracle_dev = np.linalg.norm(correction, axis=1).max() / np.linalg.norm(target, axis=1).max()
 
-        current = fw.solve_current(contrast, WAVE1, CTX2, 0.02)
+        current = system.solve(WAVE1)
         dev = np.linalg.norm(current.values - target, axis=1).max() / np.linalg.norm(target, axis=1).max()
         # frozen from the oracle: 5.21e-3 at eta = 1e-3, h = 0.02
         assert oracle_dev == pytest.approx(5.206e-3, rel=0.01)
@@ -358,7 +363,7 @@ class TestSolve:
         devs = []
         for eta in etas:
             contrast = em.ContrastField([em.Shape("axis_square", [-0.25, 0.0], 0.3, eta=eta)])
-            current = fw.solve_current(contrast, WAVE1, CTX2, 0.02)
+            current = solve(contrast, CTX2, 0.02)
             target = current.eta[:, None] * em.incident_field(WAVE1, CTX2, current.grid.nodes)
             devs.append(
                 np.linalg.norm(current.values - target, axis=1).max()
@@ -377,29 +382,26 @@ class TestSolve:
         assert rel <= 1e-8
 
     def test_dense_solve_residual_failure_names_condition(self, monkeypatch):
-        system = fw.build_forward_system(em.ContrastField(SQUARE1), CTX2, 0.05)
-        solve = fw.sla.lu_solve
-        monkeypatch.setattr(fw.sla, "lu_solve", lambda lu, rhs: 1.001 * solve(lu, rhs))
+        system = fw.ForwardSystem(CONTRAST1, CTX2, fw.build_grid(CONTRAST1, 0.05))
+        lu_solve = fw.sla.lu_solve
+        monkeypatch.setattr(fw.sla, "lu_solve", lambda lu, rhs: 1.001 * lu_solve(lu, rhs))
         with pytest.raises(SolverError, match=r"residual \S+ exceeds 1e-8; condition estimate \S+"):
             system.dense_solve(system.rhs(WAVE1))
 
     def test_current_vanishes_outside_support(self):
         ring = em.ContrastField([em.Shape("square_ring", [0.0, 0.0], 0.6, 0.4, eta=1.0)])
-        current = fw.solve_current(ring, WAVE1, CTX2, 0.05)
+        current = solve(ring, CTX2, 0.05)
         hole = ~ring.shapes[0].contains(current.grid.nodes)
         assert np.all(current.values[hole] == 0.0)
         assert np.any(current.values != 0.0)
 
     def test_residual_reported(self):
-        current = fw.solve_current(em.ContrastField(SQUARE1), WAVE1, CTX2, 0.05)
+        current = solve(CONTRAST1, CTX2, 0.05)
         assert current.residual <= 1e-8
 
     def test_gmres_nonconvergence_raises(self):
         with pytest.raises(SolverError, match="GMRES"):
-            fw.solve_current(
-                em.ContrastField(SQUARE1), WAVE1, CTX2, 0.02,
-                fw.SolverSpec(tol=1e-14, maxiter=1, restart=2),
-            )
+            solve(CONTRAST1, CTX2, 0.02, fw.SolverSpec(tol=1e-14, maxiter=1, restart=2))
 
     def test_scattered_field_grid_convergence(self):
         # E^s at a fixed exterior point converges at first order or better
@@ -408,15 +410,18 @@ class TestSolve:
         )
         vals = {}
         for h in (0.04, 0.02, 0.01):
-            current = fw.solve_current(em.ContrastField(SQUARE1), WAVE1, CTX2, h)
+            current = solve(CONTRAST1, CTX2, h)
             vals[h] = ms.synthesize_scattered_fields([current], surf, CTX2)[0].values[0]
         d1 = np.linalg.norm(vals[0.04] - vals[0.02])
         d2 = np.linalg.norm(vals[0.02] - vals[0.01])
         assert d1 / d2 >= 2.0 ** 0.9
 
-    def test_mismatched_dimension_rejected(self):
-        with pytest.raises(GeometryError):
-            fw.build_forward_system(em.ContrastField(SQUARE1), CTX3, 0.05)
+    @pytest.mark.parametrize("contrast, ctx", [
+        (CONTRAST1, CTX3), (em.ContrastField([em.Shape("axis_cube", [0.0, 0.0, 0.0], 0.3)]), CTX2),
+    ])
+    def test_mismatched_dimension_rejected(self, contrast, ctx):
+        with pytest.raises(GeometryError, match="contrast and context dimensions differ"):
+            fw.ForwardSystem(contrast, ctx, fw.build_grid(contrast, 0.1))
 
 
 class TestSolveAll:
@@ -425,7 +430,8 @@ class TestSolveAll:
         # example3d at h = 0.02: 15 000 unknowns, long enough vectors that
         # OpenBLAS threads the dot products of an unpinned solve
         config = harness.preset("example3d")
-        return fw.ForwardSolver(config.contrast, config.ctx, 0.02, config.solver), config.incidents
+        system = fw.ForwardSystem(config.contrast, config.ctx, fw.build_grid(config.contrast, 0.02))
+        return system, config.incidents
 
     @staticmethod
     def assert_same_bits(runs):
@@ -435,46 +441,55 @@ class TestSolveAll:
                 assert got.residual_history == first.residual_history
 
     def test_bit_identical_across_thread_counts(self, monkeypatch, fine_3d):
-        solver, waves = fine_3d
+        system, waves = fine_3d
         runs = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("EMDSM_THREADS", threads)
-            currents, run = solver.solve_all(waves)
+        for threads in (1, 2):
+            monkeypatch.setattr(em, "_thread_count", lambda: threads)
+            currents, run = system.solve_all(waves)
             assert run.blocks == len(waves)
-            assert run.threads == (int(threads) if em._blas_threads() is not None else 1)
+            assert run.threads == (threads if em._blas_threads() is not None else 1)
             runs.append(currents)
         self.assert_same_bits(runs)
 
     def test_bit_identical_across_ambient_blas_threads(self, monkeypatch, two_blas_threads, fine_3d):
-        monkeypatch.setenv("EMDSM_THREADS", "2")
-        solver, waves = fine_3d
+        monkeypatch.setattr(em, "_thread_count", lambda: 2)
+        system, waves = fine_3d
         set_threads = em._blas_threads()[1]
         runs = []
         for blas in (1, 2):
             set_threads(blas)
-            runs.append(solver.solve_all(waves)[0])
+            runs.append(system.solve_all(waves)[0])
             assert two_blas_threads() == blas
         self.assert_same_bits(runs)
 
     def test_keeps_the_iteration_counts_of_solve(self, fine_3d):
-        solver, waves = fine_3d
-        currents, _ = solver.solve_all(waves)
-        assert [c.iterations for c in currents] == [solver.solve(w).iterations for w in waves]
+        system, waves = fine_3d
+        currents, _ = system.solve_all(waves)
+        assert [c.iterations for c in currents] == [system.solve(w).iterations for w in waves]
         for current in currents:
-            assert current.residual <= solver.spec.tol
+            assert current.residual <= fw.SolverSpec().tol
 
     def test_a_failing_solve_raises(self, monkeypatch):
-        monkeypatch.setenv("EMDSM_THREADS", "2")
-        solver = fw.ForwardSolver(em.ContrastField(SQUARE1), CTX2, 0.02, fw.SolverSpec(tol=1e-14, maxiter=1, restart=2))
+        monkeypatch.setattr(em, "_thread_count", lambda: 2)
+        system = fw.ForwardSystem(CONTRAST1, CTX2, fw.build_grid(CONTRAST1, 0.02))
+        with pytest.raises(SolverError, match="GMRES did not converge in 1 iterations"):
+            system.solve_all([WAVE1, WAVE1], fw.SolverSpec(tol=1e-14, maxiter=1, restart=2))
+
+    def test_the_spec_reaches_each_solve(self):
+        # the same system and waves converge under the default spec, so only
+        # the spec given to solve_all can make the solves fail
+        system = fw.ForwardSystem(CONTRAST1, CTX2, fw.build_grid(CONTRAST1, 0.05))
+        currents, _ = system.solve_all([WAVE1, WAVE1])
+        assert all(current.residual <= 1e-8 for current in currents)
         with pytest.raises(SolverError, match="GMRES"):
-            solver.solve_all([WAVE1, WAVE1])
+            system.solve_all([WAVE1, WAVE1], fw.SolverSpec(maxiter=1, restart=2, tol=1e-14))
 
 
 def synthesized_data(name: str, h: float) -> np.ndarray:
     """Exact near-field data of a preset scene at forward mesh size h, all incidents."""
     config = harness.preset(name)
-    solver = fw.ForwardSolver(config.contrast, config.ctx, h, config.solver)
-    currents, _ = solver.solve_all(config.incidents)
+    system = fw.ForwardSystem(config.contrast, config.ctx, fw.build_grid(config.contrast, h))
+    currents, _ = system.solve_all(config.incidents, config.solver)
     fields = ms.synthesize_scattered_fields(currents, config.surface.build(), config.ctx)
     return np.stack([samples.values for samples in fields])
 

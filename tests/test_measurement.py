@@ -1,6 +1,7 @@
 """Surfaces, quadrature, field synthesis, the noise model, and CSV round-trips."""
 
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ CTX3 = em.WaveContext.from_wavelength(3, 1.0)
 def example1_samples(h=0.02, count=30, radius=5.0):
     wave = em.IncidentPlaneWave(np.array([1.0, 1.0]) / np.sqrt(2), np.array([1.0, -1.0]) / np.sqrt(2))
     contrast = em.ContrastField([em.Shape("axis_square", [-0.25, 0.0], 0.3, eta=1.0)])
-    current = fw.solve_current(contrast, wave, CTX2, h)
+    current = fw.ForwardSystem(contrast, CTX2, fw.build_grid(contrast, h)).solve(wave)
     return ms.synthesize_scattered_fields([current], ms.circle_surface(radius, count), CTX2)[0], current
 
 
@@ -113,7 +114,7 @@ class TestSynthesis:
     def test_zero_current_zero_field(self):
         contrast = em.ContrastField([em.Shape("axis_square", [-0.25, 0.0], 0.3, eta=0.0)])
         wave = em.IncidentPlaneWave(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-        current = fw.solve_current(contrast, wave, CTX2, 0.05)
+        current = fw.ForwardSystem(contrast, CTX2, fw.build_grid(contrast, 0.05)).solve(wave)
         samples = ms.synthesize_scattered_fields([current], ms.circle_surface(5.0, 30), CTX2)[0]
         assert np.all(samples.values == 0.0)
 
@@ -127,7 +128,7 @@ class TestSynthesis:
         surf = ms.circle_surface(5.0, 8)
         samples = ms.synthesize_scattered_fields([current], surf, CTX2)[0]
         expected = np.array([
-            em.green_tensor(CTX2, m, grid.nodes[j0]) @ values[j0] for m in surf.points
+            em.green_tensor_from_diff(CTX2, m - grid.nodes[j0]) @ values[j0] for m in surf.points
         ]) * grid.cell_measure
         np.testing.assert_allclose(samples.values, expected, rtol=1e-14)
 
@@ -195,8 +196,8 @@ class TestSynthesis:
         active = np.count_nonzero(np.any(values != 0.0, axis=1))
         monkeypatch.setattr(em, "_CHUNK_TARGET", 4 * active * d)
         runs = []
-        for threads in ("1", "2", "5"):
-            monkeypatch.setenv("EMDSM_THREADS", threads)
+        for threads in (1, 2, 5):
+            monkeypatch.setattr(em, "_thread_count", lambda: threads)
             runs.append(ms.synthesize_scattered_fields([current], surf, ctx)[0].values)
         for got in runs[1:]:
             np.testing.assert_array_equal(got, runs[0])
@@ -213,8 +214,8 @@ class TestSynthesis:
         surf = ms.cube_surface(10.0, 9)
         monkeypatch.setattr(em, "_CHUNK_TARGET", 133 * 250 * 3)
         runs = []
-        for threads in ("1", "2", "5"):
-            monkeypatch.setenv("EMDSM_THREADS", threads)
+        for threads in (1, 2, 5):
+            monkeypatch.setattr(em, "_thread_count", lambda: threads)
             runs.append(ms.synthesize_scattered_fields([current], surf, CTX3)[0].values)
         for got in runs[1:]:
             np.testing.assert_array_equal(got, runs[0])
@@ -251,8 +252,8 @@ class TestSynthesis:
         # 4 surface points per block, and 5 workers outnumber the cores
         monkeypatch.setattr(em, "_CHUNK_TARGET", 4 * currents[0].grid.n_nodes * ctx.dimension)
         runs = []
-        for threads in ("1", "2", "5"):
-            monkeypatch.setenv("EMDSM_THREADS", threads)
+        for threads in (1, 2, 5):
+            monkeypatch.setattr(em, "_thread_count", lambda: threads)
             runs.append([samples.values for samples in ms.synthesize_scattered_fields(currents, surf, ctx)])
         for got in runs[1:]:
             for values, first in zip(got, runs[0]):
@@ -399,10 +400,32 @@ class TestCsv:
                 writer.writerow([f"{v:.17g}" for v in row])
         assert path.read_bytes() == oracle.read_bytes()
 
+    @pytest.mark.parametrize("edit, error, match", [
+        # Im_E2 deleted from the header and every row
+        (lambda rows: [row[:-1] for row in rows], GeometryError, "line 1: header"),
+        (lambda rows: [], GeometryError, "line 1: header"),
+        (lambda rows: rows[:1], GeometryError, "line 2: no data rows"),
+        (lambda rows: rows[:3] + [rows[3][:-1]] + rows[4:], GeometryError, "line 4: 6 values, expected 7"),
+        (lambda rows: rows[:2] + [["abc"] + rows[2][1:]] + rows[3:], DomainError, "line 3: could not convert"),
+        (lambda rows: rows[:5] + [rows[5][:4] + ["nan"] + rows[5][5:]] + rows[6:], DomainError,
+         "line 6: values must be finite"),
+    ], ids=["missing_column", "empty", "header_only", "ragged_row", "abc_cell", "nan_cell"])
+    def test_malformed_file_raises_naming_the_line(self, tmp_path, edit, error, match):
+        path = tmp_path / "samples.csv"
+        ms.write_field_samples_csv(ms.FieldSamples(ms.circle_surface(5.0, 8), np.ones((8, 2), complex)), path)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(edit(rows))
+        with pytest.raises(error, match=f"^{re.escape(str(path))}: {match}"):
+            ms.read_field_samples_csv(path)
+
     def test_3d_header(self, tmp_path):
         surf = ms.cube_surface(2.0, 1)
-        samples = ms.FieldSamples(surf, np.zeros((6, 3), complex))
+        rng = np.random.default_rng(10)
+        samples = ms.FieldSamples(surf, rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)))
         path = tmp_path / "samples3d.csv"
         ms.write_field_samples_csv(samples, path)
         header = path.read_text().splitlines()[0]
         assert header == "x1,x2,x3,w,Re_E1,Im_E1,Re_E2,Im_E2,Re_E3,Im_E3"
+        np.testing.assert_array_equal(ms.read_field_samples_csv(path, surface=surf).values, samples.values)
