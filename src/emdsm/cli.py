@@ -47,6 +47,7 @@ def main(argv=None) -> int:
 
     verify_p = sub.add_parser("verify", help="run identity and solver checks")
     verify_p.add_argument("kind", choices=VERIFY_KINDS + ("all",))
+    verify_p.add_argument("--json", action="store_true", help="print the results as JSON")
 
     args = parser.parse_args(argv)
     try:
@@ -66,15 +67,18 @@ def main(argv=None) -> int:
             return 0
         if args.command == "verify":
             kinds = VERIFY_KINDS if args.kind == "all" else (args.kind,)
-            ok = True
+            results = []
             for kind in kinds:
                 result = verify(kind)
-                ok &= result["passed"]
-                for check in result["checks"]:
-                    status = "PASS" if check["passed"] else "FAIL"
-                    print(f"[{status}] {check['name']}: value={check['value']} threshold={check['threshold']}")
-                print(f"{kind}: {'PASS' if result['passed'] else 'FAIL'} ({result['seconds']:.1f} s)")
-            return 0 if ok else 1
+                results.append(result)
+                if not args.json:
+                    for check in result["checks"]:
+                        status = "PASS" if check["passed"] else "FAIL"
+                        print(f"[{status}] {check['name']}: value={check['value']} threshold={check['threshold']}")
+                    print(f"{kind}: {'PASS' if result['passed'] else 'FAIL'} ({result['seconds']:.1f} s)")
+            if args.json:
+                print(json.dumps(results, indent=2))
+            return 0 if all(r["passed"] for r in results) else 1
     except EmdsmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

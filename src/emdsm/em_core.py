@@ -61,10 +61,6 @@ class WaveContext:
     def from_wavelength(cls, dimension: int, wavelength: float) -> "WaveContext":
         return cls(dimension, _TWO_PI / wavelength, wavelength)
 
-    @classmethod
-    def from_wavenumber(cls, dimension: int, wavenumber: float) -> "WaveContext":
-        return cls(dimension, wavenumber, _TWO_PI / wavenumber)
-
 
 def _as_point(ctx: WaveContext, x) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)

@@ -93,7 +93,7 @@ def _gauss_rule(order: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarra
     return lo + half * (x + 1.0), half * w
 
 
-def _self_term_2d(k: float, h: float) -> complex:
+def _self_term_2d(ctx: WaveContext, h: float) -> complex:
     # G has a -(1/2pi) log r singularity; integrate the regularized part with
     # a tensor Gauss ladder and add the square's log integral in closed form.
     a = 0.5 * h
@@ -103,9 +103,7 @@ def _self_term_2d(k: float, h: float) -> complex:
         x, w = _gauss_rule(order, -a, a)
         xx, yy = np.meshgrid(x, x, indexing="ij")
         r = np.hypot(xx, yy)
-        regular = green_scalar_from_distance(
-            WaveContext.from_wavenumber(2, k), r
-        ) + np.log(r) / (2.0 * np.pi)
+        regular = green_scalar_from_distance(ctx, r) + np.log(r) / (2.0 * np.pi)
         total = np.einsum("i,j,ij->", w, w, regular) - log_integral / (2.0 * np.pi)
         if prev is not None and abs(total - prev) <= _SELF_TERM_RTOL * abs(total):
             return complex(total / (h * h))
@@ -137,7 +135,7 @@ def diagonal_self_term(ctx: WaveContext, h: float) -> complex:
     """Cell average of G over one centred cell, (1/h^d) int_cell G(x, 0) dx."""
     if h <= 0.0:
         raise DomainError("cell size must be positive")
-    return _self_term_2d(ctx.wavenumber, h) if ctx.dimension == 2 else _self_term_3d(ctx.wavenumber, h)
+    return _self_term_2d(ctx, h) if ctx.dimension == 2 else _self_term_3d(ctx.wavenumber, h)
 
 
 def _first_difference(f: np.ndarray, axis: int, h: float) -> np.ndarray:
@@ -161,39 +159,23 @@ def _second_difference(f: np.ndarray, axis: int, h: float) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-class POperator:
-    """Discrete P = k^2 I + grad div via central differences with zero extension.
+def _apply_p(fields: np.ndarray, k: float, h: float) -> np.ndarray:
+    """Discrete P = k^2 I + grad div on component-first grid arrays of shape
+    (d, *counts, *batch), by central differences with zero extension.
 
     Second and first derivative stencils are (1,-2,1)/h^2 and (-1,0,1)/(2h) along
     the axes of the grid array; the mixed terms chain two first-derivative ones.
     """
-
-    def __init__(self, grid: VolumeGrid, ctx: WaveContext):
-        if any(n < 3 for n in grid.counts):
-            raise DegenerateGridError("P stencil needs at least 3 nodes per axis")
-        if grid.dimension != ctx.dimension:
-            raise GeometryError("grid and context dimensions differ")
-        self.grid = grid
-        self.ctx = ctx
-
-    def apply_grid(self, fields: np.ndarray) -> np.ndarray:
-        """(P J) on component-first grid arrays of shape (d, *counts, *batch)."""
-        h = self.grid.mesh_size
-        d = self.grid.dimension
-        fields = np.asarray(fields, dtype=np.complex128)
-        out = self.ctx.wavenumber**2 * fields
-        # d_j J_j once per component; row i takes d_i of the sum over j != i
-        firsts = [_first_difference(fields[j], j, h) for j in range(d)]
-        for i in range(d):
-            cross = sum(firsts[j] for j in range(d) if j != i)
-            out[i] += _second_difference(fields[i], i, h)
-            out[i] += _first_difference(cross, i, h)
-        return out
-
-    def apply(self, field: np.ndarray) -> np.ndarray:
-        """(P J) on nodal fields of shape (N, d)."""
-        d = self.grid.dimension
-        return self.apply_grid(field.T.reshape((d,) + self.grid.counts)).reshape(d, -1).T
+    fields = np.asarray(fields, dtype=np.complex128)
+    d = fields.shape[0]
+    out = k**2 * fields
+    # d_j J_j once per component; row i takes d_i of the sum over j != i
+    firsts = [_first_difference(fields[j], j, h) for j in range(d)]
+    for i in range(d):
+        cross = sum(firsts[j] for j in range(d) if j != i)
+        out[i] += _second_difference(fields[i], i, h)
+        out[i] += _first_difference(cross, i, h)
+    return out
 
 
 @dataclass(frozen=True)
@@ -212,7 +194,6 @@ class InducedCurrentField:
 
     grid: VolumeGrid
     values: np.ndarray
-    eta: np.ndarray
     residual: float = 0.0
     residual_history: tuple[float, ...] = ()
 
@@ -251,10 +232,13 @@ class ForwardSystem:
     def __init__(self, contrast: ContrastField, ctx: WaveContext, grid: VolumeGrid):
         if contrast.dimension != ctx.dimension:
             raise GeometryError("contrast and context dimensions differ")
+        if grid.dimension != ctx.dimension:
+            raise GeometryError("grid and context dimensions differ")
+        if any(n < 3 for n in grid.counts):
+            raise DegenerateGridError("P stencil needs at least 3 nodes per axis")
         self.ctx = ctx
         self.grid = grid
         self.contrast_at_nodes = contrast.eta_at(grid.nodes)
-        self.p_operator = POperator(grid, ctx)
         self.active = np.flatnonzero(self.contrast_at_nodes != 0.0)
         counts = grid.counts
         offsets = np.meshgrid(
@@ -265,7 +249,6 @@ class ForwardSystem:
         r[centre] = 1.0
         table = green_scalar_from_distance(ctx, r)
         table[centre] = diagonal_self_term(ctx, grid.mesh_size)
-        self._table = table
         # circular embedding: offset o sits at index o mod L, and L >= 2n - 1
         # keeps the wrap-around images of the zero-padded input out of range
         self._fft_shape = tuple(_fft_length(2 * n - 1) for n in counts)
@@ -299,7 +282,7 @@ class ForwardSystem:
         """The operator on a (d N,) vector or on each column of a (d N, B) block."""
         d = self.ctx.dimension
         batch = flat.shape[1:]
-        pj = self.p_operator.apply_grid(flat.reshape((d,) + self.grid.counts + batch))
+        pj = _apply_p(flat.reshape((d,) + self.grid.counts + batch), self.ctx.wavenumber, self.grid.mesh_size)
         out = flat.astype(np.complex128, order="C")
         if self.active.size:
             fields = out.reshape((d, self.grid.n_nodes) + batch)
@@ -365,8 +348,7 @@ class ForwardSystem:
         values = flat.reshape(self.ctx.dimension, self.grid.n_nodes).T.copy()
         values[self.contrast_at_nodes == 0.0] = 0.0
         return InducedCurrentField(
-            self.grid, values, self.contrast_at_nodes, residual=residual,
-            residual_history=tuple(float(r) for r in history),
+            self.grid, values, residual=residual, residual_history=tuple(float(r) for r in history),
         )
 
     def solve_all(self, waves, spec: SolverSpec = SolverSpec()) -> tuple[list[InducedCurrentField], BlockRun]:

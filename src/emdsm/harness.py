@@ -123,11 +123,11 @@ def _need(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
-def _positive_int(mapping: dict, key: str, default: int | None, context: str) -> int:
-    """mapping[key] as an integer >= 1; required when default is None."""
+def _positive_int(mapping: dict, key: str, default: int | None, context: str, minimum: int = 1) -> int:
+    """mapping[key] as an integer >= minimum; required when default is None."""
     value = _need(mapping, key, context) if default is None else mapping.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"key '{context}{key}' must be an integer >= 1, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"key '{context}{key}' must be an integer >= {minimum}, got {value!r}")
     return value
 
 
@@ -178,7 +178,7 @@ def _parse_surface(raw: dict, dimension: int) -> SurfaceSpec:
         if dimension != 2:
             raise ConfigError("key 'surface.kind': circle surfaces are two-dimensional")
         return SurfaceSpec("circle", radius=_number(_need(raw, "radius", "surface."), "surface.radius", positive=True),
-                           count=_positive_int(raw, "count", None, "surface."))
+                           count=_positive_int(raw, "count", None, "surface.", minimum=3))
     if kind == "cube_faces":
         if dimension != 3:
             raise ConfigError("key 'surface.kind': cube_faces surfaces are three-dimensional")
@@ -482,7 +482,10 @@ def run_experiment(config: ExperimentConfig) -> LocalizationReport:
     surface = config.surface.build()
     grid = dsm.sampling_grid(config.sampling_box, config.sampling_spacing)
     outdir = Path(config.output_directory)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"key 'outputs.directory': cannot create {str(outdir)!r}: {exc.strerror}") from exc
     report = LocalizationReport(config=config.to_dict())
 
     if config.diagnostic is None:
@@ -602,8 +605,9 @@ def born_deviations(etas=(1e-4, 1e-3, 1e-2), h: float = 0.02) -> list[float]:
     out = []
     for eta in etas:
         contrast = ContrastField([Shape("axis_square", [-0.25, 0.0], 0.3, eta=eta)])
-        current = ForwardSystem(contrast, ctx, build_grid(contrast, h)).solve(wave)
-        target = current.eta[:, None] * incident_field(wave, ctx, current.grid.nodes)
+        system = ForwardSystem(contrast, ctx, build_grid(contrast, h))
+        current = system.solve(wave)
+        target = system.contrast_at_nodes[:, None] * incident_field(wave, ctx, system.grid.nodes)
         dev = np.linalg.norm(current.values - target, axis=1).max()
         out.append(float(dev / np.linalg.norm(target, axis=1).max()))
     return out

@@ -511,7 +511,7 @@ def y1_series_oracle(x: float, terms: int = 40) -> float:
 
 
 # k = 1, so that green_tensor_parts' b = (i/4) H_2(r) and x = kr = r
-UNIT_K = em.WaveContext.from_wavenumber(2, 1.0)
+UNIT_K = em.WaveContext(2, 1.0, 2 * np.pi)
 
 
 def hankel(order: int, x):

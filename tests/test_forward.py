@@ -115,12 +115,17 @@ class TestSelfTerm:
         np.testing.assert_allclose(diffs, np.log(10.0) / (2 * np.pi), rtol=0.05)
 
 
-class TestPOperator:
+def apply_p(grid, ctx, field):
+    """fw._apply_p on a nodal (N, d) field, reshaped to and from grid arrays."""
+    d = grid.dimension
+    return fw._apply_p(field.T.reshape((d,) + grid.counts), ctx.wavenumber, grid.mesh_size).reshape(d, -1).T
+
+
+class TestPStencil:
     def test_constant_field_gives_k2(self):
         grid = fw.build_grid(em.ContrastField(SQUARE1), 0.02)
-        p = fw.POperator(grid, CTX2)
         c = np.array([0.3 + 0.1j, -0.7 + 0.2j])
-        out = p.apply(np.tile(c, (grid.n_nodes, 1)))
+        out = apply_p(grid, CTX2, np.tile(c, (grid.n_nodes, 1)))
         mask = np.zeros(grid.counts, bool)
         mask[2:-2, 2:-2] = True
         interior = out[mask.reshape(-1)]
@@ -134,9 +139,8 @@ class TestPOperator:
         errs = []
         for h in (0.04, 0.02, 0.01):
             grid = fw.build_grid(em.ContrastField(SQUARE1), h)
-            p = fw.POperator(grid, CTX2)
             e_inc = em.incident_field(WAVE1, CTX2, grid.nodes)
-            residual = p.apply(e_inc) - CTX2.wavenumber**2 * e_inc
+            residual = apply_p(grid, CTX2, e_inc) - CTX2.wavenumber**2 * e_inc
             mask = np.zeros(grid.counts, bool)
             mask[1:-1, 1:-1] = True
             errs.append(np.abs(residual[mask.reshape(-1)]).max())
@@ -145,12 +149,11 @@ class TestPOperator:
 
     def test_axis_fields_and_cross_stencil(self):
         grid = fw.build_grid(em.ContrastField(SQUARE1), 0.03)
-        p = fw.POperator(grid, CTX2)
         nodes = grid.nodes
         # linear-in-x1 first component: all second differences vanish inside
         field = np.zeros((grid.n_nodes, 2), complex)
         field[:, 0] = 2.0 * nodes[:, 0] + 1.0
-        out = p.apply(field) - CTX2.wavenumber**2 * field
+        out = apply_p(grid, CTX2, field) - CTX2.wavenumber**2 * field
         mask = np.zeros(grid.counts, bool)
         mask[1:-1, 1:-1] = True
         np.testing.assert_allclose(out[mask.reshape(-1)], 0.0, atol=1e-10)
@@ -158,7 +161,7 @@ class TestPOperator:
     def test_needs_three_nodes_per_axis(self):
         grid = fw.build_grid(em.ContrastField(SQUARE1), 0.15)  # 2x2
         with pytest.raises(DegenerateGridError):
-            fw.POperator(grid, CTX2)
+            fw.ForwardSystem(em.ContrastField(SQUARE1), CTX2, grid)
 
 
 class TestForwardSystem:
@@ -262,7 +265,7 @@ class TestFFTOperator:
             np.array(list(np.ndindex(*([2] * d)))).T * (np.array(counts)[:, None] - 1), counts
         )
         rows = np.union1d(corners, rng.choice(n, size=min(n, 200), replace=False))
-        pj = system.p_operator.apply(v.reshape(d, n).T)
+        pj = apply_p(system.grid, ctx, v.reshape(d, n).T)
         eta = system.contrast_at_nodes[rows]
         correction = eta[:, None] * (direct_g_rows(system, rows) @ pj) * system.grid.cell_measure
         expected = v.reshape(d, n)[:, rows] - correction.T
@@ -290,7 +293,7 @@ class TestFFTOperator:
         rng = np.random.default_rng(3)
         field = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
         expected = (kron_p_matrix(grid, ctx) @ field.T.reshape(-1)).reshape(d, n).T
-        got = fw.POperator(grid, ctx).apply(field)
+        got = apply_p(grid, ctx, field)
         np.testing.assert_allclose(got, expected, rtol=1e-14, atol=1e-14 * np.abs(expected).max())
 
     @pytest.mark.parametrize("ctx, counts", [(CTX2, (12, 7)), (CTX3, (7, 3, 5))])
@@ -345,7 +348,7 @@ class TestSolve:
         e_inc = em.incident_field(WAVE1, CTX2, system.grid.nodes)
         target = system.contrast_at_nodes[:, None] * e_inc
         correction = np.zeros_like(target)
-        w = direct_g_rows(system, system.active) @ system.p_operator.apply(target)
+        w = direct_g_rows(system, system.active) @ apply_p(system.grid, CTX2, target)
         correction[system.active] = (
             system.contrast_at_nodes[system.active][:, None] * w * system.grid.cell_measure
         )
@@ -363,8 +366,9 @@ class TestSolve:
         devs = []
         for eta in etas:
             contrast = em.ContrastField([em.Shape("axis_square", [-0.25, 0.0], 0.3, eta=eta)])
-            current = solve(contrast, CTX2, 0.02)
-            target = current.eta[:, None] * em.incident_field(WAVE1, CTX2, current.grid.nodes)
+            system = fw.ForwardSystem(contrast, CTX2, fw.build_grid(contrast, 0.02))
+            current = system.solve(WAVE1)
+            target = system.contrast_at_nodes[:, None] * em.incident_field(WAVE1, CTX2, system.grid.nodes)
             devs.append(
                 np.linalg.norm(current.values - target, axis=1).max()
                 / np.linalg.norm(target, axis=1).max()
@@ -422,6 +426,11 @@ class TestSolve:
     def test_mismatched_dimension_rejected(self, contrast, ctx):
         with pytest.raises(GeometryError, match="contrast and context dimensions differ"):
             fw.ForwardSystem(contrast, ctx, fw.build_grid(contrast, 0.1))
+
+    def test_grid_of_another_dimension_rejected(self):
+        grid = fw.VolumeGrid(0.1, np.zeros(3), (3, 3, 3))
+        with pytest.raises(GeometryError, match="grid and context dimensions differ"):
+            fw.ForwardSystem(CONTRAST1, CTX2, grid)
 
 
 class TestSolveAll:

@@ -94,6 +94,7 @@ class TestConfigParsing:
         (2, ("surface",), 5, "'surface'"),
         (2, ("shapes",), [5], r"'shapes\[0\]'"),
         (2, ("surface", "count"), 2.7, "'surface.count'"),
+        (2, ("surface", "count"), 2, "'surface.count'"),
         (2, ("surface", "radius"), -5.0, "'surface.radius'"),
         (3, ("surface", "edge"), -10.0, "'surface.edge'"),
         (3, ("surface", "per_face"), 2.5, "'surface.per_face'"),
@@ -460,6 +461,22 @@ class TestCli:
         assert cli.main(["verify", "trace"]) == 0
         out = capsys.readouterr().out
         assert "[PASS]" in out and "trace: PASS" in out
+
+    def test_verify_json_is_the_verify_results(self, capsys):
+        assert cli.main(["verify", "trace", "--json"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        expected = json.loads(json.dumps([harness.verify("trace")]))
+        for result in printed + expected:
+            del result["seconds"]
+        assert printed == expected
+
+    @pytest.mark.parametrize("under_file", [False, True])
+    def test_unusable_output_directory_reports_error(self, tmp_path, capsys, under_file):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out = blocker / "out" if under_file else blocker
+        assert cli.main(["preset", "fig1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: key 'outputs.directory'")
 
     def test_run_subcommand(self, tmp_path, capsys):
         path = tmp_path / "config.json"

@@ -124,7 +124,7 @@ class TestSynthesis:
         values = np.zeros((grid.n_nodes, 2), complex)
         j0 = 4
         values[j0] = [1.0 + 2.0j, -0.5j]
-        current = fw.InducedCurrentField(grid, values, np.zeros(grid.n_nodes))
+        current = fw.InducedCurrentField(grid, values)
         surf = ms.circle_surface(5.0, 8)
         samples = ms.synthesize_scattered_fields([current], surf, CTX2)[0]
         expected = np.array([
@@ -139,12 +139,9 @@ class TestSynthesis:
         j1 = rng.standard_normal((grid.n_nodes, 2)) + 1j * rng.standard_normal((grid.n_nodes, 2))
         j2 = rng.standard_normal((grid.n_nodes, 2)) + 1j * rng.standard_normal((grid.n_nodes, 2))
         surf = ms.circle_surface(5.0, 12)
-        eta = np.ones(grid.n_nodes)
 
         def field(vals):
-            return ms.synthesize_scattered_fields(
-                [fw.InducedCurrentField(grid, vals, eta)], surf, CTX2
-            )[0].values
+            return ms.synthesize_scattered_fields([fw.InducedCurrentField(grid, vals)], surf, CTX2)[0].values
 
         a, b = 1.3 - 0.7j, -0.2 + 2.1j
         np.testing.assert_allclose(
@@ -171,7 +168,7 @@ class TestSynthesis:
         rng = np.random.default_rng(2)
         values = rng.standard_normal((grid.n_nodes, d)) + 1j * rng.standard_normal((grid.n_nodes, d))
         values[::3] = 0.0
-        current = fw.InducedCurrentField(grid, values, np.ones(grid.n_nodes))
+        current = fw.InducedCurrentField(grid, values)
         surf = ms.circle_surface(5.0, count) if d == 2 else ms.cube_surface(10.0, count)
         phi = em.green_tensor_from_diff(ctx, surf.points[:, None, :] - grid.nodes[None, :, :])
         expected = np.einsum("mjab,jb->ma", phi, values) * grid.cell_measure
@@ -189,7 +186,7 @@ class TestSynthesis:
         rng = np.random.default_rng(3)
         values = rng.standard_normal((grid.n_nodes, d)) + 1j * rng.standard_normal((grid.n_nodes, d))
         values[::3] = 0.0
-        current = fw.InducedCurrentField(grid, values, np.ones(grid.n_nodes))
+        current = fw.InducedCurrentField(grid, values)
         surf = ms.circle_surface(5.0, count) if d == 2 else ms.cube_surface(10.0, count)
         # 4 surface points per block: blocks straddle every worker's share,
         # and 5 workers outnumber the cores
@@ -210,7 +207,7 @@ class TestSynthesis:
         rng = np.random.default_rng(4)
         values = rng.standard_normal((grid.n_nodes, 3)) + 1j * rng.standard_normal((grid.n_nodes, 3))
         values[:grid.n_nodes - 250] = 0.0
-        current = fw.InducedCurrentField(grid, values, np.ones(grid.n_nodes))
+        current = fw.InducedCurrentField(grid, values)
         surf = ms.cube_surface(10.0, 9)
         monkeypatch.setattr(em, "_CHUNK_TARGET", 133 * 250 * 3)
         runs = []
@@ -232,7 +229,7 @@ class TestSynthesis:
         for l in range(count):
             values = rng.standard_normal((grid.n_nodes, d)) + 1j * rng.standard_normal((grid.n_nodes, d))
             values[l::3] = 0.0
-            currents.append(fw.InducedCurrentField(grid, values, np.ones(grid.n_nodes)))
+            currents.append(fw.InducedCurrentField(grid, values))
         surf = ms.circle_surface(5.0, 30) if d == 2 else ms.cube_surface(10.0, 2)
         return currents, surf
 
@@ -263,7 +260,7 @@ class TestSynthesis:
         current, _ = self.random_currents(CTX2, 1, 8)
         shifted = fw.InducedCurrentField(
             fw.VolumeGrid(current[0].grid.mesh_size, current[0].grid.origin + 0.01, current[0].grid.counts),
-            current[0].values, current[0].eta,
+            current[0].values,
         )
         with pytest.raises(GeometryError, match="one forward grid"):
             ms.synthesize_scattered_fields([current[0], shifted], ms.circle_surface(5.0, 30), CTX2)
