@@ -15,21 +15,25 @@ parts.  Every compared file, CSV or PGM, is also printed with whether its
 bytes are the same.  Each forward solve of solver_info is printed with its
 GMRES iterations and final relative residual in both trees; how the forward
 run ran (its worker threads and BLAS pin) is printed where it differs, not
-failed, as for the sweep.  Exits non-zero
-when a difference exceeds --tol, a file's coordinates (and quadrature
-weights), argmax, maxima or sweep computation differ, the trees' forward
-solves differ in number or GMRES iterations or their residuals differ by more
-than --tol, a file's bytes differ under --bytes, a file of dir_a is missing
-from dir_b, or dir_a's report.json lists no files per grid (written before
-report.json named them: give the newer tree as dir_a).
+failed, as for the sweep.  The reports' config echoes are compared less
+outputs.directory, which only says where each tree was written.  Exits
+non-zero when a difference exceeds --tol, a file's coordinates (and
+quadrature weights), argmax, maxima or sweep computation differ, a map's
+off_peak_ratio differs by more than --tol, the config echoes differ, the
+trees' forward solves differ in number or GMRES iterations or their residuals
+differ by more than --tol, a file's bytes differ under --bytes, a file of
+dir_a is missing from dir_b, or dir_a's report.json lists no files per grid
+(written before report.json named them: give the newer tree as dir_a).
 
     python scripts/compare_outputs.py out/after out/before --tol 1e-12
     python scripts/compare_outputs.py out/after out/before --bytes
 """
 
 import argparse
+import copy
 import filecmp
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -67,6 +71,13 @@ def _compare_file(path_a: Path, path_b: Path, tol: float, exact: bool, failures:
     return f"{path_a.name}: max |delta| {delta:.2e}, {bytes_line}"
 
 
+def _config_echo(report: dict) -> dict:
+    """report's config echo less outputs.directory."""
+    config = copy.deepcopy(report["config"])
+    config["outputs"].pop("directory", None)
+    return config
+
+
 def compare_run(run_a: Path, run_b: Path, tol: float, exact: bool) -> tuple[list[str], list[str]]:
     """Lines to print and failures for one pair of run directories."""
     report_a = json.loads((run_a / "report.json").read_text())
@@ -79,7 +90,11 @@ def compare_run(run_a: Path, run_b: Path, tol: float, exact: bool) -> tuple[list
     entries_b = {entry["label"]: entry for entry in report_b["indices"]}
     grid_files = {name for entry in report_a["indices"] for name in entry["files"]}
     failures = []
-    lines = [_compare_file(run_a / name, run_b / name, tol, exact, failures)
+    same_config = _config_echo(report_a) == _config_echo(report_b)
+    if not same_config:
+        failures.append("config echo differs")
+    lines = [f"config {'same' if same_config else 'DIFFERS'}"]
+    lines += [_compare_file(run_a / name, run_b / name, tol, exact, failures)
              for name in (Path(path).name for path in report_a["output_files"]) if name not in grid_files]
     solves_a, solves_b = report_a["solver_info"], report_b["solver_info"]
     if len(solves_a) != len(solves_b):
@@ -114,6 +129,10 @@ def compare_run(run_a: Path, run_b: Path, tol: float, exact: bool) -> tuple[list
             failures.append(f"{label}: argmax or maxima differ")
         if computation_a != computation_b:
             failures.append(f"{label}: sweep_info differs: {computation_a} against {computation_b}")
+        if "off_peak_ratio" in entry_a:
+            delta = abs(entry_a["off_peak_ratio"] - entry_b.get("off_peak_ratio", math.inf))
+            if delta > tol:
+                failures.append(f"{label}: off_peak_ratio differs by {delta:.2e} > {tol:g}")
     return [line for line in lines if line], failures
 
 

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
-from typing import Callable
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -342,77 +341,29 @@ def compute_index_grid(ctx: WaveContext, datasets, grid: SamplingGrid) -> list[I
     return grids + [IndexGrid(grid, np.mean(per_pol, axis=0), "combined", info)]
 
 
-@dataclass(frozen=True, eq=False)
-class CrossSelector:
-    """One cross-correlation map: coeffs(d) gives the weights A[i, j, l]
-    (shape (d, d, d)) with which cross_product_maps combines the
-    correlations before the magnitude is taken."""
-
-    label: str
-    coeffs: Callable[[int], np.ndarray]
-
-
-def _component_coeffs(i: int, j: int, d: int) -> np.ndarray:
-    coeffs = np.zeros((d,) * 3)
-    coeffs[i, j, j] = 1.0
-    return coeffs
-
-
-def _diagonal_coeffs(d: int) -> np.ndarray:
-    return sum(_component_coeffs(i, i, d) for i in range(d))
-
-
-def _polarization_coeffs(qs: tuple, d: int) -> np.ndarray:
-    """A[i, j, l] = sum over q in qs of q_j q_l, the same for every i."""
-    return np.broadcast_to(sum(np.outer(q, q) for q in qs), (d, d, d))
-
-
-def component(i: int, j: int) -> CrossSelector:
-    """Correlation of the kernel component Phi_ij with itself."""
-    return CrossSelector(f"component_{i + 1}{j + 1}", partial(_component_coeffs, i, j))
-
-
-def diagonal_sum() -> CrossSelector:
-    """Sum over i of the correlations of Phi_ii with itself."""
-    return CrossSelector("diagonal_sum", _diagonal_coeffs)
-
-
-def polarization(q, label: str) -> CrossSelector:
-    """Correlation of the probes Phi(., x) q at the sampling and reference
-    points, labelled cross:<label>."""
-    return CrossSelector(label, partial(_polarization_coeffs, (np.asarray(q, dtype=np.float64),)))
-
-
-def polarization_sum(qs) -> CrossSelector:
-    """Sum of the polarization correlations over qs, taken before the
-    magnitude; for the diagonal pair (1, -1)/sqrt 2, (1, 1)/sqrt 2 this is the
-    component combination Phi_11 + 2 Phi_12 + Phi_22."""
-    qs = tuple(np.asarray(q, dtype=np.float64) for q in qs)
-    return CrossSelector("polarization_sum", partial(_polarization_coeffs, qs))
-
-
 def cross_product_maps(ctx: WaveContext, surface: MeasurementSurface, x_q,
-                       grid: SamplingGrid, selectors) -> list[IndexGrid]:
+                       grid: SamplingGrid, coeffs: dict) -> list[IndexGrid]:
     """Max-normalized cross-correlation maps against the fixed reference point
-    x_q, one per selector, from one sweep:
+    x_q, one per coefficient array A (d, d, d) of coeffs, from one sweep:
 
         map(x_c) = |sum_m Phi(x_m, x_c) : F[m]|,
-        F[m, i, j] = sum_l coeffs[i, j, l] conj(w_m Phi_il(x_m, x_q)).
+        F[m, i, j] = sum_l A[i, j, l] conj(w_m Phi_il(x_m, x_q)).
+
+    The maps follow coeffs' order, each labelled cross:<its label>.
     """
     x_q = np.asarray(x_q, dtype=np.float64)
     _check_inside(surface, x_q, "reference point")
     check_grid_inside(surface, grid)
-    selectors = list(selectors)
     d = ctx.dimension
-    coeffs = np.array([selector.coeffs(d) for selector in selectors]).reshape(-1, d, d, d)
+    arrays = np.array(list(coeffs.values())).reshape(-1, d, d, d)
     ref = (surface.weights[:, np.newaxis, np.newaxis]
            * green_tensor_from_diff(ctx, surface.points - x_q)).conj()
-    refs = np.einsum("sijl,mil->mijs", coeffs, ref)
+    refs = np.einsum("sijl,mil->mijs", arrays, ref)
     value_arrays, info = _sweep(ctx, surface, grid, _symmetry_group(surface, grid), refs,
                                 lambda block, P: np.abs(P))
     return [
-        IndexGrid(grid, values, f"cross:{selector.label}", info).normalized()
-        for values, selector in zip(value_arrays, selectors)
+        IndexGrid(grid, values, f"cross:{label}", info).normalized()
+        for values, label in zip(value_arrays, coeffs)
     ]
 
 

@@ -22,8 +22,6 @@ from .errors import DimensionMismatchError, DomainError, GeometryError, Singular
 
 _TWO_PI = 2.0 * np.pi
 
-_SHAPE_KINDS = ("axis_square", "square_ring", "axis_cube")
-
 # (target, source, axis) triples per KernelBlock: each (C, M) complex array is then 0.5-0.8 MB and a
 # block holds about 4.5 at once, so the blocks of two workers hold about what one block did before
 # KernelBlock formed its terms in place.  Block memory grows with the worker count; the peak was
@@ -108,31 +106,23 @@ def incident_field(wave: IncidentPlaneWave, ctx: WaveContext, x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Shape:
-    """Axis-aligned box-type scatterer; membership uses half-open cells."""
+    """Axis-aligned box scatterer with an optional concentric box hole
+    (inner_side 0: none); membership uses half-open cells."""
 
-    kind: str
     center: np.ndarray
     outer_side: float
     inner_side: float = 0.0
     eta: complex = 1.0 + 0.0j
 
     def __post_init__(self):
-        if self.kind not in _SHAPE_KINDS:
-            raise DomainError(f"unknown shape kind {self.kind!r}")
         center = np.asarray(self.center, dtype=np.float64)
         object.__setattr__(self, "center", center)
-        expected_dim = 3 if self.kind == "axis_cube" else 2
-        if center.shape != (expected_dim,):
-            raise DimensionMismatchError(f"{self.kind} needs a {expected_dim}-vector center")
+        if center.shape not in ((2,), (3,)):
+            raise DimensionMismatchError("a shape needs a 2- or 3-vector center")
         if not np.isfinite([*center, self.outer_side, self.inner_side, self.eta]).all():
             raise DomainError("center, sides and eta must be finite")
-        if self.outer_side <= 0.0:
-            raise DomainError("outer_side must be positive")
-        if self.kind == "square_ring":
-            if not 0.0 <= self.inner_side < self.outer_side:
-                raise DomainError("ring needs 0 <= inner_side < outer_side")
-        elif self.inner_side != 0.0:
-            raise DomainError("inner_side is only meaningful for square_ring")
+        if not 0.0 <= self.inner_side < self.outer_side:
+            raise DomainError("a shape needs 0 <= inner_side < outer_side")
         object.__setattr__(self, "eta", complex(self.eta))
 
     @property
@@ -145,10 +135,9 @@ class Shape:
         return np.all((points >= lo) & (points < hi), axis=-1)
 
     def contains(self, points: np.ndarray) -> np.ndarray:
-        inside = self._in_box(points, self.outer_side)
-        if self.kind == "square_ring" and self.inner_side > 0.0:
-            inside &= ~self._in_box(points, self.inner_side)
-        return inside
+        """Inside the outer box and outside the hole; a hole of side 0 has
+        lo == hi and so holds no point."""
+        return self._in_box(points, self.outer_side) & ~self._in_box(points, self.inner_side)
 
     @property
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import resource
@@ -37,6 +38,8 @@ DEFAULT_SAMPLING_BOX = {2: ((-2.0, 2.0),) * 2, 3: ((-2.0, 2.0),) * 3}
 PRESET_NAMES = ("example1", "example2a", "example2b", "example3", "example4",
                 "example3d", "fig1", "fig2")
 VERIFY_KINDS = ("trace", "lemma", "xpq", "born", "solver_cross", "figs")
+# the shape kinds of the config format, each with the length of its center
+_SHAPE_DIMENSIONS = {"axis_square": 2, "square_ring": 2, "axis_cube": 3}
 
 
 @dataclass(frozen=True)
@@ -98,7 +101,7 @@ class ExperimentConfig:
         if self.contrast is not None:
             out["shapes"] = [
                 {
-                    "kind": s.kind,
+                    "kind": "axis_cube" if s.dimension == 3 else "square_ring" if s.inner_side else "axis_square",
                     "center": s.center.tolist(),
                     "outer_side": s.outer_side,
                     "inner_side": s.inner_side,
@@ -133,6 +136,8 @@ def _positive_int(mapping: dict, key: str, default: int | None, context: str, mi
 
 def _number(value, key: str, positive: bool = False) -> float:
     try:
+        if isinstance(value, bool):  # JSON true and false are not numbers
+            raise TypeError
         number = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"key '{key}' must be a number, got {value!r}") from None
@@ -158,18 +163,23 @@ def _parse_shapes(raw, dimension: int) -> ContrastField:
     for idx, entry in enumerate(raw):
         ctxt = f"shapes[{idx}]."
         kind = _need(entry, "kind", ctxt)
+        if not isinstance(kind, str) or kind not in _SHAPE_DIMENSIONS:
+            raise ConfigError(f"key '{ctxt}kind': unknown shape kind {kind!r}")
+        if _SHAPE_DIMENSIONS[kind] != dimension:
+            raise ConfigError(f"key '{ctxt}kind': {kind} does not match 'wave.dimension'")
         center = _need(entry, "center", ctxt)
-        outer = _need(entry, "outer_side", ctxt)
-        inner = entry.get("inner_side", 0.0)
+        if not isinstance(center, (list, tuple)) or len(center) != dimension:
+            raise ConfigError(f"key '{ctxt}center' must be a {dimension}-vector for {kind}")
+        outer = _number(_need(entry, "outer_side", ctxt), ctxt + "outer_side")
+        inner = _number(entry.get("inner_side", 0.0), ctxt + "inner_side")
+        if inner != 0.0 and kind != "square_ring":
+            raise ConfigError(f"key '{ctxt}inner_side' is only meaningful for square_ring")
         eta = _as_complex(entry.get("eta", 1.0), ctxt + "eta")
         try:
-            shapes.append(Shape(kind, center, float(outer), float(inner), eta))
+            shapes.append(Shape(center, outer, inner, eta))
         except Exception as exc:
             raise ConfigError(f"invalid shape at 'shapes[{idx}]': {exc}") from exc
-    contrast = ContrastField(shapes)
-    if contrast.dimension != dimension:
-        raise ConfigError("key 'shapes': shape dimension does not match 'wave.dimension'")
-    return contrast
+    return ContrastField(shapes)
 
 
 def _parse_surface(raw: dict, dimension: int) -> SurfaceSpec:
@@ -220,6 +230,8 @@ def config_from_dict(raw: dict, name: str = "custom") -> ExperimentConfig:
     diagnostic_point: tuple[float, ...] = ()
     contrast = None
     if "diagnostic" in raw:
+        if "shapes" in raw:
+            raise ConfigError("key 'shapes' cannot be given with 'diagnostic', whose maps need no scatterer")
         diag = raw["diagnostic"]
         kind = _need(diag, "kind", "diagnostic.")
         if kind not in ("fig1", "fig2"):
@@ -258,6 +270,9 @@ def config_from_dict(raw: dict, name: str = "custom") -> ExperimentConfig:
         dsm.check_grid_inside(built, dsm.sampling_grid(box, spacing))
     except GeometryError as exc:
         raise ConfigError(f"key 'sampling.box': {exc}") from None
+    for idx, shape in enumerate(contrast.shapes if contrast is not None else ()):
+        if not all(built.contains_strictly(corner) for corner in itertools.product(*zip(*shape.bounds))):
+            raise ConfigError(f"key 'shapes[{idx}]' must lie strictly inside the measurement surface")
     if diagnostic is not None and not built.contains_strictly(diagnostic_point):
         raise ConfigError("key 'diagnostic.x_q' must lie strictly inside the measurement surface")
 
@@ -459,13 +474,26 @@ def _export_grid(index: dsm.IndexGrid, outdir: Path, formats, report: Localizati
     })
 
 
-def _diagnostic_selectors(kind: str, polarizations) -> list[dsm.CrossSelector]:
-    """The maps of fig1 (kernel components) or fig2 (the first two polarizations)."""
+def _diagnostic_maps(kind: str, polarizations) -> dict[str, np.ndarray]:
+    """The coefficient arrays A (d, d, d) of fig1's or fig2's maps, by label:
+    the kernel components Phi_ij, A[i, j, j] = 1, and their diagonal sum; or
+    the probes of the first two polarizations and of both, A[i, j, l] =
+    sum over q of q_j q_l for every i."""
+    d = len(polarizations[0])
+
+    def component(i: int, j: int) -> np.ndarray:
+        coeffs = np.zeros((d,) * 3)
+        coeffs[i, j, j] = 1.0
+        return coeffs
+
+    def probes(*qs) -> np.ndarray:
+        return np.broadcast_to(sum(np.outer(q, q) for q in qs), (d, d, d))
+
     if kind == "fig1":
-        return [dsm.component(0, 0), dsm.component(1, 1), dsm.component(0, 1), dsm.diagonal_sum()]
+        return {"component_11": component(0, 0), "component_22": component(1, 1),
+                "component_12": component(0, 1), "diagonal_sum": sum(component(i, i) for i in range(d))}
     p1, p2 = polarizations[:2]
-    return [dsm.polarization(p1, "polarization_1"), dsm.polarization(p2, "polarization_2"),
-            dsm.polarization_sum([p1, p2])]
+    return {"polarization_1": probes(p1), "polarization_2": probes(p2), "polarization_sum": probes(p1, p2)}
 
 
 def _off_peak_ratios(maps, x_q, wavelength: float) -> list[float]:
@@ -524,8 +552,8 @@ def run_experiment(config: ExperimentConfig) -> LocalizationReport:
             grids = dsm.compute_index_grid(config.ctx, datasets, grid)
         else:
             x_q = np.asarray(config.diagnostic_point)
-            selectors = _diagnostic_selectors(config.diagnostic, [w.polarization for w in config.incidents])
-            grids = dsm.cross_product_maps(config.ctx, surface, x_q, grid, selectors)
+            coeffs = _diagnostic_maps(config.diagnostic, [w.polarization for w in config.incidents])
+            grids = dsm.cross_product_maps(config.ctx, surface, x_q, grid, coeffs)
 
     with _stage(report, "export"):
         extras = [{}] * len(grids) if config.diagnostic is None else [
@@ -604,7 +632,7 @@ def born_deviations(etas=(1e-4, 1e-3, 1e-2), h: float = 0.02) -> list[float]:
     wave = IncidentPlaneWave(np.array([1.0, 1.0]) / _SQRT2, np.array([1.0, -1.0]) / _SQRT2)
     out = []
     for eta in etas:
-        contrast = ContrastField([Shape("axis_square", [-0.25, 0.0], 0.3, eta=eta)])
+        contrast = ContrastField([Shape([-0.25, 0.0], 0.3, eta=eta)])
         system = ForwardSystem(contrast, ctx, build_grid(contrast, h))
         current = system.solve(wave)
         target = system.contrast_at_nodes[:, None] * incident_field(wave, ctx, system.grid.nodes)
@@ -624,7 +652,7 @@ def _verify_born() -> list[dict]:
 def _verify_solver_cross() -> list[dict]:
     ctx = WaveContext.from_wavelength(2, 1.0)
     wave = IncidentPlaneWave(np.array([1.0, 1.0]) / _SQRT2, np.array([1.0, -1.0]) / _SQRT2)
-    contrast = ContrastField([Shape("axis_square", [-0.25, 0.0], 0.3, eta=1.0)])
+    contrast = ContrastField([Shape([-0.25, 0.0], 0.3, eta=1.0)])
     system = ForwardSystem(contrast, ctx, build_grid(contrast, 0.03))
     dense = system.dense_solve(system.rhs(wave)).reshape(ctx.dimension, -1).T
     iterative = system.solve(wave, SolverSpec(tol=1e-10)).values
@@ -644,9 +672,9 @@ def diagnostic_ratios(spacing: float = 0.02, count: int = 64) -> dict[str, float
     grid = dsm.sampling_grid(((-2.0, 2.0), (-2.0, 2.0)), spacing)
     x_q = np.array([-0.25, 0.0])
     polarizations = [np.array([1.0, -1.0]) / _SQRT2, np.array([1.0, 1.0]) / _SQRT2]
-    selectors = _diagnostic_selectors("fig1", polarizations) + _diagnostic_selectors("fig2", polarizations)
-    maps = dsm.cross_product_maps(ctx, surface, x_q, grid, selectors)
-    return dict(zip((selector.label for selector in selectors), _off_peak_ratios(maps, x_q, ctx.wavelength)))
+    coeffs = _diagnostic_maps("fig1", polarizations) | _diagnostic_maps("fig2", polarizations)
+    maps = dsm.cross_product_maps(ctx, surface, x_q, grid, coeffs)
+    return dict(zip(coeffs, _off_peak_ratios(maps, x_q, ctx.wavelength)))
 
 
 def _verify_figs() -> list[dict]:

@@ -69,6 +69,7 @@ def test_identical_trees_pass(trees, capsys):
                  "fig2/map_polarization_sum.csv"):
         assert f"{name}: max |delta| 0.00e+00, bytes same" in out
     assert "small/index_combined.pgm: bytes same" in out
+    assert "small/config same" in out and "fig2/config same" in out
     solve = json.loads((trees[0] / "small" / "report.json").read_text())["solver_info"][0]
     iterations, residual = solve["iterations"], f"{solve['residual']:.3e}"
     assert f"small/solve 1: GMRES {iterations} iterations, residual {residual} against {iterations}, {residual}" in out
@@ -174,6 +175,26 @@ def test_changed_forward_solve_fails(trees, capsys, edit, failure):
     code, _, err = _compare(a, b, capsys)
     assert code == 1
     assert failure in err
+
+
+def test_changed_config_echo_fails(trees, capsys):
+    # the trees were written to different directories, which is no difference
+    a, b = trees
+    _edit_report(b / "small" / "report.json", lambda report: report["config"]["shapes"][0].update(kind="square_ring"))
+    code, out, err = _compare(a, b, capsys)
+    assert code == 1
+    assert "small/config DIFFERS" in out
+    assert "small: config echo differs" in err
+
+
+def test_changed_off_peak_ratio_fails(trees, capsys):
+    a, b = trees
+    _edit_report(b / "fig2" / "report.json",
+                 lambda report: report["indices"][-1].update(
+                     off_peak_ratio=report["indices"][-1]["off_peak_ratio"] + 1e-9))
+    code, _, err = _compare(a, b, capsys)
+    assert code == 1
+    assert "fig2: cross:polarization_sum: off_peak_ratio differs by 1.00e-09 > 1e-12" in err
 
 
 def test_missing_map_reported(trees, capsys):

@@ -18,11 +18,28 @@ P2 = np.array([1.0, 1.0]) / np.sqrt(2)
 SURF = ms.circle_surface(5.0, 30)
 
 
+def component(i, j, d=2):
+    """The cross-map coefficients A[i, j, j] = 1 of the kernel component Phi_ij."""
+    coeffs = np.zeros((d,) * 3)
+    coeffs[i, j, j] = 1.0
+    return coeffs
+
+
+def diagonal(d=2):
+    return sum(component(i, i, d) for i in range(d))
+
+
+def probes(*qs):
+    """The cross-map coefficients A[i, j, l] = sum over qs of q_j q_l, for every i."""
+    d = len(qs[0])
+    return np.broadcast_to(sum(np.outer(q, q) for q in qs), (d,) * 3)
+
+
 @pytest.fixture(scope="module")
 def example1_data():
     wave1 = em.IncidentPlaneWave(np.array([1.0, 1.0]) / np.sqrt(2), P1)
     wave2 = em.IncidentPlaneWave(np.array([-1.0, 1.0]) / np.sqrt(2), P2)
-    contrast = em.ContrastField([em.Shape("axis_square", [-0.25, 0.0], 0.3, eta=1.0)])
+    contrast = em.ContrastField([em.Shape([-0.25, 0.0], 0.3, eta=1.0)])
     system = fw.ForwardSystem(contrast, CTX2, fw.build_grid(contrast, 0.02))
     out = []
     for wave in (wave1, wave2):
@@ -351,14 +368,15 @@ class TestMirrorOrbits:
         on one side of each axis (trivial group) restricted to the first;
         returns both group orders once the maps are checked equal."""
         x_q = np.array([-0.25, 0.1])
-        selectors = [dsm.component(0, 0), dsm.component(0, 1), dsm.component(1, 0), dsm.diagonal_sum(),
-                     dsm.polarization(P1, "polarization_1"), dsm.polarization_sum([P1, P2])]
+        coeffs = {"component_11": component(0, 0), "component_12": component(0, 1),
+                  "component_21": component(1, 0), "diagonal_sum": diagonal(),
+                  "polarization_1": probes(P1), "polarization_sum": probes(P1, P2)}
         symmetric = dsm.sampling_grid([(-1.0, 1.0), (-1.0, 1.0)], 0.1)
         asymmetric = dsm.sampling_grid([(-1.0, 1.3), (-1.2, 1.0)], 0.1)
         common = np.all(np.abs(asymmetric.points) <= 1.0 + 1e-9, axis=1)
         assert common.sum() == symmetric.n_points
-        sym_maps = dsm.cross_product_maps(CTX2, surface, x_q, symmetric, selectors)
-        asym_maps = dsm.cross_product_maps(CTX2, surface, x_q, asymmetric, selectors)
+        sym_maps = dsm.cross_product_maps(CTX2, surface, x_q, symmetric, coeffs)
+        asym_maps = dsm.cross_product_maps(CTX2, surface, x_q, asymmetric, coeffs)
         for sym, asym in zip(sym_maps, asym_maps):
             values = asym.values[common]
             np.testing.assert_allclose(sym.values, values / values.max(), rtol=0, atol=1e-14)
@@ -378,14 +396,14 @@ class TestMirrorOrbits:
         x_q = np.array([-0.25, 0.1, 0.3])
         q1 = np.array([1.0, -2.0, 1.0]) / np.sqrt(6.0)
         q2 = np.array([1.0, 1.0, -2.0]) / np.sqrt(6.0)
-        selectors = [dsm.component(0, 2), dsm.component(2, 0), dsm.diagonal_sum(),
-                     dsm.polarization(q1, "polarization_1"), dsm.polarization_sum([q1, q2])]
-        maps = dsm.cross_product_maps(CTX3, CUBE, x_q, grid, selectors)
+        coeffs = {"component_13": component(0, 2, 3), "component_31": component(2, 0, 3),
+                  "diagonal_sum": diagonal(3), "polarization_1": probes(q1), "polarization_sum": probes(q1, q2)}
+        maps = dsm.cross_product_maps(CTX3, CUBE, x_q, grid, coeffs)
         assert maps[0].sweep_info.group_order == 48
         phi = em.green_tensor_from_diff(CTX3, CUBE.points[np.newaxis, :, :] - grid.points[:, np.newaxis, :])
         ref = em.green_tensor_from_diff(CTX3, CUBE.points - x_q).conj()
-        for selector, index in zip(selectors, maps):
-            corr = np.abs(np.einsum("cmij,m,mil,ijl->c", phi, CUBE.weights, ref, selector.coeffs(3)))
+        for a, index in zip(coeffs.values(), maps):
+            corr = np.abs(np.einsum("cmij,m,mil,ijl->c", phi, CUBE.weights, ref, a))
             np.testing.assert_allclose(index.values, corr / corr.max(), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("threads", [2, 5])
@@ -551,7 +569,7 @@ class TestCrossMaps:
         grid = dsm.sampling_grid([(-1, 1), (-1, 1)], 0.1)
         x_q = np.array([-0.25, 0.0])
         surf = ms.circle_surface(5.0, 64)
-        [pol] = dsm.cross_product_maps(CTX2, surf, x_q, grid, [dsm.polarization_sum([P1, P2])])
+        [pol] = dsm.cross_product_maps(CTX2, surf, x_q, grid, {"polarization_sum": probes(P1, P2)})
 
         phi = em.green_tensor_from_diff(CTX2, surf.points[np.newaxis, :, :] - grid.points[:, np.newaxis, :])
         ref = em.green_tensor_from_diff(CTX2, surf.points - x_q)
@@ -563,14 +581,14 @@ class TestCrossMaps:
 
     def test_diagonal_sum_peaks_at_reference_point(self):
         grid = dsm.sampling_grid([(-2, 2), (-2, 2)], 0.02)
-        [index] = dsm.cross_product_maps(CTX2, SURF, [-0.25, 0.0], grid, [dsm.diagonal_sum()])
+        [index] = dsm.cross_product_maps(CTX2, SURF, [-0.25, 0.0], grid, {"diagonal_sum": diagonal()})
         loc = index.argmax_location()
         assert np.linalg.norm(loc - np.array([-0.25, 0.0])) <= 0.011
 
     def test_component_maps_show_directional_sidelobes(self):
         grid = dsm.sampling_grid([(-2, 2), (-2, 2)], 0.04)
         x_q = np.array([-0.25, 0.0])
-        [comp] = dsm.cross_product_maps(CTX2, SURF, x_q, grid, [dsm.component(0, 0)])
+        [comp] = dsm.cross_product_maps(CTX2, SURF, x_q, grid, {"component_11": component(0, 0)})
         far = np.linalg.norm(grid.points - x_q, axis=1) > 0.5
         assert comp.values[far].max() >= 0.5
 
@@ -578,12 +596,12 @@ class TestCrossMaps:
         grid = dsm.sampling_grid([(-2, 2), (-2, 2)], 0.04)
         x_q = np.array([-0.25, 0.0])
         far = np.linalg.norm(grid.points - x_q, axis=1) > 0.5
-        selectors = [dsm.diagonal_sum(), dsm.component(0, 0), dsm.component(1, 1),
-                     dsm.polarization_sum([P1, P2]), dsm.polarization(P1, "polarization_1"),
-                     dsm.polarization(P2, "polarization_2")]
+        coeffs = {"diagonal_sum": diagonal(), "component_11": component(0, 0),
+                  "component_22": component(1, 1), "polarization_sum": probes(P1, P2),
+                  "polarization_1": probes(P1), "polarization_2": probes(P2)}
         diag, comp11, comp22, combined, pol1, pol2 = (
             index.values[far].max() / index.values.max()
-            for index in dsm.cross_product_maps(CTX2, SURF, x_q, grid, selectors)
+            for index in dsm.cross_product_maps(CTX2, SURF, x_q, grid, coeffs)
         )
         assert diag < comp11
         assert diag < comp22
@@ -592,9 +610,9 @@ class TestCrossMaps:
 
     def test_labels_follow_selectors(self):
         grid = dsm.sampling_grid([(-1, 1), (-1, 1)], 0.5)
-        selectors = [dsm.component(0, 1), dsm.diagonal_sum(), dsm.polarization(P1, "polarization_1"),
-                     dsm.polarization(P2, "polarization_2"), dsm.polarization_sum([P1, P2])]
-        maps = dsm.cross_product_maps(CTX2, SURF, [0.0, 0.0], grid, selectors)
+        coeffs = {"component_12": component(0, 1), "diagonal_sum": diagonal(), "polarization_1": probes(P1),
+                  "polarization_2": probes(P2), "polarization_sum": probes(P1, P2)}
+        maps = dsm.cross_product_maps(CTX2, SURF, [0.0, 0.0], grid, coeffs)
         assert [index.label for index in maps] == [
             "cross:component_12", "cross:diagonal_sum", "cross:polarization_1",
             "cross:polarization_2", "cross:polarization_sum"]

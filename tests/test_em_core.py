@@ -123,27 +123,27 @@ class TestIncidentWave:
 
 class TestContrast:
     def test_example1_value(self):
-        c = em.ContrastField([em.Shape("axis_square", [-0.25, 0.0], 0.3, eta=1.0)])
+        c = em.ContrastField([em.Shape([-0.25, 0.0], 0.3, eta=1.0)])
         assert c.eta_at([-0.25, 0.0]) == 1.0 + 0.0j
 
     def test_ring_hole_is_zero(self):
-        ring = em.ContrastField([em.Shape("square_ring", [0.0, 0.0], 0.6, 0.4, eta=1.0)])
+        ring = em.ContrastField([em.Shape([0.0, 0.0], 0.6, 0.4, eta=1.0)])
         assert ring.eta_at([0.0, 0.0]) == 0.0
         assert ring.eta_at([0.25, 0.0]) == 1.0
 
     def test_outside_support_is_zero(self):
-        c = em.ContrastField([em.Shape("axis_square", [-0.25, 0.0], 0.3, eta=1.0)])
+        c = em.ContrastField([em.Shape([-0.25, 0.0], 0.3, eta=1.0)])
         assert c.eta_at([5.0, 5.0]) == 0.0
 
     def test_half_open_membership(self):
-        s = em.Shape("axis_square", [0.0, 0.0], 1.0)
+        s = em.Shape([0.0, 0.0], 1.0)
         assert s.contains(np.array([-0.5, 0.0]))
         assert not s.contains(np.array([0.5, 0.0]))
 
     def test_later_shape_wins_overlap(self):
         c = em.ContrastField([
-            em.Shape("axis_square", [0.0, 0.0], 1.0, eta=1.0),
-            em.Shape("axis_square", [0.0, 0.0], 0.5, eta=2.0),
+            em.Shape([0.0, 0.0], 1.0, eta=1.0),
+            em.Shape([0.0, 0.0], 0.5, eta=2.0),
         ])
         assert c.eta_at([0.0, 0.0]) == 2.0
 
@@ -153,14 +153,24 @@ class TestContrast:
 
     def test_ring_needs_smaller_hole(self):
         with pytest.raises(DomainError):
-            em.Shape("square_ring", [0.0, 0.0], 0.4, 0.6)
+            em.Shape([0.0, 0.0], 0.4, 0.6)
+
+    @pytest.mark.parametrize("inner", [-0.1, 0.4])
+    def test_hole_must_fit_inside(self, inner):
+        with pytest.raises(DomainError, match="0 <= inner_side < outer_side"):
+            em.Shape([0.0, 0.0], 0.4, inner)
+
+    @pytest.mark.parametrize("center", [[0.0], [0.0] * 4, [[0.0, 0.0]]])
+    def test_center_is_a_2_or_3_vector(self, center):
+        with pytest.raises(DimensionMismatchError):
+            em.Shape(center, 0.4)
 
     @pytest.mark.parametrize("center, side, eta", [
         ([np.nan, 0.0], 0.3, 1.0), ([0.0, 0.0], np.inf, 1.0), ([0.0, 0.0], 0.3, complex(1.0, np.nan)),
     ])
     def test_shape_requires_finite_values(self, center, side, eta):
         with pytest.raises(DomainError, match="finite"):
-            em.Shape("axis_square", center, side, eta=eta)
+            em.Shape(center, side, eta=eta)
 
 
 class TestGreenScalar:

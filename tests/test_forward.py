@@ -16,7 +16,7 @@ CTX2 = em.WaveContext.from_wavelength(2, 1.0)
 CTX3 = em.WaveContext.from_wavelength(3, 1.0)
 
 WAVE1 = em.IncidentPlaneWave(np.array([1.0, 1.0]) / np.sqrt(2), np.array([1.0, -1.0]) / np.sqrt(2))
-SQUARE1 = [em.Shape("axis_square", [-0.25, 0.0], 0.3, eta=1.0)]
+SQUARE1 = [em.Shape([-0.25, 0.0], 0.3, eta=1.0)]
 CONTRAST1 = em.ContrastField(SQUARE1)
 
 
@@ -68,11 +68,11 @@ class TestBuildGrid:
         assert grid.n_nodes == 36
 
     def test_ring_counts(self):
-        ring = em.ContrastField([em.Shape("square_ring", [0.0, 0.0], 0.6, 0.4)])
+        ring = em.ContrastField([em.Shape([0.0, 0.0], 0.6, 0.4)])
         assert fw.build_grid(ring, 0.05).counts == (12, 12)
 
     def test_cells_cover_bounding_box(self):
-        contrast = em.ContrastField([em.Shape("axis_square", [0.1, -0.2], 0.35)])
+        contrast = em.ContrastField([em.Shape([0.1, -0.2], 0.35)])
         grid = fw.build_grid(contrast, 0.04)
         lo, hi = grid.bounds
         blo, bhi = contrast.bounding_box
@@ -166,7 +166,7 @@ class TestPStencil:
 
 class TestForwardSystem:
     def test_zero_contrast_operator_is_identity(self):
-        contrast = em.ContrastField([em.Shape("axis_square", [-0.25, 0.0], 0.3, eta=0.0)])
+        contrast = em.ContrastField([em.Shape([-0.25, 0.0], 0.3, eta=0.0)])
         system = fw.ForwardSystem(contrast, CTX2, fw.build_grid(contrast, 0.05))
         rng = np.random.default_rng(0)
         v = rng.standard_normal(system.system_dimension) + 1j * rng.standard_normal(system.system_dimension)
@@ -190,11 +190,10 @@ def system_on_grid(ctx, counts, h=0.05):
     every node active, with two contrast values so eta varies."""
     d = len(counts)
     grid = fw.VolumeGrid(h, np.zeros(d), tuple(counts))
-    kind = "axis_cube" if d == 3 else "axis_square"
     side = 2.0 * h * max(counts)
     contrast = em.ContrastField([
-        em.Shape(kind, np.full(d, 0.5 * h * max(counts)), side, eta=1.0),
-        em.Shape(kind, np.full(d, 0.0), 2.0 * h * min(counts), eta=0.4 + 0.3j),
+        em.Shape(np.full(d, 0.5 * h * max(counts)), side, eta=1.0),
+        em.Shape(np.full(d, 0.0), 2.0 * h * min(counts), eta=0.4 + 0.3j),
     ])
     return fw.ForwardSystem(contrast, ctx, grid)
 
@@ -310,7 +309,7 @@ class TestFFTOperator:
     def test_no_dense_rows_on_the_matvec_path(self):
         # 2 000 active rows of 5 000 nodes would be 160 MB of G rows
         contrast = em.ContrastField([
-            em.Shape("axis_cube", [0.4, 0.3, 0.3], 0.2), em.Shape("axis_cube", [-0.4, 0.3, 0.3], 0.2),
+            em.Shape([0.4, 0.3, 0.3], 0.2), em.Shape([-0.4, 0.3, 0.3], 0.2),
         ])
         tracemalloc.start()
         try:
@@ -335,7 +334,7 @@ def dense_vs_gmres(contrast):
 
 class TestSolve:
     def test_zero_contrast_zero_current(self):
-        contrast = em.ContrastField([em.Shape("axis_square", [-0.25, 0.0], 0.3, eta=0.0)])
+        contrast = em.ContrastField([em.Shape([-0.25, 0.0], 0.3, eta=0.0)])
         current = solve(contrast, CTX2, 0.05)
         assert np.all(current.values == 0.0)
 
@@ -343,7 +342,7 @@ class TestSolve:
         # deviation from eta E^i must match the first-order correction term
         # eta * G (P (eta E^i)) h^d computed directly, and stay small
         eta = 1e-3
-        contrast = em.ContrastField([em.Shape("axis_square", [-0.25, 0.0], 0.3, eta=eta)])
+        contrast = em.ContrastField([em.Shape([-0.25, 0.0], 0.3, eta=eta)])
         system = fw.ForwardSystem(contrast, CTX2, fw.build_grid(contrast, 0.02))
         e_inc = em.incident_field(WAVE1, CTX2, system.grid.nodes)
         target = system.contrast_at_nodes[:, None] * e_inc
@@ -365,7 +364,7 @@ class TestSolve:
         etas = (1e-4, 1e-3, 1e-2)
         devs = []
         for eta in etas:
-            contrast = em.ContrastField([em.Shape("axis_square", [-0.25, 0.0], 0.3, eta=eta)])
+            contrast = em.ContrastField([em.Shape([-0.25, 0.0], 0.3, eta=eta)])
             system = fw.ForwardSystem(contrast, CTX2, fw.build_grid(contrast, 0.02))
             current = system.solve(WAVE1)
             target = system.contrast_at_nodes[:, None] * em.incident_field(WAVE1, CTX2, system.grid.nodes)
@@ -382,7 +381,7 @@ class TestSolve:
         assert iterative.iterations > 0
 
     def test_dense_vs_gmres_ring_geometry(self):
-        rel, _ = dense_vs_gmres(em.ContrastField([em.Shape("square_ring", [0.0, 0.0], 0.6, 0.4, eta=1.0)]))
+        rel, _ = dense_vs_gmres(em.ContrastField([em.Shape([0.0, 0.0], 0.6, 0.4, eta=1.0)]))
         assert rel <= 1e-8
 
     def test_dense_solve_residual_failure_names_condition(self, monkeypatch):
@@ -393,7 +392,7 @@ class TestSolve:
             system.dense_solve(system.rhs(WAVE1))
 
     def test_current_vanishes_outside_support(self):
-        ring = em.ContrastField([em.Shape("square_ring", [0.0, 0.0], 0.6, 0.4, eta=1.0)])
+        ring = em.ContrastField([em.Shape([0.0, 0.0], 0.6, 0.4, eta=1.0)])
         current = solve(ring, CTX2, 0.05)
         hole = ~ring.shapes[0].contains(current.grid.nodes)
         assert np.all(current.values[hole] == 0.0)
@@ -421,7 +420,7 @@ class TestSolve:
         assert d1 / d2 >= 2.0 ** 0.9
 
     @pytest.mark.parametrize("contrast, ctx", [
-        (CONTRAST1, CTX3), (em.ContrastField([em.Shape("axis_cube", [0.0, 0.0, 0.0], 0.3)]), CTX2),
+        (CONTRAST1, CTX3), (em.ContrastField([em.Shape([0.0, 0.0, 0.0], 0.3)]), CTX2),
     ])
     def test_mismatched_dimension_rejected(self, contrast, ctx):
         with pytest.raises(GeometryError, match="contrast and context dimensions differ"):

@@ -34,7 +34,7 @@ def set_value(raw, path, value):
     """raw with raw[path[0]]...[path[-1]] = value, making missing sections."""
     target = raw
     for key in path[:-1]:
-        target = target.setdefault(key, {})
+        target = target[key] if isinstance(key, int) else target.setdefault(key, {})
     target[path[-1]] = value
     return raw
 
@@ -99,6 +99,17 @@ class TestConfigParsing:
         (3, ("surface", "edge"), -10.0, "'surface.edge'"),
         (3, ("surface", "per_face"), 2.5, "'surface.per_face'"),
         (2, ("outputs", "formats"), "csv", "'outputs.formats' must be a list"),
+        (2, ("wave", "wavelength"), True, "'wave.wavelength' must be a number"),
+        (2, ("noise", "epsilon"), True, "'noise.epsilon' must be a number"),
+        (2, ("shapes", 0, "eta"), False, r"'shapes\[0\]\.eta' must be a number"),
+        (2, ("shapes", 0, "outer_side"), True, r"'shapes\[0\]\.outer_side' must be a number"),
+        (2, ("shapes", 0, "kind"), "disk", r"'shapes\[0\]\.kind': unknown shape kind 'disk'"),
+        (2, ("shapes", 0, "kind"), ["axis_square"], r"'shapes\[0\]\.kind': unknown shape kind"),
+        (2, ("shapes", 0, "kind"), "axis_cube", r"'shapes\[0\]\.kind': axis_cube does not match"),
+        (2, ("shapes", 0, "center"), [0.0, 0.0, 0.0], r"'shapes\[0\]\.center' must be a 2-vector"),
+        (3, ("shapes", 1, "center"), [0.0, 0.0], r"'shapes\[1\]\.center' must be a 3-vector"),
+        (2, ("shapes", 0, "inner_side"), 0.1, r"'shapes\[0\]\.inner_side' is only meaningful for square_ring"),
+        (3, ("shapes", 0, "inner_side"), 0.1, r"'shapes\[0\]\.inner_side' is only meaningful for square_ring"),
     ])
     def test_bad_values_raise_config_error_naming_the_key(self, dimension, path, value, key):
         raw = small_config_dict() if dimension == 2 else harness.preset("example3d").to_dict()
@@ -130,6 +141,15 @@ class TestConfigParsing:
         config_path.write_text(json.dumps(raw))
         with pytest.raises(ConfigError, match=key):
             harness.load_config(config_path)
+
+    def test_shape_kinds_written_back(self):
+        # the kind follows the geometry: a ring without a hole is a square
+        raw = small_config_dict()
+        raw["shapes"] += [{"kind": "square_ring", "center": [0.5, 0.5], "outer_side": 0.3, "inner_side": 0.1},
+                          {"kind": "square_ring", "center": [0.5, -0.5], "outer_side": 0.3, "inner_side": 0.0}]
+        shapes = harness.config_from_dict(raw).to_dict()["shapes"]
+        assert [s["kind"] for s in shapes] == ["axis_square", "square_ring", "axis_square"]
+        assert [s["kind"] for s in harness.preset("example3d").to_dict()["shapes"]] == ["axis_cube"] * 2
 
     def test_complex_eta_pair(self):
         raw = small_config_dict()
@@ -190,8 +210,8 @@ class TestPresetFidelity:
     def test_2d_geometry_table(self, name, expected):
         config = harness.preset(name)
         got = [
-            (s.kind, tuple(s.center), s.outer_side, s.inner_side)
-            for s in config.contrast.shapes
+            (s["kind"], tuple(s["center"]), s["outer_side"], s["inner_side"])
+            for s in config.to_dict()["shapes"]
         ]
         assert got == expected
 
@@ -346,6 +366,18 @@ class TestRunExperiment:
             harness.run_experiment(harness.load_config(path))
         assert not (tmp_path / "out" / "scattered_incident1.csv").exists()
 
+    @pytest.mark.parametrize("name,index,center", [
+        ("example1", 0, [8.0, 0.0]),               # outside the radius-5 circle
+        ("example1", 0, [5.0, 0.0]),               # straddling it
+        ("example3d", 1, [-4.95, 0.3, 0.3]),       # through the cube's face
+    ])
+    def test_shape_outside_surface_fails_before_any_output(self, tmp_path, name, index, center):
+        raw = harness.preset(name, out=str(tmp_path / "out"), sampling_spacing=0.1).to_dict()
+        raw["shapes"][index]["center"] = center
+        with pytest.raises(ConfigError, match=rf"'shapes\[{index}\]' must lie strictly inside"):
+            harness.run_experiment(harness.config_from_dict(raw))
+        assert not (tmp_path / "out").exists()
+
     def test_noisy_csv_written_only_with_noise(self, small_run):
         _, report, _ = small_run
         assert not any("noisy" in p for p in report.output_files)
@@ -356,6 +388,8 @@ class TestDiagnosticRun:
         ("fig2", lambda raw: raw["incidents"].pop(), "'incidents'"),
         ("fig1", lambda raw: raw["diagnostic"].update(x_q=[9.0, 0.0]), "'diagnostic.x_q'"),
         ("fig1", lambda raw: raw["diagnostic"].update(x_q=[5.0, 0.0]), "'diagnostic.x_q'"),
+        ("fig1", lambda raw: raw.update(shapes=[{"kind": "axis_square", "center": [-0.25, 0.0], "outer_side": 0.3}]),
+         "'shapes' cannot be given with 'diagnostic'"),
     ])
     def test_bad_diagnostic_fails_at_parse_time(self, tmp_path, name, edit, key):
         raw = harness.preset(name, out=str(tmp_path / "out")).to_dict()
@@ -365,6 +399,24 @@ class TestDiagnosticRun:
         with pytest.raises(ConfigError, match=key):
             harness.run_experiment(harness.load_config(path))
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_diagnostic_maps_match_their_definitions(self, d):
+        q1, q2 = np.random.default_rng(d).standard_normal((2, d))
+        fig1 = harness._diagnostic_maps("fig1", [q1, q2])
+        fig2 = harness._diagnostic_maps("fig2", [q1, q2])
+        cells = list(np.ndindex(d, d, d))
+        components = {"component_11": (0, 0), "component_22": (1, 1), "component_12": (0, 1)}
+        assert list(fig1) == [*components, "diagonal_sum"]
+        for label, (i, j) in components.items():
+            expected = [float((a, b, c) == (i, j, j)) for a, b, c in cells]
+            np.testing.assert_array_equal(fig1[label].ravel(), expected)
+        np.testing.assert_array_equal(fig1["diagonal_sum"].ravel(), [float(a == b == c) for a, b, c in cells])
+        polarizations = {"polarization_1": [q1], "polarization_2": [q2], "polarization_sum": [q1, q2]}
+        assert list(fig2) == list(polarizations)
+        for label, qs in polarizations.items():
+            expected = [sum(q[j] * q[l] for q in qs) for _, j, l in cells]
+            np.testing.assert_array_equal(fig2[label].ravel(), expected)
 
     def test_fig2_maps_and_ratios(self, tmp_path):
         config = harness.preset("fig2", out=str(tmp_path))

@@ -17,7 +17,7 @@ CTX3 = em.WaveContext.from_wavelength(3, 1.0)
 
 def example1_samples(h=0.02, count=30, radius=5.0):
     wave = em.IncidentPlaneWave(np.array([1.0, 1.0]) / np.sqrt(2), np.array([1.0, -1.0]) / np.sqrt(2))
-    contrast = em.ContrastField([em.Shape("axis_square", [-0.25, 0.0], 0.3, eta=1.0)])
+    contrast = em.ContrastField([em.Shape([-0.25, 0.0], 0.3, eta=1.0)])
     current = fw.ForwardSystem(contrast, CTX2, fw.build_grid(contrast, h)).solve(wave)
     return ms.synthesize_scattered_fields([current], ms.circle_surface(radius, count), CTX2)[0], current
 
@@ -112,14 +112,14 @@ class TestCubeSurface:
 
 class TestSynthesis:
     def test_zero_current_zero_field(self):
-        contrast = em.ContrastField([em.Shape("axis_square", [-0.25, 0.0], 0.3, eta=0.0)])
+        contrast = em.ContrastField([em.Shape([-0.25, 0.0], 0.3, eta=0.0)])
         wave = em.IncidentPlaneWave(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
         current = fw.ForwardSystem(contrast, CTX2, fw.build_grid(contrast, 0.05)).solve(wave)
         samples = ms.synthesize_scattered_fields([current], ms.circle_surface(5.0, 30), CTX2)[0]
         assert np.all(samples.values == 0.0)
 
     def test_single_active_node_is_one_term_quadrature(self):
-        contrast = em.ContrastField([em.Shape("axis_square", [0.0, 0.0], 0.3, eta=1.0)])
+        contrast = em.ContrastField([em.Shape([0.0, 0.0], 0.3, eta=1.0)])
         grid = fw.build_grid(contrast, 0.1)
         values = np.zeros((grid.n_nodes, 2), complex)
         j0 = 4
@@ -133,7 +133,7 @@ class TestSynthesis:
         np.testing.assert_allclose(samples.values, expected, rtol=1e-14)
 
     def test_linear_in_current(self):
-        contrast = em.ContrastField([em.Shape("axis_square", [0.0, 0.0], 0.3, eta=1.0)])
+        contrast = em.ContrastField([em.Shape([0.0, 0.0], 0.3, eta=1.0)])
         grid = fw.build_grid(contrast, 0.05)
         rng = np.random.default_rng(1)
         j1 = rng.standard_normal((grid.n_nodes, 2)) + 1j * rng.standard_normal((grid.n_nodes, 2))
@@ -162,8 +162,7 @@ class TestSynthesis:
     @pytest.mark.parametrize("ctx, count", [(CTX2, 30), (CTX3, 2)])
     def test_matches_kernel_tensor_sum_in_any_chunking(self, ctx, count, monkeypatch):
         d = ctx.dimension
-        kind = "axis_cube" if d == 3 else "axis_square"
-        contrast = em.ContrastField([em.Shape(kind, np.zeros(d), 0.3)])
+        contrast = em.ContrastField([em.Shape(np.zeros(d), 0.3)])
         grid = fw.build_grid(contrast, 0.05)
         rng = np.random.default_rng(2)
         values = rng.standard_normal((grid.n_nodes, d)) + 1j * rng.standard_normal((grid.n_nodes, d))
@@ -181,8 +180,7 @@ class TestSynthesis:
     @pytest.mark.parametrize("ctx, count", [(CTX2, 30), (CTX3, 2)])
     def test_bit_identical_across_thread_counts(self, ctx, count, monkeypatch):
         d = ctx.dimension
-        kind = "axis_cube" if d == 3 else "axis_square"
-        grid = fw.build_grid(em.ContrastField([em.Shape(kind, np.zeros(d), 0.3)]), 0.05)
+        grid = fw.build_grid(em.ContrastField([em.Shape(np.zeros(d), 0.3)]), 0.05)
         rng = np.random.default_rng(3)
         values = rng.standard_normal((grid.n_nodes, d)) + 1j * rng.standard_normal((grid.n_nodes, d))
         values[::3] = 0.0
@@ -203,7 +201,7 @@ class TestSynthesis:
         # blocks of 133 targets against 250 sources: OpenBLAS rounds this
         # GEMM differently on one thread and on two, so one worker must pin
         # BLAS as several do
-        grid = fw.build_grid(em.ContrastField([em.Shape("axis_cube", np.zeros(3), 0.35)]), 0.05)
+        grid = fw.build_grid(em.ContrastField([em.Shape(np.zeros(3), 0.35)]), 0.05)
         rng = np.random.default_rng(4)
         values = rng.standard_normal((grid.n_nodes, 3)) + 1j * rng.standard_normal((grid.n_nodes, 3))
         values[:grid.n_nodes - 250] = 0.0
@@ -222,8 +220,7 @@ class TestSynthesis:
         """count random currents on one grid of a cube or square of side 0.3,
         each zero on its own third of the nodes, and a surface around it."""
         d = ctx.dimension
-        kind = "axis_cube" if d == 3 else "axis_square"
-        grid = fw.build_grid(em.ContrastField([em.Shape(kind, np.zeros(d), 0.3)]), 0.05)
+        grid = fw.build_grid(em.ContrastField([em.Shape(np.zeros(d), 0.3)]), 0.05)
         rng = np.random.default_rng(seed)
         currents = []
         for l in range(count):
