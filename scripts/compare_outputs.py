@@ -1,37 +1,50 @@
 #!/usr/bin/env python3
-"""Compare two output trees of emdsm runs.
+"""Compare two output trees of emdsm runs, or one tree against a golden file.
 
 For every run directory (one holding a report.json) under dir_a, each file
-named in its report.json is compared against the same file under dir_b.
-Each index or map grid's entry lists its files; its CSV's max |value
-difference| is printed, and whether dir_b's entry of the same label has the
-same argmax location, the same local-maxima locations and the same sweep
-computation (sweep_info's group order, orbits, kernel pairs and grid pairs).
-How each sweep ran (its chunks, worker threads and BLAS pin) follows the
-CPUs the run may use, so it is printed where it differs, not failed.
-The other output_files, the synthesized data (scattered_incident*.csv, exact
-and _noisy), are compared the same way over their real and imaginary field
-parts.  Every compared file, CSV or PGM, is also printed with whether its
-bytes are the same.  Each forward solve of solver_info is printed with its
-GMRES iterations and final relative residual in both trees; how the forward
-run ran (its worker threads and BLAS pin) is printed where it differs, not
-failed, as for the sweep.  The reports' config echoes are compared less
-outputs.directory, which only says where each tree was written.  Exits
-non-zero when a difference exceeds --tol, a file's coordinates (and
-quadrature weights), argmax, maxima or sweep computation differ, a map's
-off_peak_ratio differs by more than --tol, the config echoes differ, the
-trees' forward solves differ in number or GMRES iterations or their residuals
-differ by more than --tol, a file's bytes differ under --bytes, a file of
-dir_a is missing from dir_b, or dir_a's report.json lists no files per grid
-(written before report.json named them: give the newer tree as dir_a).
+named in its report.json's output_files is compared against the same file
+under dir_b.  A CSV's max |value difference| is printed: an index or map
+grid's values, or the synthesized data's (scattered_incident*.csv, exact and
+_noisy) real and imaginary field parts.  Every compared file, CSV or PGM, is
+also printed with whether its bytes are the same.  For each grid entry it is
+printed whether dir_b's entry of the same label has the same argmax
+location, the same local-maxima locations and the same sweep computation
+(sweep_info's group order, orbits, kernel pairs and grid pairs).  How each
+sweep ran (its chunks, worker threads and BLAS pin) follows the CPUs the run
+may use, so it is printed where it differs, not failed.  Each forward solve
+of solver_info is printed with its GMRES iterations and final relative
+residual in both trees; how the forward run ran (its worker threads and BLAS
+pin) is printed where it differs, not failed, as for the sweep.  The
+reports' config echoes are compared less outputs.directory, which only says
+where each tree was written.  Exits non-zero when a difference exceeds
+--tol, a file's coordinates (and quadrature weights), argmax, maxima or
+sweep computation differ, an argmax, maxima or off_peak_ratio value differs
+by more than --tol, the config echoes differ, the trees' forward solves
+differ in number or GMRES iterations or their residuals differ by more than
+--tol, a file's bytes differ under --bytes, a file of dir_a is missing from
+dir_b, or dir_a's report.json lists no files per grid (written before
+report.json named them: give the newer tree as dir_a).
+
+A golden file holds, per run of a tree, the sha256 of each output and the
+report values compared above, plus `emdsm verify all --json` less seconds and
+the numpy and scipy versions.  --write-golden writes one, running the verify
+kinds; --golden compares dir_a against one by the same rules.  Under the
+golden file's versions each output must keep its sha256 and each value,
+verify values included, must be the same; under other versions the outputs
+are not compared and the values must agree within --tol.  Both modes import
+emdsm, so run them with src on PYTHONPATH.
 
     python scripts/compare_outputs.py out/after out/before --tol 1e-12
     python scripts/compare_outputs.py out/after out/before --bytes
+    python scripts/compare_outputs.py out/after --golden tests/golden_outputs.json
+    python scripts/compare_outputs.py out/after --write-golden tests/golden_outputs.json
 """
 
 import argparse
 import copy
 import filecmp
+import hashlib
+import itertools
 import json
 import math
 import sys
@@ -78,24 +91,14 @@ def _config_echo(report: dict) -> dict:
     return config
 
 
-def compare_run(run_a: Path, run_b: Path, tol: float, exact: bool) -> tuple[list[str], list[str]]:
-    """Lines to print and failures for one pair of run directories."""
-    report_a = json.loads((run_a / "report.json").read_text())
-    if any("files" not in entry for entry in report_a["indices"]):
-        return [], [f"{run_a / 'report.json'}: its index entries list no files, so it was written "
-                    "before report.json named them; give the newer tree first"]
-    if not (run_b / "report.json").exists():
-        return [], [f"{run_b}: no report.json"]
-    report_b = json.loads((run_b / "report.json").read_text())
+def _compare_reports(report_a: dict, report_b: dict, tol: float, failures: list[str]) -> list[str]:
+    """Lines for the config echoes, forward solves and grid entries of two
+    reports, or of golden records, which keep only these.  Failures are added."""
     entries_b = {entry["label"]: entry for entry in report_b["indices"]}
-    grid_files = {name for entry in report_a["indices"] for name in entry["files"]}
-    failures = []
     same_config = _config_echo(report_a) == _config_echo(report_b)
     if not same_config:
         failures.append("config echo differs")
     lines = [f"config {'same' if same_config else 'DIFFERS'}"]
-    lines += [_compare_file(run_a / name, run_b / name, tol, exact, failures)
-             for name in (Path(path).name for path in report_a["output_files"]) if name not in grid_files]
     solves_a, solves_b = report_a["solver_info"], report_b["solver_info"]
     if len(solves_a) != len(solves_b):
         failures.append(f"solver_info lists {len(solves_a)} forward solves against {len(solves_b)}")
@@ -114,7 +117,6 @@ def compare_run(run_a: Path, run_b: Path, tol: float, exact: bool) -> tuple[list
         if entry_b is None:
             failures.append(f"{label}: no report entry")
             continue
-        lines += [_compare_file(run_a / name, run_b / name, tol, exact, failures) for name in entry_a["files"]]
         same_argmax = entry_a["argmax"]["location"] == entry_b["argmax"]["location"]
         maxima_a = [m["location"] for m in entry_a["maxima"]]
         same_maxima = maxima_a == [m["location"] for m in entry_b["maxima"]]
@@ -127,28 +129,159 @@ def compare_run(run_a: Path, run_b: Path, tol: float, exact: bool) -> tuple[list
                      + ("" if ran_a == ran_b else f", ran {ran_a} against {ran_b}"))
         if not (same_argmax and same_maxima):
             failures.append(f"{label}: argmax or maxima differ")
+        else:
+            delta = max(abs(a["value"] - b["value"]) for a, b in zip(
+                [entry_a["argmax"], *entry_a["maxima"]], [entry_b["argmax"], *entry_b["maxima"]]))
+            if delta > tol:
+                failures.append(f"{label}: argmax or maxima values differ by {delta:.2e} > {tol:g}")
         if computation_a != computation_b:
             failures.append(f"{label}: sweep_info differs: {computation_a} against {computation_b}")
         if "off_peak_ratio" in entry_a:
             delta = abs(entry_a["off_peak_ratio"] - entry_b.get("off_peak_ratio", math.inf))
             if delta > tol:
                 failures.append(f"{label}: off_peak_ratio differs by {delta:.2e} > {tol:g}")
+    return lines
+
+
+def compare_run(run_a: Path, run_b: Path, tol: float, exact: bool) -> tuple[list[str], list[str]]:
+    """Lines to print and failures for one pair of run directories."""
+    report_a = json.loads((run_a / "report.json").read_text())
+    if any("files" not in entry for entry in report_a["indices"]):
+        return [], [f"{run_a / 'report.json'}: its index entries list no files, so it was written "
+                    "before report.json named them; give the newer tree first"]
+    if not (run_b / "report.json").exists():
+        return [], [f"{run_b}: no report.json"]
+    report_b = json.loads((run_b / "report.json").read_text())
+    failures = []
+    lines = [_compare_file(run_a / name, run_b / name, tol, exact, failures) for name in _output_names(report_a)]
+    lines += _compare_reports(report_a, report_b, tol, failures)
     return [line for line in lines if line], failures
+
+
+def _output_names(report: dict) -> list[str]:
+    """The names of the files a run wrote besides its report.json."""
+    return [Path(path).name for path in report["output_files"]]
+
+
+def _versions() -> dict:
+    import scipy
+
+    return {"numpy": np.__version__, "scipy": scipy.__version__}
+
+
+def verify_results() -> list[dict]:
+    """`emdsm verify all --json` less each kind's seconds."""
+    from emdsm.harness import VERIFY_KINDS, verify
+
+    results = [{key: value for key, value in verify(kind).items() if key != "seconds"} for kind in VERIFY_KINDS]
+    return json.loads(json.dumps(results))
+
+
+def golden_record(run: Path) -> dict:
+    """What the golden file keeps of one run: the sha256 of each output, and
+    the report values that _compare_reports compares, less how the run ran."""
+    report = json.loads((run / "report.json").read_text())
+    return {
+        "sha256": {name: hashlib.sha256((run / name).read_bytes()).hexdigest() for name in _output_names(report)},
+        "config": _config_echo(report),
+        "solver_info": [{key: solve[key] for key in ("iterations", "residual")} for solve in report["solver_info"]],
+        "indices": [{**{key: entry[key] for key in ("label", "argmax", "maxima", "off_peak_ratio") if key in entry},
+                     "sweep_info": {key: entry["sweep_info"][key] for key in COMPUTATION}}
+                    for entry in report["indices"]],
+    }
+
+
+def golden(tree: Path) -> dict:
+    """The golden file of a tree: the library versions, the verify results and
+    each run's record, by its directory relative to tree."""
+    runs = sorted(path.parent for path in tree.rglob("report.json"))
+    return {**_versions(), "verify": verify_results(),
+            "runs": {str(run.relative_to(tree)): golden_record(run) for run in runs}}
+
+
+def _compare_verify(results_a: list[dict], results_b: list[dict], tol: float, failures: list[str]) -> list[str]:
+    """Lines for two lists of verify results; each check's name, threshold and
+    pass must be the same and its value within tol.  Failures are added."""
+    if [r["kind"] for r in results_a] != [r["kind"] for r in results_b]:
+        failures.append(f"verify kinds differ: {[r['kind'] for r in results_a]} against {[r['kind'] for r in results_b]}")
+    lines = []
+    for result_a, result_b in zip(results_a, results_b):
+        kind, failed = result_a["kind"], len(failures)
+        for check_a, check_b in itertools.zip_longest(result_a["checks"], result_b["checks"], fillvalue={}):
+            name = check_a.get("name", check_b.get("name"))
+            if any(check_a.get(key) != check_b.get(key) for key in ("name", "threshold", "passed")) or (
+                    np.shape(check_a["value"]) != np.shape(check_b["value"])):
+                failures.append(f"verify {kind}: {name}: name, threshold, pass or value shape differs")
+                continue
+            delta = float(np.abs(np.subtract(check_a["value"], check_b["value"])).max())
+            if delta > tol:
+                failures.append(f"verify {kind}: {name}: value differs by {delta:.2e} > {tol:g}")
+        lines.append(f"verify {kind}: {'same' if len(failures) == failed else 'DIFFERS'}")
+    return lines
+
+
+def compare_golden(tree: Path, golden_file: dict, tol: float) -> tuple[list[str], list[str]]:
+    """Lines to print and failures for a tree against a golden file.  Under the
+    golden file's numpy and scipy versions, each output must have its sha256
+    and every value must be the same; under others, the outputs are not
+    compared and the values are compared within tol."""
+    versions = _versions()
+    same_versions = all(golden_file[name] == version for name, version in versions.items())
+    if same_versions:
+        tol = 0.0
+    lines = ["numpy {numpy}, scipy {scipy}: ".format(**versions)
+             + ("the golden file's, so outputs compare by sha256 and values exactly" if same_versions else
+                "the golden file has numpy {numpy}, scipy {scipy}, so values compare within --tol "
+                "and outputs not at all".format(**golden_file))]
+    failures = []
+    runs = {str(path.parent.relative_to(tree)) for path in tree.rglob("report.json")}
+    failures += [f"{run}: not in the golden file" for run in sorted(runs - set(golden_file["runs"]))]
+    for run, record in golden_file["runs"].items():
+        if run not in runs:
+            failures.append(f"{run}: no report.json")
+            continue
+        fresh, run_failures = golden_record(tree / run), []
+        for name in fresh["sha256"].keys() - record["sha256"].keys():
+            run_failures.append(f"{name}: not in the golden file")
+        for name, digest in record["sha256"].items():
+            if name not in fresh["sha256"]:
+                run_failures.append(f"{name}: missing")
+            elif same_versions:
+                same = fresh["sha256"][name] == digest
+                lines.append(f"{run}/{name}: sha256 {'same' if same else 'differs'}")
+                if not same:
+                    run_failures.append(f"{name}: sha256 differs")
+        lines += [f"{run}/{line}" for line in _compare_reports(record, fresh, tol, run_failures)]
+        failures += [f"{run}: {f}" for f in run_failures]
+    lines += _compare_verify(golden_file["verify"], verify_results(), tol, failures)
+    return lines, failures
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("dir_a", type=Path)
-    parser.add_argument("dir_b", type=Path)
+    parser.add_argument("dir_b", type=Path, nargs="?", help="the tree to compare against, unless a golden file")
     parser.add_argument("--tol", type=float, default=1e-12, help="largest allowed |value difference|")
     parser.add_argument("--bytes", action="store_true", help="fail when any compared file's bytes differ")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--golden", type=Path, help="compare dir_a against this golden file")
+    mode.add_argument("--write-golden", type=Path, help="write dir_a's golden file here")
     args = parser.parse_args(argv)
+    if (args.dir_b is None) == (args.golden is None and args.write_golden is None):
+        parser.error("give either dir_b, or --golden or --write-golden")
     runs = sorted(path.parent for path in args.dir_a.rglob("report.json"))
     if not runs:
         print(f"{args.dir_a}: no report.json found", file=sys.stderr)
         return 1
+    if args.write_golden:
+        args.write_golden.write_text(json.dumps(golden(args.dir_a), indent=1) + "\n")
+        print(f"{len(runs)} runs written to {args.write_golden}")
+        return 0
     failures = []
-    for run_a in runs:
+    if args.golden:
+        lines, failures = compare_golden(args.dir_a, json.loads(args.golden.read_text()), args.tol)
+        print("\n".join(lines))
+    for run_a in runs if args.dir_b else ():
         lines, run_failures = compare_run(run_a, args.dir_b / run_a.relative_to(args.dir_a), args.tol, args.bytes)
         label = run_a.relative_to(args.dir_a)
         print("\n".join(f"{label}/{line}" for line in lines))

@@ -13,6 +13,15 @@ EXAMPLES = ("example1", "example2a", "example2b", "example3", "example4", "examp
 DIAGNOSTICS = ("fig1", "fig2")  # no scattering data, so no noisy variant
 
 
+def runs(names, noise: float, seed: int):
+    """(run directory name, preset name, preset noise arguments) of each run:
+    <name>_exact and, for a scattering preset, <name>_eps<noise>."""
+    for name in names:
+        yield f"{name}_exact", name, {}
+        if name not in DIAGNOSTICS:
+            yield f"{name}_eps{noise:g}", name, {"noise": noise, "seed": seed if noise else None}
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="out/examples", help="output root directory")
@@ -22,25 +31,16 @@ def main():
     parser.add_argument("--names", nargs="*", default=None, help="subset of presets to run")
     args = parser.parse_args()
 
-    names = args.names or EXAMPLES + DIAGNOSTICS
-    for name in names:
-        if args.skip_3d and name == "example3d":
-            continue
-        variants = [("exact", None)]
-        if name not in DIAGNOSTICS:
-            variants.append((f"eps{args.noise:g}", args.noise))
-        for tag, eps in variants:
-            config = harness.preset(
-                name, noise=eps, seed=args.seed if eps else None,
-                out=f"{args.out}/{name}_{tag}",
-            )
-            start = time.time()
-            report = harness.run_experiment(config)
-            combined = report.indices[-1]
-            loc = np.array(combined["argmax"]["location"])
-            print(f"{name} [{tag}] in {time.time() - start:.1f} s: "
-                  f"argmax {np.round(loc, 3).tolist()}, "
-                  f"{len(combined['maxima'])} maxima above half peak")
+    names = [name for name in args.names or EXAMPLES + DIAGNOSTICS if not (args.skip_3d and name == "example3d")]
+    for run, name, noise in runs(names, args.noise, args.seed):
+        config = harness.preset(name, out=f"{args.out}/{run}", **noise)
+        start = time.time()
+        report = harness.run_experiment(config)
+        combined = report.indices[-1]
+        loc = np.array(combined["argmax"]["location"])
+        print(f"{name} [{run.removeprefix(name + '_')}] in {time.time() - start:.1f} s: "
+              f"argmax {np.round(loc, 3).tolist()}, "
+              f"{len(combined['maxima'])} maxima above half peak")
 
 
 if __name__ == "__main__":

@@ -1,6 +1,8 @@
+import time
+
 import pytest
 
-from emdsm import em_core as em
+from emdsm import em_core as em, harness
 
 
 @pytest.fixture
@@ -20,3 +22,37 @@ def two_blas_threads():
         yield get_threads
     finally:
         set_threads(saved)
+
+
+def timed_run(config):
+    start = time.perf_counter()
+    report = harness.run_experiment(config)
+    return report, time.perf_counter() - start
+
+
+@pytest.fixture(scope="session")
+def preset_root(tmp_path_factory):
+    """The tree of preset runs, each in the directory that
+    scripts/run_all_examples.py gives it: <preset>_exact, <preset>_eps0.2."""
+    return tmp_path_factory.mktemp("presets")
+
+
+@pytest.fixture(scope="session")
+def example1_runs(preset_root, tmp_path_factory):
+    """(report, seconds) of example1 exact and with 20% noise at seeds 1, 2
+    and 3, by "exact" or seed; the exact run and seed 1 are preset runs."""
+    runs = {"exact": timed_run(harness.preset("example1", out=str(preset_root / "example1_exact")))}
+    for seed in (1, 2, 3):
+        out = preset_root / "example1_eps0.2" if seed == 1 else tmp_path_factory.mktemp(f"e1_noisy{seed}")
+        runs[seed] = timed_run(harness.preset("example1", noise=0.2, seed=seed, out=str(out)))
+    return runs
+
+
+@pytest.fixture(scope="session")
+def example3d_runs(preset_root):
+    """(report, seconds) of the example3d preset runs, exact and with 20%
+    noise at seed 1."""
+    return {
+        "exact": timed_run(harness.preset("example3d", out=str(preset_root / "example3d_exact"))),
+        "noisy": timed_run(harness.preset("example3d", noise=0.2, seed=1, out=str(preset_root / "example3d_eps0.2"))),
+    }

@@ -15,6 +15,8 @@ import pytest
 
 from emdsm import harness
 
+from .conftest import timed_run
+
 TRUTH = {
     "example1": np.array([[-0.25, 0.0]]),
     "example2a": np.array([[-0.8, -0.7], [0.3, 0.8]]),
@@ -28,43 +30,12 @@ def announce(number: int, passed: bool, detail: str) -> None:
     print(f"\n[{'PASS' if passed else 'FAIL'}] criterion {number}: {detail}")
 
 
-def timed_run(config):
-    start = time.perf_counter()
-    report = harness.run_experiment(config)
-    return report, time.perf_counter() - start
-
-
 def combined_entry(report):
     return next(e for e in report.indices if e["label"] == "combined")
 
 
 def maxima_locations(entry):
     return [np.array(m["location"]) for m in entry["maxima"]]
-
-
-@pytest.fixture(scope="module")
-def example1_runs(tmp_path_factory):
-    runs = {}
-    config = harness.preset("example1", out=str(tmp_path_factory.mktemp("e1_exact")))
-    runs["exact"] = timed_run(config)
-    for seed in (1, 2, 3):
-        config = harness.preset(
-            "example1", noise=0.2, seed=seed,
-            out=str(tmp_path_factory.mktemp(f"e1_noisy{seed}")),
-        )
-        runs[seed] = timed_run(config)
-    return runs
-
-
-@pytest.fixture(scope="module")
-def example3d_runs(tmp_path_factory):
-    runs = {}
-    config = harness.preset("example3d", out=str(tmp_path_factory.mktemp("e3d_exact")))
-    runs["exact"] = timed_run(config)
-    config = harness.preset("example3d", noise=0.2, seed=1,
-                            out=str(tmp_path_factory.mktemp("e3d_noisy")))
-    runs["noisy"] = timed_run(config)
-    return runs
 
 
 def test_criterion_1_trace_identity():

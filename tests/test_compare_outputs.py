@@ -213,3 +213,81 @@ def test_report_without_files_fails(trees, capsys):
     code, _, err = _compare(a, b, capsys)
     assert code == 1
     assert err.count("written before report.json named them; give the newer tree first") == 2
+
+
+VERIFY = [{"kind": "trace", "passed": True,
+           "checks": [{"name": "trace_2d", "value": 1e-15, "threshold": 1e-11, "passed": True}]}]
+
+
+@pytest.fixture
+def golden(trees, monkeypatch, capsys):
+    """Tree a's golden file, with VERIFY standing for the verify results."""
+    monkeypatch.setattr(compare_outputs, "verify_results", lambda: json.loads(json.dumps(VERIFY)))
+    path = trees[0].parent / "golden.json"
+    assert compare_outputs.main([str(trees[0]), "--write-golden", str(path)]) == 0
+    assert "2 runs written to" in capsys.readouterr().out
+    return path
+
+
+def _against_golden(tree: Path, golden: Path, capsys) -> tuple[int, str, str]:
+    code = compare_outputs.main([str(tree), "--golden", str(golden), "--tol", "1e-12"])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_golden_of_one_tree_passes_the_other(trees, golden, capsys):
+    code, out, err = _against_golden(trees[1], golden, capsys)
+    assert code == 0, err
+    assert "2 runs compared, 0 failures" in out
+    assert "the golden file's, so outputs compare by sha256 and values exactly" in out
+    for name in ("small/index_combined.csv", "small/scattered_incident1_noisy.csv", "fig2/map_polarization_sum.pgm"):
+        assert f"{name}: sha256 same" in out
+    assert "small/config same" in out and "fig2/cross:polarization_sum: argmax same" in out
+    assert "verify trace: same" in out
+
+
+def test_golden_names_the_run_and_file_that_moved(trees, golden, capsys):
+    path = trees[1] / "small" / "scattered_incident1_noisy.csv"
+    path.write_text(path.read_text().replace("e-", "E-", 1))  # the same values in other bytes
+    code, out, err = _against_golden(trees[1], golden, capsys)
+    assert code == 1
+    assert "small/scattered_incident1_noisy.csv: sha256 differs" in out
+    assert "FAIL small: scattered_incident1_noisy.csv: sha256 differs" in err
+    assert "2 runs compared, 1 failures" in out
+
+
+def test_golden_fails_a_moved_value_or_a_missing_run(trees, golden, capsys):
+    _edit_report(trees[1] / "small" / "report.json",
+                 lambda report: report["indices"][-1]["argmax"].update(value=report["indices"][-1]["argmax"]["value"]
+                                                                       + 1e-16))
+    shutil.rmtree(trees[1] / "fig2")
+    code, _, err = _against_golden(trees[1], golden, capsys)
+    assert code == 1
+    assert "small: combined: argmax or maxima values differ by 1.11e-16 > 0" in err
+    assert "fig2: no report.json" in err
+
+
+def test_golden_under_other_versions_compares_values_within_tol(trees, golden, monkeypatch, capsys):
+    _edit_report(golden, lambda record: record.update(numpy="1.0.0"))
+    pgm = trees[1] / "fig2" / "map_polarization_sum.pgm"
+    pgm.write_bytes(pgm.read_bytes()[:-1] + b"\0")
+    monkeypatch.setattr(compare_outputs, "verify_results",
+                        lambda: [{**VERIFY[0], "checks": [{**VERIFY[0]["checks"][0], "value": 2e-15}]}])
+    code, out, err = _against_golden(trees[1], golden, capsys)
+    assert code == 0, err
+    assert "the golden file has numpy 1.0.0" in out and "sha256" not in out
+    _edit_report(trees[1] / "small" / "report.json",
+                 lambda report: report["solver_info"][0].update(residual=report["solver_info"][0]["residual"] + 1e-9))
+    monkeypatch.setattr(compare_outputs, "verify_results",
+                        lambda: [{**VERIFY[0], "checks": [{**VERIFY[0]["checks"][0], "passed": False}]}])
+    code, _, err = _against_golden(trees[1], golden, capsys)
+    assert code == 1
+    assert "small: solve 1: residual differs by 1.00e-09 > 1e-12" in err
+    assert "verify trace: trace_2d: name, threshold, pass or value shape differs" in err
+
+
+def test_golden_and_second_tree_are_exclusive(trees, golden):
+    with pytest.raises(SystemExit):
+        compare_outputs.main([str(trees[0])])
+    with pytest.raises(SystemExit):
+        compare_outputs.main([str(trees[0]), str(trees[1]), "--golden", str(golden)])
