@@ -171,7 +171,7 @@ def _versions() -> dict:
 
 def verify_results() -> list[dict]:
     """`emdsm verify all --json` less each kind's seconds."""
-    from emdsm.harness import VERIFY_KINDS, verify
+    from emdsm.checks import VERIFY_KINDS, verify
 
     results = [{key: value for key, value in verify(kind).items() if key != "seconds"} for kind in VERIFY_KINDS]
     return json.loads(json.dumps(results))

@@ -7,8 +7,9 @@ import dataclasses
 import json
 import sys
 
+from .checks import VERIFY_KINDS, verify
 from .errors import EmdsmError
-from .harness import PRESET_NAMES, VERIFY_KINDS, load_config, preset, run_experiment, verify
+from .harness import PRESET_NAMES, load_config, preset, run_experiment
 
 
 def _print_report(report) -> None:

@@ -1,6 +1,5 @@
 """Direct sampling indicators: probe fields, the normalized index, combined
-index, sampling sweeps, cross-correlation diagnostics, and numerical checks
-of the analytic identities behind them.
+index, sampling sweeps, cross-correlation diagnostics, and their export.
 
 The index of a sampling point x_p against data E^s is
     Psi(x_p; q) = |<E^s, Phi(., x_p) q>| / (||E^s|| ||Phi(., x_p) q||)
@@ -16,10 +15,9 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .em_core import (KernelBlock, WaveContext, curl_green_tensor_from_diff, green_tensor_from_diff,
-                      im_green_tensor_from_diff, run_blocks, symmetric_slabs)
+from .em_core import KernelBlock, WaveContext, green_tensor_from_diff, run_blocks, symmetric_slabs
 from .errors import DomainError, GeometryError
-from .measurement import FieldSamples, MeasurementSurface, circle_surface, l2_inner_product, l2_norm
+from .measurement import FieldSamples, MeasurementSurface, l2_norm
 
 # index rows per write, in whole lines.  example1 with 20% noise (three
 # 160 801-row CSVs), run time and peak RSS, medians of 3 to 8 benchmark runs
@@ -405,96 +403,6 @@ def find_local_maxima(index: IndexGrid, floor_ratio: float = 0.5):
         point = np.array([axes[a][loc[a]] for a in range(d)])
         results.append((point, float(values[k])))
     return results
-
-
-@dataclass(frozen=True)
-class LemmaCheck:
-    lhs: complex
-    rhs: complex
-    rel_err: float
-
-
-def _curl_cross_n(curl, normals, dimension: int) -> np.ndarray:
-    if dimension == 2:
-        # out-of-plane scalar curl crossed with an in-plane normal
-        return np.stack([-curl * normals[:, 1], curl * normals[:, 0]], axis=1)
-    return np.cross(curl, normals)
-
-
-def verify_boundary_lemma(ctx: WaveContext, surface: MeasurementSurface,
-                          x_p, x_q, p, q) -> LemmaCheck:
-    """Surface form of the reciprocity identity for two interior points:
-
-        int_Gamma (curl conj(Phi(., x_q) q) x n, Phi(., x_p) p)
-                - (curl Phi(., x_p) p x n, conj(Phi(., x_q) q)) ds
-            = -2i k^2 (p, Im Phi(x_p, x_q) q)
-
-    with the bilinear (unconjugated) vector pairing.  The k^2 on the right
-    comes from curl curl Phi - k^2 Phi = k^2 delta I, which is the
-    normalization that Phi = k^2 G I + Hess G actually satisfies.  The curls
-    are in closed form (curl_green_tensor_from_diff), so the reported error
-    is the quadrature's alone; the identity itself is exact.
-    """
-    x_p = np.asarray(x_p, dtype=np.float64)
-    x_q = np.asarray(x_q, dtype=np.float64)
-    p = np.asarray(p, dtype=np.complex128)
-    q = np.asarray(q, dtype=np.float64)
-    if np.array_equal(x_p, x_q):
-        raise GeometryError("the identity needs two distinct interior points")
-    margin = ctx.wavelength
-    for point, name in ((x_p, "x_p"), (x_q, "x_q")):
-        if not surface.contains_strictly(point, margin=margin):
-            raise GeometryError(f"{name} must be inside the surface, at least one wavelength away")
-
-    curl_p = curl_green_tensor_from_diff(ctx, surface.points - x_p, p)
-    curl_q = curl_green_tensor_from_diff(ctx, surface.points - x_q, q)
-    phi_p = green_tensor_from_diff(ctx, surface.points - x_p) @ p
-    phi_q = green_tensor_from_diff(ctx, surface.points - x_q) @ q
-    term1 = np.sum(_curl_cross_n(curl_q.conj(), surface.normals, ctx.dimension) * phi_p, axis=1)
-    term2 = np.sum(_curl_cross_n(curl_p, surface.normals, ctx.dimension) * phi_q.conj(), axis=1)
-    lhs = complex(np.sum(surface.weights * (term1 - term2)))
-    rhs = complex(-2j * ctx.wavenumber**2 * (p @ (im_green_tensor_from_diff(ctx, x_p - x_q) @ q)))
-    return LemmaCheck(lhs, rhs, abs(lhs - rhs) / abs(rhs))
-
-
-@dataclass(frozen=True)
-class CorrelationRow:
-    radius: float
-    lhs: complex
-    rhs: float
-    err: float
-
-
-def verify_correlation_approx(ctx: WaveContext, radii, x_p, x_q, p, q,
-                              count: int = 512) -> list[CorrelationRow]:
-    """Radiation-zone approximation of the probe cross-correlation:
-
-        int_Gamma (Phi(., x_p) p, conj(Phi(., x_q) q)) ds
-            ~ k (p, Im Phi(x_p, x_q) q)
-
-    evaluated on origin-centred circles; the error decays as the radius grows
-    because the boundary curls approach their radiating limits.  The factor k
-    is k^2 * (1/k): the reciprocity identity carries k^2 (see
-    verify_boundary_lemma) and the radiating substitution contributes 1/k.
-    """
-    if ctx.dimension != 2:
-        raise DomainError("the correlation check uses circular surfaces (2D)")
-    x_p = np.asarray(x_p, dtype=np.float64)
-    x_q = np.asarray(x_q, dtype=np.float64)
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    rhs = ctx.wavenumber * float(p @ (im_green_tensor_from_diff(ctx, x_p - x_q) @ q))
-    rows = []
-    for radius in radii:
-        surface = circle_surface(float(radius), count)
-        for point in (x_p, x_q):
-            if not surface.contains_strictly(point, margin=ctx.wavelength):
-                raise GeometryError("sampling points must be well inside every surface")
-        lhs = l2_inner_product(
-            probe_field(ctx, surface, x_p, p), probe_field(ctx, surface, x_q, q)
-        )
-        rows.append(CorrelationRow(float(radius), lhs, rhs, abs(lhs - rhs) / abs(rhs)))
-    return rows
 
 
 @cache

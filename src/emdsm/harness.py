@@ -1,4 +1,4 @@
-"""Experiment configuration, presets, the end-to-end pipeline, and verification checks."""
+"""Experiment configuration, presets and the end-to-end pipeline."""
 
 from __future__ import annotations
 
@@ -14,8 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from . import dsm
-from .em_core import (ContrastField, IncidentPlaneWave, Shape, WaveContext, green_scalar_from_distance,
-                      green_tensor_from_diff, incident_field)
+# verify and VERIFY_KINDS stay bound here because perfbench/workloads.py calls them through harness
+from .checks import VERIFY_KINDS, diagnostic_maps, off_peak_ratios, verify
+from .em_core import ContrastField, IncidentPlaneWave, Shape, WaveContext
 from .errors import ConfigError, GeometryError, StageError
 from .forward import ForwardSystem, SolverSpec, build_grid
 from .measurement import (
@@ -37,7 +38,6 @@ DEFAULT_SAMPLING_BOX = {2: ((-2.0, 2.0),) * 2, 3: ((-2.0, 2.0),) * 3}
 
 PRESET_NAMES = ("example1", "example2a", "example2b", "example3", "example4",
                 "example3d", "fig1", "fig2")
-VERIFY_KINDS = ("trace", "lemma", "xpq", "born", "solver_cross", "figs")
 # the shape kinds of the config format, each with the length of its center
 _SHAPE_DIMENSIONS = {"axis_square": 2, "square_ring": 2, "axis_cube": 3}
 
@@ -474,34 +474,6 @@ def _export_grid(index: dsm.IndexGrid, outdir: Path, formats, report: Localizati
     })
 
 
-def _diagnostic_maps(kind: str, polarizations) -> dict[str, np.ndarray]:
-    """The coefficient arrays A (d, d, d) of fig1's or fig2's maps, by label:
-    the kernel components Phi_ij, A[i, j, j] = 1, and their diagonal sum; or
-    the probes of the first two polarizations and of both, A[i, j, l] =
-    sum over q of q_j q_l for every i."""
-    d = len(polarizations[0])
-
-    def component(i: int, j: int) -> np.ndarray:
-        coeffs = np.zeros((d,) * 3)
-        coeffs[i, j, j] = 1.0
-        return coeffs
-
-    def probes(*qs) -> np.ndarray:
-        return np.broadcast_to(sum(np.outer(q, q) for q in qs), (d, d, d))
-
-    if kind == "fig1":
-        return {"component_11": component(0, 0), "component_22": component(1, 1),
-                "component_12": component(0, 1), "diagonal_sum": sum(component(i, i) for i in range(d))}
-    p1, p2 = polarizations[:2]
-    return {"polarization_1": probes(p1), "polarization_2": probes(p2), "polarization_sum": probes(p1, p2)}
-
-
-def _off_peak_ratios(maps, x_q, wavelength: float) -> list[float]:
-    """Each map's largest value beyond half a wavelength from x_q over its peak."""
-    off = np.linalg.norm(maps[0].grid.points - x_q, axis=1) > 0.5 * wavelength
-    return [float(index.values[off].max() / index.values.max()) for index in maps]
-
-
 def run_experiment(config: ExperimentConfig) -> LocalizationReport:
     """Forward-solve the incidents concurrently, synthesize all their
     (optionally noisy) data from one kernel evaluation and sweep the
@@ -552,12 +524,12 @@ def run_experiment(config: ExperimentConfig) -> LocalizationReport:
             grids = dsm.compute_index_grid(config.ctx, datasets, grid)
         else:
             x_q = np.asarray(config.diagnostic_point)
-            coeffs = _diagnostic_maps(config.diagnostic, [w.polarization for w in config.incidents])
+            coeffs = diagnostic_maps(config.diagnostic, [w.polarization for w in config.incidents])
             grids = dsm.cross_product_maps(config.ctx, surface, x_q, grid, coeffs)
 
     with _stage(report, "export"):
         extras = [{}] * len(grids) if config.diagnostic is None else [
-            {"off_peak_ratio": ratio} for ratio in _off_peak_ratios(grids, x_q, config.ctx.wavelength)]
+            {"off_peak_ratio": ratio} for ratio in off_peak_ratios(grids, x_q, config.ctx.wavelength)]
         for index, extra in zip(grids, extras):
             _export_grid(index, outdir, config.output_formats, report, **extra)
 
@@ -565,151 +537,3 @@ def run_experiment(config: ExperimentConfig) -> LocalizationReport:
     path.write_text(json.dumps(report.to_dict(), indent=2))
     report.output_files.append(str(path))
     return report
-
-
-def _check(name: str, value: float, threshold: float, smaller_is_pass: bool = True) -> dict:
-    passed = value <= threshold if smaller_is_pass else value >= threshold
-    return {"name": name, "value": float(value), "threshold": float(threshold),
-            "passed": bool(passed)}
-
-
-def _verify_trace() -> list[dict]:
-    checks = []
-    rng = np.random.default_rng(2024)
-    for dim in (2, 3):
-        ctx = WaveContext.from_wavelength(dim, 1.0)
-        # pair by pair, x before y, as many as are still missing: the pairs
-        # a one-pair-at-a-time draw would accept
-        pairs = np.empty((0, 2, dim))
-        while len(pairs) < 500:
-            block = rng.uniform(-2.0, 2.0, (500 - len(pairs), 2, dim))
-            pairs = np.concatenate([pairs, block[np.linalg.norm(block[:, 0] - block[:, 1], axis=1) >= 0.05]])
-        diff = pairs[:, 0] - pairs[:, 1]
-        k2g = ctx.wavenumber**2 * green_scalar_from_distance(ctx, np.linalg.norm(diff, axis=-1))
-        trace = np.trace(green_tensor_from_diff(ctx, diff), axis1=1, axis2=2)
-        worst = float(np.max(np.abs(trace - (dim - 1) * k2g) / np.abs(k2g)))
-        checks.append(_check(f"trace_identity_{dim}d_max_rel_dev", worst, 1e-11))
-    return checks
-
-
-def _verify_lemma() -> list[dict]:
-    ctx = WaveContext.from_wavelength(2, 1.0)
-    p = np.array([1.0, -1.0]) / _SQRT2
-    q = np.array([1.0, 1.0]) / _SQRT2
-    # the trapezoid rule reaches rounding level (~1e-15) by 24 points, so the
-    # convergence trend is taken where quadrature error still dominates
-    errs = {
-        count: dsm.verify_boundary_lemma(
-            ctx, circle_surface(5.0, count), [-0.25, 0.0], [0.4, 0.1], p, q
-        ).rel_err
-        for count in (8, 12, 16, 512)
-    }
-    trend = [errs[8], errs[12], errs[16]]
-    checks = [_check("lemma_rel_err_512", errs[512], 1e-13)]
-    checks.append({"name": "lemma_err_decreasing_8_12_16", "value": trend,
-                   "threshold": "strictly decreasing",
-                   "passed": bool(trend[0] > trend[1] > trend[2])})
-    return checks
-
-
-def _verify_xpq() -> list[dict]:
-    ctx = WaveContext.from_wavelength(2, 1.0)
-    p = np.array([1.0, -1.0]) / _SQRT2
-    rows = dsm.verify_correlation_approx(ctx, [5.0, 10.0, 20.0, 40.0],
-                                         [-0.25, 0.0], [-0.25, 0.0], p, p)
-    errs = [row.err for row in rows]
-    checks = [_check("xpq_rel_err_R5_coincident", errs[0], 0.15)]
-    decreasing = all(errs[i] > errs[i + 1] for i in range(len(errs) - 1))
-    checks.append({"name": "xpq_err_decreasing_R5_10_20_40", "value": errs,
-                   "threshold": "strictly decreasing", "passed": bool(decreasing)})
-    return checks
-
-
-def born_deviations(etas=(1e-4, 1e-3, 1e-2), h: float = 0.02) -> list[float]:
-    """Max-norm deviation of the solved current from eta * E^i on the
-    single-square geometry, one value per contrast level."""
-    ctx = WaveContext.from_wavelength(2, 1.0)
-    wave = IncidentPlaneWave(np.array([1.0, 1.0]) / _SQRT2, np.array([1.0, -1.0]) / _SQRT2)
-    out = []
-    for eta in etas:
-        contrast = ContrastField([Shape([-0.25, 0.0], 0.3, eta=eta)])
-        system = ForwardSystem(contrast, ctx, build_grid(contrast, h))
-        current = system.solve(wave)
-        target = system.contrast_at_nodes[:, None] * incident_field(wave, ctx, system.grid.nodes)
-        dev = np.linalg.norm(current.values - target, axis=1).max()
-        out.append(float(dev / np.linalg.norm(target, axis=1).max()))
-    return out
-
-
-def _verify_born() -> list[dict]:
-    etas = (1e-4, 1e-3, 1e-2)
-    devs = born_deviations(etas)
-    slope = np.polyfit(np.log(etas), np.log(devs), 1)[0]
-    return [{"name": "born_deviation_order_in_eta", "value": float(slope),
-             "threshold": "1 +/- 0.2", "passed": bool(abs(slope - 1.0) <= 0.2)}]
-
-
-def _verify_solver_cross() -> list[dict]:
-    ctx = WaveContext.from_wavelength(2, 1.0)
-    wave = IncidentPlaneWave(np.array([1.0, 1.0]) / _SQRT2, np.array([1.0, -1.0]) / _SQRT2)
-    contrast = ContrastField([Shape([-0.25, 0.0], 0.3, eta=1.0)])
-    system = ForwardSystem(contrast, ctx, build_grid(contrast, 0.03))
-    dense = system.dense_solve(system.rhs(wave)).reshape(ctx.dimension, -1).T
-    iterative = system.solve(wave, SolverSpec(tol=1e-10)).values
-    rel = np.abs(dense - iterative).max() / np.abs(dense).max()
-    return [_check("dense_vs_gmres_rel_diff", float(rel), 1e-8)]
-
-
-def diagnostic_ratios(spacing: float = 0.02, count: int = 64) -> dict[str, float]:
-    """Off-peak/peak ratios (beyond half a wavelength from the reference
-    point) of the fig1 and fig2 cross-correlation maps.
-
-    The default surface count is several times the correlation integrand's
-    bandwidth, so the ratios are already converged (they match the 512-point
-    values to display precision)."""
-    ctx = WaveContext.from_wavelength(2, 1.0)
-    surface = circle_surface(5.0, count)
-    grid = dsm.sampling_grid(((-2.0, 2.0), (-2.0, 2.0)), spacing)
-    x_q = np.array([-0.25, 0.0])
-    polarizations = [np.array([1.0, -1.0]) / _SQRT2, np.array([1.0, 1.0]) / _SQRT2]
-    coeffs = _diagnostic_maps("fig1", polarizations) | _diagnostic_maps("fig2", polarizations)
-    maps = dsm.cross_product_maps(ctx, surface, x_q, grid, coeffs)
-    return dict(zip(coeffs, _off_peak_ratios(maps, x_q, ctx.wavelength)))
-
-
-def _verify_figs() -> list[dict]:
-    ratios = diagnostic_ratios()
-    checks = []
-    diag = ratios["diagonal_sum"]
-    combined = ratios["polarization_sum"]
-    for name in ("component_11", "component_22", "component_12"):
-        checks.append({"name": f"diagonal_sum_ratio_below_{name}",
-                       "value": [diag, ratios[name]], "threshold": "diag < component",
-                       "passed": bool(diag < ratios[name])})
-    for name in ("polarization_1", "polarization_2"):
-        checks.append({"name": f"polarization_sum_ratio_below_{name}",
-                       "value": [combined, ratios[name]], "threshold": "combined < single",
-                       "passed": bool(combined < ratios[name])})
-    return checks
-
-
-def verify(kind: str) -> dict:
-    """Run one family of identity/solver checks; failures are data, not exceptions."""
-    runners = {
-        "trace": _verify_trace,
-        "lemma": _verify_lemma,
-        "xpq": _verify_xpq,
-        "born": _verify_born,
-        "solver_cross": _verify_solver_cross,
-        "figs": _verify_figs,
-    }
-    if kind not in runners:
-        raise ConfigError(f"unknown verify kind {kind!r}; known kinds: {', '.join(VERIFY_KINDS)}")
-    started = time.perf_counter()
-    checks = runners[kind]()
-    return {
-        "kind": kind,
-        "checks": checks,
-        "passed": bool(all(c["passed"] for c in checks)),
-        "seconds": time.perf_counter() - started,
-    }

@@ -11,9 +11,8 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
-from emdsm import harness
+from emdsm import checks, harness
 
 from .conftest import timed_run
 
@@ -40,7 +39,7 @@ def maxima_locations(entry):
 
 def test_criterion_1_trace_identity():
     start = time.perf_counter()
-    result = harness.verify("trace")
+    result = checks.verify("trace")
     elapsed = time.perf_counter() - start
     worst = max(c["value"] for c in result["checks"])
     ok = result["passed"] and elapsed < 1.0
@@ -70,7 +69,7 @@ def test_criterion_2_green_tensor_vs_fd_oracle():
 
 def test_criterion_3_boundary_identity():
     start = time.perf_counter()
-    result = harness.verify("lemma")
+    result = checks.verify("lemma")
     elapsed = time.perf_counter() - start
     err512 = result["checks"][0]["value"]
     errs = result["checks"][1]["value"]
@@ -84,7 +83,7 @@ def test_criterion_3_boundary_identity():
 
 def test_criterion_4_correlation_approximation():
     start = time.perf_counter()
-    result = harness.verify("xpq")
+    result = checks.verify("xpq")
     elapsed = time.perf_counter() - start
     err5 = result["checks"][0]["value"]
     errs = result["checks"][1]["value"]
@@ -98,7 +97,7 @@ def test_criterion_4_correlation_approximation():
 
 def test_criterion_5_born_regime():
     start = time.perf_counter()
-    devs = harness.born_deviations()
+    devs = checks.born_deviations()
     order = float(np.polyfit(np.log([1e-4, 1e-3, 1e-2]), np.log(devs), 1)[0])
     elapsed = time.perf_counter() - start
     ok = abs(order - 1.0) <= 0.2 and elapsed < 30.0
@@ -109,7 +108,7 @@ def test_criterion_5_born_regime():
 
 def test_criterion_6_solver_cross_check():
     start = time.perf_counter()
-    result = harness.verify("solver_cross")
+    result = checks.verify("solver_cross")
     elapsed = time.perf_counter() - start
     rel = result["checks"][0]["value"]
     ok = rel <= 1e-8 and elapsed < 30.0
@@ -205,7 +204,7 @@ def test_criterion_9_example3_three_maxima(tmp_path):
 
 def test_criterion_10_diagnostic_ratios():
     start = time.perf_counter()
-    ratios = harness.diagnostic_ratios(spacing=0.02)
+    ratios = checks.diagnostic_ratios()
     elapsed = time.perf_counter() - start
     diag = ratios["diagonal_sum"]
     combined = ratios["polarization_sum"]

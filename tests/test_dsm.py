@@ -1,4 +1,4 @@
-"""Sampling grids, index properties, cross-correlation maps, and identity checks."""
+"""Sampling grids, index properties, cross-correlation maps, and exports."""
 
 import sys
 from dataclasses import replace
@@ -669,71 +669,6 @@ class TestLocalMaxima:
                              np.where(step < 0, np.nextafter(values, -np.inf), values))
             maxima = dsm.find_local_maxima(dsm.IndexGrid(grid, noisy, "test"))
             assert [p.tolist() for p, _ in maxima] == [p.tolist() for p, _ in reference]
-
-
-class TestBoundaryLemma:
-    def test_identity_holds_and_error_small(self):
-        surf = ms.circle_surface(5.0, 512)
-        check = dsm.verify_boundary_lemma(CTX2, surf, [-0.25, 0.0], [0.4, 0.1], P1, P2)
-        assert check.rel_err <= 1e-3
-        assert abs(check.rhs) > 0
-
-    def test_error_trend_over_point_counts(self):
-        errs = [
-            dsm.verify_boundary_lemma(
-                CTX2, ms.circle_surface(5.0, n), [-0.25, 0.0], [0.4, 0.1], P1, P2
-            ).rel_err
-            for n in (8, 12, 16)
-        ]
-        assert errs[0] > errs[1] > errs[2]
-
-    def test_cube_faces_converge_at_second_order(self):
-        # the example3d cubes' centres and polarizations on the face midpoint
-        # rule of an edge-10 cube: the error falls 4x per halving of the cell
-        p = np.array([1.0, -2.0, 1.0]) / np.sqrt(6.0)
-        q = np.array([1.0, 1.0, -2.0]) / np.sqrt(6.0)
-        errs = [dsm.verify_boundary_lemma(CTX3, ms.cube_surface(10.0, n), [0.4, 0.3, 0.3],
-                                          [-0.4, 0.3, 0.3], p, q).rel_err
-                for n in (16, 32, 64)]
-        orders = np.log2(np.array(errs[:-1]) / errs[1:])
-        np.testing.assert_allclose(orders, 2.0, atol=0.1)
-        assert errs[-1] <= 2e-4
-
-    def test_swap_conjugate_negates_lhs(self):
-        surf = ms.circle_surface(5.0, 256)
-        a = dsm.verify_boundary_lemma(CTX2, surf, [-0.25, 0.0], [0.4, 0.1], [1.0, 0.0], [0.0, 1.0])
-        b = dsm.verify_boundary_lemma(CTX2, surf, [0.4, 0.1], [-0.25, 0.0], [0.0, 1.0], [1.0, 0.0])
-        assert b.lhs == pytest.approx(-np.conj(a.lhs), rel=1e-9)
-
-    def test_coincident_points_rejected(self):
-        with pytest.raises(GeometryError):
-            dsm.verify_boundary_lemma(CTX2, SURF, [0.1, 0.1], [0.1, 0.1], P1, P2)
-
-    def test_points_near_surface_rejected(self):
-        with pytest.raises(GeometryError):
-            dsm.verify_boundary_lemma(CTX2, SURF, [4.9, 0.0], [0.0, 0.0], P1, P2)
-
-
-class TestCorrelationApprox:
-    def test_error_decays_with_radius(self):
-        rows = dsm.verify_correlation_approx(
-            CTX2, [5.0, 10.0, 20.0, 40.0], [-0.25, 0.0], [-0.25, 0.0], P1, P1
-        )
-        errs = [row.err for row in rows]
-        assert errs[-1] < errs[0]
-        assert all(errs[i] > errs[i + 1] for i in range(3))
-
-    def test_coincident_points_modest_error_at_r5(self):
-        rows = dsm.verify_correlation_approx(CTX2, [5.0], [-0.25, 0.0], [-0.25, 0.0], P1, P1)
-        assert rows[0].err <= 0.15
-        assert rows[0].lhs.real > 0
-        assert abs(rows[0].lhs.imag) < 0.05 * rows[0].lhs.real
-
-    def test_symmetric_under_p_q_exchange(self):
-        a = dsm.verify_correlation_approx(CTX2, [5.0], [-0.25, 0.0], [0.4, 0.1], P1, P2)[0]
-        b = dsm.verify_correlation_approx(CTX2, [5.0], [0.4, 0.1], [-0.25, 0.0], P2, P1)[0]
-        assert a.lhs == pytest.approx(np.conj(b.lhs), rel=1e-12)
-        assert a.rhs == pytest.approx(b.rhs, rel=1e-12)
 
 
 class TestExports:

@@ -1,12 +1,11 @@
-"""Config parsing, preset fidelity, the pipeline, verification commands, CLI."""
+"""Config parsing, preset fidelity, the pipeline, CLI."""
 
 import json
 
 import numpy as np
 import pytest
 
-from emdsm import cli, em_core, harness
-from emdsm.em_core import WaveContext, green_scalar_from_distance, green_tensor_from_diff
+from emdsm import checks, cli, em_core, harness
 from emdsm.errors import ConfigError, StageError
 from emdsm.forward import SolverSpec
 
@@ -400,24 +399,6 @@ class TestDiagnosticRun:
             harness.run_experiment(harness.load_config(path))
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_diagnostic_maps_match_their_definitions(self, d):
-        q1, q2 = np.random.default_rng(d).standard_normal((2, d))
-        fig1 = harness._diagnostic_maps("fig1", [q1, q2])
-        fig2 = harness._diagnostic_maps("fig2", [q1, q2])
-        cells = list(np.ndindex(d, d, d))
-        components = {"component_11": (0, 0), "component_22": (1, 1), "component_12": (0, 1)}
-        assert list(fig1) == [*components, "diagonal_sum"]
-        for label, (i, j) in components.items():
-            expected = [float((a, b, c) == (i, j, j)) for a, b, c in cells]
-            np.testing.assert_array_equal(fig1[label].ravel(), expected)
-        np.testing.assert_array_equal(fig1["diagonal_sum"].ravel(), [float(a == b == c) for a, b, c in cells])
-        polarizations = {"polarization_1": [q1], "polarization_2": [q2], "polarization_sum": [q1, q2]}
-        assert list(fig2) == list(polarizations)
-        for label, qs in polarizations.items():
-            expected = [sum(q[j] * q[l] for q in qs) for _, j, l in cells]
-            np.testing.assert_array_equal(fig2[label].ravel(), expected)
-
     def test_fig2_maps_and_ratios(self, tmp_path):
         config = harness.preset("fig2", out=str(tmp_path))
         config = harness.config_from_dict(
@@ -452,56 +433,6 @@ class TestDiagnosticRun:
         assert report.indices == parsed["indices"]
 
 
-class TestVerify:
-    def test_trace(self):
-        result = harness.verify("trace")
-        assert result["passed"]
-        assert all(c["value"] <= 1e-11 for c in result["checks"])
-
-    def test_trace_matches_per_pair_loop(self):
-        """The batched check against one kernel call per accepted pair, drawn
-        from the same generator one pair at a time."""
-        rng = np.random.default_rng(2024)
-        oracle = []
-        for dim in (2, 3):
-            ctx = WaveContext.from_wavelength(dim, 1.0)
-            worst, n = 0.0, 0
-            while n < 500:
-                x = rng.uniform(-2.0, 2.0, dim)
-                y = rng.uniform(-2.0, 2.0, dim)
-                if np.linalg.norm(x - y) < 0.05:
-                    continue
-                n += 1
-                g = complex(green_scalar_from_distance(ctx, np.linalg.norm(x - y, axis=-1)))
-                dev = abs(np.trace(green_tensor_from_diff(ctx, x - y)) - (dim - 1) * ctx.wavenumber**2 * g)
-                worst = max(worst, dev / abs(ctx.wavenumber**2 * g))
-            oracle.append(worst)
-        values = [check["value"] for check in harness.verify("trace")["checks"]]
-        np.testing.assert_array_max_ulp(np.array(values), np.array(oracle), maxulp=4)
-
-    def test_lemma(self):
-        result = harness.verify("lemma")
-        assert result["passed"]
-
-    def test_xpq(self):
-        result = harness.verify("xpq")
-        assert result["passed"]
-
-    def test_born(self):
-        result = harness.verify("born")
-        assert result["passed"]
-        order = result["checks"][0]["value"]
-        assert abs(order - 1.0) <= 0.2
-
-    def test_solver_cross(self):
-        result = harness.verify("solver_cross")
-        assert result["passed"]
-
-    def test_unknown_kind(self):
-        with pytest.raises(ConfigError, match="unknown verify kind"):
-            harness.verify("maxwell")
-
-
 class TestCli:
     def test_preset_dump_config(self, capsys):
         assert cli.main(["preset", "example1", "--dump-config"]) == 0
@@ -517,7 +448,7 @@ class TestCli:
     def test_verify_json_is_the_verify_results(self, capsys):
         assert cli.main(["verify", "trace", "--json"]) == 0
         printed = json.loads(capsys.readouterr().out)
-        expected = json.loads(json.dumps([harness.verify("trace")]))
+        expected = json.loads(json.dumps([checks.verify("trace")]))
         for result in printed + expected:
             del result["seconds"]
         assert printed == expected
