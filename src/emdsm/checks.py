@@ -29,9 +29,8 @@ _CENTRE = np.array([-0.25, 0.0])
 _BORN_ETAS = (1e-4, 1e-3, 1e-2)
 _BORN_H = 0.02
 _CORRELATION_COUNT = 512  # points on each circle of the radiation-zone check
-# the figs surface has several times the correlation integrand's bandwidth in
-# points, so the ratios are already converged (they match the 512-point
-# values to display precision)
+# the figs surface has several times the correlation integrand's bandwidth in points, so the
+# ratios are already converged (they match the 512-point values to display precision)
 _FIGS_COUNT = 64
 _FIGS_SPACING = 0.02
 
@@ -127,9 +126,7 @@ def verify_correlation_approx(ctx: WaveContext, radii, x_p, x_q, p, q) -> list[C
         for point in (x_p, x_q):
             if not surface.contains_strictly(point, margin=ctx.wavelength):
                 raise GeometryError("sampling points must be well inside every surface")
-        lhs = l2_inner_product(
-            dsm.probe_field(ctx, surface, x_p, p), dsm.probe_field(ctx, surface, x_q, q)
-        )
+        lhs = l2_inner_product(dsm.probe_field(ctx, surface, x_p, p), dsm.probe_field(ctx, surface, x_q, q))
         rows.append(CorrelationRow(float(radius), lhs, rhs, abs(lhs - rhs) / abs(rhs)))
     return rows
 

@@ -135,17 +135,21 @@ def _positive_int(mapping: dict, key: str, default: int | None, context: str, mi
 
 
 def _number(value, key: str, positive: bool = False) -> float:
-    try:
-        if isinstance(value, bool):  # JSON true and false are not numbers
-            raise TypeError
-        number = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"key '{key}' must be a number, got {value!r}") from None
+    # JSON true, false and strings are not numbers
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"key '{key}' must be a number, got {value!r}")
+    number = float(value)
     if not math.isfinite(number):
         raise ConfigError(f"key '{key}' must be finite, got {value!r}")
     if positive and not number > 0.0:
         raise ConfigError(f"key '{key}' must be positive, got {value!r}")
     return number
+
+
+def _numbers(value, key: str) -> list[float]:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"key '{key}' must be a list of numbers, got {value!r}")
+    return [_number(v, key) for v in value]
 
 
 def _as_complex(value, context: str) -> complex:
@@ -170,6 +174,7 @@ def _parse_shapes(raw, dimension: int) -> ContrastField:
         center = _need(entry, "center", ctxt)
         if not isinstance(center, (list, tuple)) or len(center) != dimension:
             raise ConfigError(f"key '{ctxt}center' must be a {dimension}-vector for {kind}")
+        center = _numbers(center, ctxt + "center")
         outer = _number(_need(entry, "outer_side", ctxt), ctxt + "outer_side")
         inner = _number(entry.get("inner_side", 0.0), ctxt + "inner_side")
         if inner != 0.0 and kind != "square_ring":
@@ -215,10 +220,8 @@ def config_from_dict(raw: dict, name: str = "custom") -> ExperimentConfig:
     for idx, entry in enumerate(raw_incidents):
         ctxt = f"incidents[{idx}]."
         try:
-            incidents.append(IncidentPlaneWave(
-                np.asarray(_need(entry, "direction", ctxt), dtype=float),
-                np.asarray(_need(entry, "polarization", ctxt), dtype=float),
-            ))
+            incidents.append(IncidentPlaneWave(*(np.array(_numbers(_need(entry, key, ctxt), ctxt + key))
+                                                 for key in ("direction", "polarization"))))
         except ConfigError:
             raise
         except Exception as exc:

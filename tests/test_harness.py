@@ -99,6 +99,19 @@ class TestConfigParsing:
         (3, ("surface", "per_face"), 2.5, "'surface.per_face'"),
         (2, ("outputs", "formats"), "csv", "'outputs.formats' must be a list"),
         (2, ("wave", "wavelength"), True, "'wave.wavelength' must be a number"),
+        (2, ("wave", "wavelength"), "1.5", "'wave.wavelength' must be a number, got '1.5'"),
+        (2, ("noise", "epsilon"), "0.2", "'noise.epsilon' must be a number, got '0.2'"),
+        (2, ("forward", "h"), "0.05", "'forward.h' must be a number"),
+        (2, ("surface", "radius"), "5", "'surface.radius' must be a number"),
+        (2, ("shapes", 0, "outer_side"), "0.3", r"'shapes\[0\]\.outer_side' must be a number"),
+        (2, ("shapes", 0, "eta"), ["1", 0.0], r"'shapes\[0\]\.eta' must be a number"),
+        (2, ("incidents", 0, "direction"), ["0.7071067811865476", "0.7071067811865476"],
+         r"'incidents\[0\]\.direction' must be a number, got '0.7071067811865476'"),
+        (2, ("incidents", 0, "polarization", 1), "-0.7071067811865476", r"'incidents\[0\]\.polarization' must be a number"),
+        (2, ("incidents", 0, "direction"), 0.7, r"'incidents\[0\]\.direction' must be a list of numbers, got 0.7"),
+        (2, ("shapes", 0, "center"), ["-0.25", "0"], r"'shapes\[0\]\.center' must be a number, got '-0.25'"),
+        (2, ("sampling", "box", 1, 0), "-1.0", "'sampling.box' must be a number"),
+        (3, ("shapes", 1, "center", 2), "0.3", r"'shapes\[1\]\.center' must be a number"),
         (2, ("noise", "epsilon"), True, "'noise.epsilon' must be a number"),
         (2, ("shapes", 0, "eta"), False, r"'shapes\[0\]\.eta' must be a number"),
         (2, ("shapes", 0, "outer_side"), True, r"'shapes\[0\]\.outer_side' must be a number"),
@@ -124,8 +137,8 @@ class TestConfigParsing:
         ("fig1", ("diagnostic", "x_q", 0), "'diagnostic.x_q'"),
         ("custom", ("shapes", 0, "eta"), r"'shapes\[0\]\.eta'"),
         ("custom", ("shapes", 0, "eta", 1), r"'shapes\[0\]\.eta'"),
-        ("custom", ("incidents", 0, "direction", 0), r"'incidents\[0\]'"),
-        ("custom", ("shapes", 0, "center", 1), r"'shapes\[0\]'"),
+        ("custom", ("incidents", 0, "direction", 0), r"'incidents\[0\]\.direction'"),
+        ("custom", ("shapes", 0, "center", 1), r"'shapes\[0\]\.center'"),
     ])
     def test_non_finite_values_rejected_naming_the_key(self, tmp_path, name, path, key, value):
         # Python's json reads NaN and Infinity, so they reach the parser
@@ -387,6 +400,7 @@ class TestDiagnosticRun:
         ("fig2", lambda raw: raw["incidents"].pop(), "'incidents'"),
         ("fig1", lambda raw: raw["diagnostic"].update(x_q=[9.0, 0.0]), "'diagnostic.x_q'"),
         ("fig1", lambda raw: raw["diagnostic"].update(x_q=[5.0, 0.0]), "'diagnostic.x_q'"),
+        ("fig1", lambda raw: raw["diagnostic"].update(x_q=["-0.25", 0.0]), "'diagnostic.x_q' must be a number"),
         ("fig1", lambda raw: raw.update(shapes=[{"kind": "axis_square", "center": [-0.25, 0.0], "outer_side": 0.3}]),
          "'shapes' cannot be given with 'diagnostic'"),
     ])
