@@ -241,7 +241,7 @@ def compare_golden(tree: Path, golden_file: dict, tol: float) -> tuple[list[str]
             failures.append(f"{run}: no report.json")
             continue
         fresh, run_failures = golden_record(tree / run), []
-        for name in fresh["sha256"].keys() - record["sha256"].keys():
+        for name in sorted(fresh["sha256"].keys() - record["sha256"].keys()):
             run_failures.append(f"{name}: not in the golden file")
         for name, digest in record["sha256"].items():
             if name not in fresh["sha256"]:
@@ -277,15 +277,16 @@ def main(argv=None) -> int:
         args.write_golden.write_text(json.dumps(golden(args.dir_a), indent=1) + "\n")
         print(f"{len(runs)} runs written to {args.write_golden}")
         return 0
-    failures = []
     if args.golden:
         lines, failures = compare_golden(args.dir_a, json.loads(args.golden.read_text()), args.tol)
         print("\n".join(lines))
-    for run_a in runs if args.dir_b else ():
-        lines, run_failures = compare_run(run_a, args.dir_b / run_a.relative_to(args.dir_a), args.tol, args.bytes)
-        label = run_a.relative_to(args.dir_a)
-        print("\n".join(f"{label}/{line}" for line in lines))
-        failures += [f"{label}: {f}" for f in run_failures]
+    else:
+        failures = []
+        for run_a in runs:
+            lines, run_failures = compare_run(run_a, args.dir_b / run_a.relative_to(args.dir_a), args.tol, args.bytes)
+            label = run_a.relative_to(args.dir_a)
+            print("\n".join(f"{label}/{line}" for line in lines))
+            failures += [f"{label}: {f}" for f in run_failures]
     for failure in failures:
         print(f"FAIL {failure}", file=sys.stderr)
     print(f"{len(runs)} runs compared, {len(failures)} failures")
