@@ -9,17 +9,20 @@ _noisy) real and imaginary field parts.  Every compared file, CSV or PGM, is
 also printed with whether its bytes are the same.  For each grid entry it is
 printed whether dir_b's entry of the same label has the same argmax
 location, the same local-maxima locations and the same sweep computation
-(sweep_info's group order, orbits, kernel pairs and grid pairs).  How each
-sweep ran (its chunks, worker threads and BLAS pin) follows the CPUs the run
-may use, so it is printed where it differs, not failed.  Each forward solve
+(sweep_info's group order, orbits, kernel pairs and grid pairs), and for
+each run whether the synthesis's synthesis_info has the same computation;
+a report written before synthesis_info existed has none, which is printed,
+not failed.  How each sweep or synthesis ran (its chunks, worker threads and
+BLAS pin) follows the CPUs the run may use, so it is printed where it
+differs, not failed.  Each forward solve
 of solver_info is printed with its GMRES iterations and final relative
 residual in both trees; how the forward run ran (its worker threads and BLAS
 pin) is printed where it differs, not failed, as for the sweep.  The
 reports' config echoes are compared less outputs.directory, which only says
 where each tree was written.  Exits non-zero when a difference exceeds
---tol, a file's coordinates (and quadrature weights), argmax, maxima or
-sweep computation differ, an argmax, maxima or off_peak_ratio value differs
-by more than --tol, the config echoes differ, the trees' forward solves
+--tol, a file's coordinates (and quadrature weights), argmax, maxima,
+sweep or synthesis computation differ, an argmax, maxima or off_peak_ratio
+value differs by more than --tol, the config echoes differ, the trees' forward solves
 differ in number or GMRES iterations or their residuals differ by more than
 --tol, a file's bytes differ under --bytes, a file of dir_a is missing from
 dir_b, or dir_a's report.json lists no files per grid (written before
@@ -91,6 +94,23 @@ def _config_echo(report: dict) -> dict:
     return config
 
 
+def _compare_info(name: str, info_a: dict | None, info_b: dict | None, failures: list[str]) -> str:
+    """'same' or 'DIFFERS' for the computation of two SweepInfo records, plus
+    how each ran where that differs; a computation difference is a failure."""
+    info_a, info_b = info_a or {}, info_b or {}
+    computation_a, computation_b = ({key: info.get(key) for key in COMPUTATION} for info in (info_a, info_b))
+    ran_a, ran_b = ({key: info[key] for key in info if key not in COMPUTATION} for info in (info_a, info_b))
+    if computation_a != computation_b:
+        failures.append(f"{name} differs: {computation_a} against {computation_b}")
+    return (("same" if computation_a == computation_b else "DIFFERS")
+            + ("" if ran_a == ran_b else f", ran {ran_a} against {ran_b}"))
+
+
+def _computation(info: dict | None) -> dict | None:
+    """The computation fields of a SweepInfo record."""
+    return None if info is None else {key: info[key] for key in COMPUTATION}
+
+
 def _compare_reports(report_a: dict, report_b: dict, tol: float, failures: list[str]) -> list[str]:
     """Lines for the config echoes, forward solves and grid entries of two
     reports, or of golden records, which keep only these.  Failures are added."""
@@ -112,6 +132,11 @@ def _compare_reports(report_a: dict, report_b: dict, tol: float, failures: list[
         delta = abs(solve_a["residual"] - solve_b["residual"])
         if delta > tol:
             failures.append(f"solve {n}: residual differs by {delta:.2e} > {tol:g}")
+    if "synthesis_info" in report_a and "synthesis_info" in report_b:
+        lines.append("synthesis " + _compare_info("synthesis_info", report_a["synthesis_info"],
+                                                  report_b["synthesis_info"], failures))
+    else:
+        lines.append("synthesis not recorded in both")
     for entry_a in report_a["indices"]:
         label, entry_b = entry_a["label"], entries_b.get(entry_a["label"])
         if entry_b is None:
@@ -120,13 +145,9 @@ def _compare_reports(report_a: dict, report_b: dict, tol: float, failures: list[
         same_argmax = entry_a["argmax"]["location"] == entry_b["argmax"]["location"]
         maxima_a = [m["location"] for m in entry_a["maxima"]]
         same_maxima = maxima_a == [m["location"] for m in entry_b["maxima"]]
-        info_a, info_b = entry_a.get("sweep_info") or {}, entry_b.get("sweep_info") or {}
-        computation_a, computation_b = ({key: info.get(key) for key in COMPUTATION} for info in (info_a, info_b))
-        ran_a, ran_b = ({key: info[key] for key in info if key not in COMPUTATION} for info in (info_a, info_b))
+        sweep = _compare_info(f"{label}: sweep_info", entry_a.get("sweep_info"), entry_b.get("sweep_info"), failures)
         lines.append(f"{label}: argmax {'same' if same_argmax else 'DIFFERS'}, "
-                     f"{len(maxima_a)} maxima {'same' if same_maxima else 'DIFFER'}, "
-                     f"sweep {'same' if computation_a == computation_b else 'DIFFERS'}"
-                     + ("" if ran_a == ran_b else f", ran {ran_a} against {ran_b}"))
+                     f"{len(maxima_a)} maxima {'same' if same_maxima else 'DIFFER'}, sweep {sweep}")
         if not (same_argmax and same_maxima):
             failures.append(f"{label}: argmax or maxima differ")
         else:
@@ -134,8 +155,6 @@ def _compare_reports(report_a: dict, report_b: dict, tol: float, failures: list[
                 [entry_a["argmax"], *entry_a["maxima"]], [entry_b["argmax"], *entry_b["maxima"]]))
             if delta > tol:
                 failures.append(f"{label}: argmax or maxima values differ by {delta:.2e} > {tol:g}")
-        if computation_a != computation_b:
-            failures.append(f"{label}: sweep_info differs: {computation_a} against {computation_b}")
         if "off_peak_ratio" in entry_a:
             delta = abs(entry_a["off_peak_ratio"] - entry_b.get("off_peak_ratio", math.inf))
             if delta > tol:
@@ -185,8 +204,9 @@ def golden_record(run: Path) -> dict:
         "sha256": {name: hashlib.sha256((run / name).read_bytes()).hexdigest() for name in _output_names(report)},
         "config": _config_echo(report),
         "solver_info": [{key: solve[key] for key in ("iterations", "residual")} for solve in report["solver_info"]],
+        "synthesis_info": _computation(report.get("synthesis_info")),
         "indices": [{**{key: entry[key] for key in ("label", "argmax", "maxima", "off_peak_ratio") if key in entry},
-                     "sweep_info": {key: entry["sweep_info"][key] for key in COMPUTATION}}
+                     "sweep_info": _computation(entry["sweep_info"])}
                     for entry in report["indices"]],
     }
 

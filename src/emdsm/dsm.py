@@ -15,7 +15,8 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .em_core import KernelBlock, WaveContext, green_tensor_from_diff, run_blocks, symmetric_slabs
+from .em_core import (KernelBlock, SweepInfo, WaveContext, _lattice_orbits, _sweep, _symmetry_group,
+                      green_tensor_from_diff)
 from .errors import DomainError, GeometryError
 from .measurement import FieldSamples, MeasurementSurface, l2_norm
 
@@ -29,7 +30,6 @@ from .measurement import FieldSamples, MeasurementSurface, l2_norm
 _CSV_BLOCK_ROWS = 4_096
 _POWERS_OF_TEN = np.array([float(10**k) for k in range(23)])  # exact doubles
 _TIE_RTOL = 1e-12  # index values this close, relative to the peak, are tied
-_MIRROR_RTOL = 1e-12  # symmetry matches of surface points and grid ticks, relative to the surface's extent
 
 
 @dataclass(frozen=True)
@@ -117,176 +117,6 @@ def check_grid_inside(surface: MeasurementSurface, grid: SamplingGrid) -> None:
         _check_inside(surface, corner, "sampling box corner")
 
 
-@dataclass(frozen=True)
-class SweepInfo:
-    """What one sweep evaluated: the order of its symmetry group, the orbit
-    representatives at which the kernel was evaluated, the (surface point,
-    sampling point) pairs evaluated and the grid's pairs they served, its
-    chunks, its worker threads, and whether BLAS was pinned to one thread
-    (em_core.run_blocks)."""
-
-    group_order: int
-    orbits: int
-    kernel_pairs: int
-    grid_pairs: int
-    chunks: int
-    threads: int
-    blas_pinned: bool
-
-
-def _sorted_order(points: np.ndarray, tol: float) -> np.ndarray:
-    """Lexicographic order of points rounded to 1000 tol, far above their
-    rounding noise."""
-    return np.lexsort(np.rint(points / (1e3 * tol)).T)
-
-
-def _matrices(axis_perms: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """The orthogonal matrices (G, d, d) of signed permutations,
-    sigma[i, p(i)] = s_i."""
-    n_images, d = signs.shape
-    mats = np.zeros((n_images, d, d))
-    mats[np.arange(n_images)[:, np.newaxis], np.arange(d), axis_perms] = signs
-    return mats
-
-
-def _symmetry_group(surface: MeasurementSurface, grid: SamplingGrid):
-    """The signed permutations sigma, (sigma v)_i = s_i v_p(i), under which
-    both the surface (sigma x_m = x_pi(m) within _MIRROR_RTOL of its extent,
-    weights exactly) and the grid (axis p(i)'s ticks are s_i times axis i's)
-    are invariant.  Returns the axis permutations p (G, d), the signs s
-    (G, d) and the point permutations pi (G, M), the identity first.
-
-    Each of the 2^d d! candidates pairs the sorted points with the sorted
-    mapped points, and every pair is then checked: a tie that the rounding
-    splits can only drop the candidate, never pair the wrong points.  A
-    candidate whose product with another found one was dropped is dropped as
-    well, so the result is a group.
-    """
-    points = surface.points
-    tol = _MIRROR_RTOL * np.abs(points).max()
-    axes = grid.axes
-    d = grid.dimension
-
-    def ticks_match(i: int, j: int, sign: float) -> bool:
-        """Whether axis j's ticks are sign times axis i's."""
-        mapped = axes[i] if sign > 0.0 else -axes[i][::-1]
-        return len(axes[j]) == len(mapped) and np.abs(axes[j] - mapped).max() <= tol
-
-    order = _sorted_order(points, tol)
-    found = []
-    for p in itertools.permutations(range(d)):
-        for s in itertools.product((1.0, -1.0), repeat=d):
-            if not all(ticks_match(i, j, si) for i, (j, si) in enumerate(zip(p, s))):
-                continue
-            mapped = np.array(s) * points[:, p]
-            perm = np.empty(surface.count, dtype=np.intp)
-            perm[_sorted_order(mapped, tol)] = order
-            if np.abs(points[perm] - mapped).max() <= tol and np.array_equal(surface.weights[perm], surface.weights):
-                found.append((p, s, perm))
-    # a signed permutation matrix's entries plus one, read as ternary digits,
-    # key it; keep the members whose products with every member are members
-    digits = 3 ** np.arange(d * d)
-    while True:
-        mats = _matrices(np.array([p for p, _, _ in found]), np.array([s for _, s, _ in found]))
-        keys = (mats.reshape(len(found), -1) + 1) @ digits
-        products = (np.einsum("aij,bjk->abik", mats, mats).reshape(len(found), len(found), -1) + 1) @ digits
-        closed = np.isin(products, keys).all(axis=1)
-        if closed.all():
-            break
-        found = [member for member, keep in zip(found, closed) if keep]
-    axis_perms, signs, point_perms = (np.array(column) for column in zip(*found))
-    return axis_perms, signs, point_perms
-
-
-def _image_indices(axis_perms, signs, ticks: np.ndarray, dims) -> np.ndarray:
-    """Raveled grid indices (G, C) of the images sigma x of the grid points
-    with tick indices ticks (d, C): axis i takes tick k_p(i), mirrored to
-    n_i - 1 - k_p(i) where s_i < 0."""
-    moved = ticks[axis_perms]
-    mirrored = np.where(signs[:, :, np.newaxis] < 0.0, np.array(dims)[:, np.newaxis] - 1 - moved, moved)
-    return np.ravel_multi_index(tuple(mirrored.transpose(1, 0, 2)), dims)
-
-
-def _orbit_representatives(axis_perms, signs, dims) -> np.ndarray:
-    """Raveled indices (R,) of the grid points whose raveled index is the
-    smallest in their orbit, ascending.
-
-    They are picked from the sign-flip orthant (the lower half, centre tick
-    included, of each axis whose flip alone is in the group), which holds
-    every orbit's smallest index, so no (N, G) array is built.
-    """
-    d = signs.shape[1]
-    flips_only = np.all(axis_perms == np.arange(d), axis=1)
-    halved = np.any(signs[flips_only & (np.sum(signs < 0.0, axis=1) == 1)] < 0.0, axis=0)
-    shape = np.array(dims)
-    orthant = tuple(np.where(halved, (shape + 1) // 2, shape))
-    ticks = np.array(np.unravel_index(np.arange(np.prod(orthant)), orthant))
-    index = np.ravel_multi_index(tuple(ticks), dims)
-    smallest = np.ones(index.shape, dtype=bool)
-    # flips of halved axes only never lower an orthant point's index
-    for g in np.flatnonzero(~flips_only | np.any((signs < 0.0) & ~halved, axis=1)):
-        smallest &= _image_indices(axis_perms[g:g + 1], signs[g:g + 1], ticks, dims)[0] >= index
-    return index[smallest]
-
-
-def _orbit_slots(axis_perms, signs, ticks: np.ndarray, dims) -> tuple[np.ndarray, np.ndarray]:
-    """The image indices (G, C) of the representatives with tick indices
-    ticks, and the mask of the slots each writes: a representative with a
-    nontrivial stabilizer reaches some slots through several group elements,
-    and only the first of them in group order writes there."""
-    images = _image_indices(axis_perms, signs, ticks, dims)
-    order = np.argsort(images, axis=0, kind="stable")
-    ranked = np.take_along_axis(images, order, axis=0)
-    first = np.ones(images.shape, dtype=bool)
-    np.put_along_axis(first, order[1:], ranked[1:] != ranked[:-1], axis=0)
-    return images, first
-
-
-def _sweep(ctx, surface, grid, group, refs, per_chunk_fn, probe_weights=None) -> tuple[np.ndarray, SweepInfo]:
-    """The pairings P[c, k] = sum_m Phi(x_m, x_c) : F[m, :, :, k] for refs F
-    over the grid, evaluating Phi once per orbit of the group (_symmetry_group).
-
-    For a signed permutation sigma with sigma x_m = x_pi(m),
-        Phi(x_m, sigma x_c) = sigma Phi(x_pi^-1(m), x_c) sigma^T,
-    so the pairing at an image sigma x_c is the pairing at x_c against
-    F_sigma[m] = sigma^T F[pi(m)] sigma, that is F_sigma[m, p(i), p(j)] =
-    s_i s_j F[pi(m), i, j].  Every F_sigma is stacked once per sweep, as the
-    symmetric_slabs of KernelBlock.contract: the group acts on the references
-    alone.  Each chunk is one KernelBlock of em_core.run_blocks with the
-    surface points as sources, built with probe_weights where per_chunk_fn
-    takes probe norms (KernelBlock.probe_norms).  per_chunk_fn(block, P) maps
-    a chunk's pairings P (C, G, K) to values of the same shape.  Each grid slot is
-    written once, by the first group element that reaches it from its orbit's
-    representative, so results do not depend on the thread count.  Returns
-    the values (K, N) and a SweepInfo.
-    """
-    axis_perms, signs, _ = group
-    n_images, d = signs.shape
-    slabs = np.empty((d * (d + 1) // 2, surface.count, n_images, refs.shape[3]), dtype=np.complex128)
-    moved = np.empty_like(refs)
-    for g, (p, s, perm) in enumerate(zip(*group)):
-        moved[:, p[:, np.newaxis], p] = np.multiply.outer(s, s)[:, :, np.newaxis] * refs[perm]
-        slabs[:, :, g] = symmetric_slabs(moved)
-    slabs = slabs.reshape(len(slabs), surface.count, -1)
-    axes = grid.axes
-    dims = grid.shape
-    reps = _orbit_representatives(axis_perms, signs, dims)
-    outputs = np.empty((refs.shape[3], grid.n_points))
-
-    def work(lo, hi):
-        ticks = np.array(np.unravel_index(reps[lo:hi], dims))
-        block = KernelBlock(ctx, surface.points, np.column_stack([ax[k] for ax, k in zip(axes, ticks)]),
-                            probe_weights)
-        values = per_chunk_fn(block, block.contract(slabs).reshape(hi - lo, n_images, -1))
-        images, first = _orbit_slots(axis_perms, signs, ticks, dims)
-        outputs[:, images[first]] = values.transpose(2, 1, 0)[:, first]
-
-    run = run_blocks(work, len(reps), surface.count, d)
-    info = SweepInfo(n_images, len(reps), len(reps) * surface.count, grid.n_points * surface.count,
-                     run.blocks, run.threads, run.blas_pinned)
-    return outputs, info
-
-
 def probe_field(ctx: WaveContext, surface: MeasurementSurface, x_p, q) -> FieldSamples:
     """Point-source probe Phi(., x_p) q sampled on the measurement surface."""
     x_p = np.asarray(x_p, dtype=np.float64)
@@ -331,7 +161,8 @@ def compute_index_grid(ctx: WaveContext, datasets, grid: SamplingGrid) -> list[I
         norms = block.probe_norms(moved_qs.reshape(len(qs), -1)).reshape(P.shape)
         return np.abs(P) / (data_norms * norms)
 
-    per_pol, info = _sweep(ctx, surface, grid, group, refs, per_chunk, surface.weights)
+    per_pol, info = _sweep(ctx, surface.points, group, refs, grid.n_points,
+                           _lattice_orbits(group, grid.axes), per_chunk, surface.weights)
     grids = [
         IndexGrid(grid, vals, f"single_polarization:{i}", info)
         for i, vals in enumerate(per_pol)
@@ -357,8 +188,9 @@ def cross_product_maps(ctx: WaveContext, surface: MeasurementSurface, x_q,
     ref = (surface.weights[:, np.newaxis, np.newaxis]
            * green_tensor_from_diff(ctx, surface.points - x_q)).conj()
     refs = np.einsum("sijl,mil->mijs", arrays, ref)
-    value_arrays, info = _sweep(ctx, surface, grid, _symmetry_group(surface, grid), refs,
-                                lambda block, P: np.abs(P))
+    group = _symmetry_group(surface, grid)
+    value_arrays, info = _sweep(ctx, surface.points, group, refs, grid.n_points,
+                                _lattice_orbits(group, grid.axes), lambda block, P: np.abs(P))
     return [
         IndexGrid(grid, values, f"cross:{label}", info).normalized()
         for values, label in zip(value_arrays, coeffs)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import itertools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -26,7 +27,7 @@ _TWO_PI = 2.0 * np.pi
 # block holds about 4.5 at once, so the blocks of two workers hold about what one block did before
 # KernelBlock formed its terms in place.  Block memory grows with the worker count; the peak was
 # measured flat for two workers only.  60 k-200 k measured within noise in 2D, 200 k and 3 M slower in
-# 3D.  The size also sets rounding (see green_tensor_parts), so it does not follow the worker count
+# 3D.  It does not follow the worker count, so that the blocks, and the order of their sums, do not either
 _CHUNK_TARGET = 100_000
 # below this kr the 3D Im Phi is taken from the series of j0 - j1/x and of
 # j2 / x^2 in x^2 (x = kr); five terms each reach double precision there.  The
@@ -37,6 +38,7 @@ _ISO_SERIES = (2.0 / 3.0, -2.0 / 15.0, 1.0 / 140.0, -1.0 / 5670.0, 1.0 / 399168.
 _J2_SERIES = (1.0 / 15.0, -1.0 / 210.0, 1.0 / 7560.0, -1.0 / 498960.0, 1.0 / 51891840.0)
 # one run_tasks at a time: the BLAS pin is process-wide
 _BLAS_PIN = threading.Lock()
+_MIRROR_RTOL = 1e-12  # symmetry matches of surface points and lattice ticks, relative to the surface's extent
 
 
 @dataclass(frozen=True)
@@ -216,8 +218,9 @@ def green_tensor_parts(ctx: WaveContext, r: np.ndarray) -> tuple[np.ndarray, np.
     2D: a = (i k^2 / 4)(H_0 - H_1 / (kr)), b = (i k^2 / 4) H_2.
     3D: a = G (k^2 + ik/r - 1/r^2), b = -G (k^2 + 3ik/r - 3/r^2).
 
-    The terms are formed in place where that keeps their rounding, so that at
-    most four complex arrays of r's shape are live at once.
+    The terms are formed in place, so that at most four complex arrays of r's
+    shape are live at once; a separation's values do not depend on the array
+    it comes in.
     """
     k = ctx.wavenumber
     if ctx.dimension == 2:
@@ -237,11 +240,11 @@ def green_tensor_parts(ctx: WaveContext, r: np.ndarray) -> tuple[np.ndarray, np.
     radial = 1j * k * inv_r
     radial -= inv_r * inv_r
     del inv_r
-    # numpy forms g * (temporary) in the temporary's buffer, as temporary * g,
-    # once the temporary reaches 256 KiB; complex products are not bitwise
-    # commutative, so a and b stay expressions and round as they always have
-    a = g * (k * k + radial)
-    return a, g * (-(k * k) - np.multiply(3.0, radial, out=radial))
+    # complex products are not bitwise commutative, so each is written as
+    # (term) * g, the order numpy's temporary elision turns g * (term) into
+    # from 256 KiB on, so that the bits do not depend on the array's size
+    a = (k * k + radial) * g
+    return a, (-(k * k) - np.multiply(3.0, radial, out=radial)) * g
 
 
 def green_tensor_from_diff(ctx: WaveContext, diff) -> np.ndarray:
@@ -497,12 +500,224 @@ def run_blocks(work: Callable[[int, int], None], n_targets: int, n_sources: int,
     The block size does not depend on the worker count, so no result depends
     on it as long as each call writes only its own targets' slots.
     """
-    step = max(1, _CHUNK_TARGET // (n_sources * dimension))
+    step = max(1, _CHUNK_TARGET // max(1, n_sources * dimension))
     # freeing one mmapped block raises glibc's mmap threshold to its size (and
     # its heap trim threshold to twice that), so each block's arrays stay on
     # the heap instead of being unmapped and faulted in again per block
     np.empty(8 * step * n_sources, dtype=np.complex128)
     return run_tasks([functools.partial(work, lo, min(lo + step, n_targets)) for lo in range(0, n_targets, step)])
+
+
+@dataclass(frozen=True)
+class SweepInfo:
+    """What one orbit contraction (_sweep) evaluated: the order of its
+    symmetry group, the orbit representatives at which the kernel was
+    evaluated, the (source, target) pairs evaluated and the targets' pairs
+    they served, its chunks, its worker threads, and whether BLAS was pinned
+    to one thread (run_blocks)."""
+
+    group_order: int
+    orbits: int
+    kernel_pairs: int
+    grid_pairs: int
+    chunks: int
+    threads: int
+    blas_pinned: bool
+
+
+def _sorted_order(points: np.ndarray, tol: float) -> np.ndarray:
+    """Lexicographic order of points rounded to 1000 tol, far above their
+    rounding noise."""
+    return np.lexsort(np.rint(points / (1e3 * tol)).T)
+
+
+def _matrices(axis_perms: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """The orthogonal matrices (G, d, d) of signed permutations,
+    sigma[i, p(i)] = s_i."""
+    n_images, d = signs.shape
+    mats = np.zeros((n_images, d, d))
+    mats[np.arange(n_images)[:, np.newaxis], np.arange(d), axis_perms] = signs
+    return mats
+
+
+def _symmetry_group(surface, lattice, active=None):
+    """The signed permutations sigma, (sigma v)_i = s_i v_p(i), under which
+    both the surface (sigma x_m = x_pi(m) within _MIRROR_RTOL of its extent,
+    weights exactly) and the lattice (axis p(i)'s ticks are s_i times axis
+    i's; a SamplingGrid or a forward VolumeGrid) are invariant and which, if
+    given, map the lattice nodes active (raveled indices) onto themselves.
+    Returns the axis permutations p (G, d), the signs s (G, d) and the point
+    permutations pi (G, M), the identity first.
+
+    Each of the 2^d d! candidates pairs the sorted points with the sorted
+    mapped points, and every pair is then checked: a tie that the rounding
+    splits can only drop the candidate, never pair the wrong points.  A
+    candidate whose product with another found one was dropped is dropped as
+    well, so the result is a group.
+    """
+    points = surface.points
+    tol = _MIRROR_RTOL * np.abs(points).max()
+    axes = lattice.axes
+    dims = tuple(len(axis) for axis in axes)
+    d = len(dims)
+    active_ticks = None if active is None else np.array(np.unravel_index(active, dims))
+
+    def ticks_match(i: int, j: int, sign: float) -> bool:
+        """Whether axis j's ticks are sign times axis i's."""
+        mapped = axes[i] if sign > 0.0 else -axes[i][::-1]
+        return len(axes[j]) == len(mapped) and np.abs(axes[j] - mapped).max() <= tol
+
+    order = _sorted_order(points, tol)
+    found = []
+    for p in itertools.permutations(range(d)):
+        for s in itertools.product((1.0, -1.0), repeat=d):
+            if not all(ticks_match(i, j, si) for i, (j, si) in enumerate(zip(p, s))):
+                continue
+            if active is not None and not np.isin(
+                    _image_indices(np.array([p]), np.array([s]), active_ticks, dims), active).all():
+                continue
+            mapped = np.array(s) * points[:, p]
+            perm = np.empty(surface.count, dtype=np.intp)
+            perm[_sorted_order(mapped, tol)] = order
+            if np.abs(points[perm] - mapped).max() <= tol and np.array_equal(surface.weights[perm], surface.weights):
+                found.append((p, s, perm))
+    # a signed permutation matrix's entries plus one, read as ternary digits,
+    # key it; keep the members whose products with every member are members
+    digits = 3 ** np.arange(d * d)
+    while True:
+        mats = _matrices(np.array([p for p, _, _ in found]), np.array([s for _, s, _ in found]))
+        keys = (mats.reshape(len(found), -1) + 1) @ digits
+        products = (np.einsum("aij,bjk->abik", mats, mats).reshape(len(found), len(found), -1) + 1) @ digits
+        closed = np.isin(products, keys).all(axis=1)
+        if closed.all():
+            break
+        found = [member for member, keep in zip(found, closed) if keep]
+    axis_perms, signs, point_perms = (np.array(column) for column in zip(*found))
+    return axis_perms, signs, point_perms
+
+
+def _image_indices(axis_perms, signs, ticks: np.ndarray, dims) -> np.ndarray:
+    """Raveled lattice indices (G, C) of the images sigma x of the lattice
+    points with tick indices ticks (d, C): axis i takes tick k_p(i), mirrored
+    to n_i - 1 - k_p(i) where s_i < 0."""
+    moved = ticks[axis_perms]
+    mirrored = np.where(signs[:, :, np.newaxis] < 0.0, np.array(dims)[:, np.newaxis] - 1 - moved, moved)
+    return np.ravel_multi_index(tuple(mirrored.transpose(1, 0, 2)), dims)
+
+
+def _orbit_representatives(axis_perms, signs, dims) -> np.ndarray:
+    """Raveled indices (R,) of the lattice points whose raveled index is the
+    smallest in their orbit, ascending.
+
+    They are picked from the sign-flip orthant (the lower half, centre tick
+    included, of each axis whose flip alone is in the group), which holds
+    every orbit's smallest index, so no (N, G) array is built.
+    """
+    d = signs.shape[1]
+    flips_only = np.all(axis_perms == np.arange(d), axis=1)
+    halved = np.any(signs[flips_only & (np.sum(signs < 0.0, axis=1) == 1)] < 0.0, axis=0)
+    shape = np.array(dims)
+    orthant = tuple(np.where(halved, (shape + 1) // 2, shape))
+    ticks = np.array(np.unravel_index(np.arange(np.prod(orthant)), orthant))
+    index = np.ravel_multi_index(tuple(ticks), dims)
+    smallest = np.ones(index.shape, dtype=bool)
+    # flips of halved axes only never lower an orthant point's index
+    for g in np.flatnonzero(~flips_only | np.any((signs < 0.0) & ~halved, axis=1)):
+        smallest &= _image_indices(axis_perms[g:g + 1], signs[g:g + 1], ticks, dims)[0] >= index
+    return index[smallest]
+
+
+def _lattice_orbits(group, axes):
+    """The orbits of _sweep on the lattice with ticks axes: the representatives
+    (R,) of group's orbits and their locate function."""
+    axis_perms, signs, _ = group
+    dims = tuple(len(axis) for axis in axes)
+
+    def locate(reps):
+        ticks = np.array(np.unravel_index(reps, dims))
+        points = np.column_stack([axis[k] for axis, k in zip(axes, ticks)])
+        return points, _image_indices(axis_perms, signs, ticks, dims)
+
+    return _orbit_representatives(axis_perms, signs, dims), locate
+
+
+def _orbit_slots(images: np.ndarray) -> np.ndarray:
+    """The mask (G, C) of the slots that the images (G, C) of C orbit
+    representatives write: a representative with a nontrivial stabilizer
+    reaches some slots through several group elements, and only the first of
+    them in group order writes there."""
+    order = np.argsort(images, axis=0, kind="stable")
+    ranked = np.take_along_axis(images, order, axis=0)
+    first = np.ones(images.shape, dtype=bool)
+    np.put_along_axis(first, order[1:], ranked[1:] != ranked[:-1], axis=0)
+    return first
+
+
+def _image_slabs(refs: np.ndarray, axis_perms, signs, source_perms) -> np.ndarray:
+    """The references F_sigma[m] = sigma^T F[pi(m)] sigma of every member
+    sigma of a group, as symmetric_slabs stacked (d(d+1)/2, M, G, K).
+
+    Slab (a, b) of sigma is s_i s_j times slab {i, j} of F taken at the
+    sources pi(m), i = p^-1(a) and j = p^-1(b): one gather per member from
+    symmetric_slabs(F), taken once.  Addition commutes and a sign flip is
+    exact, so each is bit for bit symmetric_slabs of F_sigma.
+    """
+    base = symmetric_slabs(refs)
+    d = refs.shape[1]
+    rows, cols = np.triu_indices(d)
+    slab_of = np.empty((d, d), dtype=np.intp)
+    slab_of[rows, cols] = slab_of[cols, rows] = np.arange(len(base))
+    slabs = np.empty((len(base), refs.shape[0], len(signs), refs.shape[3]), dtype=np.complex128)
+    for g, (p, s, perm) in enumerate(zip(axis_perms, signs, source_perms)):
+        i, j = np.argsort(p)[rows], np.argsort(p)[cols]
+        moved = slabs[:, :, g]
+        moved[...] = base[slab_of[i, j][:, np.newaxis], perm]
+        np.negative(moved, out=moved, where=(s[i] * s[j] < 0.0)[:, np.newaxis, np.newaxis])
+    return slabs
+
+
+def _sweep(ctx, sources, group, refs, n_targets, orbits, per_chunk_fn=None, probe_weights=None):
+    """The pairings P[c, k] = sum_m Phi(x_m, x_c) : F[m, :, :, k] of refs F
+    (M, d, d, K) at the M sources x_m, for each of n_targets targets x_c,
+    evaluating Phi once per orbit of a group (_symmetry_group) that maps the
+    sources and the targets onto themselves.
+
+    For a signed permutation sigma with sigma x_m = x_pi(m),
+        Phi(x_m, sigma x_c) = sigma Phi(x_pi^-1(m), x_c) sigma^T,
+    so the pairing at an image sigma x_c is the pairing at x_c against
+    F_sigma[m] = sigma^T F[pi(m)] sigma (_image_slabs): the group, given as
+    (p, s, pi), acts on the references alone.  orbits is (reps, locate): the
+    representatives' target indices (R,), and locate(some reps) gives their
+    points (C, d) and their images (G, C), the target indices of sigma x_c.
+    Each chunk is one KernelBlock of run_blocks with the sources, built with
+    probe_weights where per_chunk_fn takes probe norms
+    (KernelBlock.probe_norms).  per_chunk_fn(block, P) maps a chunk's
+    pairings P (C, G, K) to real values of the same shape; without it the
+    values are the pairings.  Each target is written once, by the first group
+    element that reaches it from its orbit's representative, so results do
+    not depend on the thread count.  Returns the values (K, n_targets) and a
+    SweepInfo.
+    """
+    n_images, d = group[1].shape
+    n_columns = refs.shape[3]
+    slabs = _image_slabs(refs, *group)
+    slabs = slabs.reshape(len(slabs), len(sources), n_images * n_columns)
+    reps, locate = orbits
+    outputs = np.empty((n_columns, n_targets), dtype=np.complex128 if per_chunk_fn is None else np.float64)
+
+    def work(lo, hi):
+        points, images = locate(reps[lo:hi])
+        block = KernelBlock(ctx, sources, points, probe_weights)
+        values = block.contract(slabs).reshape(hi - lo, n_images, n_columns)
+        if per_chunk_fn is not None:
+            values = per_chunk_fn(block, values)
+        first = _orbit_slots(images)
+        outputs[:, images[first]] = values.transpose(2, 1, 0)[:, first]
+
+    run = run_blocks(work, len(reps), len(sources), d)
+    info = SweepInfo(n_images, len(reps), len(reps) * len(sources), n_targets * len(sources),
+                     run.blocks, run.threads, run.blas_pinned)
+    return outputs, info
 
 
 def curl_green_tensor_from_diff(ctx: WaveContext, diff, v) -> np.ndarray:

@@ -417,13 +417,15 @@ def preset(name: str, *, noise: float | None = None, seed: int | None = None,
 
 @dataclass
 class LocalizationReport:
-    """Per-index maxima and argmax, stage timings and resources, the config."""
+    """Per-index maxima and argmax, stage timings and resources, the config,
+    the forward solves and the synthesis's SweepInfo (None without one)."""
 
     config: dict
     indices: list[dict] = field(default_factory=list)
     stage_seconds: dict = field(default_factory=dict)
     stage_resources: dict = field(default_factory=dict)
     solver_info: list[dict] = field(default_factory=list)
+    synthesis_info: dict | None = None
     output_files: list[str] = field(default_factory=list)
 
     @property
@@ -509,6 +511,7 @@ def run_experiment(config: ExperimentConfig) -> LocalizationReport:
         with _stage(report, "synthesis"):
             datasets = []
             fields = synthesize_scattered_fields(currents, surface, config.ctx)
+            report.synthesis_info = asdict(fields[0].synthesis_info)
             for l, (wave, samples) in enumerate(zip(config.incidents, fields)):
                 if "csv" in config.output_formats:
                     path = outdir / f"scattered_incident{l + 1}.csv"

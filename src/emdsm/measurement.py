@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .em_core import KernelBlock, WaveContext, run_blocks, symmetric_slabs
+from .em_core import SweepInfo, WaveContext, _image_indices, _sweep, _symmetry_group
 from .errors import DomainError, GeometryError
 
 _NOISE_BITGEN = np.random.PCG64  # named, seedable, portable
@@ -106,6 +106,7 @@ class FieldSamples:
 
     surface: MeasurementSurface
     values: np.ndarray
+    synthesis_info: SweepInfo | None = None  # set on fields that come from a synthesis
 
     def __post_init__(self):
         if self.values.shape != (self.surface.count, self.surface.dimension):
@@ -116,12 +117,17 @@ def synthesize_scattered_fields(currents, surface: MeasurementSurface, ctx: Wave
     """Discrete-sum scattered fields E^s_l(x_m) = sum_j Phi(x_m, y_j) J_l(y_j) h^d
     of currents J_1..J_L on one grid, in their order.
 
-    It is the KernelBlock pairing, a block of surface points (the targets) at
-    a time (em_core.run_blocks), over the nodes where any current is nonzero
-    (the sources) against the references F[j, a, b, l d + i] = delta_ai
-    J_l,b(j) h^d: each block is built once and contracted against all L
-    currents, K = d L columns.  Every measurement point must lie strictly
-    outside the source grid's bounding box.
+    It is the orbit contraction em_core._sweep from the nodes where any
+    current is nonzero (the sources) to the surface points (the targets),
+    against the references F[j, a, b, l d + i] = delta_ai J_l,b(j) h^d: each
+    block is built once and contracted against all L currents, K = d L
+    columns per group member.  The group is the signed permutations that map
+    the surface and the sources onto themselves (em_core._symmetry_group with
+    the sources as its active nodes); it acts on the references alone, so the
+    currents need not be symmetric, and Phi is evaluated once per orbit of
+    surface points.  Each field carries the contraction's SweepInfo as
+    synthesis_info.  Every measurement point must lie strictly outside the
+    source grid's bounding box.
     """
     if not currents:
         raise DomainError("synthesis needs at least one current")
@@ -135,17 +141,16 @@ def synthesize_scattered_fields(currents, surface: MeasurementSurface, ctx: Wave
     d = ctx.dimension
     stacked = np.stack([current.values for current in currents], axis=1)
     active = np.flatnonzero(np.any(stacked != 0.0, axis=(1, 2)))
-    values = np.zeros((surface.count, d * len(currents)), dtype=np.complex128)
-    if active.size:
-        sources = grid.nodes[active]
-        refs = np.einsum("ai,jlb->jabli", np.eye(d), stacked[active] * grid.cell_measure)
-        slabs = symmetric_slabs(refs.reshape(active.size, d, d, -1))
-
-        def work(start, stop):
-            values[start:stop] = KernelBlock(ctx, sources, surface.points[start:stop]).contract(slabs)
-
-        run_blocks(work, surface.count, active.size, d)
-    return [FieldSamples(surface, values[:, l * d:(l + 1) * d].copy()) for l in range(len(currents))]
+    refs = np.einsum("ai,jlb->jabli", np.eye(d), stacked[active] * grid.cell_measure)
+    refs = refs.reshape(active.size, d, d, d * len(currents))
+    axis_perms, signs, point_perms = _symmetry_group(surface, grid, active)
+    # sigma y_j = y_node_perms[j], j counting the sources
+    ticks = np.array(np.unravel_index(active, grid.counts))
+    node_perms = np.searchsorted(active, _image_indices(axis_perms, signs, ticks, grid.counts))
+    reps = np.flatnonzero(point_perms.min(axis=0) == np.arange(surface.count))
+    values, info = _sweep(ctx, grid.nodes[active], (axis_perms, signs, node_perms), refs, surface.count,
+                          (reps, lambda chunk: (surface.points[chunk], point_perms[:, chunk])))
+    return [FieldSamples(surface, values[l * d:(l + 1) * d].T.copy(), info) for l in range(len(currents))]
 
 
 def add_noise(samples: FieldSamples, epsilon: float, seed: int) -> FieldSamples:

@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from emdsm import em_core as em, harness
+from emdsm import checks, em_core as em, harness
 
 
 @pytest.fixture
@@ -56,3 +56,10 @@ def example3d_runs(preset_root):
         "exact": timed_run(harness.preset("example3d", out=str(preset_root / "example3d_exact"))),
         "noisy": timed_run(harness.preset("example3d", noise=0.2, seed=1, out=str(preset_root / "example3d_eps0.2"))),
     }
+
+
+@pytest.fixture(scope="session")
+def verify_results():
+    """checks.verify(kind) for every verify kind, by kind, run once per
+    session; each result's seconds time its own run."""
+    return {kind: checks.verify(kind) for kind in checks.VERIFY_KINDS}

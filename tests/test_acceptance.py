@@ -37,10 +37,9 @@ def maxima_locations(entry):
     return [np.array(m["location"]) for m in entry["maxima"]]
 
 
-def test_criterion_1_trace_identity():
-    start = time.perf_counter()
-    result = checks.verify("trace")
-    elapsed = time.perf_counter() - start
+def test_criterion_1_trace_identity(verify_results):
+    result = verify_results["trace"]
+    elapsed = result["seconds"]
     worst = max(c["value"] for c in result["checks"])
     ok = result["passed"] and elapsed < 1.0
     announce(1, ok, f"trace identity max rel dev {worst:.2e} (tol 1e-11), {elapsed:.2f} s")
@@ -67,10 +66,9 @@ def test_criterion_2_green_tensor_vs_fd_oracle():
     assert elapsed < 5.0
 
 
-def test_criterion_3_boundary_identity():
-    start = time.perf_counter()
-    result = checks.verify("lemma")
-    elapsed = time.perf_counter() - start
+def test_criterion_3_boundary_identity(verify_results):
+    result = verify_results["lemma"]
+    elapsed = result["seconds"]
     err512 = result["checks"][0]["value"]
     errs = result["checks"][1]["value"]
     ok = result["passed"] and elapsed < 10.0
@@ -81,10 +79,9 @@ def test_criterion_3_boundary_identity():
     assert elapsed < 10.0
 
 
-def test_criterion_4_correlation_approximation():
-    start = time.perf_counter()
-    result = checks.verify("xpq")
-    elapsed = time.perf_counter() - start
+def test_criterion_4_correlation_approximation(verify_results):
+    result = verify_results["xpq"]
+    elapsed = result["seconds"]
     err5 = result["checks"][0]["value"]
     errs = result["checks"][1]["value"]
     ok = result["passed"] and elapsed < 10.0
@@ -106,10 +103,9 @@ def test_criterion_5_born_regime():
     assert elapsed < 30.0
 
 
-def test_criterion_6_solver_cross_check():
-    start = time.perf_counter()
-    result = checks.verify("solver_cross")
-    elapsed = time.perf_counter() - start
+def test_criterion_6_solver_cross_check(verify_results):
+    result = verify_results["solver_cross"]
+    elapsed = result["seconds"]
     rel = result["checks"][0]["value"]
     ok = rel <= 1e-8 and elapsed < 30.0
     announce(6, ok, f"dense vs GMRES(1e-10) rel diff {rel:.2e} (tol 1e-8), {elapsed:.2f} s")

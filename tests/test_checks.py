@@ -101,12 +101,12 @@ class TestDiagnosticMaps:
 
 
 class TestVerify:
-    def test_trace(self):
-        result = checks.verify("trace")
+    def test_trace(self, verify_results):
+        result = verify_results["trace"]
         assert result["passed"]
         assert all(c["value"] <= 1e-11 for c in result["checks"])
 
-    def test_trace_matches_per_pair_loop(self):
+    def test_trace_matches_per_pair_loop(self, verify_results):
         """The batched check against one kernel call per accepted pair, drawn
         from the same generator one pair at a time."""
         rng = np.random.default_rng(2024)
@@ -124,25 +124,25 @@ class TestVerify:
                 dev = abs(np.trace(green_tensor_from_diff(ctx, x - y)) - (dim - 1) * ctx.wavenumber**2 * g)
                 worst = max(worst, dev / abs(ctx.wavenumber**2 * g))
             oracle.append(worst)
-        values = [check["value"] for check in checks.verify("trace")["checks"]]
+        values = [check["value"] for check in verify_results["trace"]["checks"]]
         np.testing.assert_array_max_ulp(np.array(values), np.array(oracle), maxulp=4)
 
-    def test_lemma(self):
-        result = checks.verify("lemma")
+    def test_lemma(self, verify_results):
+        result = verify_results["lemma"]
         assert result["passed"]
 
-    def test_xpq(self):
-        result = checks.verify("xpq")
+    def test_xpq(self, verify_results):
+        result = verify_results["xpq"]
         assert result["passed"]
 
-    def test_born(self):
-        result = checks.verify("born")
+    def test_born(self, verify_results):
+        result = verify_results["born"]
         assert result["passed"]
         order = result["checks"][0]["value"]
         assert abs(order - 1.0) <= 0.2
 
-    def test_solver_cross(self):
-        result = checks.verify("solver_cross")
+    def test_solver_cross(self, verify_results):
+        result = verify_results["solver_cross"]
         assert result["passed"]
 
     def test_unknown_kind(self):

@@ -165,6 +165,37 @@ def test_changed_sweep_computation_fails(trees, capsys):
     assert "combined: sweep_info differs" in err
 
 
+def test_how_the_synthesis_ran_is_printed_not_failed(trees, capsys):
+    a, b = trees
+    _edit_report(b / "small" / "report.json", lambda report: report["synthesis_info"].update(threads=3))
+    info = json.loads((a / "small" / "report.json").read_text())["synthesis_info"]
+    code, out, err = _compare(a, b, capsys)
+    assert code == 0, err
+    assert "small/synthesis same, ran {'chunks': " in out and "'threads': 3, " in out
+    # the square's forward grid allows the y flip alone: the circle points at
+    # angles 0 and pi are fixed and the other 28 pair up; all 30 are served
+    assert (info["group_order"], info["orbits"]) == (2, 16)
+    assert info["grid_pairs"] == 30 * info["kernel_pairs"] // 16
+    # fig2 has no synthesis, and a report written before synthesis_info existed none recorded
+    assert "fig2/synthesis same" in out
+    _edit_report(b / "small" / "report.json", lambda report: report.pop("synthesis_info"))
+    code, out, err = _compare(a, b, capsys)
+    assert code == 0, err
+    assert "small/synthesis not recorded in both" in out
+
+
+@pytest.mark.parametrize("key", compare_outputs.COMPUTATION)
+def test_changed_synthesis_computation_fails(trees, golden, capsys, key):
+    a, b = trees
+    _edit_report(b / "small" / "report.json", lambda report: report["synthesis_info"].update({key: 1}))
+    code, _, err = _compare(a, b, capsys)
+    assert code == 1
+    assert "small: synthesis_info differs" in err
+    code, _, err = _against_golden(b, golden, capsys)
+    assert code == 1
+    assert "small: synthesis_info differs" in err
+
+
 @pytest.mark.parametrize("edit, failure", [
     (lambda solve: solve.update(iterations=solve["iterations"] + 1), "solve 1: GMRES iterations differ"),
     (lambda solve: solve.update(residual=solve["residual"] + 1e-9), "solve 1: residual differs by 1.00e-09 > 1e-12"),

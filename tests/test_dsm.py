@@ -517,12 +517,12 @@ class TestMirrorOrbits:
             np.testing.assert_allclose(index.values, expected, rtol=0, atol=1e-12)
 
     def test_cube_group_is_the_full_signed_permutation_group(self):
-        axis_perms, signs, point_perms = dsm._symmetry_group(CUBE, dsm.sampling_grid([(-1.0, 1.0)] * 3, 0.5))
+        axis_perms, signs, point_perms = em._symmetry_group(CUBE, dsm.sampling_grid([(-1.0, 1.0)] * 3, 0.5))
         assert len(signs) == 48
         np.testing.assert_array_equal(axis_perms[0], [0, 1, 2])
         np.testing.assert_array_equal(signs[0], [1.0, 1.0, 1.0])
         assert {tuple(p) for p in axis_perms} >= {(1, 2, 0), (2, 0, 1)}  # the 3-cycles
-        mats = dsm._matrices(axis_perms, signs)
+        mats = em._matrices(axis_perms, signs)
         for mat, perm in zip(mats, point_perms):
             np.testing.assert_allclose(CUBE.points @ mat.T, CUBE.points[perm], rtol=0, atol=1e-12)
         codes = {tuple(m.ravel()) for m in mats}
@@ -536,7 +536,7 @@ class TestMirrorOrbits:
         for eps, order in ((0.0, 4), (3.2e-12, 1)):
             points = np.array([[3.0, 4.0], [-3.0 - eps, 4.0], [3.0 + eps, -4.0], [-3.0 - 2 * eps, -4.0]])
             surface = ms.MeasurementSurface(points, np.ones(4), np.zeros_like(points))
-            assert len(dsm._symmetry_group(surface, grid)[1]) == order
+            assert len(em._symmetry_group(surface, grid)[1]) == order
 
     @pytest.mark.parametrize("surface,box,spacing,order", [
         (CIRCLE32, [(-1.0, 1.0)] * 2, 0.2, 8),                      # 11 x 11
@@ -549,15 +549,16 @@ class TestMirrorOrbits:
     ])
     def test_representatives_write_every_slot_once(self, surface, box, spacing, order):
         grid = dsm.sampling_grid(box, spacing)
-        axis_perms, signs, _ = dsm._symmetry_group(surface, grid)
+        axis_perms, signs, _ = em._symmetry_group(surface, grid)
         assert len(signs) == order
-        reps = dsm._orbit_representatives(axis_perms, signs, grid.shape)
-        images, first = dsm._orbit_slots(axis_perms, signs, np.array(np.unravel_index(reps, grid.shape)), grid.shape)
+        reps = em._orbit_representatives(axis_perms, signs, grid.shape)
+        images = em._image_indices(axis_perms, signs, np.array(np.unravel_index(reps, grid.shape)), grid.shape)
+        first = em._orbit_slots(images)
         np.testing.assert_array_equal(np.sort(images[first]), np.arange(grid.n_points))
         # each representative is the smallest raveled index of its orbit,
         # and the identity (first) writes it
         every = np.array(np.unravel_index(np.arange(grid.n_points), grid.shape))
-        smallest = dsm._image_indices(axis_perms, signs, every, grid.shape).min(axis=0)
+        smallest = em._image_indices(axis_perms, signs, every, grid.shape).min(axis=0)
         np.testing.assert_array_equal(reps, np.unique(smallest))
         np.testing.assert_array_equal(images[0], reps)
         assert first[0].all()

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emdsm import em_core as em
+from emdsm import forward as fw
 from emdsm import measurement as ms
 from emdsm.errors import DimensionMismatchError, DomainError, GeometryError, SingularityError
 
@@ -234,6 +235,17 @@ class TestGreenTensor:
             phi = em.green_tensor_from_diff(ctx, x - y)
             np.testing.assert_array_equal(phi, phi.T)
             np.testing.assert_allclose(phi, em.green_tensor_from_diff(ctx, y - x), rtol=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 1_000, 16_383])
+    def test_3d_parts_do_not_depend_on_the_array_size(self, n):
+        # numpy forms some products of arrays of 16 384 and more complex
+        # values in another operand order; a separation's bits must not
+        # follow the size of the array it comes in
+        r = np.random.default_rng(11).uniform(0.05, 10.0, 100_000)
+        large = em.green_tensor_parts(CTX3, r.copy())
+        small = em.green_tensor_parts(CTX3, r[:n].copy())
+        for part, whole in zip(small, large):
+            np.testing.assert_array_equal(part.view(np.uint64), whole[:n].view(np.uint64))
 
     def test_3d_axis_separation_is_diagonal(self):
         phi = em.green_tensor_from_diff(CTX3, [0.7, 0.0, 0.0])
@@ -706,6 +718,29 @@ def test_symmetric_slabs_match_f_plus_f_transpose(ctx):
     phi = em.green_tensor_from_diff(ctx, sources[np.newaxis, :, :] - targets[:, np.newaxis, :])
     np.testing.assert_allclose(em.KernelBlock(ctx, sources, targets).contract(slabs),
                                np.einsum("cmij,mijk->ck", phi, refs), rtol=1e-12)
+
+
+def per_member_image_slabs(refs, axis_perms, signs, source_perms):
+    """Oracle of em_core._image_slabs: each F_sigma[m] = sigma^T F[pi(m)] sigma
+    formed in full, then its symmetric_slabs."""
+    d = refs.shape[1]
+    slabs = np.empty((d * (d + 1) // 2, refs.shape[0], len(signs), refs.shape[3]), dtype=np.complex128)
+    moved = np.empty_like(refs)
+    for g, (p, s, perm) in enumerate(zip(axis_perms, signs, source_perms)):
+        moved[:, p[:, np.newaxis], p] = np.multiply.outer(s, s)[:, :, np.newaxis] * refs[perm]
+        slabs[:, :, g] = em.symmetric_slabs(moved)
+    return slabs
+
+
+class TestSymmetryGroup:
+    def test_image_slabs_are_the_per_member_slabs_bit_for_bit(self):
+        cube = ms.cube_surface(10.0, 2)
+        group = em._symmetry_group(cube, fw.VolumeGrid(0.5, np.full(3, -1.0), (4, 4, 4)))
+        assert len(group[1]) == 48
+        rng = np.random.default_rng(13)
+        refs = rng.standard_normal((cube.count, 3, 3, 4)) + 1j * rng.standard_normal((cube.count, 3, 3, 4))
+        np.testing.assert_array_equal(em._image_slabs(refs, *group).view(np.uint64),
+                                      per_member_image_slabs(refs, *group).view(np.uint64))
 
 
 class TestRunBlocks:

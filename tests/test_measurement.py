@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emdsm import em_core as em, forward as fw, measurement as ms
+from emdsm import em_core as em, forward as fw, harness, measurement as ms
 from emdsm.errors import DomainError, GeometryError
 
 CTX2 = em.WaveContext.from_wavelength(2, 1.0)
@@ -130,7 +130,11 @@ class TestSynthesis:
         expected = np.array([
             em.green_tensor_from_diff(CTX2, m - grid.nodes[j0]) @ values[j0] for m in surf.points
         ]) * grid.cell_measure
-        np.testing.assert_allclose(samples.values, expected, rtol=1e-14)
+        # the synthesis serves the 8 points from one orbit of the square's
+        # group, at the exact images of its representative: a point's
+        # rounding (1e-16 of the radius) then moves the radial component,
+        # which cancels to 1/200 of the largest value, by 2e-16 of that value
+        np.testing.assert_allclose(samples.values, expected, rtol=1e-14, atol=1e-15 * np.abs(expected).max())
 
     def test_linear_in_current(self):
         contrast = em.ContrastField([em.Shape([0.0, 0.0], 0.3, eta=1.0)])
@@ -238,7 +242,9 @@ class TestSynthesis:
         for current, samples in zip(currents, fields):
             assert samples.surface is surf
             alone = ms.synthesize_scattered_fields([current], surf, ctx)[0].values
-            assert np.abs(samples.values - alone).max() <= 1e-15 * np.abs(alone).max()
+            # each call's group follows its own nodes that carry current, so
+            # the orbits, and the rounding, differ between the calls
+            assert np.abs(samples.values - alone).max() <= 1e-14 * np.abs(alone).max()
 
     @pytest.mark.parametrize("ctx", [CTX2, CTX3])
     def test_many_currents_bit_identical_across_thread_counts(self, ctx, monkeypatch):
@@ -273,6 +279,104 @@ class TestSynthesis:
         )
         with pytest.raises(GeometryError):
             ms.synthesize_scattered_fields([current], inside, CTX2)
+
+
+def direct_synthesis(currents, surface, ctx):
+    """Oracle of the orbit synthesis: the synthesis as it was before it used
+    the group, one KernelBlock pairing per block of all surface points."""
+    grid, d = currents[0].grid, ctx.dimension
+    stacked = np.stack([current.values for current in currents], axis=1)
+    active = np.flatnonzero(np.any(stacked != 0.0, axis=(1, 2)))
+    values = np.zeros((surface.count, d * len(currents)), dtype=np.complex128)
+    refs = np.einsum("ai,jlb->jabli", np.eye(d), stacked[active] * grid.cell_measure)
+    slabs = em.symmetric_slabs(refs.reshape(active.size, d, d, -1))
+
+    def work(start, stop):
+        values[start:stop] = em.KernelBlock(ctx, grid.nodes[active], surface.points[start:stop]).contract(slabs)
+
+    em.run_blocks(work, surface.count, active.size, d)
+    return [values[:, l * d:(l + 1) * d].copy() for l in range(len(currents))]
+
+
+def preset_currents(name):
+    """The forward currents of a preset, its surface and its context."""
+    config = harness.preset(name)
+    system = fw.ForwardSystem(config.contrast, config.ctx, fw.build_grid(config.contrast, config.forward_h))
+    return system.solve_all(config.incidents, config.solver)[0], config.surface.build(), config.ctx
+
+
+class TestOrbitSynthesis:
+    """The synthesis evaluates Phi once per orbit of the group that maps the
+    surface and the nodes carrying current onto themselves."""
+
+    @pytest.mark.parametrize("name, order, orbits", [
+        # example1: the square is centred on the x axis, so the y flip alone
+        ("example1", 2, 16),
+        # example4: the ring is centred, but a 30-point circle has no diagonal;
+        # the points at angles 0 and pi make one orbit, the other 28 seven
+        ("example4", 4, 8),
+        # example3d: the two cubes allow the x flip and the y-z swap
+        ("example3d", 4, 155),
+    ])
+    def test_symmetric_scenes_match_the_direct_synthesis(self, name, order, orbits):
+        currents, surface, ctx = preset_currents(name)
+        fields = ms.synthesize_scattered_fields(currents, surface, ctx)
+        info = fields[0].synthesis_info
+        active = np.count_nonzero(np.any(currents[0].values != 0.0, axis=1))
+        assert (info.group_order, info.orbits) == (order, orbits)
+        assert (info.kernel_pairs, info.grid_pairs) == (orbits * active, surface.count * active)
+        for samples, expected in zip(fields, direct_synthesis(currents, surface, ctx)):
+            np.testing.assert_allclose(samples.values, expected, rtol=1e-13)
+
+    def test_asymmetric_scene_is_the_direct_synthesis_byte_for_byte(self):
+        currents, surface, ctx = preset_currents("example2b")
+        fields = ms.synthesize_scattered_fields(currents, surface, ctx)
+        assert (fields[0].synthesis_info.group_order, fields[0].synthesis_info.orbits) == (1, surface.count)
+        for samples, expected in zip(fields, direct_synthesis(currents, surface, ctx)):
+            np.testing.assert_array_equal(samples.values.view(np.uint64), expected.view(np.uint64))
+
+    def test_members_that_move_the_support_are_dropped(self):
+        # a centred square less its upper right corner: the ticks and the
+        # 32-point circle keep all 8 members, the support only the diagonal swap
+        contrast = em.ContrastField([em.Shape([0.0, 0.0], 0.4), em.Shape([0.1, 0.1], 0.2, eta=0.0)])
+        grid = fw.build_grid(contrast, 0.05)
+        surface = ms.circle_surface(5.0, 32)
+        supported = contrast.eta_at(grid.nodes) != 0.0
+        active = np.flatnonzero(supported)
+        assert len(em._symmetry_group(surface, grid)[1]) == 8
+        axis_perms, signs, _ = em._symmetry_group(surface, grid, active)
+        np.testing.assert_array_equal(axis_perms, [[0, 1], [1, 0]])
+        np.testing.assert_array_equal(signs, np.ones((2, 2)))
+        rng = np.random.default_rng(14)
+        currents = []
+        for _ in range(2):
+            values = rng.standard_normal((grid.n_nodes, 2)) + 1j * rng.standard_normal((grid.n_nodes, 2))
+            values[~supported] = 0.0
+            currents.append(fw.InducedCurrentField(grid, values))
+        fields = ms.synthesize_scattered_fields(currents, surface, CTX2)
+        assert (fields[0].synthesis_info.group_order, fields[0].synthesis_info.orbits) == (2, 17)
+        for samples, expected in zip(fields, direct_synthesis(currents, surface, CTX2)):
+            np.testing.assert_allclose(samples.values, expected, rtol=1e-13)
+
+    def test_bit_identical_across_thread_counts(self, monkeypatch):
+        # example3d's cubes with currents that have no symmetry of their own,
+        # 4 representatives per block, and 5 workers outnumber the cores
+        config = harness.preset("example3d")
+        grid = fw.build_grid(config.contrast, config.forward_h)
+        supported = config.contrast.eta_at(grid.nodes) != 0.0
+        rng = np.random.default_rng(15)
+        values = rng.standard_normal((grid.n_nodes, 3)) + 1j * rng.standard_normal((grid.n_nodes, 3))
+        values[~supported] = 0.0
+        current = fw.InducedCurrentField(grid, values)
+        surface = config.surface.build()
+        monkeypatch.setattr(em, "_CHUNK_TARGET", 4 * np.count_nonzero(supported) * 3)
+        runs = []
+        for threads in (1, 2, 5):
+            monkeypatch.setattr(em, "_thread_count", lambda: threads)
+            runs.append(ms.synthesize_scattered_fields([current], surface, CTX3)[0])
+        assert runs[0].synthesis_info.group_order == 4 and runs[0].synthesis_info.chunks == 39
+        for got in runs[1:]:
+            np.testing.assert_array_equal(got.values.view(np.uint64), runs[0].values.view(np.uint64))
 
 
 class TestNoise:
