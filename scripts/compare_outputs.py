@@ -10,9 +10,10 @@ also printed with whether its bytes are the same.  For each grid entry it is
 printed whether dir_b's entry of the same label has the same argmax
 location, the same local-maxima locations and the same sweep computation
 (sweep_info's group order, orbits, kernel pairs and grid pairs), and for
-each run whether the synthesis's synthesis_info has the same computation;
-a report written before synthesis_info existed has none, which is printed,
-not failed.  How each sweep or synthesis ran (its chunks, worker threads and
+each run whether the synthesis's synthesis_info has the same computation:
+a dir_b or golden file written before synthesis_info existed has none, which
+is printed, not failed, and a dir_a without it where the reference has it
+fails.  How each sweep or synthesis ran (its chunks, worker threads and
 BLAS pin) follows the CPUs the run may use, so it is printed where it
 differs, not failed.  Each forward solve
 of solver_info is printed with its GMRES iterations and final relative
@@ -113,7 +114,8 @@ def _computation(info: dict | None) -> dict | None:
 
 def _compare_reports(report_a: dict, report_b: dict, tol: float, failures: list[str]) -> list[str]:
     """Lines for the config echoes, forward solves and grid entries of two
-    reports, or of golden records, which keep only these.  Failures are added."""
+    reports, or of golden records, which keep only these; report_b is the
+    reference, dir_b's or the golden file's.  Failures are added."""
     entries_b = {entry["label"]: entry for entry in report_b["indices"]}
     same_config = _config_echo(report_a) == _config_echo(report_b)
     if not same_config:
@@ -132,11 +134,16 @@ def _compare_reports(report_a: dict, report_b: dict, tol: float, failures: list[
         delta = abs(solve_a["residual"] - solve_b["residual"])
         if delta > tol:
             failures.append(f"solve {n}: residual differs by {delta:.2e} > {tol:g}")
-    if "synthesis_info" in report_a and "synthesis_info" in report_b:
+    if "synthesis_info" not in report_b:
+        lines.append("synthesis not recorded in the reference")
+    elif "synthesis_info" not in report_a:
+        failures.append("synthesis_info missing")
+        lines.append("synthesis MISSING")
+    else:
         lines.append("synthesis " + _compare_info("synthesis_info", report_a["synthesis_info"],
                                                   report_b["synthesis_info"], failures))
-    else:
-        lines.append("synthesis not recorded in both")
+    labels_a = {entry["label"] for entry in report_a["indices"]}
+    failures += [f"{label}: not in this report" for label in entries_b if label not in labels_a]
     for entry_a in report_a["indices"]:
         label, entry_b = entry_a["label"], entries_b.get(entry_a["label"])
         if entry_b is None:
@@ -204,7 +211,7 @@ def golden_record(run: Path) -> dict:
         "sha256": {name: hashlib.sha256((run / name).read_bytes()).hexdigest() for name in _output_names(report)},
         "config": _config_echo(report),
         "solver_info": [{key: solve[key] for key in ("iterations", "residual")} for solve in report["solver_info"]],
-        "synthesis_info": _computation(report.get("synthesis_info")),
+        **({"synthesis_info": _computation(report["synthesis_info"])} if "synthesis_info" in report else {}),
         "indices": [{**{key: entry[key] for key in ("label", "argmax", "maxima", "off_peak_ratio") if key in entry},
                      "sweep_info": _computation(entry["sweep_info"])}
                     for entry in report["indices"]],
@@ -271,7 +278,7 @@ def compare_golden(tree: Path, golden_file: dict, tol: float) -> tuple[list[str]
                 lines.append(f"{run}/{name}: sha256 {'same' if same else 'differs'}")
                 if not same:
                     run_failures.append(f"{name}: sha256 differs")
-        lines += [f"{run}/{line}" for line in _compare_reports(record, fresh, tol, run_failures)]
+        lines += [f"{run}/{line}" for line in _compare_reports(fresh, record, tol, run_failures)]
         failures += [f"{run}: {f}" for f in run_failures]
     lines += _compare_verify(golden_file["verify"], verify_results(), tol, failures)
     return lines, failures

@@ -157,8 +157,8 @@ def compute_index_grid(ctx: WaveContext, datasets, grid: SamplingGrid) -> list[I
     moved_qs = np.empty((len(qs), len(signs), len(datasets)))
     moved_qs[axis_perms.T, np.arange(len(signs))] = signs.T[:, :, np.newaxis] * qs[:, np.newaxis]
 
-    def per_chunk(block: KernelBlock, P: np.ndarray):
-        norms = block.probe_norms(moved_qs.reshape(len(qs), -1)).reshape(P.shape)
+    def per_chunk(block: KernelBlock, P: np.ndarray, members: np.ndarray):
+        norms = block.probe_norms(moved_qs[:, members].reshape(len(qs), -1)).reshape(P.shape)
         return np.abs(P) / (data_norms * norms)
 
     per_pol, info = _sweep(ctx, surface.points, group, refs, grid.n_points,
@@ -190,7 +190,7 @@ def cross_product_maps(ctx: WaveContext, surface: MeasurementSurface, x_q,
     refs = np.einsum("sijl,mil->mijs", arrays, ref)
     group = _symmetry_group(surface, grid)
     value_arrays, info = _sweep(ctx, surface.points, group, refs, grid.n_points,
-                                _lattice_orbits(group, grid.axes), lambda block, P: np.abs(P))
+                                _lattice_orbits(group, grid.axes), lambda block, P, members: np.abs(P))
     return [
         IndexGrid(grid, values, f"cross:{label}", info).normalized()
         for values, label in zip(value_arrays, coeffs)

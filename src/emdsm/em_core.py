@@ -39,6 +39,10 @@ _J2_SERIES = (1.0 / 15.0, -1.0 / 210.0, 1.0 / 7560.0, -1.0 / 498960.0, 1.0 / 518
 # one run_tasks at a time: the BLAS pin is process-wide
 _BLAS_PIN = threading.Lock()
 _MIRROR_RTOL = 1e-12  # symmetry matches of surface points and lattice ticks, relative to the surface's extent
+_SLAB_BUDGET = 1 << 25  # bytes of the stacked image slabs of one pass of _sweep
+# _sweep's blocks beyond the identity take the rows they would against this many sources: against
+# 14 000 sources, 2 rows made the products read the wide slabs for each pair of rows, four times as slow
+_ORBIT_SOURCES = 2_000
 
 
 @dataclass(frozen=True)
@@ -240,9 +244,8 @@ def green_tensor_parts(ctx: WaveContext, r: np.ndarray) -> tuple[np.ndarray, np.
     radial = 1j * k * inv_r
     radial -= inv_r * inv_r
     del inv_r
-    # complex products are not bitwise commutative, so each is written as
-    # (term) * g, the order numpy's temporary elision turns g * (term) into
-    # from 256 KiB on, so that the bits do not depend on the array's size
+    # complex products do not commute bitwise: (term) * g is the order that numpy's
+    # temporary elision gives g * (term) from 256 KiB on, at every array size
     a = (k * k + radial) * g
     return a, (-(k * k) - np.multiply(3.0, radial, out=radial)) * g
 
@@ -492,15 +495,17 @@ def run_tasks(tasks: Sequence[Callable[[], object]]) -> BlockRun:
     return BlockRun(len(tasks), workers, True)
 
 
-def run_blocks(work: Callable[[int, int], None], n_targets: int, n_sources: int, dimension: int) -> BlockRun:
+def run_blocks(work: Callable[[int, int], None], n_targets: int, n_sources: int, dimension: int,
+               min_rows: int = 1) -> BlockRun:
     """Call work(lo, hi) once for each block [lo, hi) of the n_targets
     targets of KernelBlocks against n_sources sources, about _CHUNK_TARGET
-    (target, source, axis) triples each, as the tasks of run_tasks.
+    (target, source, axis) triples and at least min_rows targets each, as the
+    tasks of run_tasks.
 
     The block size does not depend on the worker count, so no result depends
     on it as long as each call writes only its own targets' slots.
     """
-    step = max(1, _CHUNK_TARGET // max(1, n_sources * dimension))
+    step = max(1, min_rows, _CHUNK_TARGET // max(1, n_sources * dimension))
     # freeing one mmapped block raises glibc's mmap threshold to its size (and
     # its heap trim threshold to twice that), so each block's arrays stay on
     # the heap instead of being unmapped and faulted in again per block
@@ -510,9 +515,8 @@ def run_blocks(work: Callable[[int, int], None], n_targets: int, n_sources: int,
 
 @dataclass(frozen=True)
 class SweepInfo:
-    """What one orbit contraction (_sweep) evaluated: the order of its
-    symmetry group, the orbit representatives at which the kernel was
-    evaluated, the (source, target) pairs evaluated and the targets' pairs
+    """What one orbit contraction (_sweep) evaluated: its group's order, the
+    orbit representatives, the (source, target) pairs evaluated and the pairs
     they served, its chunks, its worker threads, and whether BLAS was pinned
     to one thread (run_blocks)."""
 
@@ -526,8 +530,7 @@ class SweepInfo:
 
 
 def _sorted_order(points: np.ndarray, tol: float) -> np.ndarray:
-    """Lexicographic order of points rounded to 1000 tol, far above their
-    rounding noise."""
+    """Lexicographic order of points rounded to 1000 tol, far above their noise."""
     return np.lexsort(np.rint(points / (1e3 * tol)).T)
 
 
@@ -540,14 +543,13 @@ def _matrices(axis_perms: np.ndarray, signs: np.ndarray) -> np.ndarray:
     return mats
 
 
-def _symmetry_group(surface, lattice, active=None):
+def _symmetry_group(surface, lattice):
     """The signed permutations sigma, (sigma v)_i = s_i v_p(i), under which
     both the surface (sigma x_m = x_pi(m) within _MIRROR_RTOL of its extent,
     weights exactly) and the lattice (axis p(i)'s ticks are s_i times axis
-    i's; a SamplingGrid or a forward VolumeGrid) are invariant and which, if
-    given, map the lattice nodes active (raveled indices) onto themselves.
-    Returns the axis permutations p (G, d), the signs s (G, d) and the point
-    permutations pi (G, M), the identity first.
+    i's; a SamplingGrid or a forward VolumeGrid) are invariant.  Returns the
+    axis permutations p (G, d), the signs s (G, d) and the point permutations
+    pi (G, M), the identity first.
 
     Each of the 2^d d! candidates pairs the sorted points with the sorted
     mapped points, and every pair is then checked: a tie that the rounding
@@ -560,7 +562,6 @@ def _symmetry_group(surface, lattice, active=None):
     axes = lattice.axes
     dims = tuple(len(axis) for axis in axes)
     d = len(dims)
-    active_ticks = None if active is None else np.array(np.unravel_index(active, dims))
 
     def ticks_match(i: int, j: int, sign: float) -> bool:
         """Whether axis j's ticks are sign times axis i's."""
@@ -572,9 +573,6 @@ def _symmetry_group(surface, lattice, active=None):
     for p in itertools.permutations(range(d)):
         for s in itertools.product((1.0, -1.0), repeat=d):
             if not all(ticks_match(i, j, si) for i, (j, si) in enumerate(zip(p, s))):
-                continue
-            if active is not None and not np.isin(
-                    _image_indices(np.array([p]), np.array([s]), active_ticks, dims), active).all():
                 continue
             mapped = np.array(s) * points[:, p]
             perm = np.empty(surface.count, dtype=np.intp)
@@ -628,8 +626,7 @@ def _orbit_representatives(axis_perms, signs, dims) -> np.ndarray:
 
 
 def _lattice_orbits(group, axes):
-    """The orbits of _sweep on the lattice with ticks axes: the representatives
-    (R,) of group's orbits and their locate function."""
+    """The orbits argument of _sweep on the lattice with ticks axes."""
     axis_perms, signs, _ = group
     dims = tuple(len(axis) for axis in axes)
 
@@ -643,9 +640,8 @@ def _lattice_orbits(group, axes):
 
 def _orbit_slots(images: np.ndarray) -> np.ndarray:
     """The mask (G, C) of the slots that the images (G, C) of C orbit
-    representatives write: a representative with a nontrivial stabilizer
-    reaches some slots through several group elements, and only the first of
-    them in group order writes there."""
+    representatives write: a slot that several group elements reach (a
+    nontrivial stabilizer) is written by the first in group order."""
     order = np.argsort(images, axis=0, kind="stable")
     ranked = np.take_along_axis(images, order, axis=0)
     first = np.ones(images.shape, dtype=bool)
@@ -653,27 +649,22 @@ def _orbit_slots(images: np.ndarray) -> np.ndarray:
     return first
 
 
-def _image_slabs(refs: np.ndarray, axis_perms, signs, source_perms) -> np.ndarray:
-    """The references F_sigma[m] = sigma^T F[pi(m)] sigma of every member
-    sigma of a group, as symmetric_slabs stacked (d(d+1)/2, M, G, K).
-
-    Slab (a, b) of sigma is s_i s_j times slab {i, j} of F taken at the
-    sources pi(m), i = p^-1(a) and j = p^-1(b): one gather per member from
-    symmetric_slabs(F), taken once.  Addition commutes and a sign flip is
-    exact, so each is bit for bit symmetric_slabs of F_sigma.
+def _image_slabs(base: np.ndarray, axis_perms, signs, source_perms) -> np.ndarray:
+    """The references F_sigma[m] = sigma^T F[pi(m)] sigma of members sigma, as
+    symmetric_slabs stacked (d(d+1)/2, M, G, K), from base = symmetric_slabs(F):
+    slab (a, b) of sigma is s_i s_j times base slab {i, j} at the sources
+    pi(m), i = p^-1(a) and j = p^-1(b), in one gather.  Addition commutes and
+    a sign flip is exact, so each is bit for bit symmetric_slabs of F_sigma.
     """
-    base = symmetric_slabs(refs)
-    d = refs.shape[1]
+    d = axis_perms.shape[1]
     rows, cols = np.triu_indices(d)
     slab_of = np.empty((d, d), dtype=np.intp)
     slab_of[rows, cols] = slab_of[cols, rows] = np.arange(len(base))
-    slabs = np.empty((len(base), refs.shape[0], len(signs), refs.shape[3]), dtype=np.complex128)
-    for g, (p, s, perm) in enumerate(zip(axis_perms, signs, source_perms)):
-        i, j = np.argsort(p)[rows], np.argsort(p)[cols]
-        moved = slabs[:, :, g]
-        moved[...] = base[slab_of[i, j][:, np.newaxis], perm]
-        np.negative(moved, out=moved, where=(s[i] * s[j] < 0.0)[:, np.newaxis, np.newaxis])
-    return slabs
+    inverse = np.argsort(axis_perms, axis=1)
+    i, j = inverse[:, rows], inverse[:, cols]  # (G, d(d+1)/2)
+    slabs = base[slab_of[i, j].T[:, np.newaxis], source_perms.T[np.newaxis]]
+    flips = np.take_along_axis(signs, i, axis=1) * np.take_along_axis(signs, j, axis=1) < 0.0
+    return np.negative(slabs, out=slabs, where=flips.T[:, np.newaxis, :, np.newaxis])
 
 
 def _sweep(ctx, sources, group, refs, n_targets, orbits, per_chunk_fn=None, probe_weights=None):
@@ -689,34 +680,42 @@ def _sweep(ctx, sources, group, refs, n_targets, orbits, per_chunk_fn=None, prob
     (p, s, pi), acts on the references alone.  orbits is (reps, locate): the
     representatives' target indices (R,), and locate(some reps) gives their
     points (C, d) and their images (G, C), the target indices of sigma x_c.
-    Each chunk is one KernelBlock of run_blocks with the sources, built with
-    probe_weights where per_chunk_fn takes probe norms
-    (KernelBlock.probe_norms).  per_chunk_fn(block, P) maps a chunk's
-    pairings P (C, G, K) to real values of the same shape; without it the
+    Each chunk is one KernelBlock of run_blocks, built with probe_weights
+    where per_chunk_fn(block, P, members) maps the pairings P (C, G', K) of
+    the members members (G',) to real values of P's shape; without it the
     values are the pairings.  Each target is written once, by the first group
-    element that reaches it from its orbit's representative, so results do
-    not depend on the thread count.  Returns the values (K, n_targets) and a
+    element that reaches it, so results do not depend on the thread count.
+    The members go in passes whose stacked slabs fit _SLAB_BUDGET, one
+    run_blocks each, so that their memory does not grow with the group order;
+    each pass evaluates Phi anew.  Returns the values (K, n_targets) and a
     SweepInfo.
     """
     n_images, d = group[1].shape
     n_columns = refs.shape[3]
-    slabs = _image_slabs(refs, *group)
-    slabs = slabs.reshape(len(slabs), len(sources), n_images * n_columns)
+    base = symmetric_slabs(refs)
     reps, locate = orbits
     outputs = np.empty((n_columns, n_targets), dtype=np.complex128 if per_chunk_fn is None else np.float64)
 
-    def work(lo, hi):
-        points, images = locate(reps[lo:hi])
-        block = KernelBlock(ctx, sources, points, probe_weights)
-        values = block.contract(slabs).reshape(hi - lo, n_images, n_columns)
-        if per_chunk_fn is not None:
-            values = per_chunk_fn(block, values)
-        first = _orbit_slots(images)
-        outputs[:, images[first]] = values.transpose(2, 1, 0)[:, first]
+    def one_pass(members):
+        slabs = _image_slabs(base, *(part[members] for part in group))
+        slabs = slabs.reshape(len(slabs), len(sources), len(members) * n_columns)
 
-    run = run_blocks(work, len(reps), len(sources), d)
-    info = SweepInfo(n_images, len(reps), len(reps) * len(sources), n_targets * len(sources),
-                     run.blocks, run.threads, run.blas_pinned)
+        def work(lo, hi):
+            points, images = locate(reps[lo:hi])
+            block = KernelBlock(ctx, sources, points, probe_weights)
+            values = block.contract(slabs).reshape(hi - lo, len(members), n_columns)
+            if per_chunk_fn is not None:
+                values = per_chunk_fn(block, values, members)
+            first = _orbit_slots(images)[members]
+            outputs[:, images[members][first]] = values.transpose(2, 1, 0)[:, first]
+
+        return run_blocks(work, len(reps), len(sources), d, min_rows)
+
+    per_pass = max(1, _SLAB_BUDGET // max(1, base.nbytes))
+    min_rows = 1 if n_images == 1 else _CHUNK_TARGET // (_ORBIT_SOURCES * d)
+    runs = [one_pass(np.arange(lo, min(lo + per_pass, n_images))) for lo in range(0, n_images, per_pass)]
+    info = SweepInfo(n_images, len(reps), len(runs) * len(reps) * len(sources), n_targets * len(sources),
+                     sum(run.blocks for run in runs), runs[-1].threads, runs[-1].blas_pinned)
     return outputs, info
 
 

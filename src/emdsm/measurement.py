@@ -118,16 +118,13 @@ def synthesize_scattered_fields(currents, surface: MeasurementSurface, ctx: Wave
     of currents J_1..J_L on one grid, in their order.
 
     It is the orbit contraction em_core._sweep from the nodes where any
-    current is nonzero (the sources) to the surface points (the targets),
-    against the references F[j, a, b, l d + i] = delta_ai J_l,b(j) h^d: each
-    block is built once and contracted against all L currents, K = d L
-    columns per group member.  The group is the signed permutations that map
-    the surface and the sources onto themselves (em_core._symmetry_group with
-    the sources as its active nodes); it acts on the references alone, so the
-    currents need not be symmetric, and Phi is evaluated once per orbit of
-    surface points.  Each field carries the contraction's SweepInfo as
-    synthesis_info.  Every measurement point must lie strictly outside the
-    source grid's bounding box.
+    current is nonzero, and their images, to the surface points, against the
+    references F[j, a, b, l d + i] = delta_ai J_l,b(j) h^d, K = d L columns
+    per group member.  The group (em_core._symmetry_group) maps the grid's
+    ticks onto themselves and the surface points exactly onto each other; it
+    acts on the references alone, so the currents need not be symmetric.
+    Each field carries the contraction's SweepInfo as synthesis_info.  Every
+    measurement point must lie strictly outside the source grid's bounding box.
     """
     if not currents:
         raise DomainError("synthesis needs at least one current")
@@ -139,16 +136,24 @@ def synthesize_scattered_fields(currents, surface: MeasurementSurface, ctx: Wave
     if inside.any():
         raise GeometryError("measurement points must lie outside the forward grid box")
     d = ctx.dimension
+    axis_perms, signs, point_perms = _symmetry_group(surface, grid)
+    # a value at another point's image within rounding would move by k times
+    # that rounding: keep the members that map the points exactly, a subgroup
+    mapped = signs[:, np.newaxis] * surface.points[:, axis_perms].transpose(1, 0, 2)
+    exact = np.all(mapped == surface.points[point_perms], axis=(1, 2))
+    axis_perms, signs, point_perms = axis_perms[exact], signs[exact], point_perms[exact]
     stacked = np.stack([current.values for current in currents], axis=1)
-    active = np.flatnonzero(np.any(stacked != 0.0, axis=(1, 2)))
-    refs = np.einsum("ai,jlb->jabli", np.eye(d), stacked[active] * grid.cell_measure)
-    refs = refs.reshape(active.size, d, d, d * len(currents))
-    axis_perms, signs, point_perms = _symmetry_group(surface, grid, active)
-    # sigma y_j = y_node_perms[j], j counting the sources
-    ticks = np.array(np.unravel_index(active, grid.counts))
-    node_perms = np.searchsorted(active, _image_indices(axis_perms, signs, ticks, grid.counts))
+
+    def images(nodes):  # raveled indices (G, n) of the images sigma y of the nodes
+        return _image_indices(axis_perms, signs, np.array(np.unravel_index(nodes, grid.counts)), grid.counts)
+
+    # the sources: the orbits of the nodes carrying current, so no field depends on the other currents
+    sources = np.unique(images(np.flatnonzero(np.any(stacked != 0.0, axis=(1, 2)))))
+    node_perms = np.searchsorted(sources, images(sources))  # sigma y_j = y_node_perms[j], j counting the sources
+    refs = np.einsum("ai,jlb->jabli", np.eye(d), stacked[sources] * grid.cell_measure)
+    refs = refs.reshape(sources.size, d, d, d * len(currents))
     reps = np.flatnonzero(point_perms.min(axis=0) == np.arange(surface.count))
-    values, info = _sweep(ctx, grid.nodes[active], (axis_perms, signs, node_perms), refs, surface.count,
+    values, info = _sweep(ctx, grid.nodes[sources], (axis_perms, signs, node_perms), refs, surface.count,
                           (reps, lambda chunk: (surface.points[chunk], point_perms[:, chunk])))
     return [FieldSamples(surface, values[l * d:(l + 1) * d].T.copy(), info) for l in range(len(currents))]
 

@@ -172,22 +172,38 @@ def test_how_the_synthesis_ran_is_printed_not_failed(trees, capsys):
     code, out, err = _compare(a, b, capsys)
     assert code == 0, err
     assert "small/synthesis same, ran {'chunks': " in out and "'threads': 3, " in out
-    # the square's forward grid allows the y flip alone: the circle points at
-    # angles 0 and pi are fixed and the other 28 pair up; all 30 are served
-    assert (info["group_order"], info["orbits"]) == (2, 16)
-    assert info["grid_pairs"] == 30 * info["kernel_pairs"] // 16
-    # fig2 has no synthesis, and a report written before synthesis_info existed none recorded
+    # no member maps a circle's points exactly, so each of the 30 is its own orbit
+    assert (info["group_order"], info["orbits"]) == (1, 30)
+    assert info["grid_pairs"] == info["kernel_pairs"]
+    # fig2 has no synthesis, and a reference written before synthesis_info existed none recorded
     assert "fig2/synthesis same" in out
     _edit_report(b / "small" / "report.json", lambda report: report.pop("synthesis_info"))
     code, out, err = _compare(a, b, capsys)
     assert code == 0, err
-    assert "small/synthesis not recorded in both" in out
+    assert "small/synthesis not recorded in the reference" in out
+
+
+def test_synthesis_missing_where_the_reference_has_it_fails(trees, golden, capsys):
+    a, b = trees
+    _edit_report(a / "small" / "report.json", lambda report: report.pop("synthesis_info"))
+    code, _, err = _compare(a, b, capsys)
+    assert code == 1
+    assert "FAIL small: synthesis_info missing" in err
+    code, _, err = _against_golden(a, golden, capsys)
+    assert code == 1
+    assert "FAIL small: synthesis_info missing" in err
+    # a golden file written before synthesis_info existed passes
+    _edit_report(golden, lambda record: record["runs"]["small"].pop("synthesis_info"))
+    code, out, err = _against_golden(b, golden, capsys)
+    assert code == 0, err
+    assert "small/synthesis not recorded in the reference" in out
 
 
 @pytest.mark.parametrize("key", compare_outputs.COMPUTATION)
 def test_changed_synthesis_computation_fails(trees, golden, capsys, key):
     a, b = trees
-    _edit_report(b / "small" / "report.json", lambda report: report["synthesis_info"].update({key: 1}))
+    _edit_report(b / "small" / "report.json",
+                 lambda report: report["synthesis_info"].update({key: report["synthesis_info"][key] + 1}))
     code, _, err = _compare(a, b, capsys)
     assert code == 1
     assert "small: synthesis_info differs" in err

@@ -739,7 +739,7 @@ class TestSymmetryGroup:
         assert len(group[1]) == 48
         rng = np.random.default_rng(13)
         refs = rng.standard_normal((cube.count, 3, 3, 4)) + 1j * rng.standard_normal((cube.count, 3, 3, 4))
-        np.testing.assert_array_equal(em._image_slabs(refs, *group).view(np.uint64),
+        np.testing.assert_array_equal(em._image_slabs(em.symmetric_slabs(refs), *group).view(np.uint64),
                                       per_member_image_slabs(refs, *group).view(np.uint64))
 
 
