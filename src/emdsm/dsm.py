@@ -30,6 +30,7 @@ from .measurement import FieldSamples, MeasurementSurface, l2_norm
 _CSV_BLOCK_ROWS = 4_096
 _POWERS_OF_TEN = np.array([float(10**k) for k in range(23)])  # exact doubles
 _TIE_RTOL = 1e-12  # index values this close, relative to the peak, are tied
+_MAXIMA_FLOOR = 0.5  # local maxima are listed above this fraction of the peak
 
 
 @dataclass(frozen=True)
@@ -197,9 +198,9 @@ def cross_product_maps(ctx: WaveContext, surface: MeasurementSurface, x_q,
     ]
 
 
-def find_local_maxima(index: IndexGrid, floor_ratio: float = 0.5):
-    """Dominant 8-/26-neighbourhood maxima above floor_ratio * peak, strongest
-    first.
+def find_local_maxima(index: IndexGrid):
+    """Dominant 8-/26-neighbourhood maxima above _MAXIMA_FLOOR * peak,
+    strongest first.
 
     Values within _TIE_RTOL * peak of each other are tied, so that rounding
     noise between mirror-image points decides nothing: of tied neighbours the
@@ -219,7 +220,7 @@ def find_local_maxima(index: IndexGrid, floor_ratio: float = 0.5):
         # a neighbour earlier in raster order (offset < centre) must be beaten
         # beyond the tie, a later one only matched within it
         dominant &= (arr - shifted > tol) if offset < centre else (arr - shifted >= -tol)
-    dominant &= arr >= floor_ratio * arr.max()
+    dominant &= arr >= _MAXIMA_FLOOR * arr.max()
     flat = np.flatnonzero(dominant)
     values = arr.ravel()[flat]
     groups: list[list[int]] = []

@@ -283,9 +283,9 @@ def config_from_dict(raw: dict, name: str = "custom") -> ExperimentConfig:
     epsilon = _number(noise.get("epsilon", 0.0), "noise.epsilon")
     if not epsilon >= 0.0:
         raise ConfigError("key 'noise.epsilon' must be nonnegative")
-    seed = noise.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ConfigError(f"key 'noise.seed' must be an integer >= 0, got {seed!r}")
+    if diagnostic is not None and epsilon > 0.0:
+        raise ConfigError("key 'noise.epsilon' must be 0 with 'diagnostic', whose maps take no data")
+    seed = _positive_int(noise, "seed", 0, "noise.", minimum=0)
 
     outputs = _object(raw.get("outputs", {}), "outputs")
     directory = str(outputs.get("directory", "out"))

@@ -18,14 +18,13 @@ class MeasurementSurface:
     """Discrete closed curve/surface: points, quadrature weights, outward normals.
 
     The enclosed region is the origin-centred ball {|x|_region_norm <
-    region_radius}: the 2-norm for circles, the max-norm for cubes.  A
-    surface rebuilt from sampled points alone has no region (None).
+    region_radius}: the 2-norm for circles, the max-norm for cubes.
     """
 
     points: np.ndarray
     weights: np.ndarray
     normals: np.ndarray
-    region_radius: float | None = field(default=None, kw_only=True)
+    region_radius: float = field(kw_only=True)
     region_norm: float = field(default=2.0, kw_only=True)
 
     @property
@@ -38,11 +37,6 @@ class MeasurementSurface:
 
     def contains_strictly(self, x, margin: float = 0.0) -> bool:
         """Whether x lies strictly inside the enclosed region (minus a margin)."""
-        if self.region_radius is None:
-            raise GeometryError(
-                "this surface has no known enclosed region; pass surface= to "
-                "read_field_samples_csv to give the sampled surface"
-            )
         x = np.asarray(x, dtype=np.float64)
         return float(np.linalg.norm(x, self.region_norm)) < self.region_radius - margin
 
@@ -173,7 +167,7 @@ def add_noise(samples: FieldSamples, epsilon: float, seed: int) -> FieldSamples:
     draws = rng.standard_normal(samples.values.shape + (2,))
     zeta = draws[..., 0] + 1j * draws[..., 1]
     scale = epsilon * np.linalg.norm(samples.values, axis=1).max()
-    return FieldSamples(samples.surface, samples.values + scale * zeta)
+    return replace(samples, values=samples.values + scale * zeta)
 
 
 def l2_inner_product(f: FieldSamples, g: FieldSamples) -> complex:
@@ -208,15 +202,13 @@ def write_field_samples_csv(samples: FieldSamples, path) -> None:
         fh.writelines(template % row for row in map(tuple, table.tolist()))
 
 
-def read_field_samples_csv(path, surface: MeasurementSurface | None = None) -> FieldSamples:
-    """Inverse of write_field_samples_csv.
+def read_field_samples_csv(path, surface: MeasurementSurface) -> FieldSamples:
+    """Inverse of write_field_samples_csv: the field the file samples on surface.
 
     The file must have the writer's header for d = 2 or 3, at least one row,
     and one finite number per header column in each row: GeometryError for a
-    wrong shape and DomainError for a bad value, naming the line.  With
-    surface given, the file's points and weights must equal the surface's;
-    without, a surface of the file's points and weights is rebuilt, which has
-    no normals and no known enclosed region.
+    wrong shape and DomainError for a bad value, naming the line.  Its points
+    and weights must equal the surface's.
     """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -237,12 +229,6 @@ def read_field_samples_csv(path, surface: MeasurementSurface | None = None) -> F
     if bad.size:
         raise DomainError(f"{path}: line {bad[0] + 2}: values must be finite")
     d = (len(header) - 1) // 3
-    points = arr[:, :d]
-    weights = arr[:, d]
-    values = arr[:, d + 1 :: 2] + 1j * arr[:, d + 2 :: 2]
-    rebuilt = MeasurementSurface(points, weights, np.zeros_like(points))
-    if surface is None:
-        surface = rebuilt
-    elif not surface.same_samples(rebuilt):
+    if not (np.array_equal(arr[:, :d], surface.points) and np.array_equal(arr[:, d], surface.weights)):
         raise GeometryError(f"{path}: points or weights differ from the given surface")
-    return FieldSamples(surface, values)
+    return FieldSamples(surface, arr[:, d + 1 :: 2] + 1j * arr[:, d + 2 :: 2])

@@ -4,7 +4,7 @@ approximation, the fig1/fig2 map coefficients and the verify kinds."""
 import numpy as np
 import pytest
 
-from emdsm import checks, em_core as em, measurement as ms
+from emdsm import checks, dsm, em_core as em, measurement as ms
 from emdsm.em_core import WaveContext, green_scalar_from_distance, green_tensor_from_diff
 from emdsm.errors import ConfigError, GeometryError
 
@@ -13,6 +13,18 @@ CTX3 = em.WaveContext.from_wavelength(3, 1.0)
 P1 = np.array([1.0, -1.0]) / np.sqrt(2)
 P2 = np.array([1.0, 1.0]) / np.sqrt(2)
 SURF = ms.circle_surface(5.0, 30)
+
+
+def sphere_surface(radius: float) -> ms.MeasurementSurface:
+    """12 Gauss-Legendre nodes in cos(theta) times 24 trapezoid nodes in phi
+    on the origin-centred sphere."""
+    nodes, weights = np.polynomial.legendre.leggauss(12)
+    phi = 2.0 * np.pi * np.arange(24) / 24
+    cos_t, phi = np.meshgrid(nodes, phi, indexing="ij")
+    sin_t = np.sqrt(1.0 - cos_t**2)
+    normals = np.column_stack([(sin_t * np.cos(phi)).ravel(), (sin_t * np.sin(phi)).ravel(), cos_t.ravel()])
+    weights = np.repeat(weights, 24) * (2.0 * np.pi / 24) * radius**2
+    return ms.MeasurementSurface(radius * normals, weights, normals, region_radius=radius)
 
 
 class TestBoundaryLemma:
@@ -78,6 +90,24 @@ class TestCorrelationApprox:
         b = checks.verify_correlation_approx(CTX2, [5.0], [0.4, 0.1], [-0.25, 0.0], P2, P1)[0]
         assert a.lhs == pytest.approx(np.conj(b.lhs), rel=1e-12)
         assert a.rhs == pytest.approx(b.rhs, rel=1e-12)
+
+    @pytest.mark.parametrize("x_q,q", [
+        ([-0.4, 0.3, 0.3], np.array([1.0, 1.0, -2.0]) / np.sqrt(6.0)),  # the example3d pair
+        ([0.4, 0.3, 0.3], np.array([1.0, -2.0, 1.0]) / np.sqrt(6.0)),   # coincident, p = q
+    ], ids=["pair", "coincident"])
+    def test_spheres_converge_at_second_order_in_3d(self, x_q, q):
+        # the example3d centres and polarizations on spheres, whose normals
+        # are radial, unlike a cube's: the error falls as 1/R^2
+        x_p, p = np.array([0.4, 0.3, 0.3]), np.array([1.0, -2.0, 1.0]) / np.sqrt(6.0)
+        rhs = CTX3.wavenumber * (p @ em.im_green_tensor_from_diff(CTX3, x_p - np.array(x_q)) @ q)
+        errs = []
+        for radius in (5.0, 10.0, 20.0, 40.0):
+            surf = sphere_surface(radius)
+            lhs = ms.l2_inner_product(dsm.probe_field(CTX3, surf, x_p, p), dsm.probe_field(CTX3, surf, x_q, q))
+            errs.append(abs(lhs - rhs) / abs(rhs))
+        assert all(errs[i] > errs[i + 1] for i in range(3))
+        np.testing.assert_allclose(np.log2(np.array(errs[:-1]) / errs[1:]), 2.0, atol=0.1)
+        assert errs[-1] <= 1e-4
 
 
 class TestDiagnosticMaps:

@@ -175,12 +175,13 @@ def test_how_the_synthesis_ran_is_printed_not_failed(trees, capsys):
     # no member maps a circle's points exactly, so each of the 30 is its own orbit
     assert (info["group_order"], info["orbits"]) == (1, 30)
     assert info["grid_pairs"] == info["kernel_pairs"]
-    # fig2 has no synthesis, and a reference written before synthesis_info existed none recorded
+    # fig2 has no synthesis, which is recorded as null; a reference without the record fails
     assert "fig2/synthesis same" in out
     _edit_report(b / "small" / "report.json", lambda report: report.pop("synthesis_info"))
     code, out, err = _compare(a, b, capsys)
-    assert code == 0, err
-    assert "small/synthesis not recorded in the reference" in out
+    assert code == 1
+    assert "small/synthesis MISSING" in out
+    assert "FAIL small: synthesis_info missing from the reference" in err
 
 
 def test_synthesis_missing_where_the_reference_has_it_fails(trees, golden, capsys):
@@ -192,11 +193,11 @@ def test_synthesis_missing_where_the_reference_has_it_fails(trees, golden, capsy
     code, _, err = _against_golden(a, golden, capsys)
     assert code == 1
     assert "FAIL small: synthesis_info missing" in err
-    # a golden file written before synthesis_info existed passes
+    # so does a golden file without it
     _edit_report(golden, lambda record: record["runs"]["small"].pop("synthesis_info"))
-    code, out, err = _against_golden(b, golden, capsys)
-    assert code == 0, err
-    assert "small/synthesis not recorded in the reference" in out
+    code, _, err = _against_golden(b, golden, capsys)
+    assert code == 1
+    assert "FAIL small: synthesis_info missing from the reference" in err
 
 
 @pytest.mark.parametrize("key", compare_outputs.COMPUTATION)
@@ -250,16 +251,6 @@ def test_missing_map_reported(trees, capsys):
     code, _, err = _compare(a, b, capsys)
     assert code == 1
     assert f"{b / 'fig2' / 'map_polarization_1.csv'}: missing" in err
-
-
-def test_report_without_files_fails(trees, capsys):
-    a, b = trees
-    for run in ("small", "fig2"):
-        _edit_report(a / run / "report.json",
-                     lambda report: [entry.pop("files") for entry in report["indices"]])
-    code, _, err = _compare(a, b, capsys)
-    assert code == 1
-    assert err.count("written before report.json named them; give the newer tree first") == 2
 
 
 VERIFY = [{"kind": "trace", "passed": True,

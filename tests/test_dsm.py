@@ -298,14 +298,6 @@ class TestIndexGridSweep:
                                  dsm.compute_index_grid(CTX2, read_back, grid)):
             np.testing.assert_array_equal(after.values, before.values)
 
-    def test_read_back_without_surface_rejected(self, example1_data, tmp_path):
-        path = tmp_path / "incident.csv"
-        ms.write_field_samples_csv(example1_data[0][0], path)
-        data = ms.read_field_samples_csv(path)
-        grid = dsm.sampling_grid([(-1, 1), (-1, 1)], 0.1)
-        with pytest.raises(GeometryError, match="surface="):
-            dsm.compute_index_grid(CTX2, [(data, P1)], grid)
-
 
 def random_datasets(rng, surface, qs):
     return [(ms.FieldSamples(surface, rng.standard_normal((surface.count, len(q)))
@@ -535,7 +527,7 @@ class TestMirrorOrbits:
         grid = dsm.sampling_grid([(-1.0, 1.0)] * 2, 0.5)
         for eps, order in ((0.0, 4), (3.2e-12, 1)):
             points = np.array([[3.0, 4.0], [-3.0 - eps, 4.0], [3.0 + eps, -4.0], [-3.0 - 2 * eps, -4.0]])
-            surface = ms.MeasurementSurface(points, np.ones(4), np.zeros_like(points))
+            surface = ms.MeasurementSurface(points, np.ones(4), np.zeros_like(points), region_radius=5.0)
             assert len(em._symmetry_group(surface, grid)[1]) == order
 
     @pytest.mark.parametrize("surface,box,spacing,order", [
@@ -627,7 +619,7 @@ class TestLocalMaxima:
         assert len(maxima) == 1
         np.testing.assert_allclose(maxima[0][0], [0.0, 0.0], atol=1e-12)
 
-    def test_floor_filters_weak_peaks(self):
+    def test_floor_filters_weak_peaks(self, monkeypatch):
         grid = dsm.sampling_grid([(-1, 1), (-1, 1)], 0.05)
         pts = grid.points
         values = (
@@ -635,8 +627,9 @@ class TestLocalMaxima:
             + 0.4 * np.exp(-160 * np.sum((pts + [0.5, 0.0]) ** 2, axis=1))
         )
         index = dsm.IndexGrid(grid, values, "test")
-        assert len(dsm.find_local_maxima(index, floor_ratio=0.5)) == 1
-        assert len(dsm.find_local_maxima(index, floor_ratio=0.3)) == 2
+        assert len(dsm.find_local_maxima(index)) == 1
+        monkeypatch.setattr(dsm, "_MAXIMA_FLOOR", 0.3)
+        assert len(dsm.find_local_maxima(index)) == 2
 
     def test_sorted_descending(self):
         grid = dsm.sampling_grid([(-1, 1), (-1, 1)], 0.05)

@@ -403,6 +403,7 @@ class TestDiagnosticRun:
         ("fig1", lambda raw: raw["diagnostic"].update(x_q=["-0.25", 0.0]), "'diagnostic.x_q' must be a number"),
         ("fig1", lambda raw: raw.update(shapes=[{"kind": "axis_square", "center": [-0.25, 0.0], "outer_side": 0.3}]),
          "'shapes' cannot be given with 'diagnostic'"),
+        ("fig1", lambda raw: raw["noise"].update(epsilon=0.3), "'noise.epsilon'"),
     ])
     def test_bad_diagnostic_fails_at_parse_time(self, tmp_path, name, edit, key):
         raw = harness.preset(name, out=str(tmp_path / "out")).to_dict()
@@ -412,6 +413,9 @@ class TestDiagnosticRun:
         with pytest.raises(ConfigError, match=key):
             harness.run_experiment(harness.load_config(path))
         assert not (tmp_path / "out").exists()
+
+    def test_seed_without_noise_is_valid(self):
+        assert harness.preset("fig1", seed=1).noise_seed == 1
 
     def test_fig2_maps_and_ratios(self, tmp_path):
         config = harness.preset("fig2", out=str(tmp_path))

@@ -78,13 +78,10 @@ class TestRegion:
         for x in (scale * size * rng.uniform(-1, 1, 3), on_cube, np.nextafter(on_cube, 0.0)):
             assert cube.contains_strictly(x, margin) == descriptor_rule("cube", size, x, margin)
 
-    def test_rebuilt_surface_has_no_region(self, tmp_path):
-        samples = ms.FieldSamples(ms.circle_surface(5.0, 8), np.ones((8, 2), complex))
-        path = tmp_path / "samples.csv"
-        ms.write_field_samples_csv(samples, path)
-        rebuilt = ms.read_field_samples_csv(path).surface
-        with pytest.raises(GeometryError, match="surface="):
-            rebuilt.contains_strictly([0.0, 0.0])
+    def test_surface_needs_its_region(self):
+        circle = ms.circle_surface(5.0, 8)
+        with pytest.raises(TypeError, match="region_radius"):
+            ms.MeasurementSurface(circle.points, circle.weights, circle.normals)
 
 
 class TestCubeSurface:
@@ -400,6 +397,13 @@ class TestNoise:
             delta = ms.add_noise(samples, eps, 11).values - samples.values
             np.testing.assert_allclose(delta, (eps / 0.05) * base, rtol=1e-12)
 
+    def test_noisy_samples_keep_surface_and_synthesis_info(self):
+        samples, _ = example1_samples(h=0.05)
+        noisy = ms.add_noise(samples, 0.2, 7)
+        assert noisy.surface is samples.surface
+        assert samples.synthesis_info is not None
+        assert noisy.synthesis_info is samples.synthesis_info
+
     def test_negative_epsilon_rejected(self):
         samples, _ = example1_samples(h=0.05)
         with pytest.raises(DomainError):
@@ -512,13 +516,14 @@ class TestCsv:
     ], ids=["missing_column", "empty", "header_only", "ragged_row", "abc_cell", "nan_cell"])
     def test_malformed_file_raises_naming_the_line(self, tmp_path, edit, error, match):
         path = tmp_path / "samples.csv"
-        ms.write_field_samples_csv(ms.FieldSamples(ms.circle_surface(5.0, 8), np.ones((8, 2), complex)), path)
+        surf = ms.circle_surface(5.0, 8)
+        ms.write_field_samples_csv(ms.FieldSamples(surf, np.ones((8, 2), complex)), path)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         with open(path, "w", newline="") as fh:
             csv.writer(fh).writerows(edit(rows))
         with pytest.raises(error, match=f"^{re.escape(str(path))}: {match}"):
-            ms.read_field_samples_csv(path)
+            ms.read_field_samples_csv(path, surface=surf)
 
     def test_3d_header(self, tmp_path):
         surf = ms.cube_surface(2.0, 1)
