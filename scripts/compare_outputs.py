@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Compare two output trees of emdsm runs, or one tree against a golden file.
 
-For every run directory (one holding a report.json) under dir_a, each file
-named in its report.json's output_files is compared against the same file
-under dir_b.  A CSV's max |value difference| is printed: an index or map
-grid's values, or the synthesized data's (scattered_incident*.csv, exact and
-_noisy) real and imaginary field parts.  Every compared file, CSV or PGM, is
+For every run directory (one holding a report.json) under dir_a or dir_b,
+each file named in dir_a's report.json's output_files is compared against
+the same file under dir_b; a run that only one tree has is a failure.  A
+CSV's max |value difference| is printed: an index or map grid's values, or
+the synthesized data's (scattered_incident*.csv, exact and _noisy) real and
+imaginary field parts.  Every compared file, CSV or PGM, is
 also printed with whether its bytes are the same.  For each grid entry it is
 printed whether dir_b's entry of the same label has the same argmax
 location, the same local-maxima locations and the same sweep computation
@@ -23,8 +24,8 @@ quadrature weights), argmax, maxima, sweep or synthesis computation differ,
 either report has no synthesis_info, an argmax, maxima or off_peak_ratio
 value differs by more than --tol, the config echoes differ, the trees'
 forward solves differ in number or GMRES iterations or their residuals
-differ by more than --tol, a file's bytes differ under --bytes, or a file of
-dir_a is missing from dir_b.
+differ by more than --tol, a file's bytes differ under --bytes, a file of
+dir_a is missing from dir_b, or a run is missing from either tree.
 
 A golden file holds, per run of a tree, the sha256 of each output and the
 report values compared above, plus `emdsm verify all --json` less seconds and
@@ -167,13 +168,16 @@ def _compare_reports(report_a: dict, report_b: dict, tol: float, failures: list[
 def compare_run(run_a: Path, run_b: Path, tol: float, exact: bool) -> tuple[list[str], list[str]]:
     """Lines to print and failures for one pair of run directories."""
     report_a = json.loads((run_a / "report.json").read_text())
-    if not (run_b / "report.json").exists():
-        return [], [f"{run_b}: no report.json"]
     report_b = json.loads((run_b / "report.json").read_text())
     failures = []
     lines = [_compare_file(run_a / name, run_b / name, tol, exact, failures) for name in _output_names(report_a)]
     lines += _compare_reports(report_a, report_b, tol, failures)
     return [line for line in lines if line], failures
+
+
+def _runs(tree: Path) -> list[Path]:
+    """The run directories under tree, those holding a report.json, relative to tree."""
+    return sorted(path.parent.relative_to(tree) for path in tree.rglob("report.json"))
 
 
 def _output_names(report: dict) -> list[str]:
@@ -213,9 +217,8 @@ def golden_record(run: Path) -> dict:
 def golden(tree: Path) -> dict:
     """The golden file of a tree: the library versions, the verify results and
     each run's record, by its directory relative to tree."""
-    runs = sorted(path.parent for path in tree.rglob("report.json"))
     return {**_versions(), "verify": verify_results(),
-            "runs": {str(run.relative_to(tree)): golden_record(run) for run in runs}}
+            "runs": {str(run): golden_record(tree / run) for run in _runs(tree)}}
 
 
 def _compare_verify(results_a: list[dict], results_b: list[dict], tol: float, failures: list[str]) -> list[str]:
@@ -253,7 +256,7 @@ def compare_golden(tree: Path, golden_file: dict, tol: float) -> tuple[list[str]
                 "the golden file has numpy {numpy}, scipy {scipy}, so values compare within --tol "
                 "and outputs not at all".format(**golden_file))]
     failures = []
-    runs = {str(path.parent.relative_to(tree)) for path in tree.rglob("report.json")}
+    runs = {str(run) for run in _runs(tree)}
     failures += [f"{run}: not in the golden file" for run in sorted(runs - set(golden_file["runs"]))]
     for run, record in golden_file["runs"].items():
         if run not in runs:
@@ -293,7 +296,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if (args.dir_b is None) == (args.golden is None and args.write_golden is None):
         parser.error("give either dir_b, or --golden or --write-golden")
-    runs = sorted(path.parent for path in args.dir_a.rglob("report.json"))
+    runs = _runs(args.dir_a)
     if not runs:
         print(f"{args.dir_a}: no report.json found", file=sys.stderr)
         return 1
@@ -306,9 +309,12 @@ def main(argv=None) -> int:
         print("\n".join(lines))
     else:
         failures = []
-        for run_a in runs:
-            lines, run_failures = compare_run(run_a, args.dir_b / run_a.relative_to(args.dir_a), args.tol, args.bytes)
-            label = run_a.relative_to(args.dir_a)
+        runs_b = _runs(args.dir_b)
+        for label in sorted(set(runs) | set(runs_b)):
+            if label not in runs or label not in runs_b:
+                failures.append(f"{label}: no report.json under {args.dir_b if label in runs else args.dir_a}")
+                continue
+            lines, run_failures = compare_run(args.dir_a / label, args.dir_b / label, args.tol, args.bytes)
             print("\n".join(f"{label}/{line}" for line in lines))
             failures += [f"{label}: {f}" for f in run_failures]
     for failure in failures:

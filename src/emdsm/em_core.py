@@ -8,8 +8,10 @@ the defining k^2 G I + Hess(G) expression survives only as a test oracle.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
+import importlib
 import itertools
 import os
 import threading
@@ -36,7 +38,7 @@ _CHUNK_TARGET = 100_000
 _IM_SERIES_KR = 0.1
 _ISO_SERIES = (2.0 / 3.0, -2.0 / 15.0, 1.0 / 140.0, -1.0 / 5670.0, 1.0 / 399168.0)
 _J2_SERIES = (1.0 / 15.0, -1.0 / 210.0, 1.0 / 7560.0, -1.0 / 498960.0, 1.0 / 51891840.0)
-# one run_tasks at a time: the BLAS pin is process-wide
+# one pinned_blas at a time: OpenBLAS thread counts are process-wide
 _BLAS_PIN = threading.Lock()
 _MIRROR_RTOL = 1e-12  # symmetry matches of surface points and lattice ticks, relative to the surface's extent
 _SLAB_BUDGET = 1 << 25  # bytes of the stacked image slabs of one pass of _sweep
@@ -394,21 +396,61 @@ def _thread_count() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-@functools.cache
-def _blas_threads():
-    """The thread-count getter and setter of numpy's bundled OpenBLAS, or None
-    where its scipy-openblas64 symbols are absent.  dlsym on numpy's core
-    extension also searches the libraries that extension links, so the
-    library is found wherever the wheel put it; looked up on first use, not at
-    import."""
+def _openblas_threads(module: str, suffix: str):
+    """The thread-count getter and setter of the scipy-openblas build that
+    module links, by the names scipy_openblas_{get,set}_num_threads + suffix,
+    or None where module or the symbols are absent.  dlsym on the extension
+    also searches the libraries it links, so the library is found wherever
+    the wheel put it."""
     try:
-        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-    except (AttributeError, OSError):
+        lib = ctypes.CDLL(importlib.import_module(module).__file__)
+        get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+        set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+    except (ImportError, AttributeError, OSError):
         return None
     get.argtypes, get.restype = [], ctypes.c_int
     set_.argtypes, set_.restype = [ctypes.c_int], None
     return get, set_
+
+
+@functools.cache
+def _blas_threads():
+    """The thread-count getter and setter of numpy's bundled OpenBLAS
+    (scipy-openblas64, 64-bit symbols), or None where they are absent; looked
+    up on first use, not at import."""
+    return _openblas_threads("numpy._core._multiarray_umath", "64_")
+
+
+@functools.cache
+def _scipy_blas_threads():
+    """The same for the second OpenBLAS that scipy's wheel bundles
+    (scipy.libs/libscipy_openblas, 32-bit symbols), which scipy.linalg's
+    LAPACK runs on."""
+    return _openblas_threads("scipy.linalg._flapack", "")
+
+
+@contextlib.contextmanager
+def pinned_blas():
+    """Run the block with every OpenBLAS build the process links that has
+    thread symbols, numpy's and scipy's, on one thread, and restore each
+    build's thread count after it, also when the block raises.  OpenBLAS
+    rounds some products differently on one thread and on several, so what
+    the block computes does not depend on the ambient thread count; and
+    OpenBLAS threads busy-wait for a while after a threaded call, taking
+    cores from whatever runs next.  Builds without the symbols are left as
+    they are.  One pin at a time in the process, as the thread counts are
+    process-wide: the pin is not re-entrant.
+    """
+    builds = [api for api in (_blas_threads(), _scipy_blas_threads()) if api is not None]
+    with _BLAS_PIN:
+        saved = [get_threads() for get_threads, _ in builds]
+        for _, set_threads in builds:
+            set_threads(1)
+        try:
+            yield
+        finally:
+            for (_, set_threads), count in zip(builds, saved):
+                set_threads(count)
 
 
 @functools.cache
@@ -439,16 +481,16 @@ def run_tasks(tasks: Sequence[Callable[[], object]]) -> BlockRun:
     that with no more tasks than workers each task has a worker of its own,
     task 0 the calling thread.  The calling thread works as one of the
     workers, which adds one malloc arena rather than one per worker, and one
-    task runs on the calling thread alone.  numpy's OpenBLAS runs on one
-    thread for the whole run, whatever the worker count (OpenBLAS rounds some
-    products differently on one thread and on several), so a task's result
-    does not depend on the worker count; its thread count is restored after
-    the run.  Where OpenBLAS's thread symbols are absent BLAS is left as it
-    is and the run uses one worker.  The first exception a task raises
-    propagates once every worker has stopped.  Before and after a run on
-    several workers the free heap is returned to the system (glibc's
-    malloc_trim).  A task must not call run_tasks: the BLAS pin is held for
-    the whole run and is not re-entrant.
+    task runs on the calling thread alone.  The whole run, whatever the
+    worker count, runs under pinned_blas: numpy's and scipy's OpenBLAS on one
+    thread each, their thread counts restored after the run, so a task's
+    result depends neither on the worker count nor on the ambient BLAS
+    thread count.  Where numpy's OpenBLAS thread symbols are absent the run
+    uses one worker and reports BLAS unpinned.  The first exception a task
+    raises propagates once every worker has stopped.  Before and after a run
+    on several workers the free heap is returned to the system (glibc's
+    malloc_trim).  A task must not call run_tasks or enter pinned_blas: the
+    pin is held for the whole run and is not re-entrant.
     """
     threads = _thread_count()
     blas = _blas_threads()
@@ -467,10 +509,6 @@ def run_tasks(tasks: Sequence[Callable[[], object]]) -> BlockRun:
             with take:
                 index = next(pending, None)
 
-    if blas is None:
-        drain(0)
-        return BlockRun(len(tasks), 1, False)
-    get_threads, set_threads = blas
     # a pool thread's arrays come from its own malloc arena, which cannot
     # reuse the free pages the main arena keeps; hand those back before the
     # run, and the pool arena's after it, so that neither peaks on top of the
@@ -478,21 +516,16 @@ def run_tasks(tasks: Sequence[Callable[[], object]]) -> BlockRun:
     trim = _malloc_trim() if workers > 1 else None
     if trim is not None:
         trim(0)
-    with _BLAS_PIN:
-        saved = get_threads()
-        set_threads(1)
-        try:
-            # the pool starts its threads on submit, so one worker starts none
-            with ThreadPoolExecutor(max(1, workers - 1)) as pool:
-                futures = [pool.submit(drain, w) for w in range(1, workers)]
-                drain(0)
-                for future in futures:
-                    future.result()
-        finally:
-            set_threads(saved)
+    with pinned_blas():
+        # the pool starts its threads on submit, so one worker starts none
+        with ThreadPoolExecutor(max(1, workers - 1)) as pool:
+            futures = [pool.submit(drain, w) for w in range(1, workers)]
+            drain(0)
+            for future in futures:
+                future.result()
     if trim is not None:
         trim(0)
-    return BlockRun(len(tasks), workers, True)
+    return BlockRun(len(tasks), workers, blas is not None)
 
 
 def run_blocks(work: Callable[[int, int], None], n_targets: int, n_sources: int, dimension: int,

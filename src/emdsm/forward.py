@@ -18,7 +18,7 @@ import scipy.linalg as sla
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .em_core import (BlockRun, ContrastField, IncidentPlaneWave, WaveContext, green_scalar_from_distance,
-                      incident_field, run_tasks)
+                      incident_field, pinned_blas, run_tasks)
 from .errors import DegenerateGridError, DomainError, GeometryError, SolverError
 
 _SELF_TERM_ORDERS = (16, 32, 64, 128, 256)
@@ -302,23 +302,31 @@ class ForwardSystem:
         return a
 
     def dense_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """LU solve of the dense matrix, checked to a relative residual of 1e-8."""
+        """LU solve of the dense matrix, checked to a relative residual of 1e-8.
+
+        The factorization, the solve and the failure path's condition
+        estimate run under em_core.pinned_blas, on one thread of scipy's
+        OpenBLAS: the solution's bits do not depend on the host's core count,
+        and no OpenBLAS threads are left busy-waiting after the call.  Must
+        not be called from a run_tasks task, which already holds the pin.
+        """
         matrix = self.dense_matrix()
         matrix_norm = np.linalg.norm(matrix, 1)
-        try:
-            lu = sla.lu_factor(matrix, overwrite_a=True)
-        except sla.LinAlgError as exc:
-            raise SolverError(f"dense factorization failed: {exc}") from exc
-        solution = sla.lu_solve(lu, rhs)
-        rhs_norm = np.linalg.norm(rhs)
-        if rhs_norm > 0.0:
-            residual = float(np.linalg.norm(self.apply(solution) - rhs) / rhs_norm)
-            if residual > 1e-8:
-                rcond = sla.lapack.zgecon(lu[0], matrix_norm, norm="1")[0]
-                raise SolverError(
-                    f"dense solve residual {residual:.2e} exceeds 1e-8; "
-                    f"condition estimate {1.0 / max(rcond, 1e-300):.2e}"
-                )
+        with pinned_blas():
+            try:
+                lu = sla.lu_factor(matrix, overwrite_a=True)
+            except sla.LinAlgError as exc:
+                raise SolverError(f"dense factorization failed: {exc}") from exc
+            solution = sla.lu_solve(lu, rhs)
+            rhs_norm = np.linalg.norm(rhs)
+            if rhs_norm > 0.0:
+                residual = float(np.linalg.norm(self.apply(solution) - rhs) / rhs_norm)
+                if residual > 1e-8:
+                    rcond = sla.lapack.zgecon(lu[0], matrix_norm, norm="1")[0]
+                    raise SolverError(
+                        f"dense solve residual {residual:.2e} exceeds 1e-8; "
+                        f"condition estimate {1.0 / max(rcond, 1e-300):.2e}"
+                    )
         return solution
 
     def rhs(self, wave: IncidentPlaneWave) -> np.ndarray:

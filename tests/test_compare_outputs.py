@@ -253,6 +253,17 @@ def test_missing_map_reported(trees, capsys):
     assert f"{b / 'fig2' / 'map_polarization_1.csv'}: missing" in err
 
 
+def test_runs_missing_from_either_tree_fail(trees, capsys):
+    a, b = trees
+    for run in ("small", "fig2"):
+        shutil.copytree(b / run, b / f"{run}_again")
+    for first, second in ((a, b), (b, a)):
+        code, _, err = _compare(first, second, capsys)
+        assert code == 1
+        assert f"fig2_again: no report.json under {a}" in err and f"small_again: no report.json under {a}" in err
+        assert err.count("FAIL") == 2
+
+
 VERIFY = [{"kind": "trace", "passed": True,
            "checks": [{"name": "trace_2d", "value": 1e-15, "threshold": 1e-11, "passed": True}]}]
 

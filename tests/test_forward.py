@@ -391,6 +391,17 @@ class TestSolve:
         with pytest.raises(SolverError, match=r"residual \S+ exceeds 1e-8; condition estimate \S+"):
             system.dense_solve(system.rhs(WAVE1))
 
+    def test_dense_solve_bit_identical_across_ambient_scipy_blas_threads(self, two_scipy_blas_threads):
+        # the LU runs on scipy's OpenBLAS, which rounds otherwise on two threads
+        system = fw.ForwardSystem(CONTRAST1, CTX2, fw.build_grid(CONTRAST1, 0.05))
+        set_threads = em._scipy_blas_threads()[1]
+        solutions = []
+        for blas in (1, 2):
+            set_threads(blas)
+            solutions.append(system.dense_solve(system.rhs(WAVE1)))
+            assert two_scipy_blas_threads() == blas
+        np.testing.assert_array_equal(solutions[0].view(np.uint64), solutions[1].view(np.uint64))
+
     def test_current_vanishes_outside_support(self):
         ring = em.ContrastField([em.Shape([0.0, 0.0], 0.6, 0.4, eta=1.0)])
         current = solve(ring, CTX2, 0.05)
