@@ -37,9 +37,13 @@ _MAXIMA_FLOOR = 0.5  # local maxima are listed above this fraction of the peak
 class SamplingGrid:
     """Vertex lattice over an axis-aligned box, endpoints included.
 
-    [-2, 2] at spacing 0.01 gives 401 points per axis; lattice points line up
-    with multiples of the spacing so box corners and shape centres fall on
-    grid points exactly.
+    An axis [lo, hi] has n = floor((hi - lo) / spacing + 1e-9) + 1 ticks:
+    [-2, 2] at spacing 0.01 gives 401.  Where 2 lo / spacing lies within
+    1e-9 of an integer k, tick i is (spacing / 2) (k + 2 i), rounded once, so
+    the ticks of an axis symmetric about 0 are each other's negatives bit for
+    bit.  Otherwise, and on a one-tick axis, tick i is lo + spacing i.  A box
+    end hi off the lattice is no tick: the last tick is the last not beyond
+    it, within 1e-9 of the spacing.
     """
 
     box: tuple[tuple[float, float], ...]
@@ -62,7 +66,12 @@ class SamplingGrid:
         out = []
         for lo, hi in self.box:
             n = int(np.floor((hi - lo) / self.spacing + 1e-9)) + 1
-            ticks = lo + self.spacing * np.arange(n)
+            half_steps = 2.0 * lo / self.spacing
+            k = np.rint(half_steps)
+            if n > 1 and abs(half_steps - k) <= 1e-9:
+                ticks = 0.5 * self.spacing * (k + 2.0 * np.arange(n))
+            else:
+                ticks = lo + self.spacing * np.arange(n)
             ticks.flags.writeable = False
             out.append(ticks)
         return tuple(out)
@@ -173,13 +182,14 @@ def compute_index_grid(ctx: WaveContext, datasets, grid: SamplingGrid) -> list[I
 
 def cross_product_maps(ctx: WaveContext, surface: MeasurementSurface, x_q,
                        grid: SamplingGrid, coeffs: dict) -> list[IndexGrid]:
-    """Max-normalized cross-correlation maps against the fixed reference point
-    x_q, one per coefficient array A (d, d, d) of coeffs, from one sweep:
+    """Cross-correlation maps against the fixed reference point x_q, one per
+    coefficient array A (d, d, d) of coeffs, from one sweep:
 
         map(x_c) = |sum_m Phi(x_m, x_c) : F[m]|,
         F[m, i, j] = sum_l A[i, j, l] conj(w_m Phi_il(x_m, x_q)).
 
-    The maps follow coeffs' order, each labelled cross:<its label>.
+    The maps follow coeffs' order, each labelled cross:<its label>, and are
+    not normalized: the export writes them max-normalized.
     """
     x_q = np.asarray(x_q, dtype=np.float64)
     _check_inside(surface, x_q, "reference point")
@@ -193,7 +203,7 @@ def cross_product_maps(ctx: WaveContext, surface: MeasurementSurface, x_q,
     value_arrays, info = _sweep(ctx, surface.points, group, refs, grid.n_points,
                                 _lattice_orbits(group, grid.axes), lambda block, P, members: np.abs(P))
     return [
-        IndexGrid(grid, values, f"cross:{label}", info).normalized()
+        IndexGrid(grid, values, f"cross:{label}", info)
         for values, label in zip(value_arrays, coeffs)
     ]
 

@@ -40,7 +40,6 @@ _ISO_SERIES = (2.0 / 3.0, -2.0 / 15.0, 1.0 / 140.0, -1.0 / 5670.0, 1.0 / 399168.
 _J2_SERIES = (1.0 / 15.0, -1.0 / 210.0, 1.0 / 7560.0, -1.0 / 498960.0, 1.0 / 51891840.0)
 # one pinned_blas at a time: OpenBLAS thread counts are process-wide
 _BLAS_PIN = threading.Lock()
-_MIRROR_RTOL = 1e-12  # symmetry matches of surface points and lattice ticks, relative to the surface's extent
 _SLAB_BUDGET = 1 << 25  # bytes of the stacked image slabs of one pass of _sweep
 # _sweep's blocks beyond the identity take the rows they would against this many sources: against
 # 14 000 sources, 2 rows made the products read the wide slabs for each pair of rows, four times as slow
@@ -562,67 +561,33 @@ class SweepInfo:
     blas_pinned: bool
 
 
-def _sorted_order(points: np.ndarray, tol: float) -> np.ndarray:
-    """Lexicographic order of points rounded to 1000 tol, far above their noise."""
-    return np.lexsort(np.rint(points / (1e3 * tol)).T)
-
-
-def _matrices(axis_perms: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """The orthogonal matrices (G, d, d) of signed permutations,
-    sigma[i, p(i)] = s_i."""
-    n_images, d = signs.shape
-    mats = np.zeros((n_images, d, d))
-    mats[np.arange(n_images)[:, np.newaxis], np.arange(d), axis_perms] = signs
-    return mats
-
-
 def _symmetry_group(surface, lattice):
     """The signed permutations sigma, (sigma v)_i = s_i v_p(i), under which
-    both the surface (sigma x_m = x_pi(m) within _MIRROR_RTOL of its extent,
-    weights exactly) and the lattice (axis p(i)'s ticks are s_i times axis
-    i's; a SamplingGrid or a forward VolumeGrid) are invariant.  Returns the
-    axis permutations p (G, d), the signs s (G, d) and the point permutations
-    pi (G, M), the identity first.
+    both the surface (sigma x_m = x_pi(m) and w_pi(m) = w_m) and the lattice
+    (axis p(i)'s ticks are s_i times axis i's; a SamplingGrid or a forward
+    VolumeGrid) are invariant bit for bit.  Returns the axis permutations p
+    (G, d), the signs s (G, d) and the point permutations pi (G, M), the
+    identity first.
 
     Each of the 2^d d! candidates pairs the sorted points with the sorted
-    mapped points, and every pair is then checked: a tie that the rounding
-    splits can only drop the candidate, never pair the wrong points.  A
-    candidate whose product with another found one was dropped is dropped as
-    well, so the result is a group.
+    mapped points, and the pairs must then be equal.  Exact invariances
+    compose, so the result is a group.
     """
     points = surface.points
-    tol = _MIRROR_RTOL * np.abs(points).max()
     axes = lattice.axes
-    dims = tuple(len(axis) for axis in axes)
-    d = len(dims)
-
-    def ticks_match(i: int, j: int, sign: float) -> bool:
-        """Whether axis j's ticks are sign times axis i's."""
-        mapped = axes[i] if sign > 0.0 else -axes[i][::-1]
-        return len(axes[j]) == len(mapped) and np.abs(axes[j] - mapped).max() <= tol
-
-    order = _sorted_order(points, tol)
+    d = len(axes)
+    order = np.lexsort(points.T)
     found = []
     for p in itertools.permutations(range(d)):
         for s in itertools.product((1.0, -1.0), repeat=d):
-            if not all(ticks_match(i, j, si) for i, (j, si) in enumerate(zip(p, s))):
+            if not all(np.array_equal(axes[j], axes[i] if si > 0.0 else -axes[i][::-1])
+                       for i, (j, si) in enumerate(zip(p, s))):
                 continue
             mapped = np.array(s) * points[:, p]
             perm = np.empty(surface.count, dtype=np.intp)
-            perm[_sorted_order(mapped, tol)] = order
-            if np.abs(points[perm] - mapped).max() <= tol and np.array_equal(surface.weights[perm], surface.weights):
+            perm[np.lexsort(mapped.T)] = order
+            if np.array_equal(points[perm], mapped) and np.array_equal(surface.weights[perm], surface.weights):
                 found.append((p, s, perm))
-    # a signed permutation matrix's entries plus one, read as ternary digits,
-    # key it; keep the members whose products with every member are members
-    digits = 3 ** np.arange(d * d)
-    while True:
-        mats = _matrices(np.array([p for p, _, _ in found]), np.array([s for _, s, _ in found]))
-        keys = (mats.reshape(len(found), -1) + 1) @ digits
-        products = (np.einsum("aij,bjk->abik", mats, mats).reshape(len(found), len(found), -1) + 1) @ digits
-        closed = np.isin(products, keys).all(axis=1)
-        if closed.all():
-            break
-        found = [member for member, keep in zip(found, closed) if keep]
     axis_perms, signs, point_perms = (np.array(column) for column in zip(*found))
     return axis_perms, signs, point_perms
 

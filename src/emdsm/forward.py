@@ -4,8 +4,11 @@ The current J = eta * E satisfies J - eta * int G(x,y) (PJ)(y) dy = eta * E^i
 with P = k^2 I + grad div.  Mid-point quadrature on a uniform cell-centred
 grid turns this into a linear system whose G part is block-Toeplitz, applied
 by FFT convolution with one kernel table; P is applied by central finite
-differences with zero extension outside the grid (J is supported inside the
-scatterers, so the extension is exact for the true solution).
+differences with zero extension outside the grid.  J is supported inside the
+scatterers, so the extension is exact for J, but not for P J: P J is nonzero
+one node beyond J's support, where the scatterer's surface polarization
+charge lies, and build_grid's grid ends at the scatterers' box, so it drops
+that layer.
 """
 
 from __future__ import annotations
@@ -28,7 +31,13 @@ _DENSE_BLOCK_COLUMNS = 256  # unit vectors per apply when building the dense mat
 
 @dataclass(frozen=True)
 class VolumeGrid:
-    """Uniform cell-centred tensor grid whose cells cover the scatterer box."""
+    """Uniform cell-centred tensor grid whose cells cover the scatterer box.
+
+    Axis i has counts[i] nodes, one at each cell centre of [origin_i,
+    origin_i + counts[i] h]: node j is c + h (j - (counts[i] - 1) / 2), with
+    the box centre c = origin_i + counts[i] h / 2, so that a box centred on 0
+    has nodes that are each other's negatives bit for bit.
+    """
 
     mesh_size: float
     origin: np.ndarray  # lower corner of the covered box
@@ -42,7 +51,7 @@ class VolumeGrid:
     def axes(self) -> tuple[np.ndarray, ...]:
         h = self.mesh_size
         return tuple(
-            self.origin[i] + (np.arange(n) + 0.5) * h for i, n in enumerate(self.counts)
+            (self.origin[i] + n * h / 2) + h * (np.arange(n) - (n - 1) / 2) for i, n in enumerate(self.counts)
         )
 
     @property

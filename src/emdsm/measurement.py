@@ -48,13 +48,30 @@ class MeasurementSurface:
 
 
 def circle_surface(radius: float, count: int) -> MeasurementSurface:
-    """count equally spaced points on the origin-centred circle, weight 2 pi R / count."""
+    """count equally spaced points on the origin-centred circle from angle 0,
+    weight 2 pi R / count.
+
+    The angles up to pi/4 (count divisible by 4), pi/2 (count even) or pi
+    are taken from cos and sin; the others are exact images under the x-y
+    swap, the x flip and the y flip, so the points are mirror-exact.  No
+    coordinate is -0.0.
+    """
     if radius <= 0.0:
         raise DomainError("radius must be positive")
     if count < 3:
         raise DomainError("a circle needs at least 3 points")
     theta = 2.0 * np.pi * np.arange(count) / count
     normals = np.column_stack([np.cos(theta), np.sin(theta)])
+    if count % 8 == 0:
+        normals[count // 8] = np.sqrt(0.5)  # cos(pi/4) != sin(pi/4) in floating point
+    if count % 4 == 0:  # (pi/4, pi/2]: the swap of pi/2 - theta
+        k = np.arange(count // 8 + 1, count // 4 + 1)
+        normals[k] = normals[count // 4 - k, ::-1]
+    if count % 2 == 0:  # (pi/2, pi]: the x flip of pi - theta
+        k = np.arange(count // 4 + 1, count // 2 + 1)
+        normals[k] = normals[count // 2 - k] * [-1.0, 1.0]
+    k = np.arange(count // 2 + 1, count)  # (pi, 2 pi): the y flip of -theta
+    normals[k] = normals[count - k] * [1.0, -1.0]
     points = radius * normals
     weights = np.full(count, 2.0 * np.pi * radius / count)
     return MeasurementSurface(points, weights, normals, region_radius=float(radius))
@@ -131,11 +148,6 @@ def synthesize_scattered_fields(currents, surface: MeasurementSurface, ctx: Wave
         raise GeometryError("measurement points must lie outside the forward grid box")
     d = ctx.dimension
     axis_perms, signs, point_perms = _symmetry_group(surface, grid)
-    # a value at another point's image within rounding would move by k times
-    # that rounding: keep the members that map the points exactly, a subgroup
-    mapped = signs[:, np.newaxis] * surface.points[:, axis_perms].transpose(1, 0, 2)
-    exact = np.all(mapped == surface.points[point_perms], axis=(1, 2))
-    axis_perms, signs, point_perms = axis_perms[exact], signs[exact], point_perms[exact]
     stacked = np.stack([current.values for current in currents], axis=1)
 
     def images(nodes):  # raveled indices (G, n) of the images sigma y of the nodes

@@ -172,9 +172,9 @@ def test_how_the_synthesis_ran_is_printed_not_failed(trees, capsys):
     code, out, err = _compare(a, b, capsys)
     assert code == 0, err
     assert "small/synthesis same, ran {'chunks': " in out and "'threads': 3, " in out
-    # no member maps a circle's points exactly, so each of the 30 is its own orbit
-    assert (info["group_order"], info["orbits"]) == (1, 30)
-    assert info["grid_pairs"] == info["kernel_pairs"]
+    # the square allows the y flip: the circle's 2 points on the x axis and 14 pairs
+    assert (info["group_order"], info["orbits"]) == (2, 16)
+    assert info["grid_pairs"] * 16 == info["kernel_pairs"] * 30
     # fig2 has no synthesis, which is recorded as null; a reference without the record fails
     assert "fig2/synthesis same" in out
     _edit_report(b / "small" / "report.json", lambda report: report.pop("synthesis_info"))

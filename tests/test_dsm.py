@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emdsm import dsm, em_core as em, forward as fw, measurement as ms
+from emdsm import dsm, em_core as em, forward as fw, harness, measurement as ms
 from emdsm.errors import DomainError, GeometryError, SingularityError
 
 CTX2 = em.WaveContext.from_wavelength(2, 1.0)
@@ -312,9 +312,21 @@ def pinned_run(threads):
 
 CIRCLE32 = ms.circle_surface(5.0, 32)
 CUBE = ms.cube_surface(10.0, 4)
-# 30 points turned by 0.1 rad: the point inversion is their only symmetry
+# 30 points turned by 0.1 rad, the last 15 the exact negatives of the first:
+# the point inversion is their only symmetry
 _TURNED = np.column_stack([np.cos(0.1 + np.pi * np.arange(30) / 15), np.sin(0.1 + np.pi * np.arange(30) / 15)])
+_TURNED[15:] = -_TURNED[:15]
 TURNED30 = ms.MeasurementSurface(5.0 * _TURNED, SURF.weights, _TURNED, region_radius=5.0)
+
+
+def matrices(group):
+    """The orthogonal matrices (G, d, d) of a group's signed permutations,
+    sigma[i, p(i)] = s_i."""
+    axis_perms, signs, _ = group
+    n_images, d = signs.shape
+    mats = np.zeros((n_images, d, d))
+    mats[np.arange(n_images)[:, np.newaxis], np.arange(d), axis_perms] = signs
+    return mats
 
 
 class TestMirrorOrbits:
@@ -371,7 +383,7 @@ class TestMirrorOrbits:
         asym_maps = dsm.cross_product_maps(CTX2, surface, x_q, asymmetric, coeffs)
         for sym, asym in zip(sym_maps, asym_maps):
             values = asym.values[common]
-            np.testing.assert_allclose(sym.values, values / values.max(), rtol=0, atol=1e-14)
+            np.testing.assert_allclose(sym.values, values, rtol=0, atol=1e-14 * values.max())
         return sym_maps[0].sweep_info.group_order, asym_maps[0].sweep_info.group_order
 
     def test_cross_maps_equal_on_symmetric_and_asymmetric_boxes(self):
@@ -396,7 +408,7 @@ class TestMirrorOrbits:
         ref = em.green_tensor_from_diff(CTX3, CUBE.points - x_q).conj()
         for a, index in zip(coeffs.values(), maps):
             corr = np.abs(np.einsum("cmij,m,mil,ijl->c", phi, CUBE.weights, ref, a))
-            np.testing.assert_allclose(index.values, corr / corr.max(), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(index.values, corr, rtol=0, atol=1e-12 * corr.max())
 
     @pytest.mark.parametrize("threads", [2, 5])
     def test_threads_bit_identical_with_mirror_planes(self, example1_data, monkeypatch, threads):
@@ -509,24 +521,35 @@ class TestMirrorOrbits:
             np.testing.assert_allclose(index.values, expected, rtol=0, atol=1e-12)
 
     def test_cube_group_is_the_full_signed_permutation_group(self):
-        axis_perms, signs, point_perms = em._symmetry_group(CUBE, dsm.sampling_grid([(-1.0, 1.0)] * 3, 0.5))
+        group = em._symmetry_group(CUBE, dsm.sampling_grid([(-1.0, 1.0)] * 3, 0.5))
+        axis_perms, signs, point_perms = group
         assert len(signs) == 48
         np.testing.assert_array_equal(axis_perms[0], [0, 1, 2])
         np.testing.assert_array_equal(signs[0], [1.0, 1.0, 1.0])
         assert {tuple(p) for p in axis_perms} >= {(1, 2, 0), (2, 0, 1)}  # the 3-cycles
-        mats = em._matrices(axis_perms, signs)
-        for mat, perm in zip(mats, point_perms):
-            np.testing.assert_allclose(CUBE.points @ mat.T, CUBE.points[perm], rtol=0, atol=1e-12)
+        for mat, perm in zip(matrices(group), point_perms):
+            np.testing.assert_array_equal(CUBE.points @ mat.T, CUBE.points[perm])
+
+    @pytest.mark.parametrize("surface,box,spacing", [
+        (CIRCLE32, [(-1.0, 1.0)] * 2, 0.05),
+        (SURF, [(-0.9, 0.9), (-1.0, 1.0)], 0.2),
+        (ms.circle_surface(5.0, 31), [(-1.0, 1.0)] * 2, 0.25),
+        (TURNED30, [(-1.0, 1.0)] * 2, 0.25),
+        (CUBE, [(-1.0, 1.0)] * 3, 0.5),
+        (CUBE, [(-0.75, 0.75), (-0.75, 0.75), (-1.0, 1.0)], 0.5),
+    ])
+    def test_group_is_closed_under_products(self, surface, box, spacing):
+        mats = matrices(em._symmetry_group(surface, dsm.sampling_grid(box, spacing)))
         codes = {tuple(m.ravel()) for m in mats}
         assert {tuple((a @ b).ravel()) for a in mats for b in mats} == codes
 
-    def test_group_is_closed_under_products(self):
-        # the flips each match within 0.8 tol, but their product, the point
-        # inversion, is 1.6 tol off at the last point: neither flip can stay
-        # without it
+    def test_points_off_their_mirrors_by_an_ulp_drop_the_flips(self):
+        # each flip pairs every point with one a rounding apart; no tolerance
+        # accepts them, so the group is the identity
         grid = dsm.sampling_grid([(-1.0, 1.0)] * 2, 0.5)
-        for eps, order in ((0.0, 4), (3.2e-12, 1)):
-            points = np.array([[3.0, 4.0], [-3.0 - eps, 4.0], [3.0 + eps, -4.0], [-3.0 - 2 * eps, -4.0]])
+        for points, order in ((np.array([[3.0, 4.0], [-3.0, 4.0], [3.0, -4.0], [-3.0, -4.0]]), 4),
+                              (np.array([[3.0, 4.0], [np.nextafter(-3.0, 0.0), 4.0], [3.0, -4.0],
+                                         [-3.0, np.nextafter(-4.0, 0.0)]]), 1)):
             surface = ms.MeasurementSurface(points, np.ones(4), np.zeros_like(points), region_radius=5.0)
             assert len(em._symmetry_group(surface, grid)[1]) == order
 
@@ -556,6 +579,68 @@ class TestMirrorOrbits:
         assert first[0].all()
 
 
+def assert_maps_lattice_onto_itself(axes, group):
+    """Every member sigma, (sigma x)_i = s_i x_p(i), maps the lattice's ticks
+    onto themselves bit for bit: s_i times axis p(i) is axis i."""
+    for p, s in zip(group[0], group[1]):
+        for i, axis in enumerate(axes):
+            np.testing.assert_array_equal(np.sort(s[i] * axes[p[i]]), axis)
+
+
+class TestMirrorExactness:
+    """The constructors' points and ticks are exact mirrors: every member of
+    the symmetry group maps them onto themselves with ==."""
+
+    @pytest.mark.parametrize("count", [*range(3, 65), 512])
+    def test_circle_points(self, count):
+        surface = ms.circle_surface(5.0, count)
+        group = em._symmetry_group(surface, dsm.sampling_grid([(-2.0, 2.0)] * 2, 0.01))
+        # the y flip; the x flip for an even count; the x-y swap for a count divisible by 4
+        assert len(group[1]) == (8 if count % 4 == 0 else 4 if count % 2 == 0 else 2)
+        for mat, perm in zip(matrices(group), group[2]):
+            np.testing.assert_array_equal(surface.points @ mat.T, surface.points[perm])
+        assert not np.signbit(surface.points[surface.points == 0.0]).any()  # no -0.0 for the CSV to print
+
+    def test_circle_points_move_by_rounding_only(self):
+        for count in (30, 31, 32, 512):
+            theta = 2.0 * np.pi * np.arange(count) / count
+            on_circle = 5.0 * np.column_stack([np.cos(theta), np.sin(theta)])
+            np.testing.assert_allclose(ms.circle_surface(5.0, count).points, on_circle, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("surface,box,spacing,order", [
+        (CIRCLE32, [(-2.0, 2.0)] * 2, 0.01, 8),                   # the paper's 401 x 401
+        (CIRCLE32, [(-0.9, 0.9)] * 2, 0.2, 8),                    # 10 x 10
+        (SURF, [(-2.0, 2.0), (-0.3, 0.3)], 0.1, 4),               # 41 x 7
+        (CUBE, [(-2.0, 2.0)] * 3, 0.05, 48),                      # the example3d lattice
+        (CUBE, [(-0.7, 0.7), (-0.7, 0.7), (-1.1, 1.1)], 0.2, 16),  # 8 x 8 x 12
+    ])
+    def test_symmetric_sampling_grids(self, surface, box, spacing, order):
+        grid = dsm.sampling_grid(box, spacing)
+        group = em._symmetry_group(surface, grid)
+        assert len(group[1]) == order
+        assert_maps_lattice_onto_itself(grid.axes, group)
+        for mat, perm in zip(matrices(group), group[2]):
+            np.testing.assert_array_equal(surface.points @ mat.T, surface.points[perm])
+
+    def test_off_lattice_box_end_keeps_the_lower_end(self):
+        # 2 lo / spacing = -20 is whole, and hi = 1.05 is no tick: the ticks
+        # are 0.05 k for even k, up to 1.0, the last not beyond 1.05
+        grid = dsm.sampling_grid([(-1.0, 1.05)], 0.1)
+        np.testing.assert_array_equal(grid.axes[0], 0.05 * np.arange(-20.0, 21.0, 2.0))
+        # 2 lo / spacing = -19.4 is not: lo + spacing i
+        grid = dsm.sampling_grid([(-0.97, 1.0)], 0.1)
+        np.testing.assert_array_equal(grid.axes[0], -0.97 + 0.1 * np.arange(20))
+
+    @pytest.mark.parametrize("name,order", [("example1", 2), ("example2a", 1), ("example2b", 1),
+                                            ("example3", 1), ("example4", 4), ("example3d", 4)])
+    def test_preset_forward_grids(self, name, order):
+        config = harness.preset(name)
+        grid = fw.build_grid(config.contrast, config.forward_h)
+        group = em._symmetry_group(config.surface.build(), grid)
+        assert len(group[1]) == order
+        assert_maps_lattice_onto_itself(grid.axes, group)
+
+
 class TestCrossMaps:
     def test_polarization_sum_equals_component_combination(self):
         # sum over the diagonal polarization pair == Phi11 + 2 Phi12 + Phi22
@@ -569,8 +654,7 @@ class TestCrossMaps:
         corr = 0.0
         for (i, j), coeff in (((0, 0), 1.0), ((0, 1), 2.0), ((1, 1), 1.0)):
             corr = corr + coeff * np.einsum("cm,m,m->c", phi[..., i, j], surf.weights, ref[:, i, j].conj())
-        expected = np.abs(corr)
-        np.testing.assert_allclose(pol.values, expected / expected.max(), rtol=1e-10)
+        np.testing.assert_allclose(pol.values, np.abs(corr), rtol=1e-10)
 
     def test_diagonal_sum_peaks_at_reference_point(self):
         grid = dsm.sampling_grid([(-2, 2), (-2, 2)], 0.02)
@@ -583,7 +667,7 @@ class TestCrossMaps:
         x_q = np.array([-0.25, 0.0])
         [comp] = dsm.cross_product_maps(CTX2, SURF, x_q, grid, {"component_11": component(0, 0)})
         far = np.linalg.norm(grid.points - x_q, axis=1) > 0.5
-        assert comp.values[far].max() >= 0.5
+        assert comp.values[far].max() >= 0.5 * comp.values.max()
 
     def test_combined_maps_suppress_sidelobes(self):
         grid = dsm.sampling_grid([(-2, 2), (-2, 2)], 0.04)
