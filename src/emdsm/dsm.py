@@ -9,7 +9,6 @@ Values lie in [0, 1] by Cauchy-Schwarz and peak near scatterer support.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -21,12 +20,11 @@ from .errors import DomainError, GeometryError
 from .measurement import FieldSamples, MeasurementSurface, l2_norm
 
 # index rows per write, in whole lines.  example1 with 20% noise (three
-# 160 801-row CSVs), run time and peak RSS, medians of 3 to 8 benchmark runs
-# on a 2-core VM: 512 rows 0.55 s 80.4 MB, 1 024 rows 0.52 s 81.2 MB, 2 048
-# rows 0.51 s 80.9 MB, 4 096 rows 0.47 s 80.6 MB, 8 192 rows 0.48 s 80.7 MB;
-# per-value formatting at 1 024 rows took 0.75 s 80.2 MB.  The peak does not
-# follow the block's size: the export keeps only the digit tables (43 kB), and
-# the rest is heap that a block's text touches and fragments.
+# 160 801-row CSVs as byte rows), run time and peak RSS, medians of 3
+# alternating 18-s benchmark runs on a 2-core VM: 1 024 rows 0.385 s 80.2 MB,
+# 4 096 rows 0.333 s 80.4 MB, 16 384 rows 0.379 s 81.8 MB.  4 096 is the
+# fastest; at 16 384 rows a block's array, its bytes and its text without
+# NULs come to about 1.1, 1.1 and 0.8 MB, and the peak rises by 1.4 MB.
 _CSV_BLOCK_ROWS = 4_096
 _POWERS_OF_TEN = np.array([float(10**k) for k in range(23)])  # exact doubles
 _TIE_RTOL = 1e-12  # index values this close, relative to the peak, are tied
@@ -250,11 +248,14 @@ def find_local_maxima(index: IndexGrid):
 
 @cache
 def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
-    """The text tables of _format_values, built on first use: the 40 prefixes
-    b"0." + z zeros + digit d at 10 z + d, and b"0000" ... b"9999";
-    read-only, as every caller shares them."""
-    tables = (np.array([b"0." + b"0" * z + b"%d" % d for z in range(4) for d in range(10)]),
-              np.char.zfill(np.arange(10_000).astype("S4"), 4))
+    """The text tables of _format_values, built on first use and read-only,
+    as every caller shares them: the 40 prefixes b"0." + z zeros + digit d at
+    10 z + d, NUL-padded to two 4-byte words, and the 20 000 words b"0000" ...
+    b"9999" then the same words with their trailing zeros cut to NULs."""
+    groups = [b"%04d" % g for g in range(10_000)]
+    prefixes = np.array([b"0." + b"0" * z + b"%d" % d for z in range(4) for d in range(10)], dtype="S8")
+    tables = (prefixes.view(np.uint32).reshape(40, 2),
+              np.array(groups + [g.rstrip(b"0") for g in groups], dtype="S4").view(np.uint32))
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -281,14 +282,17 @@ def _scaled_digits(x: np.ndarray, q: np.ndarray) -> np.ndarray:
     return p.astype(np.int64) + np.rint(e).astype(np.int64)
 
 
-def _format_values(values: np.ndarray) -> list[bytes]:
-    """b"%.17g" % v for each value, the same bytes.
+def _format_values(values: np.ndarray) -> np.ndarray:
+    """b"%.17g" % v for each value as one row of an (n, 24) uint8 array,
+    NUL-padded inside and at the end: the same bytes once the NULs are dropped.
 
     In [1e-4, 1), where almost all of a max-normalized grid lies, %.17g
     writes "0.", q - 17 zeros and the 17 digits D = round(v 10^q), with
-    q = 16 - floor(log10 v), less their trailing zeros; those values are
-    formatted in numpy. The others (0, 1 and above, below 1e-4, negative or
-    not finite) are formatted one at a time.
+    q = 16 - floor(log10 v), less their trailing zeros; those rows are a
+    prefix word pair ("0.", the zeros, D's lead digit) and four words of
+    four digits, the last nonzero one with its trailing zeros cut and the
+    all-zero ones after it NUL. The others (0, 1 and above, below 1e-4,
+    negative or not finite) are formatted one at a time into their rows.
     """
     values = np.asarray(values, dtype=np.float64)
     fixed = (values >= 1e-4) & (values < 1.0)
@@ -300,15 +304,21 @@ def _format_values(values: np.ndarray) -> list[bytes]:
         q += digits < 10**16
         q -= digits >= 10**17
         digits = _scaled_digits(x, q)
-    prefixes, groups = _digit_tables()
-    lead, rest = divmod(digits, 10**16)
-    text = prefixes[10 * (q - 17) + lead]
-    for unit in (10**12, 10**8, 10**4):
-        group, rest = divmod(rest, unit)
-        text = np.char.add(text, groups[group])
-    text = np.char.rstrip(np.char.add(text, groups[rest]), b"0").tolist()
+    prefixes, words = _digit_tables()
+    lead = digits // 10**16
+    rest = digits - lead * 10**16
+    rows = np.empty((len(values), 6), dtype=np.uint32)
+    rows[:, :2] = prefixes[10 * (q - 17) + lead]
+    for k, unit in enumerate((10**12, 10**8, 10**4)):
+        group = rest // unit
+        rest -= group * unit
+        rows[:, 2 + k] = words[group + 10_000 * (rest == 0)]
+    rows[:, 5] = words[10_000 + rest]  # nothing follows the last word
+    text = rows.view(np.uint8)
     for i in np.flatnonzero(~fixed).tolist():
-        text[i] = b"%.17g" % values[i]
+        one = b"%.17g" % values[i]
+        text[i] = 0
+        text[i, :len(one)] = np.frombuffer(one, dtype=np.uint8)
     return text
 
 
@@ -316,24 +326,37 @@ def write_index_csv(index: IndexGrid, path) -> None:
     """One row per sampling point: coordinates then the index value, 17
     significant digits, as %.17g writes them.
 
-    Each axis's ticks are formatted once: a line along the last axis is one
-    %-template holding the last coordinates, into which the leading
-    coordinates are substituted, and the values of a block, formatted
-    together by _format_values, fill its slots. Lines are written a block
-    at a time, which keeps the extra memory to one block.
+    Each axis's ticks are formatted once, as NUL-padded rows of "%.17g,"
+    text, and the leading axes' rows are joined once per line along the last
+    axis. A block of whole lines is one (lines, ticks, width) uint8 array
+    holding, per row, the leading coordinates, the last coordinate, the
+    value's row from _format_values and the newline; it is written with its
+    NULs dropped. Writing a block at a time keeps the extra memory to one
+    block.
     """
     d = index.grid.dimension
-    ticks = [[b"%.17g" % t for t in axis] for axis in index.grid.axes]
-    line = b"".join(b"\0" + t + b",%s\n" for t in ticks[-1])
-    leading = [b",".join(p) + b"," for p in itertools.product(*ticks[:-1])]
-    n_last = len(ticks[-1])
+    ticks = [np.array([b"%.17g," % t for t in axis]).view(np.uint8).reshape(len(axis), -1)
+             for axis in index.grid.axes]
+    leading = np.zeros((1, 0), dtype=np.uint8)
+    for axis in ticks[:-1]:
+        leading = np.concatenate([np.repeat(leading, len(axis), axis=0),
+                                  np.tile(axis, (len(leading), 1))], axis=1)
+    last = ticks[-1]
+    n_last = len(last)
+    a = leading.shape[1]  # the last coordinate's text starts at a, the value's at b
+    b = a + last.shape[1]
     per_block = max(1, _CSV_BLOCK_ROWS // n_last)
     with open(path, "wb") as fh:
         fh.write(",".join(f"x{i + 1}" for i in range(d)).encode() + b",value\n")
         for start in range(0, len(leading), per_block):
-            group = leading[start:start + per_block]
-            values = index.values[start * n_last:(start + len(group)) * n_last]
-            fh.write(b"".join(line.replace(b"\0", p) for p in group) % tuple(_format_values(values)))
+            lines = leading[start:start + per_block]
+            values = index.values[start * n_last:(start + len(lines)) * n_last]
+            block = np.empty((len(lines), n_last, b + 25), dtype=np.uint8)
+            block[:, :, :a] = lines[:, np.newaxis]
+            block[:, :, a:b] = last
+            block[:, :, b:-1] = _format_values(values).reshape(len(lines), n_last, 24)
+            block[:, :, -1] = ord("\n")
+            fh.write(block.tobytes().translate(None, b"\0"))
 
 
 def write_index_pgm(index: IndexGrid, path) -> None:

@@ -492,6 +492,7 @@ def run_experiment(config: ExperimentConfig) -> LocalizationReport:
     except OSError as exc:
         raise ConfigError(f"key 'outputs.directory': cannot create {str(outdir)!r}: {exc.strerror}") from exc
     report = LocalizationReport(config=config.to_dict())
+    data_files = []  # (file name, samples) of the data CSVs, written at export
 
     if config.diagnostic is None:
         with _stage(report, "forward"):
@@ -513,16 +514,10 @@ def run_experiment(config: ExperimentConfig) -> LocalizationReport:
             fields = synthesize_scattered_fields(currents, surface, config.ctx)
             report.synthesis_info = asdict(fields[0].synthesis_info)
             for l, (wave, samples) in enumerate(zip(config.incidents, fields)):
-                if "csv" in config.output_formats:
-                    path = outdir / f"scattered_incident{l + 1}.csv"
-                    write_field_samples_csv(samples, path)
-                    report.output_files.append(str(path))
+                data_files.append((f"scattered_incident{l + 1}.csv", samples))
                 if config.noise_epsilon > 0.0:
                     samples = add_noise(samples, config.noise_epsilon, config.noise_seed + l)
-                    if "csv" in config.output_formats:
-                        path = outdir / f"scattered_incident{l + 1}_noisy.csv"
-                        write_field_samples_csv(samples, path)
-                        report.output_files.append(str(path))
+                    data_files.append((f"scattered_incident{l + 1}_noisy.csv", samples))
                 datasets.append((samples, wave.polarization))
 
     with _stage(report, "sweep"):
@@ -534,6 +529,10 @@ def run_experiment(config: ExperimentConfig) -> LocalizationReport:
             grids = dsm.cross_product_maps(config.ctx, surface, x_q, grid, coeffs)
 
     with _stage(report, "export"):
+        if "csv" in config.output_formats:
+            for name, samples in data_files:
+                write_field_samples_csv(samples, outdir / name)
+                report.output_files.append(str(outdir / name))
         extras = [{}] * len(grids) if config.diagnostic is None else [
             {"off_peak_ratio": ratio} for ratio in off_peak_ratios(grids, x_q, config.ctx.wavelength)]
         for index, extra in zip(grids, extras):

@@ -203,15 +203,14 @@ def _csv_header(d: int) -> list[str]:
 def write_field_samples_csv(samples: FieldSamples, path) -> None:
     """CSV schema: x1..xd, w, Re/Im per component, 17 significant digits.
 
-    Every row is one %.17g template, with the csv module's excel line ending,
+    The table is one %.17g template, with the csv module's excel line ending,
     so the bytes are those of csv.writer writing each value as f"{v:.17g}"."""
-    header = _csv_header(samples.surface.dimension)
+    header = ",".join(_csv_header(samples.surface.dimension)).encode()
     table = np.column_stack([samples.surface.points, samples.surface.weights,
                              np.ascontiguousarray(samples.values).view(np.float64)])
-    template = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.writelines(template % row for row in map(tuple, table.tolist()))
+    template = (b",".join([b"%.17g"] * table.shape[1]) + b"\r\n") * len(table)
+    with open(path, "wb") as fh:
+        fh.write(header + b"\r\n" + template % tuple(table.ravel().tolist()))
 
 
 def read_field_samples_csv(path, surface: MeasurementSurface) -> FieldSamples:

@@ -759,7 +759,13 @@ class TestExports:
         assert lines[0] == "x1,x2,value"
         assert len(lines) == grid.n_points + 1
 
-    @pytest.mark.parametrize("box", [[(-3, -1), (-2, 0.5)], [(-1, 0), (-0.5, 0.5), (-2, -1.5)]])
+    @pytest.mark.parametrize("box", [
+        [(-3, -1), (-2, 0.5)],
+        [(-1, 0), (-0.5, 0.5), (-2, -1.5)],
+        [(-1, 0), (0.3, 0.4), (-2, -1.5)],  # a one-tick leading axis
+        [(-1, 0), (-0.5, 0.5), (0.3, 0.4)],  # a one-tick last axis
+        [(-0.5, 0), (-4, 4)],  # a last axis of 33 ticks, longer than a block
+    ])
     def test_index_csv_bytes_match_per_row_writer(self, tmp_path, monkeypatch, box):
         def per_row_writer(index, path):
             d = index.grid.dimension
@@ -793,7 +799,9 @@ class TestExports:
             "one at a time": np.array([0.0, 1.0, 1.0 + 2.0**-52, 3.0, -0.5, 1e-300, 5e-324, np.nan, np.inf]),
         }
         for name, values in cases.items():
-            pairs = zip(values.tolist(), dsm._format_values(values))
+            rows = dsm._format_values(values)
+            assert rows.shape == (len(values), 24) and rows.dtype == np.uint8
+            pairs = zip(values.tolist(), (row.tobytes().replace(b"\0", b"") for row in rows))
             wrong = [(v, text) for v, text in pairs if text != b"%.17g" % v]
             assert not wrong, f"{name}: {len(wrong)} values, first {wrong[:3]}"
 

@@ -394,6 +394,26 @@ class TestRunExperiment:
         _, report, _ = small_run
         assert not any("noisy" in p for p in report.output_files)
 
+    def test_data_csvs_are_written_at_export_in_order(self, tmp_path, monkeypatch):
+        raw = small_config_dict(outputs={"directory": str(tmp_path / "a")}, noise={"epsilon": 0.2, "seed": 5})
+        raw["incidents"].append(
+            {"direction": [-1 / SQRT2, 1 / SQRT2], "polarization": [1 / SQRT2, 1 / SQRT2]}
+        )
+        report = harness.run_experiment(harness.config_from_dict(raw))
+        assert [p.split("/")[-1] for p in report.output_files[:5]] == [
+            "scattered_incident1.csv", "scattered_incident1_noisy.csv",
+            "scattered_incident2.csv", "scattered_incident2_noisy.csv", "index_single_polarization_0.csv"]
+
+        def refuse(samples, path):
+            raise OSError("no space left")
+
+        # the synthesis stage no longer writes, so a failed write is the export's
+        monkeypatch.setattr(harness, "write_field_samples_csv", refuse)
+        raw["outputs"]["directory"] = str(tmp_path / "b")
+        with pytest.raises(StageError, match="^export: no space left") as info:
+            harness.run_experiment(harness.config_from_dict(raw))
+        assert info.value.stage == "export"
+
 
 class TestDiagnosticRun:
     @pytest.mark.parametrize("name,edit,key", [

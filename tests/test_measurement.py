@@ -459,6 +459,21 @@ class TestInnerProduct:
         assert abs(fg) <= ms.l2_norm(f) * ms.l2_norm(g) * (1 + 1e-12) + 1e-12
 
 
+def csv_writer_oracle(samples, path) -> bytes:
+    """The file csv.writer writes with each value as f"{v:.17g}"."""
+    d = samples.surface.dimension
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"x{i + 1}" for i in range(d)] + ["w"]
+                        + [f"{part}_E{i + 1}" for i in range(d) for part in ("Re", "Im")])
+        for m in range(samples.surface.count):
+            row = [*samples.surface.points[m], samples.surface.weights[m]]
+            for i in range(d):
+                row += [samples.values[m, i].real, samples.values[m, i].imag]
+            writer.writerow([f"{v:.17g}" for v in row])
+    return path.read_bytes()
+
+
 class TestCsv:
     def test_round_trip_bit_exact(self, tmp_path):
         samples, _ = example1_samples(h=0.05)
@@ -492,17 +507,20 @@ class TestCsv:
         samples = ms.FieldSamples(surf, parts.view(np.complex128)[..., 0])  # 1j * inf would put nan in Re
         path = tmp_path / "samples.csv"
         ms.write_field_samples_csv(samples, path)
-        oracle = tmp_path / "oracle.csv"
-        with open(oracle, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"x{i + 1}" for i in range(d)] + ["w"]
-                            + [f"{part}_E{i + 1}" for i in range(d) for part in ("Re", "Im")])
-            for m in range(surf.count):
-                row = [*surf.points[m], surf.weights[m]]
-                for i in range(d):
-                    row += [samples.values[m, i].real, samples.values[m, i].imag]
-                writer.writerow([f"{v:.17g}" for v in row])
-        assert path.read_bytes() == oracle.read_bytes()
+        assert path.read_bytes() == csv_writer_oracle(samples, tmp_path / "oracle.csv")
+
+    @pytest.mark.parametrize("values", [
+        -np.arange(1.0, 21.0) / 7.0,
+        np.linspace(1e-300, 9.9e-5, 20),
+        np.arange(-10.0, 10.0),
+        np.arange(1.0, 21.0) ** 7 / 3.0,
+    ], ids=["negative", "below_1e-4", "integral", "one_and_above"])
+    def test_bytes_match_csv_writer_by_value_class(self, tmp_path, values):
+        surf = ms.circle_surface(5.0, 5)
+        samples = ms.FieldSamples(surf, values.view(np.complex128).reshape(surf.count, 2))
+        path = tmp_path / "samples.csv"
+        ms.write_field_samples_csv(samples, path)
+        assert path.read_bytes() == csv_writer_oracle(samples, tmp_path / "oracle.csv")
 
     @pytest.mark.parametrize("edit, error, match", [
         # Im_E2 deleted from the header and every row
