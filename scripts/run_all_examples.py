@@ -9,8 +9,8 @@ import numpy as np
 
 from emdsm import harness
 
-EXAMPLES = ("example1", "example2a", "example2b", "example3", "example4", "example3d")
 DIAGNOSTICS = ("fig1", "fig2")  # no scattering data, so no noisy variant
+EXAMPLES = tuple(name for name in harness.PRESET_NAMES if name not in DIAGNOSTICS)
 
 
 def runs(names, noise: float, seed: int):

@@ -14,8 +14,8 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .em_core import (KernelBlock, SweepInfo, WaveContext, _lattice_orbits, _sweep, _symmetry_group,
-                      green_tensor_from_diff)
+from .em_core import (KernelBlock, SweepInfo, WaveContext, _lattice_orbits, _sweep, _symmetry_group, centred_ticks,
+                      green_tensor_from_diff, lattice_points)
 from .errors import DomainError, GeometryError
 from .measurement import FieldSamples, MeasurementSurface, l2_norm
 
@@ -33,21 +33,20 @@ _MAXIMA_FLOOR = 0.5  # local maxima are listed above this fraction of the peak
 
 @dataclass(frozen=True)
 class SamplingGrid:
-    """Vertex lattice over an axis-aligned box, endpoints included.
+    """Vertex lattice over an axis-aligned box.
 
-    An axis [lo, hi] has n = floor((hi - lo) / spacing + 1e-9) + 1 ticks:
-    [-2, 2] at spacing 0.01 gives 401.  Where 2 lo / spacing lies within
-    1e-9 of an integer k, tick i is (spacing / 2) (k + 2 i), rounded once, so
-    the ticks of an axis symmetric about 0 are each other's negatives bit for
-    bit.  Otherwise, and on a one-tick axis, tick i is lo + spacing i.  A box
-    end hi off the lattice is no tick: the last tick is the last not beyond
-    it, within 1e-9 of the spacing.
+    An axis [lo, hi] has n = floor((hi - lo) / spacing + 1e-9) + 1 ticks,
+    centred_ticks about (lo + hi) / 2: [-2, 2] at spacing 0.01 gives 401,
+    endpoints included.  A box end off the lattice splits the spare margin
+    evenly between both ends, and a one-tick axis sits at its box centre.
     """
 
     box: tuple[tuple[float, float], ...]
     spacing: float
 
     def __post_init__(self):
+        if not np.isfinite([self.spacing, *np.ravel(self.box)]).all():
+            raise DomainError("sampling spacing and box ends must be finite")
         if self.spacing <= 0.0:
             raise DomainError("sampling spacing must be positive")
         for lo, hi in self.box:
@@ -61,18 +60,11 @@ class SamplingGrid:
     @cached_property
     def axes(self) -> tuple[np.ndarray, ...]:
         """Each axis's ticks, built once per grid and read-only."""
-        out = []
-        for lo, hi in self.box:
-            n = int(np.floor((hi - lo) / self.spacing + 1e-9)) + 1
-            half_steps = 2.0 * lo / self.spacing
-            k = np.rint(half_steps)
-            if n > 1 and abs(half_steps - k) <= 1e-9:
-                ticks = 0.5 * self.spacing * (k + 2.0 * np.arange(n))
-            else:
-                ticks = lo + self.spacing * np.arange(n)
+        axes = tuple(centred_ticks(0.5 * (lo + hi), self.spacing, int(np.floor((hi - lo) / self.spacing + 1e-9)) + 1)
+                     for lo, hi in self.box)
+        for ticks in axes:
             ticks.flags.writeable = False
-            out.append(ticks)
-        return tuple(out)
+        return axes
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -84,8 +76,7 @@ class SamplingGrid:
 
     @property
     def points(self) -> np.ndarray:
-        mesh = np.meshgrid(*self.axes, indexing="ij")
-        return np.stack(mesh, axis=-1).reshape(-1, self.dimension)
+        return lattice_points(self.axes)
 
 
 def sampling_grid(box, spacing: float) -> SamplingGrid:

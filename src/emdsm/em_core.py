@@ -561,17 +561,26 @@ class SweepInfo:
     blas_pinned: bool
 
 
+def centred_ticks(centre: float, pitch: float, n: int) -> np.ndarray:
+    """The n ticks centre + pitch (i - (n - 1) / 2): every lattice's, so that
+    ticks centred on 0 are each other's negatives bit for bit."""
+    return centre + pitch * (np.arange(n) - (n - 1) / 2)
+
+
+def lattice_points(axes) -> np.ndarray:
+    """The points (N, d) of the tensor lattice with ticks axes, the last axis fastest."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
 def _symmetry_group(surface, lattice):
     """The signed permutations sigma, (sigma v)_i = s_i v_p(i), under which
     both the surface (sigma x_m = x_pi(m) and w_pi(m) = w_m) and the lattice
-    (axis p(i)'s ticks are s_i times axis i's; a SamplingGrid or a forward
-    VolumeGrid) are invariant bit for bit.  Returns the axis permutations p
-    (G, d), the signs s (G, d) and the point permutations pi (G, M), the
-    identity first.
-
-    Each of the 2^d d! candidates pairs the sorted points with the sorted
-    mapped points, and the pairs must then be equal.  Exact invariances
-    compose, so the result is a group.
+    (axis p(i)'s ticks are s_i times axis i's) are invariant bit for bit, as
+    centred_ticks makes them about 0.  Returns the axis permutations p (G, d),
+    the signs s (G, d) and the point permutations pi (G, M), the identity
+    first.  Each candidate pairs the sorted points with the sorted mapped
+    points, which must then be equal; exact invariances compose, so the
+    result is a group.
     """
     points = surface.points
     axes = lattice.axes

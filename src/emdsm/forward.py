@@ -20,8 +20,8 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .em_core import (BlockRun, ContrastField, IncidentPlaneWave, WaveContext, green_scalar_from_distance,
-                      incident_field, pinned_blas, run_tasks)
+from .em_core import (BlockRun, ContrastField, IncidentPlaneWave, WaveContext, centred_ticks,
+                      green_scalar_from_distance, incident_field, lattice_points, pinned_blas, run_tasks)
 from .errors import DegenerateGridError, DomainError, GeometryError, SolverError
 
 _SELF_TERM_ORDERS = (16, 32, 64, 128, 256)
@@ -31,13 +31,9 @@ _DENSE_BLOCK_COLUMNS = 256  # unit vectors per apply when building the dense mat
 
 @dataclass(frozen=True)
 class VolumeGrid:
-    """Uniform cell-centred tensor grid whose cells cover the scatterer box.
-
-    Axis i has counts[i] nodes, one at each cell centre of [origin_i,
-    origin_i + counts[i] h]: node j is c + h (j - (counts[i] - 1) / 2), with
-    the box centre c = origin_i + counts[i] h / 2, so that a box centred on 0
-    has nodes that are each other's negatives bit for bit.
-    """
+    """Uniform cell-centred tensor grid whose cells cover the scatterer box:
+    axis i has the counts[i] centred_ticks of pitch h about the centre of
+    [origin_i, origin_i + counts[i] h], one at each cell centre."""
 
     mesh_size: float
     origin: np.ndarray  # lower corner of the covered box
@@ -50,14 +46,11 @@ class VolumeGrid:
     @property
     def axes(self) -> tuple[np.ndarray, ...]:
         h = self.mesh_size
-        return tuple(
-            (self.origin[i] + n * h / 2) + h * (np.arange(n) - (n - 1) / 2) for i, n in enumerate(self.counts)
-        )
+        return tuple(centred_ticks(self.origin[i] + n * h / 2, h, n) for i, n in enumerate(self.counts))
 
     @property
     def nodes(self) -> np.ndarray:
-        mesh = np.meshgrid(*self.axes, indexing="ij")
-        return np.stack(mesh, axis=-1).reshape(-1, self.dimension)
+        return lattice_points(self.axes)
 
     @property
     def n_nodes(self) -> int:
@@ -102,41 +95,48 @@ def _gauss_rule(order: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarra
     return lo + half * (x + 1.0), half * w
 
 
+def _gauss_ladder(integral) -> complex:
+    """integral(order) at the first of _SELF_TERM_ORDERS within _SELF_TERM_RTOL of the one before."""
+    prev = None
+    for order in _SELF_TERM_ORDERS:
+        total = integral(order)
+        if prev is not None and abs(total - prev) <= _SELF_TERM_RTOL * abs(total):
+            return total
+        prev = total
+    raise SolverError("self-cell quadrature ladder did not converge")
+
+
 def _self_term_2d(ctx: WaveContext, h: float) -> complex:
     # G has a -(1/2pi) log r singularity; integrate the regularized part with
     # a tensor Gauss ladder and add the square's log integral in closed form.
     a = 0.5 * h
     log_integral = 4.0 * a * a * (np.log(a) + 0.5 * np.log(2.0) + 0.25 * np.pi - 1.5)
-    prev = None
-    for order in _SELF_TERM_ORDERS:
+
+    def integral(order):
         x, w = _gauss_rule(order, -a, a)
         xx, yy = np.meshgrid(x, x, indexing="ij")
         r = np.hypot(xx, yy)
         regular = green_scalar_from_distance(ctx, r) + np.log(r) / (2.0 * np.pi)
-        total = np.einsum("i,j,ij->", w, w, regular) - log_integral / (2.0 * np.pi)
-        if prev is not None and abs(total - prev) <= _SELF_TERM_RTOL * abs(total):
-            return complex(total / (h * h))
-        prev = total
-    raise SolverError("self-cell quadrature ladder did not converge")
+        return np.einsum("i,j,ij->", w, w, regular) - log_integral / (2.0 * np.pi)
+
+    return complex(_gauss_ladder(integral) / (h * h))
 
 
 def _self_term_3d(k: float, h: float) -> complex:
     # Split the cube into six pyramids from the centre; the pyramid map
     # (z, u, v) -> (zu, zv, z) removes the 1/r singularity entirely.
     a = 0.5 * h
-    prev = None
-    for order in _SELF_TERM_ORDERS:
+
+    def integral(order):
         z, wz = _gauss_rule(order, 0.0, a)
         u, wu = _gauss_rule(order, -1.0, 1.0)
         s = np.sqrt(1.0 + u[:, None] ** 2 + u[None, :] ** 2)
         wuv = wu[:, None] * wu[None, :]
         zs = z[:, None, None] * s[None, :, :]
         integrand = z[:, None, None] * np.exp(1j * k * zs) / (4.0 * np.pi * s[None, :, :])
-        total = 6.0 * np.einsum("i,ijk,jk->", wz, integrand, wuv)
-        if prev is not None and abs(total - prev) <= _SELF_TERM_RTOL * abs(total):
-            return complex(total / h**3)
-        prev = total
-    raise SolverError("self-cell quadrature ladder did not converge")
+        return 6.0 * np.einsum("i,ijk,jk->", wz, integrand, wuv)
+
+    return complex(_gauss_ladder(integral) / h**3)
 
 
 @lru_cache(maxsize=64)

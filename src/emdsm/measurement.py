@@ -7,7 +7,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .em_core import SweepInfo, WaveContext, _image_indices, _sweep, _symmetry_group
+from .em_core import (SweepInfo, WaveContext, _image_indices, _sweep, _symmetry_group, centred_ticks,
+                      lattice_points)
 from .errors import DomainError, GeometryError
 
 _NOISE_BITGEN = np.random.PCG64  # named, seedable, portable
@@ -56,8 +57,8 @@ def circle_surface(radius: float, count: int) -> MeasurementSurface:
     swap, the x flip and the y flip, so the points are mirror-exact.  No
     coordinate is -0.0.
     """
-    if radius <= 0.0:
-        raise DomainError("radius must be positive")
+    if not (np.isfinite(radius) and radius > 0.0):
+        raise DomainError("radius must be positive and finite")
     if count < 3:
         raise DomainError("a circle needs at least 3 points")
     theta = 2.0 * np.pi * np.arange(count) / count
@@ -78,20 +79,17 @@ def circle_surface(radius: float, count: int) -> MeasurementSurface:
 
 
 def cube_surface(edge: float, per_face: int) -> MeasurementSurface:
-    """Cell-centred per_face x per_face lattice on each face of the origin-centred cube.
-
-    Cell centring avoids double-counting shared edges and corners; each point
-    carries weight (edge/per_face)^2 so the weights sum to the full area 6*edge^2.
-    """
-    if edge <= 0.0:
-        raise DomainError("edge must be positive")
+    """The per_face x per_face cell centres, centred_ticks of pitch edge /
+    per_face, on each face of the origin-centred cube, each of weight
+    (edge / per_face)^2: no point on a shared edge, and the weights sum to
+    the area 6 edge^2."""
+    if not (np.isfinite(edge) and edge > 0.0):
+        raise DomainError("edge must be positive and finite")
     if per_face < 1:
         raise DomainError("per_face must be at least 1")
     half = 0.5 * edge
-    ticks = -half + (np.arange(per_face) + 0.5) * (edge / per_face)
-    u, v = np.meshgrid(ticks, ticks, indexing="ij")
-    u = u.ravel()
-    v = v.ravel()
+    ticks = centred_ticks(0.0, edge / per_face, per_face)
+    u, v = lattice_points((ticks, ticks)).T
     points = []
     normals = []
     for axis in range(3):

@@ -67,6 +67,17 @@ class TestSamplingGrid:
         with pytest.raises(DomainError):
             dsm.sampling_grid([(-2, 2)], 0.0)
 
+    @pytest.mark.parametrize("box,spacing", [([(-2, 2)], np.nan), ([(-2, 2)], np.inf), ([(-2, np.inf)], 0.1),
+                                             ([(-np.inf, 2)], 0.1), ([(-2, 2), (np.nan, 1)], 0.1)])
+    def test_rejects_non_finite_box_or_spacing(self, box, spacing):
+        with pytest.raises(DomainError):
+            dsm.sampling_grid(box, spacing)
+
+    def test_one_point_grid_sits_at_its_box_centre(self):
+        grid = dsm.sampling_grid([(0.1, 0.6), (-1.0, -0.3)], 1.0)
+        assert grid.n_points == 1
+        np.testing.assert_array_equal(grid.points, [[0.5 * (0.1 + 0.6), 0.5 * (-1.0 - 0.3)]])
+
     def test_axes_built_once_and_read_only(self):
         grid = dsm.sampling_grid([(-1, 1), (-1, 1)], 0.5)
         assert grid.axes is grid.axes
@@ -119,7 +130,7 @@ class TestProbeField:
 def index_at(ctx, datasets, x_p):
     """compute_index_grid on the one-point grid {x_p}: the per-dataset
     values followed by the combined one."""
-    grid = dsm.sampling_grid([(c, c + 0.5) for c in x_p], 1.0)
+    grid = dsm.sampling_grid([(c - 0.25, c + 0.25) for c in x_p], 1.0)
     assert grid.n_points == 1
     return [float(index.values[0]) for index in dsm.compute_index_grid(ctx, datasets, grid)]
 
@@ -613,6 +624,8 @@ class TestMirrorExactness:
         (SURF, [(-2.0, 2.0), (-0.3, 0.3)], 0.1, 4),               # 41 x 7
         (CUBE, [(-2.0, 2.0)] * 3, 0.05, 48),                      # the example3d lattice
         (CUBE, [(-0.7, 0.7), (-0.7, 0.7), (-1.1, 1.1)], 0.2, 16),  # 8 x 8 x 12
+        (CIRCLE32, [(-2.0, 2.0)] * 2, 0.03, 8),                   # 134 x 134, ends off the lattice
+        (CUBE, [(-2.0, 2.0)] * 3, 0.07, 48),                      # 58^3, ends off the lattice
     ])
     def test_symmetric_sampling_grids(self, surface, box, spacing, order):
         grid = dsm.sampling_grid(box, spacing)
@@ -622,14 +635,25 @@ class TestMirrorExactness:
         for mat, perm in zip(matrices(group), group[2]):
             np.testing.assert_array_equal(surface.points @ mat.T, surface.points[perm])
 
-    def test_off_lattice_box_end_keeps_the_lower_end(self):
-        # 2 lo / spacing = -20 is whole, and hi = 1.05 is no tick: the ticks
-        # are 0.05 k for even k, up to 1.0, the last not beyond 1.05
-        grid = dsm.sampling_grid([(-1.0, 1.05)], 0.1)
-        np.testing.assert_array_equal(grid.axes[0], 0.05 * np.arange(-20.0, 21.0, 2.0))
-        # 2 lo / spacing = -19.4 is not: lo + spacing i
-        grid = dsm.sampling_grid([(-0.97, 1.0)], 0.1)
-        np.testing.assert_array_equal(grid.axes[0], -0.97 + 0.1 * np.arange(20))
+    def test_off_lattice_box_end_splits_the_margin(self):
+        # hi = 1.05 is 0.05 beyond the lattice from lo = -1: 21 ticks, 0.025 in from either end
+        ticks = dsm.sampling_grid([(-1.0, 1.05)], 0.1).axes[0]
+        assert len(ticks) == 21
+        assert ticks[0] + 1.0 == pytest.approx(0.025) and 1.05 - ticks[-1] == pytest.approx(0.025)
+        np.testing.assert_allclose(np.diff(ticks), 0.1, rtol=1e-12)
+        # a symmetric box off the lattice keeps its mirror image bit for bit
+        ticks = dsm.sampling_grid([(-0.97, 0.97)], 0.1).axes[0]
+        assert len(ticks) == 20 and ticks[-1] == pytest.approx(0.95)
+        np.testing.assert_array_equal(ticks, -ticks[::-1])
+
+    @pytest.mark.parametrize("edge", [1.0, 2.0, 3.0, 4.4, 7.0, 10.0])
+    def test_cube_points(self, edge):
+        for per_face in range(1, 17):
+            surface = ms.cube_surface(edge, per_face)
+            group = em._symmetry_group(surface, dsm.sampling_grid([(-0.25, 0.25)] * 3, 0.25))
+            assert len(group[1]) == 48, per_face
+            for mat, perm in zip(matrices(group), group[2]):
+                np.testing.assert_array_equal(surface.points @ mat.T, surface.points[perm])
 
     @pytest.mark.parametrize("name,order", [("example1", 2), ("example2a", 1), ("example2b", 1),
                                             ("example3", 1), ("example4", 4), ("example3d", 4)])

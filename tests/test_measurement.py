@@ -44,6 +44,11 @@ class TestCircleSurface:
         with pytest.raises(DomainError):
             ms.circle_surface(5.0, 2)
 
+    @pytest.mark.parametrize("radius", [np.nan, np.inf])
+    def test_rejects_non_finite_radius(self, radius):
+        with pytest.raises(DomainError):
+            ms.circle_surface(radius, 32)
+
     def test_trig_quadrature_exactness(self):
         # e^{im theta} integrates to zero exactly for 0 < m < count
         surf = ms.circle_surface(5.0, 30)
@@ -105,6 +110,11 @@ class TestCubeSurface:
         surf = ms.cube_surface(4.0, 3)
         along = np.einsum("mi,mi->m", surf.points, surf.normals)
         np.testing.assert_allclose(along, 2.0, rtol=1e-14)
+
+    @pytest.mark.parametrize("edge", [np.nan, np.inf])
+    def test_rejects_non_finite_edge(self, edge):
+        with pytest.raises(DomainError):
+            ms.cube_surface(edge, 10)
 
 
 class TestSynthesis:
