@@ -395,16 +395,17 @@ def _thread_count() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _openblas_threads(module: str, suffix: str):
-    """The thread-count getter and setter of the scipy-openblas build that
-    module links, by the names scipy_openblas_{get,set}_num_threads + suffix,
-    or None where module or the symbols are absent.  dlsym on the extension
-    also searches the libraries it links, so the library is found wherever
-    the wheel put it."""
+@functools.cache
+def _blas_threads():
+    """The thread-count getter and setter of numpy's bundled OpenBLAS
+    (scipy-openblas64, 64-bit symbols scipy_openblas_{get,set}_num_threads64_),
+    or None where they are absent; looked up on first use, not at import.
+    dlsym on numpy's extension also searches the libraries it links, so the
+    library is found wherever the wheel put it."""
     try:
-        lib = ctypes.CDLL(importlib.import_module(module).__file__)
-        get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
-        set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+        lib = ctypes.CDLL(importlib.import_module("numpy._core._multiarray_umath").__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
     except (ImportError, AttributeError, OSError):
         return None
     get.argtypes, get.restype = [], ctypes.c_int
@@ -412,44 +413,29 @@ def _openblas_threads(module: str, suffix: str):
     return get, set_
 
 
-@functools.cache
-def _blas_threads():
-    """The thread-count getter and setter of numpy's bundled OpenBLAS
-    (scipy-openblas64, 64-bit symbols), or None where they are absent; looked
-    up on first use, not at import."""
-    return _openblas_threads("numpy._core._multiarray_umath", "64_")
-
-
-@functools.cache
-def _scipy_blas_threads():
-    """The same for the second OpenBLAS that scipy's wheel bundles
-    (scipy.libs/libscipy_openblas, 32-bit symbols), which scipy.linalg's
-    LAPACK runs on."""
-    return _openblas_threads("scipy.linalg._flapack", "")
-
-
 @contextlib.contextmanager
 def pinned_blas():
-    """Run the block with every OpenBLAS build the process links that has
-    thread symbols, numpy's and scipy's, on one thread, and restore each
-    build's thread count after it, also when the block raises.  OpenBLAS
-    rounds some products differently on one thread and on several, so what
-    the block computes does not depend on the ambient thread count; and
-    OpenBLAS threads busy-wait for a while after a threaded call, taking
-    cores from whatever runs next.  Builds without the symbols are left as
-    they are.  One pin at a time in the process, as the thread counts are
+    """Run the block with numpy's OpenBLAS on one thread, and restore its
+    thread count after it, also when the block raises.  OpenBLAS rounds some
+    products differently on one thread and on several, so what the block
+    computes does not depend on the ambient thread count; and OpenBLAS
+    threads busy-wait for a while after a threaded call, taking cores from
+    whatever runs next.  Where the thread symbols are absent the build is
+    left as it is.  One pin at a time in the process, as the thread count is
     process-wide: the pin is not re-entrant.
     """
-    builds = [api for api in (_blas_threads(), _scipy_blas_threads()) if api is not None]
+    blas = _blas_threads()
     with _BLAS_PIN:
-        saved = [get_threads() for get_threads, _ in builds]
-        for _, set_threads in builds:
-            set_threads(1)
+        if blas is None:
+            yield
+            return
+        get_threads, set_threads = blas
+        saved = get_threads()
+        set_threads(1)
         try:
             yield
         finally:
-            for (_, set_threads), count in zip(builds, saved):
-                set_threads(count)
+            set_threads(saved)
 
 
 @functools.cache
@@ -481,11 +467,11 @@ def run_tasks(tasks: Sequence[Callable[[], object]]) -> BlockRun:
     task 0 the calling thread.  The calling thread works as one of the
     workers, which adds one malloc arena rather than one per worker, and one
     task runs on the calling thread alone.  The whole run, whatever the
-    worker count, runs under pinned_blas: numpy's and scipy's OpenBLAS on one
-    thread each, their thread counts restored after the run, so a task's
-    result depends neither on the worker count nor on the ambient BLAS
-    thread count.  Where numpy's OpenBLAS thread symbols are absent the run
-    uses one worker and reports BLAS unpinned.  The first exception a task
+    worker count, runs under pinned_blas: numpy's OpenBLAS on one thread, its
+    thread count restored after the run, so a task's result depends neither
+    on the worker count nor on the ambient BLAS thread count.  Where numpy's
+    OpenBLAS thread symbols are absent the run uses one worker and reports
+    BLAS unpinned.  The first exception a task
     raises propagates once every worker has stopped.  Before and after a run
     on several workers the free heap is returned to the system (glibc's
     malloc_trim).  A task must not call run_tasks or enter pinned_blas: the

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
-import scipy.linalg as sla
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .em_core import (BlockRun, ContrastField, IncidentPlaneWave, WaveContext, centred_ticks,
@@ -303,8 +302,7 @@ class ForwardSystem:
     def dense_matrix(self) -> np.ndarray:
         """The system matrix, built by apply on blocks of unit vectors."""
         dim = self.system_dimension
-        # Fortran order, so that LAPACK can factor the matrix in place
-        a = np.empty((dim, dim), dtype=np.complex128, order="F")
+        a = np.empty((dim, dim), dtype=np.complex128)
         for start in range(0, dim, _DENSE_BLOCK_COLUMNS):
             stop = min(start + _DENSE_BLOCK_COLUMNS, dim)
             a[:, start:stop] = self.apply(np.eye(dim, stop - start, -start))
@@ -313,28 +311,25 @@ class ForwardSystem:
     def dense_solve(self, rhs: np.ndarray) -> np.ndarray:
         """LU solve of the dense matrix, checked to a relative residual of 1e-8.
 
-        The factorization, the solve and the failure path's condition
-        estimate run under em_core.pinned_blas, on one thread of scipy's
-        OpenBLAS: the solution's bits do not depend on the host's core count,
-        and no OpenBLAS threads are left busy-waiting after the call.  Must
-        not be called from a run_tasks task, which already holds the pin.
+        The solve and the failure path's condition number run under
+        em_core.pinned_blas, on one thread of numpy's OpenBLAS: the
+        solution's bits do not depend on the host's core count, and no
+        OpenBLAS threads are left busy-waiting after the call.  Must not be
+        called from a run_tasks task, which already holds the pin.
         """
         matrix = self.dense_matrix()
-        matrix_norm = np.linalg.norm(matrix, 1)
         with pinned_blas():
             try:
-                lu = sla.lu_factor(matrix, overwrite_a=True)
-            except sla.LinAlgError as exc:
+                solution = np.linalg.solve(matrix, rhs)
+            except np.linalg.LinAlgError as exc:
                 raise SolverError(f"dense factorization failed: {exc}") from exc
-            solution = sla.lu_solve(lu, rhs)
             rhs_norm = np.linalg.norm(rhs)
             if rhs_norm > 0.0:
                 residual = float(np.linalg.norm(self.apply(solution) - rhs) / rhs_norm)
                 if residual > 1e-8:
-                    rcond = sla.lapack.zgecon(lu[0], matrix_norm, norm="1")[0]
                     raise SolverError(
                         f"dense solve residual {residual:.2e} exceeds 1e-8; "
-                        f"condition estimate {1.0 / max(rcond, 1e-300):.2e}"
+                        f"condition estimate {np.linalg.cond(matrix, 1):.2e}"
                     )
         return solution
 

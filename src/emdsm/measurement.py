@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -48,6 +49,18 @@ class MeasurementSurface:
         )
 
 
+def _whole_count(count, minimum: int, message: str) -> int:
+    """count as an int of at least minimum, numpy integers included; a
+    DomainError with message for anything else, NaN and 2.5 alike."""
+    try:
+        count = operator.index(count)
+    except TypeError:
+        raise DomainError(message) from None
+    if count < minimum:
+        raise DomainError(message)
+    return count
+
+
 def circle_surface(radius: float, count: int) -> MeasurementSurface:
     """count equally spaced points on the origin-centred circle from angle 0,
     weight 2 pi R / count.
@@ -59,8 +72,7 @@ def circle_surface(radius: float, count: int) -> MeasurementSurface:
     """
     if not (np.isfinite(radius) and radius > 0.0):
         raise DomainError("radius must be positive and finite")
-    if count < 3:
-        raise DomainError("a circle needs at least 3 points")
+    count = _whole_count(count, 3, "a circle needs a whole number of at least 3 points")
     theta = 2.0 * np.pi * np.arange(count) / count
     normals = np.column_stack([np.cos(theta), np.sin(theta)])
     if count % 8 == 0:
@@ -85,8 +97,7 @@ def cube_surface(edge: float, per_face: int) -> MeasurementSurface:
     the area 6 edge^2."""
     if not (np.isfinite(edge) and edge > 0.0):
         raise DomainError("edge must be positive and finite")
-    if per_face < 1:
-        raise DomainError("per_face must be at least 1")
+    per_face = _whole_count(per_face, 1, "per_face must be a whole number of at least 1")
     half = 0.5 * edge
     ticks = centred_ticks(0.0, edge / per_face, per_face)
     u, v = lattice_points((ticks, ticks)).T

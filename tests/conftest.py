@@ -5,13 +5,14 @@ import pytest
 from emdsm import checks, em_core as em, harness
 
 
-def _two_threads(api, build):
-    """Set the OpenBLAS build of api (its getter and setter) to 2 threads,
-    yield its getter and restore its count after; skips where the thread
-    symbols are absent or OpenBLAS runs one thread only, since a pin to 1
-    would then not show."""
+@pytest.fixture
+def two_blas_threads():
+    """The getter of numpy's OpenBLAS thread count, set to 2 for the test and
+    restored after it; skips where the thread symbols are absent or OpenBLAS
+    runs one thread only, since a pin to 1 would then not show."""
+    api = em._blas_threads()
     if api is None:
-        pytest.skip(f"{build}'s OpenBLAS thread symbols are absent")
+        pytest.skip("numpy's OpenBLAS thread symbols are absent")
     get_threads, set_threads = api
     saved = get_threads()
     set_threads(2)
@@ -21,19 +22,6 @@ def _two_threads(api, build):
         yield get_threads
     finally:
         set_threads(saved)
-
-
-@pytest.fixture
-def two_blas_threads():
-    """The getter of numpy's OpenBLAS thread count, set to 2 for the test and
-    restored after it."""
-    yield from _two_threads(em._blas_threads(), "numpy")
-
-
-@pytest.fixture
-def two_scipy_blas_threads():
-    """The same for the OpenBLAS that scipy's wheel bundles."""
-    yield from _two_threads(em._scipy_blas_threads(), "scipy")
 
 
 def timed_run(config):

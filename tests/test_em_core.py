@@ -770,19 +770,17 @@ class TestRunBlocks:
         assert run == em.BlockRun(1, 1, em._blas_threads() is not None)
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_blas_pinned_during_the_run_and_restored(self, monkeypatch, two_blas_threads, two_scipy_blas_threads,
-                                                     threads):
+    def test_blas_pinned_during_the_run_and_restored(self, monkeypatch, two_blas_threads, threads):
         # one worker pins too, so that BLAS rounds alike at every worker count
         monkeypatch.setattr(em, "_thread_count", lambda: threads)
         monkeypatch.setattr(em, "_CHUNK_TARGET", 1)
         during = []
-        run = em.run_blocks(lambda lo, hi: during.append((two_blas_threads(), two_scipy_blas_threads())), 6, 1, 1)
-        assert during == [(1, 1)] * 6 and run.blas_pinned
-        assert (two_blas_threads(), two_scipy_blas_threads()) == (2, 2)
+        run = em.run_blocks(lambda lo, hi: during.append(two_blas_threads()), 6, 1, 1)
+        assert during == [1] * 6 and run.blas_pinned
+        assert two_blas_threads() == 2
 
     @pytest.mark.parametrize("failing", [0, 3, 5])
-    def test_raising_block_surfaces_and_blas_restored(self, monkeypatch, two_blas_threads, two_scipy_blas_threads,
-                                                      failing):
+    def test_raising_block_surfaces_and_blas_restored(self, monkeypatch, two_blas_threads, failing):
         monkeypatch.setattr(em, "_thread_count", lambda: 2)
         monkeypatch.setattr(em, "_CHUNK_TARGET", 1)
 
@@ -792,7 +790,7 @@ class TestRunBlocks:
 
         with pytest.raises(SingularityError, match=f"block {failing}"):
             em.run_blocks(work, 6, 1, 1)
-        assert (two_blas_threads(), two_scipy_blas_threads()) == (2, 2)
+        assert two_blas_threads() == 2
 
     def test_absent_blas_symbols_run_one_worker(self, monkeypatch):
         monkeypatch.setattr(em, "_thread_count", lambda: 3)

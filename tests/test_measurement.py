@@ -117,6 +117,22 @@ class TestCubeSurface:
             ms.cube_surface(edge, 10)
 
 
+@pytest.mark.parametrize("surface, size, count", [
+    (ms.circle_surface, 5.0, np.nan),
+    (ms.cube_surface, 10.0, np.nan),
+    (ms.cube_surface, 10.0, 2.5),
+    (ms.circle_surface, 5.0, 8.5),
+])
+def test_rejects_a_count_that_is_not_a_whole_number(surface, size, count):
+    with pytest.raises(DomainError, match="whole number"):
+        surface(size, count)
+
+
+@pytest.mark.parametrize("surface, size, count", [(ms.circle_surface, 5.0, 32), (ms.cube_surface, 10.0, 10)])
+def test_numpy_integer_counts_give_the_same_surface(surface, size, count):
+    assert surface(size, np.int64(count)).same_samples(surface(size, count))
+
+
 class TestSynthesis:
     def test_zero_current_zero_field(self):
         contrast = em.ContrastField([em.Shape([-0.25, 0.0], 0.3, eta=0.0)])
