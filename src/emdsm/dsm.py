@@ -210,18 +210,20 @@ def find_local_maxima(index: IndexGrid):
     d = arr.ndim
     tol = _TIE_RTOL * float(np.abs(arr).max())
     padded = np.pad(arr, 1, constant_values=-np.inf)
-    dominant = np.ones(arr.shape, dtype=bool)
+    # only the points at or above the floor are candidates, in raster order
+    flat = np.flatnonzero(arr >= _MAXIMA_FLOOR * arr.max())
+    values = arr.ravel()[flat]
+    ticks = np.unravel_index(flat, arr.shape)  # a point's neighbour at offset o is padded[ticks + o]
+    dominant = np.ones(flat.size, dtype=bool)
     centre = (1,) * d
     for offset in np.ndindex(*([3] * d)):
         if offset == centre:
             continue
-        shifted = padded[tuple(slice(o, o + n) for o, n in zip(offset, arr.shape))]
+        shifted = padded[tuple(t + o for t, o in zip(ticks, offset))]
         # a neighbour earlier in raster order (offset < centre) must be beaten
         # beyond the tie, a later one only matched within it
-        dominant &= (arr - shifted > tol) if offset < centre else (arr - shifted >= -tol)
-    dominant &= arr >= _MAXIMA_FLOOR * arr.max()
-    flat = np.flatnonzero(dominant)
-    values = arr.ravel()[flat]
+        dominant &= (values - shifted > tol) if offset < centre else (values - shifted >= -tol)
+    flat, values = flat[dominant], values[dominant]
     groups: list[list[int]] = []
     for k in np.argsort(-values, kind="stable"):
         if groups and values[groups[-1][-1]] - values[k] <= tol:

@@ -9,15 +9,20 @@ scatterers, so the extension is exact for J, but not for P J: P J is nonzero
 one node beyond J's support, where the scatterer's surface polarization
 charge lies, and build_grid's grid ends at the scatterers' box, so it drops
 that layer.
+
+The system is solved by restarted GMRES (Saad and Schultz, SIAM J. Sci.
+Stat. Comput. 7 (1986) 856), a numpy port of scipy 1.17.1's gmres that
+rounds as it does, with LAPACK's zlartg for the Givens rotations; emdsm
+therefore makes no scipy BLAS or LAPACK call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .em_core import (BlockRun, ContrastField, IncidentPlaneWave, WaveContext, centred_ticks,
                       green_scalar_from_distance, incident_field, lattice_points, pinned_blas, run_tasks)
@@ -26,6 +31,10 @@ from .errors import DegenerateGridError, DomainError, GeometryError, SolverError
 _SELF_TERM_ORDERS = (16, 32, 64, 128, 256)
 _SELF_TERM_RTOL = 1e-8
 _DENSE_BLOCK_COLUMNS = 256  # unit vectors per apply when building the dense matrix
+_SAFMIN = 2.0**-1022  # LAPACK's safe minimum for binary64, and its reciprocal
+_SAFMAX = 1.0 / _SAFMIN
+_RTMIN = math.sqrt(_SAFMIN)
+_RTMAX = math.sqrt(_SAFMAX / 4)
 
 
 @dataclass(frozen=True)
@@ -194,6 +203,14 @@ class SolverSpec:
     restart: int = 50
     maxiter: int = 500
 
+    def __post_init__(self):
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise DomainError(f"solver tol must be finite and positive, got {self.tol!r}")
+        if self.restart < 1 or self.maxiter < 1:
+            raise DomainError(
+                f"solver restart and maxiter must be >= 1, got {self.restart!r} and {self.maxiter!r}"
+            )
+
 
 @dataclass(frozen=True)
 class InducedCurrentField:
@@ -208,6 +225,149 @@ class InducedCurrentField:
     @property
     def iterations(self) -> int:
         return len(self.residual_history)
+
+
+def _abssq(z: complex) -> float:
+    return z.real * z.real + z.imag * z.imag
+
+
+def _rotation(f: complex, g: complex, w: float) -> tuple[float, complex, complex]:
+    """zlartg's c, s, r of the (scaled) pair f, g, where f carries the extra
+    factor w: the common tail of its unscaled and scaled branches."""
+    f2, g2 = _abssq(f), _abssq(g)
+    h2 = f2 * (w * w) + g2
+    if f2 >= h2 * _SAFMIN:
+        c = math.sqrt(f2 / h2)
+        r = f / complex(c)
+        if f2 > _RTMIN and h2 < 2 * _RTMAX:
+            s = g.conjugate() * (f / complex(math.sqrt(f2 * h2)))
+        else:
+            s = g.conjugate() * (r / complex(h2))
+    else:
+        d = math.sqrt(f2 * h2)
+        c = f2 / d
+        r = f / complex(c) if c >= _SAFMIN else f * complex(h2 / d)
+        s = g.conjugate() * (f / complex(d))
+    return c, s, r
+
+
+def _givens(f: complex, g: complex) -> tuple[float, complex, complex]:
+    """c, s, r of the plane rotation [c s; -conj(s) c] [f; g] = [r; 0], c
+    real: LAPACK's zlartg, as the OpenBLAS in scipy 1.17.1's wheel builds
+    it, scaled branches included.
+
+    It rounds as the compiled Fortran does.  A real operand of a complex
+    product or quotient enters as complex(x), so the zero imaginary part
+    takes part and sets the signs of zero parts, and CPython's complex
+    division is Smith's algorithm, as gfortran's is.  Square roots are
+    math.sqrt: x ** 0.5 may differ in the last bit.
+    """
+    f, g = complex(f), complex(g)
+    if g == 0:
+        return 1.0, 0j, f
+    if f == 0:
+        if g.real == 0.0 or g.imag == 0.0:
+            r = complex(abs(g.imag) if g.real == 0.0 else abs(g.real))
+            return 0.0, g.conjugate() / r, r
+        g1 = max(abs(g.real), abs(g.imag))
+        if _RTMIN < g1 < math.sqrt(_SAFMAX / 2):
+            d = math.sqrt(_abssq(g))
+            return 0.0, g.conjugate() / complex(d), complex(d)
+        u = min(_SAFMAX, max(_SAFMIN, g1))
+        gs = g / complex(u)
+        d = math.sqrt(_abssq(gs))
+        return 0.0, gs.conjugate() / complex(d), complex(d * u)
+    f1 = max(abs(f.real), abs(f.imag))
+    g1 = max(abs(g.real), abs(g.imag))
+    if _RTMIN < f1 < _RTMAX and _RTMIN < g1 < _RTMAX:
+        return _rotation(f, g, 1.0)
+    u = min(_SAFMAX, max(_SAFMIN, f1, g1))
+    v = min(_SAFMAX, max(_SAFMIN, f1)) if f1 / u < _RTMIN else u  # f's own scale if g's would lose it
+    c, s, r = _rotation(f / complex(v), g / complex(u), v / u)
+    return c * (v / u), s, r * complex(u)
+
+
+def _gmres(matvec, b: np.ndarray, spec: SolverSpec) -> tuple[np.ndarray, float, list[float], bool]:
+    """Restarted GMRES on matvec from x0 = 0, without a preconditioner.
+
+    A port of scipy 1.17.1's gmres at atol = 0 with callback_type "pr_norm",
+    step for step in its order (modified Gram-Schmidt, restart and ptol
+    logic, triangular solve, x update), so that it returns the same bits.
+    Returns x, the relative norm of the last b - A x, the relative residual
+    estimate after each inner iteration, and whether the last b - A x met
+    spec.tol.
+    """
+    x = np.zeros_like(b)
+    bnrm2 = np.linalg.norm(b)
+    if bnrm2 == 0:
+        return x, 0.0, [], True
+    atol = spec.tol * float(bnrm2)
+    if bnrm2 < atol:  # tol > 1: x0 = 0 meets it
+        return x, 1.0, [], True
+    eps = np.finfo(b.dtype).eps
+    restart = min(spec.restart, b.size)
+    ptol_max_factor = 1.0
+    ptol = bnrm2 * min(ptol_max_factor, atol / bnrm2)
+    v = np.empty((restart + 1, b.size), dtype=b.dtype)
+    h = np.zeros((restart, restart + 1), dtype=b.dtype)  # column col of the Hessenberg matrix is h[col]
+    givens = np.zeros((restart, 2), dtype=b.dtype)
+    r = b
+    history: list[float] = []
+    for _ in range(spec.maxiter):
+        v[0] = r
+        tmp = np.linalg.norm(v[0])
+        v[0] *= 1 / tmp
+        S = np.zeros(restart + 1, dtype=b.dtype)
+        S[0] = tmp
+        breakdown = False
+        for col in range(restart):
+            w = matvec(v[col])
+            h0 = np.linalg.norm(w)
+            for k in range(col + 1):
+                tmp = np.vdot(v[k], w)
+                h[col, k] = tmp
+                w -= tmp * v[k]
+            h1 = np.linalg.norm(w)
+            h[col, col + 1] = h1
+            v[col + 1] = w
+            if h1 <= eps * h0:  # exact solution in the Krylov space
+                h[col, col + 1] = 0
+                breakdown = True
+            else:
+                v[col + 1] *= 1 / h1
+            for k in range(col):
+                c, s = givens[k, 0], givens[k, 1]
+                n0, n1 = h[col, [k, k + 1]]
+                h[col, [k, k + 1]] = [c * n0 + s * n1, -s.conj() * n0 + c * n1]
+            c, s, mag = _givens(h[col, col], h[col, col + 1])
+            givens[col] = [c, s]
+            h[col, [col, col + 1]] = mag, 0
+            tmp = -np.conjugate(s) * S[col]
+            S[[col, col + 1]] = [c * S[col], tmp]
+            presid = np.abs(tmp)
+            history.append(float(presid / bnrm2))
+            if presid <= ptol or breakdown:
+                break
+        if h[col, col] == 0:
+            S[col] = 0
+        y = S[:col + 1].copy()
+        for k in range(col, 0, -1):
+            if y[k] != 0:
+                y[k] /= h[k, k]
+                y[:k] -= y[k] * h[k, :k]
+        if y[0] != 0:
+            y[0] /= h[0, 0]
+        x += y @ v[:col + 1]
+        r = b - matvec(x)
+        rnorm = np.linalg.norm(r)
+        if rnorm <= atol or breakdown:
+            break
+        if presid <= ptol:  # the inner estimate passed, the true residual did not
+            ptol_max_factor = max(eps, 0.25 * ptol_max_factor)
+        else:
+            ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
+        ptol = presid * min(ptol_max_factor, atol / rnorm)
+    return x, float(rnorm / bnrm2), history, bool(rnorm <= atol)
 
 
 def _fft_length(n: int) -> int:
@@ -338,21 +498,12 @@ class ForwardSystem:
         return (self.contrast_at_nodes[:, None] * e_inc).T.reshape(-1)
 
     def solve(self, wave: IncidentPlaneWave, spec: SolverSpec = SolverSpec()) -> InducedCurrentField:
-        """The current of one incident wave by restarted GMRES with spec."""
-        rhs = self.rhs(wave)
-        dim = self.system_dimension
-        op = LinearOperator((dim, dim), matvec=self.apply, dtype=np.complex128)
-        history: list[float] = []
-        flat, info = gmres(
-            op, rhs, rtol=spec.tol, atol=0.0,
-            restart=spec.restart, maxiter=spec.maxiter,
-            callback=history.append, callback_type="pr_norm",
-        )
-        rhs_norm = np.linalg.norm(rhs)
-        residual = 0.0
-        if rhs_norm > 0.0:
-            residual = float(np.linalg.norm(self.apply(flat) - rhs) / rhs_norm)
-        if info != 0:
+        """The current of one incident wave by restarted GMRES with spec (the
+        numpy port of scipy's, _gmres), on apply.  The reported residual is
+        the relative norm of the solver's own last b - A x; the history holds
+        its residual estimate after each inner iteration."""
+        flat, residual, history, converged = _gmres(self.apply, self.rhs(wave), spec)
+        if not converged:
             raise SolverError(
                 f"GMRES did not converge in {spec.maxiter} iterations; "
                 f"final relative residual {residual:.2e}"
@@ -360,7 +511,7 @@ class ForwardSystem:
         values = flat.reshape(self.ctx.dimension, self.grid.n_nodes).T.copy()
         values[self.contrast_at_nodes == 0.0] = 0.0
         return InducedCurrentField(
-            self.grid, values, residual=residual, residual_history=tuple(float(r) for r in history),
+            self.grid, values, residual=residual, residual_history=tuple(history),
         )
 
     def solve_all(self, waves, spec: SolverSpec = SolverSpec()) -> tuple[list[InducedCurrentField], BlockRun]:

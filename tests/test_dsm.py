@@ -719,6 +719,43 @@ class TestCrossMaps:
             "cross:polarization_2", "cross:polarization_sum"]
 
 
+def whole_array_maxima(index):
+    """find_local_maxima as it was before it compared the candidates only:
+    every grid point against its 8/26 neighbours, then the floor.  The oracle
+    of the candidate version, kept verbatim."""
+    arr = index.as_array()
+    d = arr.ndim
+    tol = dsm._TIE_RTOL * float(np.abs(arr).max())
+    padded = np.pad(arr, 1, constant_values=-np.inf)
+    dominant = np.ones(arr.shape, dtype=bool)
+    centre = (1,) * d
+    for offset in np.ndindex(*([3] * d)):
+        if offset == centre:
+            continue
+        shifted = padded[tuple(slice(o, o + n) for o, n in zip(offset, arr.shape))]
+        dominant &= (arr - shifted > tol) if offset < centre else (arr - shifted >= -tol)
+    dominant &= arr >= dsm._MAXIMA_FLOOR * arr.max()
+    flat = np.flatnonzero(dominant)
+    values = arr.ravel()[flat]
+    groups: list[list[int]] = []
+    for k in np.argsort(-values, kind="stable"):
+        if groups and values[groups[-1][-1]] - values[k] <= tol:
+            groups[-1].append(k)
+        else:
+            groups.append([k])
+    axes = index.grid.axes
+    results = []
+    for k in (k for group in groups for k in sorted(group)):
+        loc = np.unravel_index(flat[k], arr.shape)
+        point = np.array([axes[a][loc[a]] for a in range(d)])
+        results.append((point, float(values[k])))
+    return results
+
+
+def assert_same_maxima(got, expected):
+    assert [(p.tolist(), v) for p, v in got] == [(p.tolist(), v) for p, v in expected]
+
+
 class TestLocalMaxima:
     def test_single_bump(self):
         grid = dsm.sampling_grid([(-1, 1), (-1, 1)], 0.05)
@@ -771,6 +808,20 @@ class TestLocalMaxima:
                              np.where(step < 0, np.nextafter(values, -np.inf), values))
             maxima = dsm.find_local_maxima(dsm.IndexGrid(grid, noisy, "test"))
             assert [p.tolist() for p, _ in maxima] == [p.tolist() for p, _ in reference]
+
+    @pytest.mark.parametrize("box", [[(-1, 1), (-1, 1)], [(-1, 1), (-0.5, 0.5), (-1, 0)]])
+    def test_candidates_only_match_the_whole_array_oracle(self, box):
+        # plateaus (few levels), ties within _TIE_RTOL (one-ulp-scale jitter)
+        # and grids down to one tick on an axis
+        rng = np.random.default_rng(5)
+        for spacing in (2.0, 1.0, 0.5, 0.25, 0.1):
+            grid = dsm.sampling_grid(box, spacing)
+            for _ in range(30):
+                levels = rng.integers(1, 6)
+                values = rng.integers(0, levels + 1, grid.n_points) / levels
+                values *= 1.0 + 1e-14 * rng.integers(-2, 3, grid.n_points)
+                index = dsm.IndexGrid(grid, values, "test")
+                assert_same_maxima(dsm.find_local_maxima(index), whole_array_maxima(index))
 
 
 class TestExports:

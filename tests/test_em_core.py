@@ -470,9 +470,30 @@ def test_3d_kernels_do_not_load_scipy_special():
         "em.KernelBlock(ctx, np.array([[0.3, 0.1, -0.2]]), np.zeros((1, 3)))\n"
         "assert 'scipy.special' not in sys.modules, 'scipy.special loaded'\n"
     )
+    run_python(code)
+
+
+def run_python(code: str) -> None:
+    """Run code in a fresh interpreter that imports emdsm from this checkout."""
     src = str(Path(em.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+@pytest.mark.parametrize("name, spacing, absent", [
+    # a 3D run loads no scipy at all; a 2D run loads scipy.special alone
+    ("example3d", 0.25, "scipy"),
+    ("example1", 0.1, "scipy.sparse"),
+])
+def test_a_run_does_not_load_scipy_sparse(tmp_path, name, spacing, absent):
+    run_python(
+        "import sys\n"
+        "import emdsm.cli\n"
+        "from emdsm import harness\n"
+        f"harness.run_experiment(harness.preset({name!r}, sampling_spacing={spacing}, out={str(tmp_path)!r}))\n"
+        f"loaded = [m for m in sys.modules if m == {absent!r} or m.startswith({absent + '.'!r})]\n"
+        "assert not loaded, loaded\n"
+    )
 
 
 EULER_GAMMA = 0.57721566490153286060651209

@@ -8,6 +8,8 @@ import pytest
 import scipy.sparse as sp
 import scipy.special
 from scipy.integrate import dblquad, quad
+from scipy.linalg.lapack import zlartg
+from scipy.sparse.linalg import LinearOperator, gmres
 
 from emdsm import em_core as em, forward as fw, harness, measurement as ms
 from emdsm.errors import DegenerateGridError, DomainError, GeometryError, SolverError
@@ -442,6 +444,114 @@ class TestSolve:
         grid = fw.VolumeGrid(0.1, np.zeros(3), (3, 3, 3))
         with pytest.raises(GeometryError, match="grid and context dimensions differ"):
             fw.ForwardSystem(CONTRAST1, CTX2, grid)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"restart": 0}, {"maxiter": 0}, {"tol": 0.0}, {"tol": -1.0}, {"tol": float("nan")}, {"tol": float("inf")},
+])
+def test_solver_spec_rejects_settings_gmres_cannot_run(kwargs):
+    with pytest.raises(DomainError, match="solver"):
+        fw.SolverSpec(**kwargs)
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=np.complex128).tobytes() == np.asarray(b, dtype=np.complex128).tobytes()
+
+
+class TestGivens:
+    """fw._givens against LAPACK's zlartg as scipy exposes it, bit for bit."""
+
+    @staticmethod
+    def assert_matches_zlartg(pairs):
+        for f, g in pairs:
+            expected, got = zlartg(f, g), fw._givens(f, g)
+            assert all(same_bits(e, o) for e, o in zip(expected, got)), (f, g, expected, got)
+
+    @staticmethod
+    def random_complex(rng, n, lo, hi):
+        """n complex numbers of magnitudes 10^lo to 10^hi and uniform phase,
+        a tenth of their parts set to +0 and a tenth to -0."""
+        z = 10.0 ** rng.uniform(lo, hi, n) * np.exp(2j * np.pi * rng.random(n))
+        parts = np.stack([z.real, z.imag])
+        pick = rng.random(parts.shape)
+        parts[pick < 0.1] = 0.0
+        parts[(pick >= 0.1) & (pick < 0.2)] = -0.0
+        return [complex(re, im) for re, im in parts.T]
+
+    @pytest.mark.parametrize("lo, hi", [
+        (-30, 30),  # the unscaled branches
+        (-300, 300),  # the scaled branches too: parts below 2^-511 or above 2^510
+        (-323, -290),  # subnormal and tiny
+        (290, 308),  # huge
+    ])
+    def test_random_pairs(self, lo, hi):
+        rng = np.random.default_rng(7)
+        f, g = (self.random_complex(rng, 2000, lo, hi) for _ in range(2))
+        self.assert_matches_zlartg(zip(f, g))
+
+    def test_zero_real_and_imaginary_operands(self):
+        self.assert_matches_zlartg([
+            (1 + 2j, 0), (1 + 2j, -0.0), (0, 1 + 2j), (0, 0), (-0.0, 0),
+            (0, 3.0), (0, -3.0), (0, 2j), (0, -2j), (0, complex(-0.0, -2.0)), (0, complex(-3.0, -0.0)),
+            (1 + 1j, 2.0), (1 + 1j, -2j), (2.0, 1.0), (1j, 1.0), (complex(-0.0, 1.5), complex(-0.0, 1.5)),
+            (0, 1e-200 + 1e-200j), (0, 1e300 + 1e300j), (1e-320, 1.0), (1.0, 1e-320),
+            (5e-324, 5e-324j), (1e300 + 1e300j, 1.0), (1e-160, 1e160j),
+        ])
+
+
+def scipy_gmres(system, rhs, spec):
+    """What ForwardSystem.solve got from scipy's gmres with the same settings:
+    the solution, the relative norm of apply(x) - rhs, the pr_norm history
+    and whether gmres reported convergence."""
+    dim = system.system_dimension
+    history = []
+    x, info = gmres(LinearOperator((dim, dim), matvec=system.apply, dtype=np.complex128), rhs,
+                    rtol=spec.tol, atol=0.0, restart=spec.restart, maxiter=spec.maxiter,
+                    callback=history.append, callback_type="pr_norm")
+    residual = float(np.linalg.norm(system.apply(x) - rhs) / np.linalg.norm(rhs))
+    return x, residual, [float(r) for r in history], info == 0
+
+
+class TestGmresPort:
+    """The numpy GMRES against scipy's gmres, bit for bit: solution, residual and history."""
+
+    @pytest.mark.parametrize("name, h, spec", [
+        ("example1", 0.02, fw.SolverSpec()),
+        ("example3d", 0.05, fw.SolverSpec()),
+        # several restart cycles, so the ptol update runs between them
+        ("example1", 0.02, fw.SolverSpec(tol=1e-10, restart=5)),
+        ("example3d", 0.05, fw.SolverSpec(restart=5)),
+    ])
+    def test_solve_matches_scipy(self, name, h, spec):
+        config = harness.preset(name)
+        system = fw.ForwardSystem(config.contrast, config.ctx, fw.build_grid(config.contrast, h))
+        wave = config.incidents[0]
+        x, residual, history, converged = scipy_gmres(system, system.rhs(wave), spec)
+        assert converged and len(history) > 5  # at restart 5, more than one cycle
+        current = system.solve(wave, spec)
+        active = system.contrast_at_nodes != 0.0
+        assert same_bits(current.values[active], x.reshape(system.ctx.dimension, -1).T[active])
+        assert np.all(current.values[~active] == 0.0)
+        assert current.residual == residual
+        assert current.residual_history == tuple(history)
+
+    def test_tolerance_above_one_keeps_x0_as_scipy_does(self):
+        system = fw.ForwardSystem(CONTRAST1, CTX2, fw.build_grid(CONTRAST1, 0.05))
+        spec = fw.SolverSpec(tol=2.0)
+        got = fw._gmres(system.apply, system.rhs(WAVE1), spec)
+        expected = scipy_gmres(system, system.rhs(WAVE1), spec)
+        assert same_bits(got[0], expected[0]) and not got[0].any()
+        assert got[1:] == expected[1:] == (1.0, [], True)
+
+    def test_non_converging_spec_matches_scipy(self):
+        # the spec of test_gmres_nonconvergence_raises
+        system = fw.ForwardSystem(CONTRAST1, CTX2, fw.build_grid(CONTRAST1, 0.02))
+        spec = fw.SolverSpec(tol=1e-14, maxiter=1, restart=2)
+        got = fw._gmres(system.apply, system.rhs(WAVE1), spec)
+        expected = scipy_gmres(system, system.rhs(WAVE1), spec)
+        assert same_bits(got[0], expected[0])
+        assert got[1:] == expected[1:]
+        assert not got[3] and len(got[2]) == 2
 
 
 class TestSolveAll:

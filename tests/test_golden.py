@@ -9,11 +9,14 @@ golden file with the command the failure prints.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from emdsm import harness
+from emdsm import dsm, harness
+from tests.test_dsm import assert_same_maxima, whole_array_maxima
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden_outputs.json"
@@ -47,3 +50,18 @@ def test_outputs_match_the_golden_file(preset_tree, capsys):
     assert "14 runs compared" in captured.out
     assert code == 0, (f"{captured.err}If the change moves these outputs on purpose, rewrite the golden file: "
                        f"python scripts/compare_outputs.py {preset_tree} --write-golden {GOLDEN.relative_to(ROOT)}")
+
+
+def test_maxima_of_every_preset_grid_match_the_whole_array_oracle(preset_tree):
+    # each exported grid, read back from its CSV, on the grid of its run's sampling
+    checked = 0
+    for report_path in sorted(preset_tree.glob("*/report.json")):
+        report = json.loads(report_path.read_text())
+        grid = dsm.sampling_grid(report["config"]["sampling"]["box"], report["config"]["sampling"]["spacing"])
+        for entry in report["indices"]:
+            csv = next(name for name in entry["files"] if name.endswith(".csv"))
+            values = np.loadtxt(report_path.parent / csv, delimiter=",", skiprows=1, usecols=grid.dimension)
+            index = dsm.IndexGrid(grid, values, entry["label"])
+            assert_same_maxima(dsm.find_local_maxima(index), whole_array_maxima(index))
+            checked += 1
+    assert checked >= 14
