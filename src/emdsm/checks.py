@@ -156,6 +156,8 @@ def diagnostic_maps(kind: str, polarizations) -> dict[str, np.ndarray]:
 def off_peak_ratios(maps, x_q, wavelength: float) -> list[float]:
     """Each map's largest value beyond half a wavelength from x_q over its peak."""
     off = np.linalg.norm(maps[0].grid.points - x_q, axis=1) > 0.5 * wavelength
+    if not off.any():
+        raise DomainError("no sampling point lies beyond half a wavelength of x_q")
     return [float(index.values[off].max() / index.values.max()) for index in maps]
 
 
@@ -206,7 +208,7 @@ def born_deviations() -> list[float]:
         contrast = ContrastField([Shape(_CENTRE, 0.3, eta=eta)])
         system = ForwardSystem(contrast, _CTX, build_grid(contrast, _BORN_H))
         current = system.solve(_WAVE)
-        target = system.contrast_at_nodes[:, None] * incident_field(_WAVE, _CTX, system.grid.nodes)
+        target = system.contrast_at_nodes[:, None] * incident_field(_WAVE, _CTX, system.grid.points)
         dev = np.linalg.norm(current.values - target, axis=1).max()
         out.append(float(dev / np.linalg.norm(target, axis=1).max()))
     return out

@@ -9,13 +9,14 @@ Values lie in [0, 1] by Cauchy-Schwarz and peak near scatterer support.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
-from .em_core import (KernelBlock, SweepInfo, WaveContext, _lattice_orbits, _sweep, _symmetry_group, centred_ticks,
-                      green_tensor_from_diff, lattice_points)
+from .em_core import (KernelBlock, Lattice, SweepInfo, WaveContext, _lattice_orbits, _sweep, _symmetry_group,
+                      green_tensor_from_diff)
 from .errors import DomainError, GeometryError
 from .measurement import FieldSamples, MeasurementSurface, l2_norm
 
@@ -31,63 +32,31 @@ _TIE_RTOL = 1e-12  # index values this close, relative to the peak, are tied
 _MAXIMA_FLOOR = 0.5  # local maxima are listed above this fraction of the peak
 
 
-@dataclass(frozen=True)
-class SamplingGrid:
-    """Vertex lattice over an axis-aligned box.
+def sampling_grid(box, spacing: float) -> Lattice:
+    """The vertex Lattice of pitch spacing over an axis-aligned box.
 
     An axis [lo, hi] has n = floor((hi - lo) / spacing + 1e-9) + 1 ticks,
     centred_ticks about (lo + hi) / 2: [-2, 2] at spacing 0.01 gives 401,
     endpoints included.  A box end off the lattice splits the spare margin
     evenly between both ends, and a one-tick axis sits at its box centre.
     """
-
-    box: tuple[tuple[float, float], ...]
-    spacing: float
-
-    def __post_init__(self):
-        if not np.isfinite([self.spacing, *np.ravel(self.box)]).all():
-            raise DomainError("sampling spacing and box ends must be finite")
-        if self.spacing <= 0.0:
-            raise DomainError("sampling spacing must be positive")
-        for lo, hi in self.box:
-            if hi <= lo:
-                raise GeometryError("sampling box must have positive extent")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.box)
-
-    @cached_property
-    def axes(self) -> tuple[np.ndarray, ...]:
-        """Each axis's ticks, built once per grid and read-only."""
-        axes = tuple(centred_ticks(0.5 * (lo + hi), self.spacing, int(np.floor((hi - lo) / self.spacing + 1e-9)) + 1)
-                     for lo, hi in self.box)
-        for ticks in axes:
-            ticks.flags.writeable = False
-        return axes
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(len(a) for a in self.axes)
-
-    @property
-    def n_points(self) -> int:
-        return int(np.prod(self.shape))
-
-    @property
-    def points(self) -> np.ndarray:
-        return lattice_points(self.axes)
-
-
-def sampling_grid(box, spacing: float) -> SamplingGrid:
-    return SamplingGrid(tuple((float(lo), float(hi)) for lo, hi in box), float(spacing))
+    box = tuple((float(lo), float(hi)) for lo, hi in box)
+    spacing = float(spacing)
+    if not np.isfinite([spacing, *np.ravel(box)]).all():
+        raise DomainError("sampling spacing and box ends must be finite")
+    if spacing <= 0.0:
+        raise DomainError("sampling spacing must be positive")
+    if any(hi <= lo for lo, hi in box):
+        raise GeometryError("sampling box must have positive extent")
+    return Lattice(tuple(0.5 * (lo + hi) for lo, hi in box), spacing,
+                   tuple(int(np.floor((hi - lo) / spacing + 1e-9)) + 1 for lo, hi in box))
 
 
 @dataclass(frozen=True)
 class IndexGrid:
     """Real indicator values over a sampling grid, in [0, 1] after normalization."""
 
-    grid: SamplingGrid
+    grid: Lattice
     values: np.ndarray  # flat, one value per grid point
     label: str
     sweep_info: SweepInfo | None = None  # set on grids that come from a sweep
@@ -110,10 +79,11 @@ def _check_inside(surface: MeasurementSurface, x, what: str) -> None:
         raise GeometryError(f"{what} must lie strictly inside the measurement surface")
 
 
-def check_grid_inside(surface: MeasurementSurface, grid: SamplingGrid) -> None:
-    """Raise GeometryError unless every corner of the grid's box lies strictly inside the surface."""
-    for corner in np.array(np.meshgrid(*[(lo, hi) for lo, hi in grid.box], indexing="ij")).reshape(len(grid.box), -1).T:
-        _check_inside(surface, corner, "sampling box corner")
+def check_grid_inside(surface: MeasurementSurface, grid: Lattice) -> None:
+    """Raise GeometryError unless every extreme point of the grid, each axis
+    at its first or last tick, lies strictly inside the surface."""
+    for corner in itertools.product(*((axis[0], axis[-1]) for axis in grid.axes)):
+        _check_inside(surface, corner, "sampling grid corner")
 
 
 def probe_field(ctx: WaveContext, surface: MeasurementSurface, x_p, q) -> FieldSamples:
@@ -124,7 +94,7 @@ def probe_field(ctx: WaveContext, surface: MeasurementSurface, x_p, q) -> FieldS
     return FieldSamples(surface, green_tensor_from_diff(ctx, surface.points - x_p) @ q)
 
 
-def compute_index_grid(ctx: WaveContext, datasets, grid: SamplingGrid) -> list[IndexGrid]:
+def compute_index_grid(ctx: WaveContext, datasets, grid: Lattice) -> list[IndexGrid]:
     """Index values over every sampling point, one sweep for all datasets.
 
     datasets is a sequence of (FieldSamples, polarization q) pairs on one
@@ -161,7 +131,7 @@ def compute_index_grid(ctx: WaveContext, datasets, grid: SamplingGrid) -> list[I
         return np.abs(P) / (data_norms * norms)
 
     per_pol, info = _sweep(ctx, surface.points, group, refs, grid.n_points,
-                           _lattice_orbits(group, grid.axes), per_chunk, surface.weights)
+                           _lattice_orbits(group, grid), per_chunk, surface.weights)
     grids = [
         IndexGrid(grid, vals, f"single_polarization:{i}", info)
         for i, vals in enumerate(per_pol)
@@ -170,7 +140,7 @@ def compute_index_grid(ctx: WaveContext, datasets, grid: SamplingGrid) -> list[I
 
 
 def cross_product_maps(ctx: WaveContext, surface: MeasurementSurface, x_q,
-                       grid: SamplingGrid, coeffs: dict) -> list[IndexGrid]:
+                       grid: Lattice, coeffs: dict) -> list[IndexGrid]:
     """Cross-correlation maps against the fixed reference point x_q, one per
     coefficient array A (d, d, d) of coeffs, from one sweep:
 
@@ -190,7 +160,7 @@ def cross_product_maps(ctx: WaveContext, surface: MeasurementSurface, x_q,
     refs = np.einsum("sijl,mil->mijs", arrays, ref)
     group = _symmetry_group(surface, grid)
     value_arrays, info = _sweep(ctx, surface.points, group, refs, grid.n_points,
-                                _lattice_orbits(group, grid.axes), lambda block, P, members: np.abs(P))
+                                _lattice_orbits(group, grid), lambda block, P, members: np.abs(P))
     return [
         IndexGrid(grid, values, f"cross:{label}", info)
         for values, label in zip(value_arrays, coeffs)

@@ -13,6 +13,7 @@ import ctypes
 import functools
 import importlib
 import itertools
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -44,6 +45,10 @@ _SLAB_BUDGET = 1 << 25  # bytes of the stacked image slabs of one pass of _sweep
 # _sweep's blocks beyond the identity take the rows they would against this many sources: against
 # 14 000 sources, 2 rows made the products read the wide slabs for each pair of rows, four times as slow
 _ORBIT_SOURCES = 2_000
+# orthant points per block of _orbit_representatives, whose (G, d, rows) images then stay in cache.  On
+# 33^3 and 81^3 lattices with the cube's 48 members (best of 7, 2-core VM): 256 rows 2.8-4.7 and
+# 39-40 ms, 4 096 rows 8.1-11.8 and 106-113 ms, and one member at a time 4.9-6.8 and 77 ms
+_REPRESENTATIVE_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -57,13 +62,15 @@ class WaveContext:
     def __post_init__(self):
         if self.dimension not in (2, 3):
             raise DimensionMismatchError(f"dimension must be 2 or 3, got {self.dimension}")
-        if self.wavenumber <= 0.0 or self.wavelength <= 0.0:
-            raise DomainError("wavenumber and wavelength must be positive")
+        if not all(math.isfinite(v) and v > 0.0 for v in (self.wavenumber, self.wavelength)):
+            raise DomainError("wavenumber and wavelength must be finite and positive")
         if abs(self.wavenumber * self.wavelength - _TWO_PI) > 1e-12 * _TWO_PI:
             raise DomainError("wavenumber * wavelength must equal 2*pi")
 
     @classmethod
     def from_wavelength(cls, dimension: int, wavelength: float) -> "WaveContext":
+        if wavelength == 0.0:  # 2 pi / 0 would raise ZeroDivisionError
+            raise DomainError("wavenumber and wavelength must be finite and positive")
         return cls(dimension, _TWO_PI / wavelength, wavelength)
 
 
@@ -558,9 +565,40 @@ def lattice_points(axes) -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
-def _symmetry_group(surface, lattice):
+@dataclass(frozen=True)
+class Lattice:
+    """Uniform tensor lattice: axis i has the shape[i] centred_ticks of pitch
+    pitch about centre[i].  The forward solve's cell centres and the sampling
+    points are both one; lattices with equal fields are equal and hash equal."""
+
+    centre: tuple[float, ...]
+    pitch: float
+    shape: tuple[int, ...]
+
+    @property
+    def dimension(self) -> int:
+        return len(self.shape)
+
+    @functools.cached_property
+    def axes(self) -> tuple[np.ndarray, ...]:
+        """Each axis's ticks, built once per lattice and read-only."""
+        axes = tuple(centred_ticks(c, self.pitch, n) for c, n in zip(self.centre, self.shape))
+        for ticks in axes:
+            ticks.flags.writeable = False
+        return axes
+
+    @property
+    def n_points(self) -> int:
+        return math.prod(self.shape)
+
+    @property
+    def points(self) -> np.ndarray:
+        return lattice_points(self.axes)
+
+
+def _symmetry_group(surface, lattice: Lattice):
     """The signed permutations sigma, (sigma v)_i = s_i v_p(i), under which
-    both the surface (sigma x_m = x_pi(m) and w_pi(m) = w_m) and the lattice
+    both the surface (sigma x_m = x_pi(m) and w_pi(m) = w_m) and the Lattice
     (axis p(i)'s ticks are s_i times axis i's) are invariant bit for bit, as
     centred_ticks makes them about 0.  Returns the axis permutations p (G, d),
     the signs s (G, d) and the point permutations pi (G, M), the identity
@@ -587,13 +625,13 @@ def _symmetry_group(surface, lattice):
     return axis_perms, signs, point_perms
 
 
-def _image_indices(axis_perms, signs, ticks: np.ndarray, dims) -> np.ndarray:
-    """Raveled lattice indices (G, C) of the images sigma x of the lattice
-    points with tick indices ticks (d, C): axis i takes tick k_p(i), mirrored
-    to n_i - 1 - k_p(i) where s_i < 0."""
-    moved = ticks[axis_perms]
-    mirrored = np.where(signs[:, :, np.newaxis] < 0.0, np.array(dims)[:, np.newaxis] - 1 - moved, moved)
-    return np.ravel_multi_index(tuple(mirrored.transpose(1, 0, 2)), dims)
+def _image_indices(axis_perms, signs, shape, indices) -> np.ndarray:
+    """Raveled indices (G, C) of the images sigma x of the C lattice points x
+    at raveled indices indices in a lattice of the given shape: axis i takes
+    tick k_p(i), mirrored to n_i - 1 - k_p(i) where s_i < 0."""
+    moved = np.array(np.unravel_index(indices, shape))[axis_perms]
+    mirrored = np.where(signs[:, :, np.newaxis] < 0.0, np.array(shape)[:, np.newaxis] - 1 - moved, moved)
+    return np.ravel_multi_index(tuple(mirrored.transpose(1, 0, 2)), shape)
 
 
 def _orbit_representatives(axis_perms, signs, dims) -> np.ndarray:
@@ -609,26 +647,23 @@ def _orbit_representatives(axis_perms, signs, dims) -> np.ndarray:
     halved = np.any(signs[flips_only & (np.sum(signs < 0.0, axis=1) == 1)] < 0.0, axis=0)
     shape = np.array(dims)
     orthant = tuple(np.where(halved, (shape + 1) // 2, shape))
-    ticks = np.array(np.unravel_index(np.arange(np.prod(orthant)), orthant))
-    index = np.ravel_multi_index(tuple(ticks), dims)
-    smallest = np.ones(index.shape, dtype=bool)
+    index = np.ravel_multi_index(np.unravel_index(np.arange(np.prod(orthant)), orthant), dims)
     # flips of halved axes only never lower an orthant point's index
-    for g in np.flatnonzero(~flips_only | np.any((signs < 0.0) & ~halved, axis=1)):
-        smallest &= _image_indices(axis_perms[g:g + 1], signs[g:g + 1], ticks, dims)[0] >= index
-    return index[smallest]
+    others = np.flatnonzero(~flips_only | np.any((signs < 0.0) & ~halved, axis=1))
+    smallest = [np.all(_image_indices(axis_perms[others], signs[others], dims, part) >= part, axis=0)
+                for part in np.split(index, range(_REPRESENTATIVE_ROWS, len(index), _REPRESENTATIVE_ROWS))]
+    return index[np.concatenate(smallest)]
 
 
-def _lattice_orbits(group, axes):
-    """The orbits argument of _sweep on the lattice with ticks axes."""
+def _lattice_orbits(group, lattice: Lattice):
+    """The orbits argument of _sweep on the points of lattice."""
     axis_perms, signs, _ = group
-    dims = tuple(len(axis) for axis in axes)
 
     def locate(reps):
-        ticks = np.array(np.unravel_index(reps, dims))
-        points = np.column_stack([axis[k] for axis, k in zip(axes, ticks)])
-        return points, _image_indices(axis_perms, signs, ticks, dims)
+        points = np.column_stack([axis[k] for axis, k in zip(lattice.axes, np.unravel_index(reps, lattice.shape))])
+        return points, _image_indices(axis_perms, signs, lattice.shape, reps)
 
-    return _orbit_representatives(axis_perms, signs, dims), locate
+    return _orbit_representatives(axis_perms, signs, lattice.shape), locate
 
 
 def _orbit_slots(images: np.ndarray) -> np.ndarray:

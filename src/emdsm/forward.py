@@ -24,8 +24,8 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .em_core import (BlockRun, ContrastField, IncidentPlaneWave, WaveContext, centred_ticks,
-                      green_scalar_from_distance, incident_field, lattice_points, pinned_blas, run_tasks)
+from .em_core import (BlockRun, ContrastField, IncidentPlaneWave, Lattice, WaveContext, green_scalar_from_distance,
+                      incident_field, pinned_blas, run_tasks)
 from .errors import DegenerateGridError, DomainError, GeometryError, SolverError
 
 _SELF_TERM_ORDERS = (16, 32, 64, 128, 256)
@@ -37,54 +37,11 @@ _RTMIN = math.sqrt(_SAFMIN)
 _RTMAX = math.sqrt(_SAFMAX / 4)
 
 
-@dataclass(frozen=True)
-class VolumeGrid:
-    """Uniform cell-centred tensor grid whose cells cover the scatterer box:
-    axis i has the counts[i] centred_ticks of pitch h about the centre of
-    [origin_i, origin_i + counts[i] h], one at each cell centre."""
-
-    mesh_size: float
-    origin: np.ndarray  # lower corner of the covered box
-    counts: tuple[int, ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.counts)
-
-    @property
-    def axes(self) -> tuple[np.ndarray, ...]:
-        h = self.mesh_size
-        return tuple(centred_ticks(self.origin[i] + n * h / 2, h, n) for i, n in enumerate(self.counts))
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return lattice_points(self.axes)
-
-    @property
-    def n_nodes(self) -> int:
-        return int(np.prod(self.counts))
-
-    @property
-    def cell_measure(self) -> float:
-        return self.mesh_size**self.dimension
-
-    @property
-    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        hi = self.origin + np.asarray(self.counts) * self.mesh_size
-        return self.origin.copy(), hi
-
-    def same_nodes(self, other: "VolumeGrid") -> bool:
-        """Whether other has the same pitch, origin and counts."""
-        return other is self or (
-            other.mesh_size == self.mesh_size and other.counts == self.counts
-            and np.array_equal(other.origin, self.origin)
-        )
-
-
-def build_grid(contrast: ContrastField, h: float) -> VolumeGrid:
-    """Smallest cell-centred grid of pitch h whose cell union covers the contrast box."""
-    if h <= 0.0:
-        raise DomainError("mesh size must be positive")
+def build_grid(contrast: ContrastField, h: float) -> Lattice:
+    """The Lattice of cell centres, pitch h, of the smallest cell-centred grid
+    whose cell union covers the contrast box, centred on the box."""
+    if not (math.isfinite(h) and h > 0.0):
+        raise DomainError(f"mesh size must be finite and positive, got {h!r}")
     lo, hi = contrast.bounding_box
     extent = hi - lo
     if np.any(h > extent * (1.0 + 1e-12)):
@@ -92,9 +49,9 @@ def build_grid(contrast: ContrastField, h: float) -> VolumeGrid:
             f"mesh size {h} exceeds the scatterer bounding box extent {extent}"
         )
     counts = np.maximum(np.ceil(extent / h - 1e-9).astype(int), 1)
-    center = 0.5 * (lo + hi)
-    origin = center - 0.5 * counts * h
-    return VolumeGrid(h, origin, tuple(int(n) for n in counts))
+    origin = 0.5 * (lo + hi) - 0.5 * counts * h  # the lower corner of the covered box
+    return Lattice(tuple(float(o + int(n) * h / 2) for o, n in zip(origin, counts)), float(h),
+                   tuple(int(n) for n in counts))
 
 
 def _gauss_rule(order: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
@@ -150,8 +107,8 @@ def _self_term_3d(k: float, h: float) -> complex:
 @lru_cache(maxsize=64)
 def diagonal_self_term(ctx: WaveContext, h: float) -> complex:
     """Cell average of G over one centred cell, (1/h^d) int_cell G(x, 0) dx."""
-    if h <= 0.0:
-        raise DomainError("cell size must be positive")
+    if not (math.isfinite(h) and h > 0.0):
+        raise DomainError(f"cell size must be finite and positive, got {h!r}")
     return _self_term_2d(ctx, h) if ctx.dimension == 2 else _self_term_3d(ctx.wavenumber, h)
 
 
@@ -217,7 +174,7 @@ class InducedCurrentField:
     """Nodal current J (zero wherever eta vanishes) plus solve diagnostics;
     residual_history holds GMRES's relative residual after each iteration."""
 
-    grid: VolumeGrid
+    grid: Lattice
     values: np.ndarray
     residual: float = 0.0
     residual_history: tuple[float, ...] = ()
@@ -397,26 +354,26 @@ class ForwardSystem:
     against.
     """
 
-    def __init__(self, contrast: ContrastField, ctx: WaveContext, grid: VolumeGrid):
+    def __init__(self, contrast: ContrastField, ctx: WaveContext, grid: Lattice):
         if contrast.dimension != ctx.dimension:
             raise GeometryError("contrast and context dimensions differ")
         if grid.dimension != ctx.dimension:
             raise GeometryError("grid and context dimensions differ")
-        if any(n < 3 for n in grid.counts):
+        if any(n < 3 for n in grid.shape):
             raise DegenerateGridError("P stencil needs at least 3 nodes per axis")
         self.ctx = ctx
         self.grid = grid
-        self.contrast_at_nodes = contrast.eta_at(grid.nodes)
+        self.contrast_at_nodes = contrast.eta_at(grid.points)
         self.active = np.flatnonzero(self.contrast_at_nodes != 0.0)
-        counts = grid.counts
+        counts = grid.shape
         offsets = np.meshgrid(
-            *[np.arange(1 - n, n) * grid.mesh_size for n in counts], indexing="ij", sparse=True
+            *[np.arange(1 - n, n) * grid.pitch for n in counts], indexing="ij", sparse=True
         )
         r = np.sqrt(sum(o * o for o in offsets))
         centre = tuple(n - 1 for n in counts)
         r[centre] = 1.0
         table = green_scalar_from_distance(ctx, r)
-        table[centre] = diagonal_self_term(ctx, grid.mesh_size)
+        table[centre] = diagonal_self_term(ctx, grid.pitch)
         # circular embedding: offset o sits at index o mod L, and L >= 2n - 1
         # keeps the wrap-around images of the zero-padded input out of range
         self._fft_shape = tuple(_fft_length(2 * n - 1) for n in counts)
@@ -432,7 +389,7 @@ class ForwardSystem:
         the inverse transforms crop as they go; the full padded block is
         transformed on the last axis only.
         """
-        counts = self.grid.counts
+        counts = self.grid.shape
         batch = values.shape[len(counts):]
         out = values
         for axis, length in enumerate(self._fft_shape):
@@ -444,17 +401,17 @@ class ForwardSystem:
 
     @property
     def system_dimension(self) -> int:
-        return self.ctx.dimension * self.grid.n_nodes
+        return self.ctx.dimension * self.grid.n_points
 
     def apply(self, flat: np.ndarray) -> np.ndarray:
         """The operator on a (d N,) vector or on each column of a (d N, B) block."""
         d = self.ctx.dimension
         batch = flat.shape[1:]
-        pj = _apply_p(flat.reshape((d,) + self.grid.counts + batch), self.ctx.wavenumber, self.grid.mesh_size)
+        pj = _apply_p(flat.reshape((d,) + self.grid.shape + batch), self.ctx.wavenumber, self.grid.pitch)
         out = flat.astype(np.complex128, order="C")
         if self.active.size:
-            fields = out.reshape((d, self.grid.n_nodes) + batch)
-            scale = self.contrast_at_nodes[self.active] * self.grid.cell_measure
+            fields = out.reshape((d, self.grid.n_points) + batch)
+            scale = self.contrast_at_nodes[self.active] * self.grid.pitch**d
             for i in range(d):
                 fields[i, self.active] -= (self._convolve(pj[i])[self.active].T * scale).T
         return out
@@ -494,7 +451,7 @@ class ForwardSystem:
         return solution
 
     def rhs(self, wave: IncidentPlaneWave) -> np.ndarray:
-        e_inc = incident_field(wave, self.ctx, self.grid.nodes)
+        e_inc = incident_field(wave, self.ctx, self.grid.points)
         return (self.contrast_at_nodes[:, None] * e_inc).T.reshape(-1)
 
     def solve(self, wave: IncidentPlaneWave, spec: SolverSpec = SolverSpec()) -> InducedCurrentField:
@@ -508,7 +465,7 @@ class ForwardSystem:
                 f"GMRES did not converge in {spec.maxiter} iterations; "
                 f"final relative residual {residual:.2e}"
             )
-        values = flat.reshape(self.ctx.dimension, self.grid.n_nodes).T.copy()
+        values = flat.reshape(self.ctx.dimension, self.grid.n_points).T.copy()
         values[self.contrast_at_nodes == 0.0] = 0.0
         return InducedCurrentField(
             self.grid, values, residual=residual, residual_history=tuple(history),

@@ -270,9 +270,11 @@ def config_from_dict(raw: dict, name: str = "custom") -> ExperimentConfig:
     spacing = _number(sampling.get("spacing", DEFAULT_SAMPLING_SPACING[dimension]), "sampling.spacing", positive=True)
     built = surface.build()
     try:
-        dsm.check_grid_inside(built, dsm.sampling_grid(box, spacing))
+        dsm.sampling_grid(box, spacing)
     except GeometryError as exc:
         raise ConfigError(f"key 'sampling.box': {exc}") from None
+    if not all(built.contains_strictly(corner) for corner in itertools.product(*box)):
+        raise ConfigError("key 'sampling.box': sampling box corner must lie strictly inside the measurement surface")
     for idx, shape in enumerate(contrast.shapes if contrast is not None else ()):
         if not all(built.contains_strictly(corner) for corner in itertools.product(*zip(*shape.bounds))):
             raise ConfigError(f"key 'shapes[{idx}]' must lie strictly inside the measurement surface")
@@ -504,7 +506,7 @@ def run_experiment(config: ExperimentConfig) -> LocalizationReport:
                     "residual": current.residual,
                     "iterations": current.iterations,
                     "residual_history": list(current.residual_history),
-                    "nodes": current.grid.n_nodes,
+                    "nodes": current.grid.n_points,
                     "threads": run.threads,
                     "blas_pinned": run.blas_pinned,
                 })

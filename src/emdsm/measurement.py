@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import csv
+import math
 import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .em_core import (SweepInfo, WaveContext, _image_indices, _sweep, _symmetry_group, centred_ticks,
-                      lattice_points)
+from .em_core import SweepInfo, WaveContext, _image_indices, _sweep, _symmetry_group, centred_ticks, lattice_points
 from .errors import DomainError, GeometryError
 
 _NOISE_BITGEN = np.random.PCG64  # named, seedable, portable
@@ -144,31 +144,32 @@ def synthesize_scattered_fields(currents, surface: MeasurementSurface, ctx: Wave
     ticks onto themselves and the surface points exactly onto each other; it
     acts on the references alone, so the currents need not be symmetric.
     Each field carries the contraction's SweepInfo as synthesis_info.  Every
-    measurement point must lie strictly outside the source grid's bounding box.
+    measurement point must lie strictly outside the source grid's box, the union
+    of its cells.
     """
     if not currents:
         raise DomainError("synthesis needs at least one current")
     grid = currents[0].grid
-    if not all(grid.same_nodes(current.grid) for current in currents[1:]):
+    if not all(current.grid == grid for current in currents[1:]):
         raise GeometryError("the currents must share one forward grid")
-    lo, hi = grid.bounds
+    half = 0.5 * grid.pitch  # the grid box: the cells around the extreme ticks
+    lo = np.array([axis[0] for axis in grid.axes]) - half
+    hi = np.array([axis[-1] for axis in grid.axes]) + half
     inside = np.all((surface.points >= lo) & (surface.points <= hi), axis=1)
     if inside.any():
         raise GeometryError("measurement points must lie outside the forward grid box")
     d = ctx.dimension
     axis_perms, signs, point_perms = _symmetry_group(surface, grid)
     stacked = np.stack([current.values for current in currents], axis=1)
-
-    def images(nodes):  # raveled indices (G, n) of the images sigma y of the nodes
-        return _image_indices(axis_perms, signs, np.array(np.unravel_index(nodes, grid.counts)), grid.counts)
-
+    carrying = np.flatnonzero(np.any(stacked != 0.0, axis=(1, 2)))
     # the sources: the orbits of the nodes carrying current, so no field depends on the other currents
-    sources = np.unique(images(np.flatnonzero(np.any(stacked != 0.0, axis=(1, 2)))))
-    node_perms = np.searchsorted(sources, images(sources))  # sigma y_j = y_node_perms[j], j counting the sources
-    refs = np.einsum("ai,jlb->jabli", np.eye(d), stacked[sources] * grid.cell_measure)
+    sources = np.unique(_image_indices(axis_perms, signs, grid.shape, carrying))
+    # sigma y_j = y_node_perms[j], j counting the sources
+    node_perms = np.searchsorted(sources, _image_indices(axis_perms, signs, grid.shape, sources))
+    refs = np.einsum("ai,jlb->jabli", np.eye(d), stacked[sources] * grid.pitch**d)
     refs = refs.reshape(sources.size, d, d, d * len(currents))
     reps = np.flatnonzero(point_perms.min(axis=0) == np.arange(surface.count))
-    values, info = _sweep(ctx, grid.nodes[sources], (axis_perms, signs, node_perms), refs, surface.count,
+    values, info = _sweep(ctx, grid.points[sources], (axis_perms, signs, node_perms), refs, surface.count,
                           (reps, lambda chunk: (surface.points[chunk], point_perms[:, chunk])))
     return [FieldSamples(surface, values[l * d:(l + 1) * d].T.copy(), info) for l in range(len(currents))]
 
@@ -180,8 +181,8 @@ def add_noise(samples: FieldSamples, epsilon: float, seed: int) -> FieldSamples:
     component per point; the draw order is point-major, component-minor,
     real before imaginary, so outputs are bit-reproducible for a given seed.
     """
-    if epsilon < 0.0:
-        raise DomainError("noise level must be nonnegative")
+    if not (math.isfinite(epsilon) and epsilon >= 0.0):
+        raise DomainError(f"noise level must be finite and nonnegative, got {epsilon!r}")
     if epsilon == 0.0:
         return replace(samples)
     rng = np.random.Generator(_NOISE_BITGEN(seed))

@@ -6,7 +6,7 @@ import pytest
 
 from emdsm import checks, dsm, em_core as em, measurement as ms
 from emdsm.em_core import WaveContext, green_scalar_from_distance, green_tensor_from_diff
-from emdsm.errors import ConfigError, GeometryError
+from emdsm.errors import ConfigError, DomainError, GeometryError
 
 CTX2 = em.WaveContext.from_wavelength(2, 1.0)
 CTX3 = em.WaveContext.from_wavelength(3, 1.0)
@@ -128,6 +128,14 @@ class TestDiagnosticMaps:
         for label, qs in polarizations.items():
             expected = [sum(q[j] * q[l] for q in qs) for _, j, l in cells]
             np.testing.assert_array_equal(fig2[label].ravel(), expected)
+
+
+class TestOffPeakRatios:
+    def test_no_point_beyond_half_a_wavelength_rejected(self):
+        grid = dsm.sampling_grid([(-0.4, -0.1), (-0.15, 0.15)], 0.05)
+        maps = [dsm.IndexGrid(grid, np.linspace(0.1, 1.0, grid.n_points), "test")]
+        with pytest.raises(DomainError, match="no sampling point lies beyond half a wavelength of x_q"):
+            checks.off_peak_ratios(maps, np.array([-0.25, 0.0]), 1.0)
 
 
 class TestVerify:

@@ -78,11 +78,19 @@ class TestSamplingGrid:
         assert grid.n_points == 1
         np.testing.assert_array_equal(grid.points, [[0.5 * (0.1 + 0.6), 0.5 * (-1.0 - 0.3)]])
 
-    def test_axes_built_once_and_read_only(self):
-        grid = dsm.sampling_grid([(-1, 1), (-1, 1)], 0.5)
+    @pytest.mark.parametrize("grid", [dsm.sampling_grid([(-1, 1), (-1, 1)], 0.5),
+                                      fw.build_grid(em.ContrastField([em.Shape([0.1, -0.2], 0.35)]), 0.04)])
+    def test_axes_built_once_and_read_only(self, grid):
         assert grid.axes is grid.axes
         with pytest.raises(ValueError):
             grid.axes[0][0] = 0.0
+
+    @pytest.mark.parametrize("build", [lambda: dsm.sampling_grid([(-1, 1.05), (-0.5, 0.5)], 0.1),
+                                       lambda: fw.build_grid(em.ContrastField([em.Shape([0.1, -0.2], 0.35)]), 0.04)])
+    def test_equal_lattices_compare_and_hash_equal(self, build):
+        first, second = build(), build()
+        assert first is not second and first == second and hash(first) == hash(second)
+        assert len({first, second}) == 1
 
     @pytest.mark.parametrize("box,spacing", [([(-1.0, 1.3), (-0.7, 1.0)], 0.1),
                                              ([(-1.0, 1.0), (-0.5, 1.5), (0.0, 1.0)], 0.25)])
@@ -272,8 +280,9 @@ class TestIndexGridSweep:
         far = np.linalg.norm(grid.points - np.array([-0.25, 0.0]), axis=1) > 1.2
         assert comb.values[far].mean() < comb.values.max() / 3
 
-    def test_grid_outside_surface_rejected(self, example1_data):
-        grid = dsm.sampling_grid([(-6, 6), (-6, 6)], 1.0)
+    @pytest.mark.parametrize("grid", [dsm.sampling_grid([(-6, 6), (-6, 6)], 1.0),
+                                      em.Lattice((4.5, 0.0), 1.0, (3, 1))])  # x ticks 3.5, 4.5, 5.5
+    def test_grid_outside_surface_rejected(self, example1_data, grid):
         with pytest.raises(GeometryError):
             dsm.compute_index_grid(CTX2, example1_data, grid)
 
@@ -578,13 +587,12 @@ class TestMirrorOrbits:
         axis_perms, signs, _ = em._symmetry_group(surface, grid)
         assert len(signs) == order
         reps = em._orbit_representatives(axis_perms, signs, grid.shape)
-        images = em._image_indices(axis_perms, signs, np.array(np.unravel_index(reps, grid.shape)), grid.shape)
+        images = em._image_indices(axis_perms, signs, grid.shape, reps)
         first = em._orbit_slots(images)
         np.testing.assert_array_equal(np.sort(images[first]), np.arange(grid.n_points))
         # each representative is the smallest raveled index of its orbit,
         # and the identity (first) writes it
-        every = np.array(np.unravel_index(np.arange(grid.n_points), grid.shape))
-        smallest = em._image_indices(axis_perms, signs, every, grid.shape).min(axis=0)
+        smallest = em._image_indices(axis_perms, signs, grid.shape, np.arange(grid.n_points)).min(axis=0)
         np.testing.assert_array_equal(reps, np.unique(smallest))
         np.testing.assert_array_equal(images[0], reps)
         assert first[0].all()

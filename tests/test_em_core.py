@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emdsm import em_core as em
-from emdsm import forward as fw
 from emdsm import measurement as ms
 from emdsm.errors import DimensionMismatchError, DomainError, GeometryError, SingularityError
 
@@ -66,6 +65,11 @@ class TestWaveContext:
     def test_rejects_bad_dimension(self):
         with pytest.raises(DimensionMismatchError):
             em.WaveContext.from_wavelength(4, 1.0)
+
+    @pytest.mark.parametrize("wavelength", [np.nan, np.inf, -np.inf, 0.0])
+    def test_rejects_non_finite_or_zero_wavelength(self, wavelength):
+        with pytest.raises(DomainError, match="finite and positive"):
+            em.WaveContext.from_wavelength(2, wavelength)
 
 
 class TestIncidentWave:
@@ -756,7 +760,7 @@ def per_member_image_slabs(refs, axis_perms, signs, source_perms):
 class TestSymmetryGroup:
     def test_image_slabs_are_the_per_member_slabs_bit_for_bit(self):
         cube = ms.cube_surface(10.0, 2)
-        group = em._symmetry_group(cube, fw.VolumeGrid(0.5, np.full(3, -1.0), (4, 4, 4)))
+        group = em._symmetry_group(cube, em.Lattice((0.0,) * 3, 0.5, (4, 4, 4)))
         assert len(group[1]) == 48
         rng = np.random.default_rng(13)
         refs = rng.standard_normal((cube.count, 3, 3, 4)) + 1j * rng.standard_normal((cube.count, 3, 3, 4))

@@ -66,24 +66,26 @@ def spherical_self_cell_oracle(k: float, h: float) -> complex:
 class TestBuildGrid:
     def test_example1_counts(self):
         grid = fw.build_grid(em.ContrastField(SQUARE1), 0.05)
-        assert grid.counts == (6, 6)
-        assert grid.n_nodes == 36
+        assert grid.shape == (6, 6)
+        assert grid.n_points == 36
 
     def test_ring_counts(self):
         ring = em.ContrastField([em.Shape([0.0, 0.0], 0.6, 0.4)])
-        assert fw.build_grid(ring, 0.05).counts == (12, 12)
+        assert fw.build_grid(ring, 0.05).shape == (12, 12)
 
     def test_cells_cover_bounding_box(self):
         contrast = em.ContrastField([em.Shape([0.1, -0.2], 0.35)])
         grid = fw.build_grid(contrast, 0.04)
-        lo, hi = grid.bounds
+        lo = np.array([axis[0] for axis in grid.axes]) - 0.02
+        hi = np.array([axis[-1] for axis in grid.axes]) + 0.02
         blo, bhi = contrast.bounding_box
         assert np.all(lo <= blo + 1e-12) and np.all(hi >= bhi - 1e-12)
 
     def test_nodes_are_cell_centers(self):
-        grid = fw.build_grid(em.ContrastField(SQUARE1), 0.1)
-        lo, _ = grid.bounds
-        np.testing.assert_allclose(grid.nodes[0], lo + 0.05, atol=1e-15)
+        contrast = em.ContrastField(SQUARE1)
+        grid = fw.build_grid(contrast, 0.1)
+        lo = np.mean(contrast.bounding_box, axis=0) - 0.5 * np.array(grid.shape) * 0.1
+        np.testing.assert_allclose(grid.points[0], lo + 0.05, atol=1e-15)
 
     def test_oversized_mesh_rejected(self):
         with pytest.raises(DegenerateGridError):
@@ -92,6 +94,11 @@ class TestBuildGrid:
     def test_nonpositive_mesh_rejected(self):
         with pytest.raises(DomainError):
             fw.build_grid(em.ContrastField(SQUARE1), -0.1)
+
+    @pytest.mark.parametrize("h", [np.nan, np.inf])
+    def test_non_finite_mesh_rejected(self, h):
+        with pytest.raises(DomainError, match="finite and positive"):
+            fw.build_grid(em.ContrastField(SQUARE1), h)
 
 
 class TestSelfTerm:
@@ -116,19 +123,25 @@ class TestSelfTerm:
         # each decade adds about log(10)/(2 pi)
         np.testing.assert_allclose(diffs, np.log(10.0) / (2 * np.pi), rtol=0.05)
 
+    @pytest.mark.parametrize("ctx", [CTX2, CTX3])
+    @pytest.mark.parametrize("h", [np.nan, np.inf, 0.0])
+    def test_non_finite_or_zero_cell_rejected(self, ctx, h):
+        with pytest.raises(DomainError, match="finite and positive"):
+            fw.diagonal_self_term(ctx, h)
+
 
 def apply_p(grid, ctx, field):
     """fw._apply_p on a nodal (N, d) field, reshaped to and from grid arrays."""
     d = grid.dimension
-    return fw._apply_p(field.T.reshape((d,) + grid.counts), ctx.wavenumber, grid.mesh_size).reshape(d, -1).T
+    return fw._apply_p(field.T.reshape((d,) + grid.shape), ctx.wavenumber, grid.pitch).reshape(d, -1).T
 
 
 class TestPStencil:
     def test_constant_field_gives_k2(self):
         grid = fw.build_grid(em.ContrastField(SQUARE1), 0.02)
         c = np.array([0.3 + 0.1j, -0.7 + 0.2j])
-        out = apply_p(grid, CTX2, np.tile(c, (grid.n_nodes, 1)))
-        mask = np.zeros(grid.counts, bool)
+        out = apply_p(grid, CTX2, np.tile(c, (grid.n_points, 1)))
+        mask = np.zeros(grid.shape, bool)
         mask[2:-2, 2:-2] = True
         interior = out[mask.reshape(-1)]
         np.testing.assert_allclose(
@@ -141,9 +154,9 @@ class TestPStencil:
         errs = []
         for h in (0.04, 0.02, 0.01):
             grid = fw.build_grid(em.ContrastField(SQUARE1), h)
-            e_inc = em.incident_field(WAVE1, CTX2, grid.nodes)
+            e_inc = em.incident_field(WAVE1, CTX2, grid.points)
             residual = apply_p(grid, CTX2, e_inc) - CTX2.wavenumber**2 * e_inc
-            mask = np.zeros(grid.counts, bool)
+            mask = np.zeros(grid.shape, bool)
             mask[1:-1, 1:-1] = True
             errs.append(np.abs(residual[mask.reshape(-1)]).max())
         assert np.log2(errs[0] / errs[1]) == pytest.approx(2.0, abs=0.15)
@@ -151,12 +164,12 @@ class TestPStencil:
 
     def test_axis_fields_and_cross_stencil(self):
         grid = fw.build_grid(em.ContrastField(SQUARE1), 0.03)
-        nodes = grid.nodes
+        nodes = grid.points
         # linear-in-x1 first component: all second differences vanish inside
-        field = np.zeros((grid.n_nodes, 2), complex)
+        field = np.zeros((grid.n_points, 2), complex)
         field[:, 0] = 2.0 * nodes[:, 0] + 1.0
         out = apply_p(grid, CTX2, field) - CTX2.wavenumber**2 * field
-        mask = np.zeros(grid.counts, bool)
+        mask = np.zeros(grid.shape, bool)
         mask[1:-1, 1:-1] = True
         np.testing.assert_allclose(out[mask.reshape(-1)], 0.0, atol=1e-10)
 
@@ -191,7 +204,7 @@ def system_on_grid(ctx, counts, h=0.05):
     """Forward system on a cell-centred grid with the given node counts,
     every node active, with two contrast values so eta varies."""
     d = len(counts)
-    grid = fw.VolumeGrid(h, np.zeros(d), tuple(counts))
+    grid = em.Lattice(tuple(n * h / 2 for n in counts), h, tuple(counts))
     side = 2.0 * h * max(counts)
     contrast = em.ContrastField([
         em.Shape(np.full(d, 0.5 * h * max(counts)), side, eta=1.0),
@@ -204,11 +217,11 @@ def kron_p_matrix(grid, ctx):
     """P = k^2 I + grad div as one sparse (d N, d N) matrix of Kronecker
     stencil blocks: (1,-2,1)/h^2 on block (i, i) along axis i, and the
     (-1,0,1)/(2h) stencils along axes i and j on block (i, j)."""
-    h = grid.mesh_size
+    h = grid.pitch
     d = grid.dimension
-    second = [sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n)) / (h * h) for n in grid.counts]
-    first = [sp.diags([-1.0, 1.0], [-1, 1], shape=(n, n)) / (2.0 * h) for n in grid.counts]
-    eyes = [sp.identity(n) for n in grid.counts]
+    second = [sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n)) / (h * h) for n in grid.shape]
+    first = [sp.diags([-1.0, 1.0], [-1, 1], shape=(n, n)) / (2.0 * h) for n in grid.shape]
+    eyes = [sp.identity(n) for n in grid.shape]
     rows = []
     for i in range(d):
         row = []
@@ -224,15 +237,15 @@ def kron_p_matrix(grid, ctx):
                 block = sp.kron(block, factor, format="csr")
             row.append(block)
         rows.append(row)
-    return (sp.bmat(rows, format="csr") + ctx.wavenumber**2 * sp.identity(d * grid.n_nodes)).tocsr()
+    return (sp.bmat(rows, format="csr") + ctx.wavenumber**2 * sp.identity(d * grid.n_points)).tocsr()
 
 
 def dense_oracle(system):
     """I - diag(eta h^d) G P from the direct-sum G rows and the Kronecker P."""
-    d, n = system.ctx.dimension, system.grid.n_nodes
+    d, n = system.ctx.dimension, system.grid.n_points
     g = np.zeros((n, n), dtype=np.complex128)
     active = system.active
-    g[active] = (system.contrast_at_nodes[active] * system.grid.cell_measure)[:, None] \
+    g[active] = (system.contrast_at_nodes[active] * system.grid.pitch**system.grid.dimension)[:, None] \
         * direct_g_rows(system, active)
     p = kron_p_matrix(system.grid, system.ctx).toarray()
     return np.eye(d * n) - np.kron(np.eye(d), g) @ p
@@ -241,12 +254,12 @@ def dense_oracle(system):
 def direct_g_rows(system, rows):
     """G(x_a, x_b) for the nodes a in rows from the node differences, with
     the averaged self-cell on the diagonal."""
-    nodes = system.grid.nodes
+    nodes = system.grid.points
     r = np.linalg.norm(nodes[rows][:, None, :] - nodes[None, :, :], axis=-1)
     self_hits = r == 0.0
     r[self_hits] = 1.0
     g = em.green_scalar_from_distance(system.ctx, r)
-    g[self_hits] = fw.diagonal_self_term(system.ctx, system.grid.mesh_size)
+    g[self_hits] = fw.diagonal_self_term(system.ctx, system.grid.pitch)
     return g
 
 
@@ -256,8 +269,8 @@ class TestFFTOperator:
     ])
     def test_apply_matches_direct_sum(self, ctx, counts):
         system = system_on_grid(ctx, counts)
-        assert system.active.size == system.grid.n_nodes
-        n, d = system.grid.n_nodes, ctx.dimension
+        assert system.active.size == system.grid.n_points
+        n, d = system.grid.n_points, ctx.dimension
         rng = np.random.default_rng(7)
         v = rng.standard_normal(d * n) + 1j * rng.standard_normal(d * n)
         # every corner (the largest offsets, where wrap-around would show)
@@ -268,7 +281,7 @@ class TestFFTOperator:
         rows = np.union1d(corners, rng.choice(n, size=min(n, 200), replace=False))
         pj = apply_p(system.grid, ctx, v.reshape(d, n).T)
         eta = system.contrast_at_nodes[rows]
-        correction = eta[:, None] * (direct_g_rows(system, rows) @ pj) * system.grid.cell_measure
+        correction = eta[:, None] * (direct_g_rows(system, rows) @ pj) * system.grid.pitch**system.grid.dimension
         expected = v.reshape(d, n)[:, rows] - correction.T
         got = system.apply(v).reshape(d, n)[:, rows]
         np.testing.assert_allclose(got, expected, rtol=1e-12)
@@ -289,8 +302,8 @@ class TestFFTOperator:
 
     @pytest.mark.parametrize("ctx, counts", [(CTX2, (12, 7)), (CTX2, (3, 9)), (CTX3, (7, 3, 5))])
     def test_p_stencil_matches_kronecker_oracle(self, ctx, counts):
-        grid = fw.VolumeGrid(0.05, np.zeros(len(counts)), counts)
-        d, n = len(counts), grid.n_nodes
+        grid = em.Lattice(tuple(n * 0.05 / 2 for n in counts), 0.05, counts)
+        d, n = len(counts), grid.n_points
         rng = np.random.default_rng(3)
         field = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
         expected = (kron_p_matrix(grid, ctx) @ field.T.reshape(-1)).reshape(d, n).T
@@ -320,8 +333,8 @@ class TestFFTOperator:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        dense_rows = system.active.size * system.grid.n_nodes * 16
-        assert system.active.size == 2000 and system.grid.n_nodes == 5000
+        dense_rows = system.active.size * system.grid.n_points * 16
+        assert system.active.size == 2000 and system.grid.n_points == 5000
         assert peak < dense_rows / 10
 
 
@@ -346,12 +359,12 @@ class TestSolve:
         eta = 1e-3
         contrast = em.ContrastField([em.Shape([-0.25, 0.0], 0.3, eta=eta)])
         system = fw.ForwardSystem(contrast, CTX2, fw.build_grid(contrast, 0.02))
-        e_inc = em.incident_field(WAVE1, CTX2, system.grid.nodes)
+        e_inc = em.incident_field(WAVE1, CTX2, system.grid.points)
         target = system.contrast_at_nodes[:, None] * e_inc
         correction = np.zeros_like(target)
         w = direct_g_rows(system, system.active) @ apply_p(system.grid, CTX2, target)
         correction[system.active] = (
-            system.contrast_at_nodes[system.active][:, None] * w * system.grid.cell_measure
+            system.contrast_at_nodes[system.active][:, None] * w * system.grid.pitch**system.grid.dimension
         )
         oracle_dev = np.linalg.norm(correction, axis=1).max() / np.linalg.norm(target, axis=1).max()
 
@@ -369,7 +382,7 @@ class TestSolve:
             contrast = em.ContrastField([em.Shape([-0.25, 0.0], 0.3, eta=eta)])
             system = fw.ForwardSystem(contrast, CTX2, fw.build_grid(contrast, 0.02))
             current = system.solve(WAVE1)
-            target = system.contrast_at_nodes[:, None] * em.incident_field(WAVE1, CTX2, system.grid.nodes)
+            target = system.contrast_at_nodes[:, None] * em.incident_field(WAVE1, CTX2, system.grid.points)
             devs.append(
                 np.linalg.norm(current.values - target, axis=1).max()
                 / np.linalg.norm(target, axis=1).max()
@@ -408,7 +421,7 @@ class TestSolve:
     def test_current_vanishes_outside_support(self):
         ring = em.ContrastField([em.Shape([0.0, 0.0], 0.6, 0.4, eta=1.0)])
         current = solve(ring, CTX2, 0.05)
-        hole = ~ring.shapes[0].contains(current.grid.nodes)
+        hole = ~ring.shapes[0].contains(current.grid.points)
         assert np.all(current.values[hole] == 0.0)
         assert np.any(current.values != 0.0)
 
@@ -441,7 +454,7 @@ class TestSolve:
             fw.ForwardSystem(contrast, ctx, fw.build_grid(contrast, 0.1))
 
     def test_grid_of_another_dimension_rejected(self):
-        grid = fw.VolumeGrid(0.1, np.zeros(3), (3, 3, 3))
+        grid = em.Lattice((0.15,) * 3, 0.1, (3, 3, 3))
         with pytest.raises(GeometryError, match="grid and context dimensions differ"):
             fw.ForwardSystem(CONTRAST1, CTX2, grid)
 

@@ -451,6 +451,16 @@ class TestDiagnosticRun:
         assert (tmp_path / "map_polarization_sum.pgm").exists()
 
 
+    def test_sampling_within_half_a_wavelength_of_x_q_fails_at_export(self, tmp_path):
+        config = harness.preset("fig1", out=str(tmp_path))
+        config = harness.config_from_dict(
+            {**config.to_dict(), "sampling": {"box": [[-0.4, -0.1], [-0.15, 0.15]], "spacing": 0.05}},
+            name="fig1",
+        )
+        with pytest.raises(StageError, match="^export: no sampling point lies beyond half a wavelength") as info:
+            harness.run_experiment(config)
+        assert info.value.stage == "export"
+
     def test_fig1_sweep_info(self, tmp_path):
         config = harness.preset("fig1", out=str(tmp_path))
         config = harness.config_from_dict(

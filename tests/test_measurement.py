@@ -1,6 +1,7 @@
 """Surfaces, quadrature, field synthesis, the noise model, and CSV round-trips."""
 
 import csv
+import dataclasses
 import re
 
 import numpy as np
@@ -144,23 +145,23 @@ class TestSynthesis:
     def test_single_active_node_is_one_term_quadrature(self):
         contrast = em.ContrastField([em.Shape([0.0, 0.0], 0.3, eta=1.0)])
         grid = fw.build_grid(contrast, 0.1)
-        values = np.zeros((grid.n_nodes, 2), complex)
+        values = np.zeros((grid.n_points, 2), complex)
         j0 = 4
         values[j0] = [1.0 + 2.0j, -0.5j]
         current = fw.InducedCurrentField(grid, values)
         surf = ms.circle_surface(5.0, 8)
         samples = ms.synthesize_scattered_fields([current], surf, CTX2)[0]
         expected = np.array([
-            em.green_tensor_from_diff(CTX2, m - grid.nodes[j0]) @ values[j0] for m in surf.points
-        ]) * grid.cell_measure
+            em.green_tensor_from_diff(CTX2, m - grid.points[j0]) @ values[j0] for m in surf.points
+        ]) * grid.pitch**grid.dimension
         np.testing.assert_allclose(samples.values, expected, rtol=1e-14)
 
     def test_linear_in_current(self):
         contrast = em.ContrastField([em.Shape([0.0, 0.0], 0.3, eta=1.0)])
         grid = fw.build_grid(contrast, 0.05)
         rng = np.random.default_rng(1)
-        j1 = rng.standard_normal((grid.n_nodes, 2)) + 1j * rng.standard_normal((grid.n_nodes, 2))
-        j2 = rng.standard_normal((grid.n_nodes, 2)) + 1j * rng.standard_normal((grid.n_nodes, 2))
+        j1 = rng.standard_normal((grid.n_points, 2)) + 1j * rng.standard_normal((grid.n_points, 2))
+        j2 = rng.standard_normal((grid.n_points, 2)) + 1j * rng.standard_normal((grid.n_points, 2))
         surf = ms.circle_surface(5.0, 12)
 
         def field(vals):
@@ -188,12 +189,12 @@ class TestSynthesis:
         contrast = em.ContrastField([em.Shape(np.zeros(d), 0.3)])
         grid = fw.build_grid(contrast, 0.05)
         rng = np.random.default_rng(2)
-        values = rng.standard_normal((grid.n_nodes, d)) + 1j * rng.standard_normal((grid.n_nodes, d))
+        values = rng.standard_normal((grid.n_points, d)) + 1j * rng.standard_normal((grid.n_points, d))
         values[::3] = 0.0
         current = fw.InducedCurrentField(grid, values)
         surf = ms.circle_surface(5.0, count) if d == 2 else ms.cube_surface(10.0, count)
-        phi = em.green_tensor_from_diff(ctx, surf.points[:, None, :] - grid.nodes[None, :, :])
-        expected = np.einsum("mjab,jb->ma", phi, values) * grid.cell_measure
+        phi = em.green_tensor_from_diff(ctx, surf.points[:, None, :] - grid.points[None, :, :])
+        expected = np.einsum("mjab,jb->ma", phi, values) * grid.pitch**grid.dimension
         default = ms.synthesize_scattered_fields([current], surf, ctx)[0].values
         monkeypatch.setattr(em, "_CHUNK_TARGET", 1)  # one surface point per block
         one_target = ms.synthesize_scattered_fields([current], surf, ctx)[0].values
@@ -205,7 +206,7 @@ class TestSynthesis:
         d = ctx.dimension
         grid = fw.build_grid(em.ContrastField([em.Shape(np.zeros(d), 0.3)]), 0.05)
         rng = np.random.default_rng(3)
-        values = rng.standard_normal((grid.n_nodes, d)) + 1j * rng.standard_normal((grid.n_nodes, d))
+        values = rng.standard_normal((grid.n_points, d)) + 1j * rng.standard_normal((grid.n_points, d))
         values[::3] = 0.0
         current = fw.InducedCurrentField(grid, values)
         surf = ms.circle_surface(5.0, count) if d == 2 else ms.cube_surface(10.0, count)
@@ -226,8 +227,8 @@ class TestSynthesis:
         # BLAS as several do
         grid = fw.build_grid(em.ContrastField([em.Shape(np.zeros(3), 0.35)]), 0.05)
         rng = np.random.default_rng(4)
-        values = rng.standard_normal((grid.n_nodes, 3)) + 1j * rng.standard_normal((grid.n_nodes, 3))
-        values[:grid.n_nodes - 250] = 0.0
+        values = rng.standard_normal((grid.n_points, 3)) + 1j * rng.standard_normal((grid.n_points, 3))
+        values[:grid.n_points - 250] = 0.0
         current = fw.InducedCurrentField(grid, values)
         surf = ms.cube_surface(10.0, 9)
         monkeypatch.setattr(em, "_CHUNK_TARGET", 133 * 250 * 3)
@@ -247,7 +248,7 @@ class TestSynthesis:
         rng = np.random.default_rng(seed)
         currents = []
         for l in range(count):
-            values = rng.standard_normal((grid.n_nodes, d)) + 1j * rng.standard_normal((grid.n_nodes, d))
+            values = rng.standard_normal((grid.n_points, d)) + 1j * rng.standard_normal((grid.n_points, d))
             values[l::3] = 0.0
             currents.append(fw.InducedCurrentField(grid, values))
         surf = ms.circle_surface(5.0, 30) if d == 2 else ms.cube_surface(10.0, 2)
@@ -267,7 +268,7 @@ class TestSynthesis:
     def test_many_currents_bit_identical_across_thread_counts(self, ctx, monkeypatch):
         currents, surf = self.random_currents(ctx, 2, 7)
         # 4 surface points per block, and 5 workers outnumber the cores
-        monkeypatch.setattr(em, "_CHUNK_TARGET", 4 * currents[0].grid.n_nodes * ctx.dimension)
+        monkeypatch.setattr(em, "_CHUNK_TARGET", 4 * currents[0].grid.n_points * ctx.dimension)
         runs = []
         for threads in (1, 2, 5):
             monkeypatch.setattr(em, "_thread_count", lambda: threads)
@@ -276,12 +277,12 @@ class TestSynthesis:
             for values, first in zip(got, runs[0]):
                 np.testing.assert_array_equal(values, first)
 
-    def test_currents_on_different_grids_rejected(self):
+    @pytest.mark.parametrize("change", [
+        {"centre": (0.01, 0.0)}, {"pitch": 0.051}, {"shape": (7, 9)},
+    ])
+    def test_currents_on_different_grids_rejected(self, change):
         current, _ = self.random_currents(CTX2, 1, 8)
-        shifted = fw.InducedCurrentField(
-            fw.VolumeGrid(current[0].grid.mesh_size, current[0].grid.origin + 0.01, current[0].grid.counts),
-            current[0].values,
-        )
+        shifted = fw.InducedCurrentField(dataclasses.replace(current[0].grid, **change), current[0].values)
         with pytest.raises(GeometryError, match="one forward grid"):
             ms.synthesize_scattered_fields([current[0], shifted], ms.circle_surface(5.0, 30), CTX2)
 
@@ -305,11 +306,11 @@ def direct_synthesis(currents, surface, ctx):
     stacked = np.stack([current.values for current in currents], axis=1)
     active = np.flatnonzero(np.any(stacked != 0.0, axis=(1, 2)))
     values = np.zeros((surface.count, d * len(currents)), dtype=np.complex128)
-    refs = np.einsum("ai,jlb->jabli", np.eye(d), stacked[active] * grid.cell_measure)
+    refs = np.einsum("ai,jlb->jabli", np.eye(d), stacked[active] * grid.pitch**grid.dimension)
     slabs = em.symmetric_slabs(refs.reshape(active.size, d, d, -1))
 
     def work(start, stop):
-        values[start:stop] = em.KernelBlock(ctx, grid.nodes[active], surface.points[start:stop]).contract(slabs)
+        values[start:stop] = em.KernelBlock(ctx, grid.points[active], surface.points[start:stop]).contract(slabs)
 
     em.run_blocks(work, surface.count, active.size, d)
     return [values[:, l * d:(l + 1) * d].copy() for l in range(len(currents))]
@@ -353,13 +354,13 @@ class TestOrbitSynthesis:
         # and the sources add the missing corner's nodes with zero current
         contrast = em.ContrastField([em.Shape(np.zeros(3), 0.4), em.Shape(np.full(3, 0.1), 0.2, eta=0.0)])
         grid = fw.build_grid(contrast, 0.1)
-        supported = contrast.eta_at(grid.nodes) != 0.0
-        assert (grid.n_nodes, np.count_nonzero(supported)) == (64, 56)
+        supported = contrast.eta_at(grid.points) != 0.0
+        assert (grid.n_points, np.count_nonzero(supported)) == (64, 56)
         surface = ms.cube_surface(10.0, 4)
         rng = np.random.default_rng(14)
         currents = []
         for _ in range(2):
-            values = rng.standard_normal((grid.n_nodes, 3)) + 1j * rng.standard_normal((grid.n_nodes, 3))
+            values = rng.standard_normal((grid.n_points, 3)) + 1j * rng.standard_normal((grid.n_points, 3))
             values[~supported] = 0.0
             currents.append(fw.InducedCurrentField(grid, values))
         fields = ms.synthesize_scattered_fields(currents, surface, CTX3)
@@ -388,9 +389,9 @@ class TestOrbitSynthesis:
         # 4 representatives per block, and 5 workers outnumber the cores
         config = harness.preset("example3d")
         grid = fw.build_grid(config.contrast, config.forward_h)
-        supported = config.contrast.eta_at(grid.nodes) != 0.0
+        supported = config.contrast.eta_at(grid.points) != 0.0
         rng = np.random.default_rng(15)
-        values = rng.standard_normal((grid.n_nodes, 3)) + 1j * rng.standard_normal((grid.n_nodes, 3))
+        values = rng.standard_normal((grid.n_points, 3)) + 1j * rng.standard_normal((grid.n_points, 3))
         values[~supported] = 0.0
         current = fw.InducedCurrentField(grid, values)
         surface = config.surface.build()
@@ -434,6 +435,12 @@ class TestNoise:
         samples, _ = example1_samples(h=0.05)
         with pytest.raises(DomainError):
             ms.add_noise(samples, -0.1, 0)
+
+    @pytest.mark.parametrize("epsilon", [np.nan, np.inf])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        samples, _ = example1_samples(h=0.05)
+        with pytest.raises(DomainError, match="finite and nonnegative"):
+            ms.add_noise(samples, epsilon, 0)
 
     def test_perturbation_statistics_vs_monte_carlo_oracle(self):
         # mean over seeds of ||E_noisy - E||_inf / max|E| against an
