@@ -19,6 +19,7 @@ therefore makes no scipy BLAS or LAPACK call.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -265,7 +266,12 @@ def _gmres(matvec, b: np.ndarray, spec: SolverSpec) -> tuple[np.ndarray, float, 
     restart = min(spec.restart, b.size)
     ptol_max_factor = 1.0
     ptol = bnrm2 * min(ptol_max_factor, atol / bnrm2)
-    v = np.empty((restart + 1, b.size), dtype=b.dtype)
+    # the Krylov basis gets an anonymous mapping of its own, unmapped when v
+    # goes: from malloc (np.empty) the first basis is mmapped, and freeing it
+    # raises glibc's mmap threshold above its size, so later bases come from
+    # the solving thread's malloc arena, where the freed basis stays resident
+    # as the arena's top chunk, malloc_trim(0) or not
+    v = np.frombuffer(mmap.mmap(-1, (restart + 1) * b.nbytes), dtype=b.dtype).reshape(restart + 1, b.size)
     h = np.zeros((restart, restart + 1), dtype=b.dtype)  # column col of the Hessenberg matrix is h[col]
     givens = np.zeros((restart, 2), dtype=b.dtype)
     r = b

@@ -438,11 +438,22 @@ class LocalizationReport:
         return asdict(self)
 
 
+def _resident_mb() -> float | None:
+    """The process's resident set in MB (/proc/self/statm), or None where
+    that file is absent."""
+    try:
+        with open("/proc/self/statm") as statm:
+            pages = int(statm.read().split()[1])
+    except OSError:
+        return None
+    return pages * resource.getpagesize() / 1024.0**2
+
+
 @contextmanager
 def _stage(report: LocalizationReport, name: str):
     """Run one pipeline stage: raise its failures as StageError(name), and
-    record its wall time, the process's peak RSS at its end, and the minor
-    page faults taken during it."""
+    record its wall time, the process's peak RSS and its resident set at its
+    end, and the minor page faults taken during it."""
     before = resource.getrusage(resource.RUSAGE_SELF)
     started = time.perf_counter()
     try:
@@ -453,6 +464,7 @@ def _stage(report: LocalizationReport, name: str):
     after = resource.getrusage(resource.RUSAGE_SELF)
     report.stage_resources[name] = {
         "peak_rss_mb": after.ru_maxrss / 1024.0,
+        "rss_mb": _resident_mb(),
         "minor_faults": after.ru_minflt - before.ru_minflt,
     }
 

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +32,13 @@ def timed_run(config):
     start = time.perf_counter()
     report = harness.run_experiment(config)
     return report, time.perf_counter() - start
+
+
+def run_python(code: str) -> None:
+    """Run code in a fresh interpreter that imports emdsm from this checkout."""
+    src = str(Path(em.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 @pytest.fixture(scope="session")

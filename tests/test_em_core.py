@@ -6,11 +6,9 @@ oracles, published tables and identities."""
 
 import math
 import os
-import subprocess
 import sys
 import threading
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +19,8 @@ from hypothesis import strategies as st
 from emdsm import em_core as em
 from emdsm import measurement as ms
 from emdsm.errors import DimensionMismatchError, DomainError, GeometryError, SingularityError
+
+from .conftest import run_python
 
 CTX2 = em.WaveContext.from_wavelength(2, 1.0)
 CTX3 = em.WaveContext.from_wavelength(3, 1.0)
@@ -475,13 +475,6 @@ def test_3d_kernels_do_not_load_scipy_special():
         "assert 'scipy.special' not in sys.modules, 'scipy.special loaded'\n"
     )
     run_python(code)
-
-
-def run_python(code: str) -> None:
-    """Run code in a fresh interpreter that imports emdsm from this checkout."""
-    src = str(Path(em.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 @pytest.mark.parametrize("name, spacing, absent", [

@@ -1,6 +1,7 @@
 """Grid construction, singular self-cell quadrature, the P stencil, the FFT
 operator, the solve, and convergence under mesh refinement."""
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,8 @@ from scipy.sparse.linalg import LinearOperator, gmres
 
 from emdsm import em_core as em, forward as fw, harness, measurement as ms
 from emdsm.errors import DegenerateGridError, DomainError, GeometryError, SolverError
+
+from .conftest import run_python
 
 CTX2 = em.WaveContext.from_wavelength(2, 1.0)
 CTX3 = em.WaveContext.from_wavelength(3, 1.0)
@@ -626,6 +629,27 @@ class TestSolveAll:
         assert all(current.residual <= 1e-8 for current in currents)
         with pytest.raises(SolverError, match="GMRES"):
             system.solve_all([WAVE1, WAVE1], fw.SolverSpec(maxiter=1, restart=2, tol=1e-14))
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="/proc/self/statm is absent")
+    def test_repeated_solves_keep_no_basis_resident(self):
+        # each solve's Krylov basis, 51 x 15 000 complex values (12 MB) here,
+        # is unmapped when the solve returns; from malloc, the pool thread's
+        # arena kept 5-8 MB of it resident after every later solve_all.  The
+        # solves' other arrays move the resident set by up to about 1.5 MB
+        # from run to run, so the least growth over four runs is gated, at
+        # 2.5 MB
+        run_python(
+            "from emdsm import forward as fw, harness\n"
+            "config = harness.preset('example3d', forward_h=0.02)\n"
+            "system = fw.ForwardSystem(config.contrast, config.ctx, fw.build_grid(config.contrast, config.forward_h))\n"
+            "system.solve_all(config.incidents, config.solver)\n"
+            "warm = harness._resident_mb()\n"
+            "grown = []\n"
+            "for _ in range(4):\n"
+            "    system.solve_all(config.incidents, config.solver)\n"
+            "    grown.append(harness._resident_mb() - warm)\n"
+            "assert min(grown) < 2.5, f'resident set grew by {grown} MB'\n"
+        )
 
 
 def synthesized_data(name: str, h: float) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Config parsing, preset fidelity, the pipeline, CLI."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -282,6 +283,10 @@ class TestRunExperiment:
         assert set(parsed["stage_resources"]) == set(report.stage_seconds)
         for usage in parsed["stage_resources"].values():
             assert usage["peak_rss_mb"] > 0.0
+            if os.path.exists("/proc/self/statm"):
+                assert isinstance(usage["rss_mb"], float) and usage["rss_mb"] > 0.0
+            else:
+                assert usage["rss_mb"] is None
             assert isinstance(usage["minor_faults"], int) and usage["minor_faults"] >= 0
         for info in parsed["solver_info"]:
             assert info["method"] == "gmres"
